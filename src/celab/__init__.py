@@ -5,22 +5,7 @@ shipped reduction, so ``celab.reductions.REDUCTIONS`` is fully
 populated after ``import celab``.
 """
 
-from .descriptors import register_core_combinators
-from .enumerable import register_enumerable_combinators
-from .reductions import basic  # noqa: F401  (ground-level operations)
-from .reductions.benchmark import register_benchmark_combinators
-from .reductions.below import register_below_combinators
-from .reductions.structures import register_structures_combinators
+from . import descriptors, enumerable  # noqa: F401
+from .reductions import basic, below, benchmark, structures  # noqa: F401
 
 __version__ = "0.1.0"
-
-
-def register_all_combinators() -> None:
-    register_core_combinators()
-    register_benchmark_combinators()
-    register_below_combinators()
-    register_structures_combinators()
-    register_enumerable_combinators()
-
-
-register_all_combinators()

@@ -9,14 +9,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
-from . import register_all_combinators
 from .harness import (DEFAULT_WINDOW, corpus_from_json, corpus_to_json,
                       default_budget, exit_code, gen_corpus, verify_reduction)
+from .descriptors import EMPTY
 from .hierarchy import BY_NUMBER, render, render_all
-from .programs import Combinator, Evaluator
+from .programs import Evaluator
 from .reductions import REDUCTIONS
-from .relations import RELATIONS
+from .relations import RELATIONS, NceTuple
 from .serialization import ParseError, term_from_sexpr, term_to_sexpr
 
 EXIT_OK = 0
@@ -73,7 +74,10 @@ def cmd_reduce(args) -> int:
         term = term_from_sexpr(args.term)
     except ParseError as exc:
         raise InputError(str(exc))
-    out = Combinator(red.combinator, (term,), ())
+    # the build's own term on a fixed payload carries the construction's
+    # parameters; only its argument is the user's
+    payload = NceTuple((EMPTY,)) if red.payload_kind == "nce" else EMPTY
+    out = replace(red.build(payload).term, args=(term,))
     print(term_to_sexpr(out))
     return EXIT_OK
 
@@ -177,7 +181,6 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    register_all_combinators()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,9 +21,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Optional, Tuple, Union as TUnion
+from typing import Optional, Tuple, Union as TUnion
 
 from .pairing import pair, unpair, seq_encode, seq_decode
+from .programs import (
+    Combinator, columns_of, param, register_combinator, script,
+)
 
 # Block shapes whose total extent exceeds this are kept symbolic.
 MATERIALIZE_CAP = 1 << 16
@@ -153,14 +156,7 @@ class EP:
     def make(threshold: int, period: int, head, residues) -> "EP":
         head = frozenset(head)
         residues = frozenset(residues)
-        # minimal period
-        for q in sorted(_divisors(period)):
-            classes = frozenset(r % q for r in residues)
-            if frozenset(
-                r for r in range(period) if r % q in classes
-            ) == residues:
-                period, residues = q, classes
-                break
+        period, residues = _minimal_period(period, residues)
         # minimal threshold
         t = threshold
         head = frozenset(x for x in head if x < t)
@@ -282,12 +278,7 @@ class EP:
         """Canonical invariant of the almost-equality class."""
         if self.is_finite:
             return ("fin",)
-        p, res = self.period, self.residues
-        for q in sorted(_divisors(p)):
-            classes = frozenset(r % q for r in res)
-            if frozenset(r for r in range(p) if r % q in classes) == res:
-                return ("inf", q, classes)
-        raise AssertionError("unreachable")
+        return ("inf",) + _minimal_period(self.period, self.residues)
 
     def triadic_sum(self) -> Fraction:
         """Exact sum of 3^-(n+1) over the set."""
@@ -303,6 +294,21 @@ class EP:
 
 def _divisors(n: int) -> list:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _minimal_period(period: int, residues: frozenset) -> tuple:
+    """The least period q of a residue set below ``period``, and its
+    classes mod q.
+
+    Lifting the classes mod a divisor q back below ``period`` gives
+    len(classes) * (period // q) residues, a superset of ``residues``;
+    q is a period exactly when the two counts agree.
+    """
+    for q in _divisors(period):
+        classes = frozenset(r % q for r in residues)
+        if len(classes) * (period // q) == len(residues):
+            return q, classes
+    raise AssertionError("unreachable: period itself always qualifies")
 
 
 def _first_at_least(t: int, r: int, p: int) -> int:
@@ -599,7 +605,6 @@ def columns_view(d: Descriptor) -> ColumnsView:
             raise UnsupportedDescriptor("column index set must be EP")
         return ColumnsView([(ix, d.incol), (ix.complement(), d.outcol)])
     if isinstance(d, Finite):
-        from .programs import columns_of
         cols = columns_of(d.elems)
         regions = [(EP.from_finite({c}), Finite(v))
                    for c, v in sorted(cols.items())]
@@ -715,74 +720,6 @@ def decode_descriptor(code: int) -> Descriptor:
 
 
 # ---------------------------------------------------------------------------
-# JSON form (corpus files)
-
-
-def to_json(d: Descriptor):
-    if isinstance(d, Finite):
-        return {"shape": "finite", "elems": sorted(d.elems)}
-    if isinstance(d, Cofinite):
-        return {"shape": "cofinite", "excluded": sorted(d.excluded)}
-    if isinstance(d, Progression):
-        return {"shape": "progression", "start": d.start, "step": d.step}
-    if isinstance(d, Union):
-        return {"shape": "union", "parts": [to_json(p) for p in d.parts]}
-    if isinstance(d, Difference):
-        return {"shape": "difference", "left": to_json(d.left),
-                "right": to_json(d.right)}
-    if isinstance(d, DyadicBlocks):
-        return {"shape": "dyadic-blocks", "index": to_json(d.index)}
-    if isinstance(d, WeightBlocks):
-        return {"shape": "weight-blocks", "index": to_json(d.index)}
-    if isinstance(d, Columns):
-        return {"shape": "columns",
-                "cols": [[c, to_json(cd)] for c, cd in d.cols],
-                "default": to_json(d.default)}
-    if isinstance(d, ColumnsBySet):
-        return {"shape": "columns-by-set", "index": to_json(d.index),
-                "incol": to_json(d.incol), "outcol": to_json(d.outcol)}
-    if isinstance(d, TailColumns):
-        return {"shape": "tail-columns", "base": to_json(d.base)}
-    if isinstance(d, OverrideColumns):
-        return {"shape": "override-columns",
-                "cols": [[c, to_json(cd)] for c, cd in d.cols],
-                "base": to_json(d.base)}
-    raise UnsupportedDescriptor(f"cannot serialize {d!r}")
-
-
-def from_json(obj) -> Descriptor:
-    shape = obj["shape"]
-    if shape == "finite":
-        return Finite(frozenset(obj["elems"]))
-    if shape == "cofinite":
-        return Cofinite(frozenset(obj["excluded"]))
-    if shape == "progression":
-        return Progression(obj["start"], obj["step"])
-    if shape == "union":
-        return Union(tuple(from_json(p) for p in obj["parts"]))
-    if shape == "difference":
-        return Difference(from_json(obj["left"]), from_json(obj["right"]))
-    if shape == "dyadic-blocks":
-        return DyadicBlocks(from_json(obj["index"]))
-    if shape == "weight-blocks":
-        return WeightBlocks(from_json(obj["index"]))
-    if shape == "columns":
-        return Columns(tuple((c, from_json(cd)) for c, cd in obj["cols"]),
-                       from_json(obj["default"]))
-    if shape == "columns-by-set":
-        return ColumnsBySet(from_json(obj["index"]), from_json(obj["incol"]),
-                            from_json(obj["outcol"]))
-    if shape == "tail-columns":
-        return TailColumns(from_json(obj["base"]))
-    if shape == "override-columns":
-        return OverrideColumns(
-            tuple((c, from_json(cd)) for c, cd in obj["cols"]),
-            from_json(obj["base"]),
-        )
-    raise UnsupportedDescriptor(f"unknown shape {shape!r}")
-
-
-# ---------------------------------------------------------------------------
 # compilation to programs
 
 
@@ -801,7 +738,6 @@ class Compiled:
 
 
 def _step_from_descriptor(ev, args, params, s, state):
-    from .programs import param
     d = state.get("descriptor")
     if d is None:
         d = decode_descriptor(param(params, 0))
@@ -814,6 +750,9 @@ def _step_from_descriptor(ev, args, params, s, state):
     return (x,) if member(d, x) else ()
 
 
+register_combinator("from_descriptor", _step_from_descriptor)
+
+
 def compile_descriptor(d: Descriptor, delay: int = 0,
                        as_script: bool = False,
                        rng=None) -> Compiled:
@@ -823,8 +762,6 @@ def compile_descriptor(d: Descriptor, delay: int = 0,
     plain Script; an optional rng shuffles the enumeration schedule so
     that corpora exercise schedule independence.
     """
-    from .programs import Combinator, script
-
     if as_script:
         ana = analyze(d)
         if not isinstance(ana, EP) or not ana.is_finite:
@@ -846,8 +783,3 @@ def compile_descriptor(d: Descriptor, delay: int = 0,
     except UnsupportedDescriptor:
         pass
     return Compiled(term, lambda M: M + delay + 1, total_settle=total)
-
-
-def register_core_combinators() -> None:
-    from .programs import register_combinator
-    register_combinator("from_descriptor", _step_from_descriptor, arity=0)

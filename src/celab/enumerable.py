@@ -90,17 +90,10 @@ def _step_permute_columns_mod(ev, args, params, s, state):
     return out
 
 
-def register_enumerable_combinators() -> None:
-    from .programs import COMBINATORS
-    steps = {
-        "prefix_substitution": _step_prefix_substitution,
-        "translate_mod": _step_translate_mod,
-        "group_columns": _step_group_columns,
-        "permute_columns_mod": _step_permute_columns_mod,
-    }
-    for cid, step in steps.items():
-        if cid not in COMBINATORS:
-            register_combinator(cid, step)
+register_combinator("prefix_substitution", _step_prefix_substitution)
+register_combinator("translate_mod", _step_translate_mod)
+register_combinator("group_columns", _step_group_columns)
+register_combinator("permute_columns_mod", _step_permute_columns_mod)
 
 
 # ---------------------------------------------------------------------------

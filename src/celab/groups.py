@@ -63,12 +63,3 @@ def fw_inv(u: tuple) -> tuple:
 
 
 FW_IDENTITY: tuple = ()
-
-
-def fw_generators(n: int) -> list:
-    """The first n generators and their inverses, as length-1 words."""
-    out = []
-    for i in range(1, n + 1):
-        out.append((i,))
-        out.append((-i,))
-    return out

@@ -10,7 +10,7 @@ along the stages, once per alternation level.
 from __future__ import annotations
 
 from .pairing import seq_encode, seq_decode, pair, unpair
-from .descriptors import Descriptor, encode_descriptor, decode_descriptor, EMPTY
+from .descriptors import encode_descriptor, decode_descriptor
 
 
 def nce_stage_value(ev, terms, s: int) -> frozenset:
@@ -42,15 +42,6 @@ def toggle_count(ev, terms, x: int, last_stage: int) -> int:
 def toggle_bound(terms) -> int:
     """Monotone inputs flip the fold at most once per tuple slot."""
     return len(terms)
-
-
-def embed_next_level(parts: tuple) -> tuple:
-    """View an n-slot combination as an (n+1)-slot one.
-
-    Appending an empty slot leaves the fold's value unchanged whether
-    the new slot subtracts or adds back.
-    """
-    return tuple(parts) + (EMPTY,)
 
 
 def tuple_encode(parts) -> int:

@@ -13,8 +13,8 @@ constructor::
 Script entries are coded by stage gaps (first stage, then successive
 differences minus one) and nonempty element bitmasks, which matches the
 canonical-form invariants exactly.  Combinators are numbered through the
-sorted registry of ids (size K); the ``variant`` tag soaks up the codes
-beyond the registry so the map stays a bijection.
+append-only id table ``COMBINATOR_CODES`` (size K); the ``variant`` tag
+soaks up the codes beyond the table so the map stays a bijection.
 """
 
 from __future__ import annotations
@@ -22,9 +22,45 @@ from __future__ import annotations
 import bisect
 
 from .pairing import pair, unpair, seq_encode, seq_decode, set_encode, set_decode
-from .programs import (
-    Script, FullColumnOf, Combinator, Indexed, Term, combinator_ids,
+from .programs import Script, FullColumnOf, Combinator, Indexed, Term
+
+# Combinator codes index this table, not the live registry, so a code
+# (indexed n) names the same term in every release.  Append new ids at
+# the end; never reorder or reuse a slot.  A retired id keeps its slot
+# and decodes to an unregistered combinator, which enumerates nothing.
+COMBINATOR_CODES = (
+    "block_union",
+    "cut_below",                  # retired: saturate_down with trim + 1
+    "expand_columns",
+    "expand_columns_swapped",     # retired: replicate_columns
+    "from_descriptor",
+    "group_columns",
+    "interval_hull",
+    "level_columns",
+    "max_factorials",
+    "median_multiples",
+    "membership_tree",
+    "min_factorials",
+    "perm_copies",
+    "permute_columns_mod",
+    "prefix_family",
+    "prefix_substitution",
+    "prefixed_columns",
+    "rational_cut",
+    "replicate_columns",
+    "replicate_columns_shifted",  # retired
+    "saturate_down",
+    "saturate_up",
+    "scaled_blocks",
+    "stage_gcds",
+    "stage_lcms",
+    "star_edges",
+    "tail_columns",
+    "tail_columns_short",         # retired
+    "translate_mod",
+    "triadic_cut",
 )
+_CODE_OF = {cid: i for i, cid in enumerate(COMBINATOR_CODES)}
 
 
 def encode(term: Term) -> int:
@@ -49,12 +85,12 @@ def encode(term: Term) -> int:
     if isinstance(term, FullColumnOf):
         return 4 * term.c + 1
     if isinstance(term, Combinator):
-        ids = combinator_ids()
-        try:
-            idx = ids.index(term.cid)
-        except ValueError:
-            raise ValueError(f"unregistered combinator {term.cid!r}")
-        cidx = term.variant * len(ids) + idx
+        idx = _CODE_OF.get(term.cid)
+        if idx is None:
+            raise ValueError(f"combinator {term.cid!r} has no code")
+        if term.variant < 0 or any(p < 0 for p in term.params):
+            raise ValueError("combinator parameters must be naturals")
+        cidx = term.variant * len(COMBINATOR_CODES) + idx
         argcode = seq_encode(tuple(encode(a) for a in term.args))
         q = pair(cidx, pair(argcode, seq_encode(term.params)))
         return 4 * q + 2
@@ -92,8 +128,8 @@ def decode(code: int) -> Term:
     if tag == 2:
         cidx, rest = unpair(q)
         argcode, paramcode = unpair(rest)
-        ids = combinator_ids()
-        variant, idx = divmod(cidx, len(ids))
+        variant, idx = divmod(cidx, len(COMBINATOR_CODES))
         args = tuple(decode(a) for a in seq_decode(argcode))
-        return Combinator(ids[idx], args, seq_decode(paramcode), variant)
+        return Combinator(COMBINATOR_CODES[idx], args, seq_decode(paramcode),
+                          variant)
     return Indexed(q)

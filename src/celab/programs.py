@@ -103,25 +103,17 @@ class CombinatorDef:
 
     cid: str
     step: Callable
-    make_state: Callable = dict
-    arity: int = 1
 
 
 COMBINATORS: dict = {}
 
 
-def register_combinator(cid: str, step: Callable, make_state: Callable = dict,
-                        arity: int = 1) -> None:
+def register_combinator(cid: str, step: Callable) -> None:
     if cid in COMBINATORS:
         if COMBINATORS[cid].step is step:
             return  # idempotent re-registration
         raise ValueError(f"combinator {cid!r} already registered")
-    COMBINATORS[cid] = CombinatorDef(cid, step, make_state, arity)
-
-
-def combinator_ids() -> list:
-    """Registry ids in the fixed order used by the program numbering."""
-    return sorted(COMBINATORS)
+    COMBINATORS[cid] = CombinatorDef(cid, step)
 
 
 def arg(args: tuple, i: int) -> Term:
@@ -139,7 +131,7 @@ def param(params: tuple, i: int, default: int = 0) -> int:
 
 @dataclass
 class _Cell:
-    state: dict
+    state: dict = field(default_factory=dict)
     last_stage: int = -1
     entries: dict = field(default_factory=dict)  # element -> first stage
 
@@ -171,12 +163,7 @@ class Evaluator:
     def _cell(self, term: Term) -> _Cell:
         cell = self._cells.get(term)
         if cell is None:
-            if isinstance(term, Combinator):
-                cdef = COMBINATORS.get(term.cid)
-                state = cdef.make_state() if cdef else {}
-            else:
-                state = {}
-            cell = _Cell(state=state)
+            cell = _Cell()
             self._cells[term] = cell
         return cell
 
@@ -236,15 +223,6 @@ class Evaluator:
         cell = self._advance(term, s)
         t = cell.entries.get(x)
         return t if t is not None and t <= s else None
-
-    def column(self, term: Term, c: int, s: int) -> frozenset:
-        """{k : <c,k> in approx(term, s)}."""
-        out = []
-        for x in self.approx(term, s):
-            cc, k = unpair(x)
-            if cc == c:
-                out.append(k)
-        return frozenset(out)
 
 
 def columns_of(elems: Iterable) -> dict:

@@ -14,19 +14,18 @@ schedule-dependent).
 
 Each reduction also registers at least one *mutant*: a deliberately
 broken variant that the default corpus must catch.  Mutants are how the
-test suite knows the validation has teeth.
+test suite knows the validation has teeth.  They are built only from
+production combinators, with wrong parameters or wrong inputs.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..descriptors import (
     Descriptor, Finite, Cofinite, Progression, Union, Difference,
-    Columns, ColumnsBySet, TailColumns, OverrideColumns,
-    EMPTY, FULL, analyze, compile_descriptor, member,
+    ColumnsBySet, OverrideColumns, FULL, analyze, compile_descriptor, member,
 )
 
 
@@ -75,6 +74,15 @@ def register_reduction(red: Reduction) -> Reduction:
 
 def register_mutant(name: str, mutant_name: str, build) -> None:
     MUTANTS.setdefault(name, []).append((mutant_name, build))
+
+
+def perturbed(build, perturb):
+    """A mutant build: the production term for a finitely perturbed
+    payload, with the honest payload's predicted membership."""
+    def broken(payload, rng=None):
+        bad = build(perturb(payload), rng)
+        return Built(bad.term, bad.settle, build(payload).member)
+    return broken
 
 
 def mutated(red: Reduction, build) -> Reduction:

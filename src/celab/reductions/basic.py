@@ -168,16 +168,6 @@ def finite_class_decider(mode: str, enum, witnesses, budget: int = 10_000):
 # two-class relations and the injective repair
 
 
-def two_class_from_m_reduction(f):
-    """A many-one reduction of A to B (or to B's complement) already
-    witnesses the reduction between the induced two-class relations.
-
-    The map is returned unchanged; ``check_two_class`` verifies the
-    biconditional on an initial segment.
-    """
-    return f
-
-
 def check_two_class(f, in_a, in_b, bound: int = 200) -> list:
     """Issues with f as a reduction of the A/non-A relation to the
     B/non-B relation, checked exhaustively on [0, bound]."""

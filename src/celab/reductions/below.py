@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..pairing import pair
 from ..programs import Combinator, register_combinator, arg, param
 from ..descriptors import (
     EP, Descriptor, Finite, Progression, EMPTY, FULL, analyze, member,
@@ -86,23 +85,6 @@ def _step_saturate_down(ev, args, params, s, state):
         return ()
     out = list(range(filled + 1, mx + 1))
     state["filled"] = mx
-    return out
-
-
-def _step_cut_below(ev, args, params, s, state):
-    """Enumerate {x : x < current maximum - trim}."""
-    a = arg(args, 0)
-    trim = param(params, 0)
-    cur = ev.approx(a, s)
-    if not cur:
-        return ()
-    ev.tick()
-    top = max(cur) - trim  # emit values strictly below this
-    filled = state.get("filled", 0)
-    if top <= filled:
-        return ()
-    out = list(range(filled, top))
-    state["filled"] = top
     return out
 
 
@@ -232,7 +214,10 @@ def _step_rational_cut(ev, args, params, s, state):
     if not cur:
         return ()
     ev.tick()
-    bound = max(cur) - trim
+    mx = max(cur)
+    if mx == 0:
+        return ()  # the cut of {0} is empty; pending codes wait
+    bound = mx - trim
     out = []
     keep = []
     for c in pend:
@@ -269,24 +254,16 @@ def _step_triadic_cut(ev, args, params, s, state):
     return out
 
 
-def register_below_combinators() -> None:
-    from ..programs import COMBINATORS
-    steps = {
-        "saturate_up": _step_saturate_up,
-        "saturate_down": _step_saturate_down,
-        "cut_below": _step_cut_below,
-        "interval_hull": _step_interval_hull,
-        "min_factorials": _step_min_factorials,
-        "max_factorials": _step_max_factorials,
-        "stage_gcds": _step_stage_gcds,
-        "stage_lcms": _step_stage_lcms,
-        "median_multiples": _step_median_multiples,
-        "rational_cut": _step_rational_cut,
-        "triadic_cut": _step_triadic_cut,
-    }
-    for cid, step in steps.items():
-        if cid not in COMBINATORS:
-            register_combinator(cid, step)
+register_combinator("saturate_up", _step_saturate_up)
+register_combinator("saturate_down", _step_saturate_down)
+register_combinator("interval_hull", _step_interval_hull)
+register_combinator("min_factorials", _step_min_factorials)
+register_combinator("max_factorials", _step_max_factorials)
+register_combinator("stage_gcds", _step_stage_gcds)
+register_combinator("stage_lcms", _step_stage_lcms)
+register_combinator("median_multiples", _step_median_multiples)
+register_combinator("rational_cut", _step_rational_cut)
+register_combinator("triadic_cut", _step_triadic_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +387,12 @@ def _cut_image(payload) -> Descriptor:
     return Finite(frozenset(range(mx)))
 
 
-def _build_cut_below(trim=0):
+def _build_cut_below(trim=1):
+    """The cut {x : x < max} is the initial segment [0, max - 1]."""
     def build(payload, rng=None):
         term_a, sa, _ = compile_arg(payload, rng)
-        term = Combinator("cut_below", (term_a,), (trim,) if trim else ())
+        term = Combinator("saturate_down", (term_a,),
+                          (trim,) if trim else ())
         image = _cut_image(payload)
         empty, finite, mx = _max_info(payload)
 
@@ -435,10 +414,10 @@ cut_omega = register_reduction(Reduction(
     predict=_cut_image,
     gen_case=gen_pair_1d,
     window=256,
-    combinator="cut_below",
+    combinator="saturate_down",
     doc="replace a set by the cut it determines in the order omega",
 ))
-register_mutant("cut_omega", "keeps-maximum", _build_cut_below(-1))
+register_mutant("cut_omega", "keeps-maximum", _build_cut_below(0))
 
 elomega_to_homega = register_reduction(Reduction(
     name="elomega_to_homega", source="el_omega", target="h_omega",
@@ -446,11 +425,11 @@ elomega_to_homega = register_reduction(Reduction(
     predict=_cut_image,
     gen_case=gen_pair_1d,
     window=256,
-    combinator="cut_below",
+    combinator="saturate_down",
     doc="a cut is its own convex hull, so the cut map also reduces"
         " same-cut to same-hull",
 ))
-register_mutant("elomega_to_homega", "keeps-maximum", _build_cut_below(-1))
+register_mutant("elomega_to_homega", "keeps-maximum", _build_cut_below(0))
 
 
 def _hull_image(payload) -> Descriptor:
@@ -622,29 +601,6 @@ register_mutant("eqce_to_eQ", "wrong-weights", _build_triadic_cut(wshift=0))
 
 # ---------------------------------------------------------------------------
 # invariant streams (schedule dependent; semantic validators)
-
-
-def _gcd_key(payload):
-    g = analyze(payload).gcd_value()
-    return ClassKey("e_gcd", g)
-
-
-def _min_key(payload):
-    m = _min_of(payload)
-    return ClassKey("e_min", ("empty",) if m is None else ("min", m))
-
-
-def _lcm_key(payload):
-    return ClassKey("e_lcm", analyze(payload).lcm_value())
-
-
-def _max_key(payload):
-    empty, finite, mx = _max_info(payload)
-    if empty:
-        return ClassKey("e_max", ("empty",))
-    if not finite:
-        return ClassKey("e_max", ("inf",))
-    return ClassKey("e_max", ("max", mx))
 
 
 def _gcd_witness(ana: EP) -> int:

@@ -33,15 +33,19 @@ from dataclasses import dataclass, field
 from ..pairing import pair, unpair
 from ..programs import Combinator, register_combinator, arg, param
 from ..descriptors import (
-    ColumnsBySet, Columns, Finite, EMPTY, FULL, Descriptor,
-    analyze, block_bounds, block_of, column_descriptor, member,
+    ColumnsBySet, Columns, Difference, Finite, Union, EMPTY, FULL,
+    Descriptor, analyze, block_bounds, block_of, column_descriptor, member,
     DyadicBlocks, WeightBlocks, TailColumns,
 )
+from ..enumerable import string_of
 from ..relations import ClassKey, columnwise_key, decide
 from . import (
     Built, Reduction, register_reduction, register_mutant,
-    gen_pair_1d, gen_pair_columns, compile_arg,
+    gen_pair_1d, gen_pair_columns, compile_arg, perturbed,
 )
+
+
+_ZERO = Finite(frozenset({0}))
 
 
 def _pair_width(m: int) -> int:
@@ -66,16 +70,6 @@ def _step_expand_columns(ev, args, params, s, state):
     return out
 
 
-def _step_expand_columns_swapped(ev, args, params, s, state):
-    a = arg(args, 0)
-    out = []
-    for c in ev.approx(a, s):
-        ev.tick()
-        t = ev.entry_stage(a, c, s)
-        out.append(pair(s - t, c))
-    return out
-
-
 def _step_tail_columns(ev, args, params, s, state):
     """New element x contributes <c, x> for every column c <= x."""
     a = arg(args, 0)
@@ -83,17 +77,6 @@ def _step_tail_columns(ev, args, params, s, state):
     for x in ev.approx(a, s):
         if ev.entry_stage(a, x, s) == s:
             for c in range(x + 1):
-                ev.tick()
-                out.append(pair(c, x))
-    return out
-
-
-def _step_tail_columns_short(ev, args, params, s, state):
-    a = arg(args, 0)
-    out = []
-    for x in ev.approx(a, s):
-        if ev.entry_stage(a, x, s) == s:
-            for c in range(x):  # drops the diagonal
                 ev.tick()
                 out.append(pair(c, x))
     return out
@@ -107,16 +90,6 @@ def _step_replicate_columns(ev, args, params, s, state):
         ev.tick()
         t = ev.entry_stage(a, k, s)
         out.append(pair(s - t, k))
-    return out
-
-
-def _step_replicate_columns_shifted(ev, args, params, s, state):
-    a = arg(args, 0)
-    out = []
-    for k in ev.approx(a, s):
-        ev.tick()
-        t = ev.entry_stage(a, k, s)
-        out.append(pair(s - t, k + 1))
     return out
 
 
@@ -170,12 +143,6 @@ def _step_scaled_blocks(ev, args, params, s, state):
     return out
 
 
-def _string_of(m: int) -> tuple:
-    """The m-th binary string in length-then-value order."""
-    bits = bin(m + 1)[3:]
-    return tuple(1 if b == "1" else 0 for b in bits)
-
-
 def _step_prefixed_columns(ev, args, params, s, state):
     """Output column <n, m> holds n ones, a zero, the m-th binary
     string, then column n of the argument beyond the string's length.
@@ -199,7 +166,7 @@ def _step_prefixed_columns(ev, args, params, s, state):
                     out.append(pair(pair(gn, gm), gn + 1 + pad + k))
     # activate the next generator
     n, m = unpair(s)
-    word = _string_of(m)
+    word = string_of(m)
     active[(n, m)] = len(word)
     for j in range(n):
         ev.tick()
@@ -231,7 +198,7 @@ def _step_prefix_family(ev, args, params, s, state):
                     ev.tick()
                     out.append(pair(m, x + pad))
     m = s
-    word = _string_of(m)
+    word = string_of(m)
     active[m] = len(word)
     for i, bit in enumerate(word):
         if bit:
@@ -244,23 +211,13 @@ def _step_prefix_family(ev, args, params, s, state):
     return out
 
 
-def register_benchmark_combinators() -> None:
-    from ..programs import COMBINATORS
-    steps = {
-        "expand_columns": _step_expand_columns,
-        "expand_columns_swapped": _step_expand_columns_swapped,
-        "tail_columns": _step_tail_columns,
-        "tail_columns_short": _step_tail_columns_short,
-        "replicate_columns": _step_replicate_columns,
-        "replicate_columns_shifted": _step_replicate_columns_shifted,
-        "block_union": _step_block_union,
-        "scaled_blocks": _step_scaled_blocks,
-        "prefixed_columns": _step_prefixed_columns,
-        "prefix_family": _step_prefix_family,
-    }
-    for cid, step in steps.items():
-        if cid not in COMBINATORS:
-            register_combinator(cid, step)
+register_combinator("expand_columns", _step_expand_columns)
+register_combinator("tail_columns", _step_tail_columns)
+register_combinator("replicate_columns", _step_replicate_columns)
+register_combinator("block_union", _step_block_union)
+register_combinator("scaled_blocks", _step_scaled_blocks)
+register_combinator("prefixed_columns", _step_prefixed_columns)
+register_combinator("prefix_family", _step_prefix_family)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +263,7 @@ eqce_to_e0 = register_reduction(Reduction(
     doc="equality drops to finite-difference via full-column images",
 ))
 register_mutant("eqce_to_e0", "transposed-pairs", _simple_build(
-    "expand_columns_swapped",
+    "replicate_columns",
     settle_fn=lambda sa, M: sa(M) + M + 1,
     member_of=_member_of_descriptor(_expand_transform),
 ))
@@ -327,11 +284,8 @@ e0_to_e1 = register_reduction(Reduction(
     combinator="tail_columns",
     doc="finite difference becomes almost-every-column equality",
 ))
-register_mutant("e0_to_e1", "missing-diagonal", _simple_build(
-    "tail_columns_short",
-    settle_fn=lambda sa, M: sa(M) + 1,
-    member_of=_member_of_descriptor(TailColumns),
-))
+register_mutant("e0_to_e1", "drops-zero",
+                perturbed(e0_to_e1.build, lambda a: Difference(a, _ZERO)))
 
 
 # e0_to_e2 / e0_to_z0: block unions ------------------------------------------
@@ -403,11 +357,8 @@ e0_to_e3 = register_reduction(Reduction(
     combinator="replicate_columns",
     doc="finite difference becomes columnwise almost equality",
 ))
-register_mutant("e0_to_e3", "shifted-rows", _simple_build(
-    "replicate_columns_shifted",
-    settle_fn=lambda sa, M: sa(M) + M + 1,
-    member_of=_member_of_descriptor(_replicate_transform),
-))
+register_mutant("e0_to_e3", "adds-zero",
+                perturbed(e0_to_e3.build, lambda a: Union((a, _ZERO))))
 
 
 # e3_to_z0: interleave column block images into thinning classes --------------
@@ -457,7 +408,7 @@ def _prefixed_member(payload):
     def mem(x):
         col, y = unpair(x)
         n, m = unpair(col)
-        word = _string_of(m)
+        word = string_of(m)
         if y < n:
             return True
         if y == n:
@@ -504,7 +455,7 @@ register_mutant("e3_to_eset", "padded-tail", _simple_build(
 def _prefix_family_member(payload):
     def mem(x):
         m, y = unpair(x)
-        word = _string_of(m)
+        word = string_of(m)
         if y < len(word):
             return word[y] == 1
         return member(payload, y)

@@ -146,17 +146,10 @@ def _step_level_columns(ev, args, params, s, state):
     return out
 
 
-def register_structures_combinators() -> None:
-    from ..programs import COMBINATORS
-    steps = {
-        "star_edges": _step_star_edges,
-        "membership_tree": _step_membership_tree,
-        "perm_copies": _step_perm_copies,
-        "level_columns": _step_level_columns,
-    }
-    for cid, step in steps.items():
-        if cid not in COMBINATORS:
-            register_combinator(cid, step)
+register_combinator("star_edges", _step_star_edges)
+register_combinator("membership_tree", _step_membership_tree)
+register_combinator("perm_copies", _step_perm_copies)
+register_combinator("level_columns", _step_level_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +208,7 @@ eqm_to_eq1 = register_reduction(Reduction(
         " via full-column images",
 ))
 register_mutant("eqm_to_eq1", "transposed-pairs",
-                _build_full_columns("expand_columns_swapped"))
+                _build_full_columns("replicate_columns"))
 
 
 def one_one_from_many_one(phi):

@@ -13,15 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import permutations
 from typing import Callable, Optional
 
 from .pairing import unpair
 from .descriptors import (
-    EP, BlockImage, Descriptor, Finite, Cofinite, Columns, ColumnsBySet,
+    EP, BlockImage, Descriptor, Finite, Columns, ColumnsBySet,
     TailColumns, OverrideColumns, UnsupportedDescriptor, analyze,
-    block_bounds, columns_view, ep_intersection, ep_symdiff, region_pairs,
+    block_bounds, columns_view, ep_symdiff, region_pairs,
 )
 
 # ---------------------------------------------------------------------------
@@ -84,17 +83,13 @@ def _size_class(a) -> str:
     return "cofin" if a.index.is_cofinite else "sym"
 
 
-def _counts(a) -> tuple:
-    return (ana_card(a), ana_cocard(a))
-
-
 def ana_eq(a, b) -> bool:
     if isinstance(a, EP) and isinstance(b, EP):
         return a == b
     if isinstance(a, BlockImage) and isinstance(b, BlockImage):
         if a.kind == b.kind:
             return a.index == b.index
-        if _counts(a) != _counts(b):
+        if one_equivalence_key(a) != one_equivalence_key(b):
             return False
         raise UnsupportedDescriptor("cross-kind block image comparison")
     ep, bi = (a, b) if isinstance(a, EP) else (b, a)
@@ -102,7 +97,7 @@ def ana_eq(a, b) -> bool:
         # a finite or cofinite union reaches this path only past the
         # materialization cap, so counting separates it from any EP the
         # corpora can build
-        if _counts(ep) != _counts(bi):
+        if one_equivalence_key(ep) != one_equivalence_key(bi):
             return False
         raise UnsupportedDescriptor("block union beyond materialization cap")
     # an infinite, co-infinite block union has unbounded runs of both
@@ -579,12 +574,3 @@ register_relation("ufomega", None,
                   doc="orbit relation of a free group action (node only)")
 register_relation("egamma", None,
                   doc="orbit relation of a finite group action (node only)")
-
-
-def stage_classify(rid: str, approx_a: frozenset, approx_b: frozenset) -> bool:
-    """The relation applied to two finite stage approximations.
-
-    Meaningful for relations whose verdict on finite sets is the
-    limiting verdict once both programs have settled.
-    """
-    return decide(rid, Finite(approx_a), Finite(approx_b))

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 import celab  # noqa: F401
-from celab.descriptors import Finite, analyze
+from celab.descriptors import EMPTY, Finite, analyze
+from celab.harness import TestCase, default_budget, verify_case
 from celab.orders import (OMEGA, OMEGA_STAR, RATIONALS, order_from_spec,
                           order_reverse, order_sum, rational_from_code,
                           rational_to_code)
@@ -149,3 +150,12 @@ def test_factorial_images_divide_consistently():
         a, b = red.gen_case(rng)
         if decide("e_min", a, b):
             assert decide("e_gcd", red.predict(a), red.predict(b))
+
+
+def test_rational_cut_of_zero_is_empty():
+    """{0} and the empty set have the same (empty) cut in omega, and
+    both images must be the empty cut of the rationals."""
+    red = REDUCTIONS["omega_into_rationals"]
+    case = TestCase(0, red.source, Finite(frozenset({0})), EMPTY, True)
+    assert verify_case(red, case, random.Random(1), red.window,
+                       default_budget()) is None

@@ -5,6 +5,11 @@ import json
 import pytest
 
 from celab.cli import main
+from celab.descriptors import Finite
+from celab.programs import Evaluator
+from celab.reductions import REDUCTIONS
+from celab.relations import NceTuple
+from celab.serialization import term_from_sexpr, term_to_sexpr
 
 
 def run(capsys, *argv):
@@ -31,6 +36,25 @@ def test_reduce_emits_a_program_term(capsys):
                     "--term", "(script (0 (1 2)))")
     assert code == 0
     assert out.startswith("(combinator expand_columns")
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, red in REDUCTIONS.items() if red.combinator))
+def test_reduce_prints_the_build_program(capsys, name):
+    """The printed program is the build's own: same combinator, same
+    parameters, so it enumerates what the build's term enumerates."""
+    red = REDUCTIONS[name]
+    payload = Finite(frozenset({1, 3, 4}))
+    if red.payload_kind == "nce":
+        payload = NceTuple((payload,))
+    built = red.build(payload)
+    (argument,) = built.term.args
+    code, out = run(capsys, "reduce", "--reduction", name,
+                    "--term", term_to_sexpr(argument))
+    assert code == 0
+    term = term_from_sexpr(out)
+    assert term.cid == red.combinator
+    assert Evaluator().approx(term, 40) == Evaluator().approx(built.term, 40)
 
 
 def test_verify_clean_run_exits_zero(capsys):

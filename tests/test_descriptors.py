@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401
-from celab.descriptors import (EMPTY, FULL, Cofinite, Difference, Finite,
+from celab.descriptors import (EMPTY, EP, FULL, Cofinite, Difference, Finite,
                                Progression, Union, analyze, block_of,
                                compile_descriptor, dyadic_block, member,
                                weight_block)
@@ -126,3 +126,28 @@ def test_e0_key_ignores_finite_modifications():
                      Finite(frozenset({0, 2}))))
     assert analyze(base).e0_key() == analyze(tweaked).e0_key()
     assert analyze(base).e0_key() != analyze(Progression(3, 5)).e0_key()
+
+
+def reference_minimal_period(period, residues):
+    """The minimal-period search by full residue-set comparison."""
+    for q in range(1, period + 1):
+        if period % q:
+            continue
+        classes = frozenset(r % q for r in residues)
+        if frozenset(r for r in range(period) if r % q in classes) == residues:
+            return q, classes
+
+
+def test_minimal_period_matches_the_set_comparison():
+    rng = random.Random(5)
+    for _ in range(3000):
+        period = rng.randrange(1, 97)
+        q = rng.choice([d for d in range(1, period + 1) if period % d == 0])
+        classes = {r for r in range(q) if rng.random() < 0.5}
+        residues = {r for r in range(period) if r % q in classes}
+        if rng.random() < 0.5:
+            residues ^= {rng.randrange(period)}  # break the period q
+        residues = frozenset(residues)
+        ep = EP.make(0, period, (), residues)
+        assert (ep.period, ep.residues) == \
+            reference_minimal_period(period, residues)

@@ -1,0 +1,91 @@
+"""The combinator registry and the program numbering built on it."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import celab  # noqa: F401  (registers combinators)
+from celab.numbering import COMBINATOR_CODES, decode, encode
+from celab.programs import COMBINATORS, Combinator, Evaluator, FullColumnOf
+from celab.reductions import MUTANTS, REDUCTIONS
+
+# encode(Combinator(cid, (FullColumnOf(1),), (2,))) for every live
+# combinator; these codes must never change
+PINNED_CODES = {
+    "block_union": 92878,
+    "expand_columns": 94602,
+    "from_descriptor": 96342,
+    "group_columns": 97218,
+    "interval_hull": 98098,
+    "level_columns": 98982,
+    "max_factorials": 99870,
+    "median_multiples": 100762,
+    "membership_tree": 101658,
+    "min_factorials": 102558,
+    "perm_copies": 103462,
+    "permute_columns_mod": 104370,
+    "prefix_family": 105282,
+    "prefix_substitution": 106198,
+    "prefixed_columns": 107118,
+    "rational_cut": 108042,
+    "replicate_columns": 108970,
+    "saturate_down": 110838,
+    "saturate_up": 111778,
+    "scaled_blocks": 112722,
+    "stage_gcds": 113670,
+    "stage_lcms": 114622,
+    "star_edges": 115578,
+    "tail_columns": 116538,
+    "translate_mod": 118470,
+    "triadic_cut": 119442,
+}
+
+
+def cids(term) -> set:
+    if not isinstance(term, Combinator):
+        return set()
+    out = {term.cid}
+    for a in term.args:
+        out |= cids(a)
+    return out
+
+
+def test_every_live_combinator_keeps_its_code():
+    assert set(PINNED_CODES) == set(COMBINATORS)
+    for cid, code in PINNED_CODES.items():
+        term = Combinator(cid, (FullColumnOf(1),), (2,))
+        assert encode(term) == code
+        assert decode(code) == term
+
+
+def test_retired_code_slots_enumerate_nothing():
+    retired = set(COMBINATOR_CODES) - set(COMBINATORS)
+    assert len(retired) == len(COMBINATOR_CODES) - len(COMBINATORS) == 4
+    for cid in retired:
+        code = encode(Combinator(cid, (FullColumnOf(1),), ()))
+        assert Evaluator().approx(decode(code), 20) == frozenset()
+
+
+def test_encode_rejects_negative_parameters():
+    with pytest.raises(ValueError):
+        encode(Combinator("saturate_down", (FullColumnOf(1),), (-1,)))
+    with pytest.raises(ValueError):
+        encode(Combinator("unknown_construction", ()))
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=10 ** 15))
+def test_numbering_round_trips_both_ways(code):
+    term = decode(code)
+    assert encode(term) == code
+    assert decode(encode(term)) == term
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutants_use_only_production_combinators(name):
+    payload, _ = REDUCTIONS[name].gen_case(random.Random(0))
+    for _, build in MUTANTS[name]:
+        built = build(payload, random.Random(0))
+        for term in (built.term,) + tuple(built.parts):
+            assert cids(term) <= set(COMBINATORS)
