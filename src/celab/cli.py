@@ -15,7 +15,7 @@ from .harness import (DEFAULT_WINDOW, corpus_from_json, corpus_to_json,
                       default_budget, exit_code, gen_corpus, verify_reduction)
 from .descriptors import EMPTY
 from .hierarchy import BY_NUMBER, render, render_all
-from .programs import Evaluator
+from .programs import BudgetExceeded, Evaluator
 from .reductions import REDUCTIONS
 from .relations import RELATIONS, NceTuple
 from .serialization import ParseError, term_from_sexpr, term_to_sexpr
@@ -58,7 +58,11 @@ def cmd_enumerate(args) -> int:
     except ParseError as exc:
         raise InputError(str(exc))
     ev = Evaluator()
-    elems = sorted(ev.approx(term, args.stage))
+    try:
+        elems = sorted(ev.approx(term, args.stage))
+    except BudgetExceeded as exc:
+        print(f"error: {exc} before stage {args.stage}", file=sys.stderr)
+        return EXIT_UNKNOWN
     print("{" + ", ".join(str(x) for x in elems) + "}")
     return EXIT_OK
 
@@ -82,16 +86,27 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+def _read_corpus(path: str) -> list:
+    try:
+        with open(path) as fh:
+            return corpus_from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, ParseError) as exc:
+        raise InputError(f"bad corpus file: {exc}")
+
+
 def cmd_verify(args) -> int:
-    if args.reduction not in REDUCTIONS:
+    red = REDUCTIONS.get(args.reduction)
+    if red is None:
         raise InputError(f"no reduction named {args.reduction!r}")
     corpus = None
     if args.corpus:
-        try:
-            with open(args.corpus) as fh:
-                corpus = corpus_from_json(json.load(fh))
-        except (OSError, ValueError, KeyError, ParseError) as exc:
-            raise InputError(f"bad corpus file: {exc}")
+        corpus = _read_corpus(args.corpus)
+        # a corpus verdict is one of the source relation: under any
+        # other relation a correct reduction would be blamed
+        if any(case.source != red.source for case in corpus):
+            raise InputError(
+                f"corpus relation {corpus[0].source!r} is not the source"
+                f" {red.source!r} of {red.name}")
     report = verify_reduction(
         args.reduction, corpus=corpus, seed=args.seed, size=args.size,
         budget=args.budget, window=args.window)
@@ -112,11 +127,7 @@ def cmd_hierarchy(args) -> int:
 
 def cmd_corpus(args) -> int:
     if args.infile:
-        try:
-            with open(args.infile) as fh:
-                cases = corpus_from_json(json.load(fh))
-        except (OSError, ValueError, KeyError, ParseError) as exc:
-            raise InputError(f"bad corpus file: {exc}")
+        cases = _read_corpus(args.infile)
         eq = sum(1 for c in cases if c.expected)
         print(f"{len(cases)} cases ({eq} equivalent,"
               f" {len(cases) - eq} inequivalent), all verdicts re-checked")

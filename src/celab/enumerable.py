@@ -41,7 +41,7 @@ def _step_prefix_substitution(ev, args, params, s, state):
     out = []
     if s == 0:
         out.extend(i for i, bit in enumerate(word) if bit)
-    for k in ev.approx(a, s):
+    for k in ev.fresh(a, s):
         ev.tick()
         if k >= len(word):
             out.append(k)
@@ -54,7 +54,7 @@ def _step_translate_mod(ev, args, params, s, state):
     gamma = param(params, 0)
     n = max(param(params, 1, 1), 1)
     out = []
-    for g in ev.approx(a, s):
+    for g in ev.fresh(a, s):
         ev.tick()
         if g < n:
             out.append((g + gamma) % n)
@@ -67,7 +67,7 @@ def _step_group_columns(ev, args, params, s, state):
     a = arg(args, 0)
     n = max(param(params, 0, 1), 1)
     out = []
-    for w in ev.approx(a, s):
+    for w in ev.fresh(a, s):
         if w < n:
             for g in range(n):
                 ev.tick()
@@ -82,7 +82,7 @@ def _step_permute_columns_mod(ev, args, params, s, state):
     gamma = param(params, 0)
     n = max(param(params, 1, 1), 1)
     out = []
-    for x in ev.approx(a, s):
+    for x in ev.fresh(a, s):
         ev.tick()
         c, y = unpair(x)
         if c < n:

@@ -171,9 +171,13 @@ def corpus_to_json(red, seed: int, cases: list) -> dict:
 
 
 def corpus_from_json(data: dict) -> list:
+    if not isinstance(data, dict):
+        raise ValueError("a corpus is a JSON object")
     if data.get("version") != CORPUS_VERSION:
         raise ValueError(f"unsupported corpus version {data.get('version')!r}")
     relation = data["relation"]
+    if not isinstance(data["cases"], list):
+        raise ValueError("corpus cases must be a list")
     out = []
     for i, raw in enumerate(data["cases"]):
         out.append(TestCase(i, relation,

@@ -11,10 +11,14 @@ A program is a closed term built from four constructors:
 * ``Indexed(code)`` -- indirection through the program numbering.
 
 Evaluation is stage-by-stage and incremental.  For every term the
-evaluator remembers the stage at which each element first appeared, so
-``approx(P, s)`` is monotone in ``s`` by construction and re-evaluation
-is cheap.  A budget on primitive steps turns runaway simulations into a
-``BudgetExceeded`` error instead of a hang.
+evaluator keeps its elements in the order they first appeared, with the
+end of each stage in that order, so ``approx(P, s)`` is monotone in
+``s`` by construction and re-evaluation is cheap.  ``fresh(P, s)``
+gives the elements that first appear at stage ``s``; constructions
+react to those instead of rescanning their whole argument at every
+stage (semi-naive evaluation: fire only on new facts).  A budget on
+primitive steps turns runaway simulations into a ``BudgetExceeded``
+error instead of a hang.
 """
 
 from __future__ import annotations
@@ -29,7 +33,26 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 class BudgetExceeded(Exception):
-    """Raised when an approx() call exceeds the configured step ceiling."""
+    """Raised when an evaluator call exceeds the configured step ceiling."""
+
+
+def _hash_once(term) -> int:
+    """A term's hash, computed from its fields once and then kept.
+
+    Evaluator cells are looked up by term at every stage, and hashing a
+    deep term or a big-int parameter takes time in its size."""
+    try:
+        return term._hash
+    except AttributeError:
+        h = hash(tuple(getattr(term, f) for f in term.__dataclass_fields__))
+        object.__setattr__(term, "_hash", h)
+        return h
+
+
+def _state_without_hash(term) -> dict:
+    # string hashes differ between processes, so a kept hash must not
+    # travel with a pickled term
+    return {k: v for k, v in term.__dict__.items() if k != "_hash"}
 
 
 @dataclass(frozen=True)
@@ -43,6 +66,9 @@ class Script:
     """
 
     entries: tuple  # tuple of (stage, frozenset)
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
 
 @dataclass(frozen=True)
@@ -59,6 +85,9 @@ class Combinator:
     # can be a genuine bijection (every combinator occupies infinitely
     # many codes, one per variant).
     variant: int = 0
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
 
 @dataclass(frozen=True)
@@ -97,8 +126,17 @@ class CombinatorDef:
     """A registered construction.
 
     ``step(ev, args, params, s, state)`` is called once per stage, in
-    order, and returns the elements entering the output at stage ``s``.
-    It may query argument programs only at stages <= s.
+    order, and returns the elements entering the output at stage ``s``
+    as a list, tuple or set.  It may query argument programs only at
+    stages <= s.
+
+    A step should react to ``ev.fresh(arg, s)``, the argument's new
+    elements, and keep what it needs of earlier ones in ``state``,
+    rather than rescan ``ev.approx(arg, s)`` at every stage.  The
+    evaluator charges one step per stage and one per element returned;
+    a step charges ``ev.tick()`` for its own further work, once per
+    stage or once per new element it handles, never per element
+    rescanned.
     """
 
     cid: str
@@ -132,8 +170,9 @@ def param(params: tuple, i: int, default: int = 0) -> int:
 @dataclass
 class _Cell:
     state: dict = field(default_factory=dict)
-    last_stage: int = -1
     entries: dict = field(default_factory=dict)  # element -> first stage
+    order: list = field(default_factory=list)    # elements in entry order
+    ends: list = field(default_factory=list)     # order[:ends[t]]: stage t
 
 
 class Evaluator:
@@ -141,7 +180,8 @@ class Evaluator:
 
     All evaluation is deterministic given (term, stage); the cache only
     memoizes it.  One evaluator instance must not be shared between
-    threads.
+    threads.  The budget bounds the steps of each top-level call of
+    ``approx``, ``fresh`` or ``entry_stage``, nested calls included.
     """
 
     def __init__(self, budget: Optional[int] = None):
@@ -153,19 +193,12 @@ class Evaluator:
         self._depth = 0
 
     def tick(self, n: int = 1) -> None:
-        """Charge n primitive steps against the current approx() call."""
+        """Charge n primitive steps against the current top-level call."""
         self._steps += n
         if self._steps > self.budget:
             raise BudgetExceeded(
                 f"exceeded {self.budget} primitive steps"
             )
-
-    def _cell(self, term: Term) -> _Cell:
-        cell = self._cells.get(term)
-        if cell is None:
-            cell = _Cell()
-            self._cells[term] = cell
-        return cell
 
     def _stage_elements(self, term: Term, s: int, cell: _Cell) -> Iterable:
         if isinstance(term, Script):
@@ -186,42 +219,57 @@ class Evaluator:
             if inner is None:
                 inner = numbering.decode(term.code)
                 cell.state["inner"] = inner
-            prev = self.approx(inner, s - 1) if s > 0 else frozenset()
-            return self.approx(inner, s) - prev
+            return self.fresh(inner, s)
         raise TypeError(f"not a program term: {term!r}")
 
     def _advance(self, term: Term, s: int) -> _Cell:
-        cell = self._cell(term)
-        while cell.last_stage < s:
-            t = cell.last_stage + 1
-            self.tick()
-            for x in self._stage_elements(term, t, cell):
-                self.tick()
-                if x not in cell.entries:
-                    cell.entries[x] = t
-            cell.last_stage = t
+        cell = self._cells.get(term)
+        if cell is None:
+            cell = self._cells[term] = _Cell()
+        entries, order, ends = cell.entries, cell.order, cell.ends
+        append = order.append
+        while len(ends) <= s:
+            t = len(ends)
+            elems = self._stage_elements(term, t, cell)
+            # one step for the stage, one per element emitted
+            self.tick(1 + len(elems))
+            for x in elems:
+                if x not in entries:
+                    entries[x] = t
+                    append(x)
+            ends.append(len(order))
         return cell
+
+    def _run(self, term: Term, s: int) -> _Cell:
+        """Advance term through stage s.  The entry point of every
+        public query: a top-level call starts a fresh step count."""
+        if self._depth == 0:
+            self._steps = 0
+        self._depth += 1
+        try:
+            return self._advance(term, s)
+        finally:
+            self._depth -= 1
 
     def approx(self, term: Term, s: int) -> frozenset:
         """The stage-s approximation of the set enumerated by term."""
         if s < 0:
             return frozenset()
-        top = self._depth == 0
-        if top:
-            self._steps = 0
-        self._depth += 1
-        try:
-            cell = self._advance(term, s)
-        finally:
-            self._depth -= 1
-        return frozenset(
-            x for x, t in cell.entries.items() if t <= s
-        )
+        cell = self._run(term, s)
+        return frozenset(cell.order[:cell.ends[s]])
+
+    def fresh(self, term: Term, s: int) -> list:
+        """The elements that first appear at stage s, in entry order:
+        ``approx(term, s) - approx(term, s - 1)`` as a new list."""
+        if s < 0:
+            return []
+        cell = self._run(term, s)
+        ends = cell.ends
+        return cell.order[ends[s - 1] if s else 0:ends[s]]
 
     def entry_stage(self, term: Term, x: int, s: int) -> Optional[int]:
         """First stage <= s at which x appeared, or None."""
-        cell = self._advance(term, s)
-        t = cell.entries.get(x)
+        t = self._run(term, s).entries.get(x)
         return t if t is not None and t <= s else None
 
 

@@ -14,6 +14,8 @@ semantic validators instead of exact window predictions.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from fractions import Fraction
 
@@ -46,16 +48,28 @@ def _witness_ge(ana: EP, m: int):
 # combinator steps
 
 
+def _running_bounds(ev, a, s, state):
+    """(least, largest) element of the argument at stage s, or None
+    while it is empty."""
+    bounds = state.get("bounds")
+    new = ev.fresh(a, s)
+    if new:
+        lo, hi = min(new), max(new)
+        if bounds is not None:
+            lo, hi = min(lo, bounds[0]), max(hi, bounds[1])
+        bounds = state["bounds"] = (lo, hi)
+    return bounds
+
+
 def _step_saturate_up(ev, args, params, s, state):
     """Enumerate [current minimum + offset, infinity), one new value per
     stage, extending downward whenever the minimum drops."""
-    a = arg(args, 0)
     off = param(params, 0)
-    cur = ev.approx(a, s)
-    if not cur:
+    bounds = _running_bounds(ev, arg(args, 0), s, state)
+    if bounds is None:
         return ()
     ev.tick()
-    m = min(cur) + off
+    m = bounds[0] + off
     out = []
     low = state.get("low")
     high = state.get("high")
@@ -73,13 +87,12 @@ def _step_saturate_up(ev, args, params, s, state):
 def _step_saturate_down(ev, args, params, s, state):
     """Enumerate [0, current maximum - trim], extending upward as the
     maximum grows."""
-    a = arg(args, 0)
     trim = param(params, 0)
-    cur = ev.approx(a, s)
-    if not cur:
+    bounds = _running_bounds(ev, arg(args, 0), s, state)
+    if bounds is None:
         return ()
     ev.tick()
-    mx = max(cur) - trim
+    mx = bounds[1] - trim
     filled = state.get("filled", -1)
     if mx <= filled:
         return ()
@@ -89,31 +102,34 @@ def _step_saturate_down(ev, args, params, s, state):
 
 
 def _step_interval_hull(ev, args, params, s, state):
-    """Enumerate [current minimum + off, current maximum]."""
-    a = arg(args, 0)
+    """Enumerate [current minimum + off, current maximum].
+
+    The minimum only falls and the maximum only rises, so each stage's
+    interval contains the last one and only its new ends are emitted."""
     off = param(params, 0)
-    cur = ev.approx(a, s)
-    if not cur:
+    bounds = _running_bounds(ev, arg(args, 0), s, state)
+    if bounds is None:
         return ()
     ev.tick()
-    lo, hi = min(cur) + off, max(cur)
-    done = state.get("done", set())
-    out = [x for x in range(lo, hi + 1) if x not in done]
-    done.update(out)
-    state["done"] = done
-    return out
+    lo, hi = bounds[0] + off, bounds[1]
+    if lo > hi:
+        return ()
+    done = state.get("done")  # the interval emitted so far
+    state["done"] = (lo, hi)
+    if done is None:
+        return list(range(lo, hi + 1))
+    return [*range(lo, done[0]), *range(done[1] + 1, hi + 1)]
 
 
 def _step_min_factorials(ev, args, params, s, state):
     """Emit (m + shift)! whenever the current minimum m changes."""
-    a = arg(args, 0)
     shift = param(params, 0, 2)
     scale = param(params, 1, 1)
-    cur = ev.approx(a, s)
-    if not cur:
+    bounds = _running_bounds(ev, arg(args, 0), s, state)
+    if bounds is None:
         return ()
     ev.tick()
-    m = min(cur)
+    m = bounds[0]
     if state.get("last") == m:
         return ()
     state["last"] = m
@@ -122,14 +138,13 @@ def _step_min_factorials(ev, args, params, s, state):
 
 def _step_max_factorials(ev, args, params, s, state):
     """Emit (m + shift)! whenever the current maximum m changes."""
-    a = arg(args, 0)
     shift = param(params, 0, 2)
     scale = param(params, 1, 1)
-    cur = ev.approx(a, s)
-    if not cur:
+    bounds = _running_bounds(ev, arg(args, 0), s, state)
+    if bounds is None:
         return ()
     ev.tick()
-    m = max(cur)
+    m = bounds[1]
     if state.get("last") == m:
         return ()
     state["last"] = m
@@ -138,13 +153,12 @@ def _step_max_factorials(ev, args, params, s, state):
 
 def _step_stage_gcds(ev, args, params, s, state):
     """Emit the gcd of the stage approximation whenever it is finite."""
-    a = arg(args, 0)
     scale = param(params, 0, 1)
-    cur = ev.approx(a, s)
     ev.tick()
-    g = 0
-    for x in cur:
+    g = state.get("gcd", 0)
+    for x in ev.fresh(arg(args, 0), s):
         g = math.gcd(g, x)
+    state["gcd"] = g
     if g == 0:
         return ()  # empty, or a subset of {0}: gcd is infinite
     return (g * scale,)
@@ -153,14 +167,13 @@ def _step_stage_gcds(ev, args, params, s, state):
 def _step_stage_lcms(ev, args, params, s, state):
     """Emit the lcm of the positive stage elements (1 when there are
     none), every stage."""
-    a = arg(args, 0)
     scale = param(params, 0, 1)
-    cur = ev.approx(a, s)
     ev.tick()
-    l = 1
-    for x in cur:
+    l = state.get("lcm", 1)
+    for x in ev.fresh(arg(args, 0), s):
         if x > 0:
             l = l * x // math.gcd(l, x)
+    state["lcm"] = l
     return (l * scale,)
 
 
@@ -177,13 +190,14 @@ def _step_median_multiples(ev, args, params, s, state):
     The step size is a + b + delta where a, b are the two middle
     elements, so distinct medians give distinct (>= 2) step sizes.
     """
-    a = arg(args, 0)
     delta = param(params, 0, 2)
-    cur = ev.approx(a, s)
-    if not cur:
+    elems = state.setdefault("sorted", [])
+    for x in ev.fresh(arg(args, 0), s):
+        bisect.insort(elems, x)
+    if not elems:
         return ()
     ev.tick()
-    mid = _two_middle(sorted(cur))
+    mid = _two_middle(elems)
     out = []
     if state.get("mid") != mid:
         state["mid"] = mid
@@ -204,54 +218,43 @@ def _step_median_multiples(ev, args, params, s, state):
     return out
 
 
+def _codes_below(ev, state, s, bound):
+    """Rational codes <= s whose rational lies below ``bound``, each
+    emitted at the first stage it qualifies; ``bound`` None emits none.
+
+    The bound only rises, so the codes still waiting are kept in a heap
+    by their rational and leave it from the small end: each code is
+    decoded once instead of being rescanned at every stage."""
+    waiting = state.setdefault("pend", [])  # heap of (rational, code)
+    heapq.heappush(waiting, (rational_from_code(s), s))
+    out = []
+    while bound is not None and waiting and waiting[0][0] < bound:
+        out.append(heapq.heappop(waiting)[1])
+    return out
+
+
 def _step_rational_cut(ev, args, params, s, state):
     """Enumerate rational codes q with q < (current maximum) - trim."""
-    a = arg(args, 0)
     trim = param(params, 0, 1)
-    cur = ev.approx(a, s)
-    pend = state.setdefault("pend", [])
-    pend.append(s)  # code s becomes eligible for scanning at stage s
-    if not cur:
-        return ()
-    ev.tick()
-    mx = max(cur)
-    if mx == 0:
-        return ()  # the cut of {0} is empty; pending codes wait
-    bound = mx - trim
-    out = []
-    keep = []
-    for c in pend:
+    bounds = _running_bounds(ev, arg(args, 0), s, state)
+    bound = None
+    if bounds is not None:
         ev.tick()
-        if rational_from_code(c) < bound:
-            out.append(c)
-        else:
-            keep.append(c)
-    state["pend"] = keep
-    return out
+        if bounds[1] > 0:  # the cut of {0} is empty; until then codes wait
+            bound = bounds[1] - trim
+    return _codes_below(ev, state, s, bound)
 
 
 def _step_triadic_cut(ev, args, params, s, state):
     """Enumerate rational codes q with q < sum of 3^-(n+1) over the
     stage approximation."""
-    a = arg(args, 0)
     wshift = param(params, 0, 1)
-    cur = ev.approx(a, s)
-    pend = state.setdefault("pend", [])
-    pend.append(s)
     ev.tick()
-    total = Fraction(0)
-    for n in cur:
+    total = state.get("total", Fraction(0))
+    for n in ev.fresh(arg(args, 0), s):
         total += Fraction(1, 3 ** (n + wshift))
-    out = []
-    keep = []
-    for c in pend:
-        ev.tick()
-        if rational_from_code(c) < total:
-            out.append(c)
-        else:
-            keep.append(c)
-    state["pend"] = keep
-    return out
+    state["total"] = total
+    return _codes_below(ev, state, s, total)
 
 
 register_combinator("saturate_up", _step_saturate_up)

@@ -58,39 +58,35 @@ def _pair_width(m: int) -> int:
 # combinator steps
 
 
+def _entered(ev, a, s, state):
+    """Every (element, entry stage) of the argument up to stage s."""
+    entered = state.setdefault("entered", [])
+    entered.extend((x, s) for x in ev.fresh(a, s))
+    return entered
+
+
 def _step_expand_columns(ev, args, params, s, state):
     """Element c of the argument grows the full column c, one row per
     stage from the stage c appeared."""
-    a = arg(args, 0)
-    out = []
-    for c in ev.approx(a, s):
-        ev.tick()
-        t = ev.entry_stage(a, c, s)
-        out.append(pair(c, s - t))
-    return out
+    entered = _entered(ev, arg(args, 0), s, state)
+    ev.tick(len(entered))
+    return [pair(c, s - t) for c, t in entered]
 
 
 def _step_tail_columns(ev, args, params, s, state):
     """New element x contributes <c, x> for every column c <= x."""
-    a = arg(args, 0)
     out = []
-    for x in ev.approx(a, s):
-        if ev.entry_stage(a, x, s) == s:
-            for c in range(x + 1):
-                ev.tick()
-                out.append(pair(c, x))
+    for x in ev.fresh(arg(args, 0), s):
+        ev.tick(x + 1)
+        out.extend(pair(c, x) for c in range(x + 1))
     return out
 
 
 def _step_replicate_columns(ev, args, params, s, state):
     """Every column of the output converges to the argument set."""
-    a = arg(args, 0)
-    out = []
-    for k in ev.approx(a, s):
-        ev.tick()
-        t = ev.entry_stage(a, k, s)
-        out.append(pair(s - t, k))
-    return out
+    entered = _entered(ev, arg(args, 0), s, state)
+    ev.tick(len(entered))
+    return [pair(s - t, k) for k, t in entered]
 
 
 def _block_kind(params) -> str:
@@ -100,20 +96,19 @@ def _block_kind(params) -> str:
 def _step_block_union(ev, args, params, s, state):
     """Element n of the argument grows the n-th block, one value per
     stage, in increasing order."""
-    a = arg(args, 0)
     kind = _block_kind(params)
     shift = param(params, 1)  # mutants use a shifted block index
-    gens = state.setdefault("gens", {})
-    for n in ev.approx(a, s):
-        if n not in gens:
-            gens[n] = block_bounds(kind, n + shift)[0]
+    gens = state.setdefault("gens", {})  # n -> [next value, block end]
+    for n in ev.fresh(arg(args, 0), s):
+        gens[n] = list(block_bounds(kind, n + shift))
+    ev.tick(len(gens))
     out = []
-    for n in list(gens):
-        ev.tick()
-        v = gens[n]
-        if v < block_bounds(kind, n + shift)[1]:
-            out.append(v)
-            gens[n] = v + 1
+    for n, gen in list(gens.items()):
+        if gen[0] < gen[1]:
+            out.append(gen[0])
+            gen[0] += 1
+        else:
+            del gens[n]  # block complete
     return out
 
 
@@ -125,21 +120,19 @@ def _step_scaled_blocks(ev, args, params, s, state):
     v2(x+1) = c; the row k in column c grows the image of the k-th
     dyadic block there, one value per stage.
     """
-    a = arg(args, 0)
     off = param(params, 0)  # mutants perturb the class offset
-    seen = state.setdefault("seen", set())
     gens = state.setdefault("gens", {})
-    for z in ev.approx(a, s):
-        if z not in seen:
-            seen.add(z)
-            c, k = unpair(z)
-            gens[(c, k)] = 1 << k
+    for z in ev.fresh(arg(args, 0), s):
+        c, k = unpair(z)
+        gens[(c, k)] = 1 << k
+    ev.tick(len(gens))
     out = []
     for (c, k), r in list(gens.items()):
-        ev.tick()
         if r < 1 << (k + 1):
             out.append((1 << c) - 1 + off + r * (1 << (c + 1)))
             gens[(c, k)] = r + 1
+        else:
+            del gens[(c, k)]  # block complete
     return out
 
 
@@ -150,24 +143,22 @@ def _step_prefixed_columns(ev, args, params, s, state):
     Generator <n, m> activates at stage <n, m>; its static part is
     emitted at once, its tail follows the argument's column n.
     """
-    a = arg(args, 0)
     pad = param(params, 0)  # mutants change the tail offset
-    active = state.setdefault("active", {})   # (n, m) -> |s_m|
+    active = state.setdefault("active", {})   # n -> [(m, |s_m|)]
     rows = state.setdefault("rows", {})       # n -> set of known rows
     out = []
     # route new argument elements to active generators
-    for z in ev.approx(a, s):
-        if ev.entry_stage(a, z, s) == s:
-            n, k = unpair(z)
-            rows.setdefault(n, set()).add(k)
-            for (gn, gm), slen in active.items():
-                if gn == n and k >= slen:
-                    ev.tick()
-                    out.append(pair(pair(gn, gm), gn + 1 + pad + k))
+    for z in ev.fresh(arg(args, 0), s):
+        n, k = unpair(z)
+        rows.setdefault(n, set()).add(k)
+        for gm, slen in active.get(n, ()):
+            if k >= slen:
+                ev.tick()
+                out.append(pair(pair(n, gm), n + 1 + pad + k))
     # activate the next generator
     n, m = unpair(s)
     word = string_of(m)
-    active[(n, m)] = len(word)
+    active.setdefault(n, []).append((m, len(word)))
     for j in range(n):
         ev.tick()
         out.append(pair(pair(n, m), j))
@@ -185,18 +176,16 @@ def _step_prefixed_columns(ev, args, params, s, state):
 def _step_prefix_family(ev, args, params, s, state):
     """Output column m holds the m-th binary string, then the argument
     set beyond the string's length."""
-    a = arg(args, 0)
     pad = param(params, 0)
     active = state.setdefault("active", {})  # m -> |s_m|
     known = state.setdefault("known", set())
     out = []
-    for x in ev.approx(a, s):
-        if ev.entry_stage(a, x, s) == s:
-            known.add(x)
-            for m, slen in active.items():
-                if x >= slen:
-                    ev.tick()
-                    out.append(pair(m, x + pad))
+    for x in ev.fresh(arg(args, 0), s):
+        known.add(x)
+        for m, slen in active.items():
+            if x >= slen:
+                ev.tick()
+                out.append(pair(m, x + pad))
     m = s
     word = string_of(m)
     active[m] = len(word)

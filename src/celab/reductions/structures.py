@@ -34,13 +34,43 @@ from . import (
 
 def _step_star_edges(ev, args, params, s, state):
     """Element n of the argument adds the edge root -> leaf n+1."""
-    a = arg(args, 0)
     skip = param(params, 0)
     out = []
-    for n in ev.approx(a, s):
+    for n in ev.fresh(arg(args, 0), s):
         ev.tick()
-        if ev.entry_stage(a, n, s) == s and n >= skip:
+        if n >= skip:
             out.append(pair(0, n + 1))
+    return out
+
+
+def _react_by_code(ev, a, s, state, point):
+    """Emit each code x at the first stage >= x at which it is a point.
+
+    ``point(x, has)`` decides x and calls ``has(e)``, a test of the
+    argument's membership, at most once and as its last test.  So code
+    s is decided once, at stage s; when it waits on an element e not
+    yet present, it is parked under e and released at the stage e
+    enters.
+    """
+    have = state.setdefault("have", set())
+    parked = state.setdefault("parked", {})  # element -> codes waiting
+    out = []
+    for e in ev.fresh(a, s):
+        ev.tick()
+        have.add(e)
+        out.extend(parked.pop(e, ()))
+    ev.tick()
+    wanted = []
+
+    def has(e):
+        wanted.append(e)
+        return True
+
+    if point(s, has):
+        if not wanted or wanted[0] in have:
+            out.append(s)
+        else:
+            parked.setdefault(wanted[0], []).append(s)
     return out
 
 
@@ -51,6 +81,7 @@ def _tree_edge(x: int, has, trim: int) -> bool:
     (column n, copy r); 2 + 2*<b, <k, t>> is position t of the chain
     recording element k under branch b.  ``has(n, k)`` tests column
     membership; chains run to position k - trim (trim 0 is honest).
+    ``has`` is called at most once, as the last test.
     """
     u, v = unpair(x)
     if u == 0:
@@ -70,20 +101,14 @@ def _tree_edge(x: int, has, trim: int) -> bool:
 
 
 def _step_membership_tree(ev, args, params, s, state):
-    """Re-scan all codes <= s against the current column approximation.
+    """Emit the tree's edges among the codes <= s.
 
-    Edge conditions are monotone in the argument, so the output is
-    stage-monotone; the evaluator deduplicates re-emitted codes.
-    """
-    a = arg(args, 0)
+    An edge needs one column membership, and the argument only grows,
+    so each code is decided once and waits for its membership."""
     trim = param(params, 0)
-    cur = ev.approx(a, s)
-    out = []
-    for x in range(s + 1):
-        ev.tick()
-        if _tree_edge(x, lambda n, k: pair(n, k) in cur, trim):
-            out.append(x)
-    return out
+    return _react_by_code(
+        ev, arg(args, 0), s, state,
+        lambda x, has: _tree_edge(x, lambda n, k: has(pair(n, k)), trim))
 
 
 def _perm_of(m: int):
@@ -101,7 +126,8 @@ def _copies_point(x: int, edge_has, shift: int) -> bool:
     set shifted up by one); even columns 2m hold the image of the input
     edge set under candidate permutation m (edge codes shifted by
     ``shift``; 1 is honest, keeping 0 free as the marker), or the marked
-    empty set {0} when m is not a valid permutation code.
+    empty set {0} when m is not a valid permutation code.  ``edge_has``
+    is called at most once, as the last test.
     """
     c, y = unpair(x)
     if c % 2 == 1:
@@ -122,15 +148,10 @@ def _copies_point(x: int, edge_has, shift: int) -> bool:
 
 
 def _step_perm_copies(ev, args, params, s, state):
-    a = arg(args, 0)
     shift = param(params, 0, default=1)
-    cur = ev.approx(a, s)
-    out = []
-    for x in range(s + 1):
-        ev.tick()
-        if _copies_point(x, lambda e: e in cur, shift):
-            out.append(x)
-    return out
+    return _react_by_code(
+        ev, arg(args, 0), s, state,
+        lambda x, has: _copies_point(x, has, shift))
 
 
 def _step_level_columns(ev, args, params, s, state):
@@ -530,9 +551,9 @@ def family_columns(ev, family_terms, selector_term, stages: int):
     value) names the member mirrored in column k.  Returns the selection
     order and the mirrored columns at the final stage.
     """
-    elems = ev.approx(selector_term, stages)
-    order = sorted(elems,
-                   key=lambda n: (ev.entry_stage(selector_term, n, stages), n))
+    order = []
+    for t in range(stages + 1):
+        order.extend(sorted(ev.fresh(selector_term, t)))
     columns = {}
     for k, n in enumerate(order):
         if n < len(family_terms):

@@ -97,3 +97,29 @@ def test_bad_inputs_exit_four(capsys):
     assert run(capsys, "hierarchy", "--figure", "99")[0] == 4
     assert run(capsys, "corpus", "--in", "/nonexistent.json")[0] == 4
     assert main(["frobnicate"]) == 4
+
+
+def test_enumerate_past_the_step_budget_exits_three(capsys, monkeypatch):
+    monkeypatch.setenv("CELAB_STEP_BUDGET", "50")
+    code, out = run(capsys, "enumerate", "--term", "(fullcolumn 3)",
+                    "--stage", "100")
+    assert code == 3 and out == ""
+
+
+def test_verify_rejects_a_corpus_of_another_relation(capsys, tmp_path):
+    path = tmp_path / "corpus.json"
+    code, _ = run(capsys, "corpus", "--reduction", "eqce_to_e0",
+                  "--seed", "2", "--size", "4", "--out", str(path))
+    assert code == 0
+    # eqce_to_e0 verifies eq_ce corpora; e0_to_e1 needs e0 ones
+    assert run(capsys, "verify", "--reduction", "e0_to_e1",
+               "--corpus", str(path))[0] == 4
+
+
+def test_malformed_corpus_exits_four(capsys, tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(
+        {"version": 1, "relation": "eq_ce", "seed": 1, "cases": 5}))
+    assert run(capsys, "verify", "--reduction", "eqce_to_e0",
+               "--corpus", str(path))[0] == 4
+    assert run(capsys, "corpus", "--in", str(path))[0] == 4

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401  (registers combinators)
+from celab.descriptors import Progression, compile_descriptor
 from celab.pairing import pair
 from celab.numbering import decode as program_from_code, encode as program_code
-from celab.programs import (BudgetExceeded, Combinator, Evaluator,
-                            FullColumnOf, columns_of, script)
+from celab.programs import (COMBINATORS, BudgetExceeded, Combinator,
+                            Evaluator, FullColumnOf, columns_of, script)
 
 entries = st.lists(
     st.tuples(st.integers(min_value=0, max_value=8),
@@ -58,3 +59,45 @@ def test_budget_exhaustion_raises():
 def test_program_numbering_is_a_bijection(code):
     term = program_from_code(code)
     assert program_code(term) == code
+
+
+@pytest.mark.parametrize("query", [
+    lambda ev, term: ev.approx(term, 300),
+    lambda ev, term: ev.fresh(term, 300),
+    lambda ev, term: ev.entry_stage(term, 0, 300),
+], ids=["approx", "fresh", "entry_stage"])
+def test_budget_bounds_every_entry_point(query):
+    term = Combinator("expand_columns", (FullColumnOf(0),), ())
+    with pytest.raises(BudgetExceeded):
+        query(Evaluator(budget=5000), term)
+
+
+# Combinators whose output grows faster than the stage count on an
+# infinite argument; their steps per stage grow with it.
+SUPERLINEAR_OUTPUT = {
+    "expand_columns": "element c grows column c at every later stage",
+    "replicate_columns": "element k enters one more column at every stage",
+    "prefix_family": "every column m copies every element",
+    "level_columns": "column k grows at every stage while k is in the fold",
+    "tail_columns": "element x brings x + 1 points",
+    "block_union": "element n grows a block of about 2^n points",
+    "scaled_blocks": "row k grows a block of 2^k points",
+    "prefixed_columns": "generator <n, m> starts with n points",
+}
+
+
+def _ticks(term, s: int) -> int:
+    ev = Evaluator()
+    ev.approx(term, s)
+    return ev._steps
+
+
+@pytest.mark.parametrize(
+    "cid", sorted(set(COMBINATORS) - set(SUPERLINEAR_OUTPUT)))
+def test_steps_grow_linearly_with_the_stage(cid):
+    """A construction whose output is linear in s reacts to new argument
+    elements; rescanning its argument or its own codes at every stage
+    would make the steps quadratic (a ratio near 4)."""
+    a = compile_descriptor(Progression(3, 7)).term
+    term = Combinator(cid, (a,))
+    assert _ticks(term, 400) / _ticks(term, 200) <= 2.3

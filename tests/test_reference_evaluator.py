@@ -1,0 +1,128 @@
+"""The incremental evaluator against a naive reference evaluator.
+
+``ReferenceEvaluator`` is the evaluator as it was before ``fresh``: one
+dict per term from element to first stage, every approximation filtered
+out of that dict, ``fresh`` and ``Indexed`` computed as the difference of
+two full approximations.  Both evaluators run the same registered steps,
+so they must agree on every approximation and entry stage, and the
+incremental one may never charge more steps.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import celab  # noqa: F401  (registers combinators)
+from celab.descriptors import Cofinite, Finite, Progression, compile_descriptor
+from celab.numbering import decode, encode
+from celab.pairing import pair
+from celab.programs import (COMBINATORS, DEFAULT_BUDGET, BudgetExceeded,
+                            Combinator, Evaluator, FullColumnOf, Indexed,
+                            Script, script)
+
+S = 24
+
+
+class ReferenceEvaluator:
+    def __init__(self, budget=DEFAULT_BUDGET):
+        self.budget = budget
+        self._cells = {}
+        self._steps = 0
+        self._depth = 0
+
+    def tick(self, n=1):
+        self._steps += n
+        if self._steps > self.budget:
+            raise BudgetExceeded(f"exceeded {self.budget} primitive steps")
+
+    def _stage_elements(self, term, s, cell):
+        if isinstance(term, Script):
+            for stage, elems in term.entries:
+                if stage == s:
+                    return elems
+            return ()
+        if isinstance(term, FullColumnOf):
+            return (pair(term.c, s),)
+        if isinstance(term, Combinator):
+            cdef = COMBINATORS.get(term.cid)
+            if cdef is None:
+                return ()
+            return cdef.step(self, term.args, term.params, s, cell["state"])
+        if "inner" not in cell["state"]:
+            cell["state"]["inner"] = decode(term.code)
+        return self.fresh(cell["state"]["inner"], s)
+
+    def _advance(self, term, s):
+        cell = self._cells.setdefault(
+            term, {"state": {}, "last": -1, "entries": {}})
+        while cell["last"] < s:
+            t = cell["last"] + 1
+            self.tick()
+            for x in self._stage_elements(term, t, cell):
+                self.tick()
+                cell["entries"].setdefault(x, t)
+            cell["last"] = t
+        return cell
+
+    def approx(self, term, s):
+        if s < 0:
+            return frozenset()
+        if self._depth == 0:
+            self._steps = 0
+        self._depth += 1
+        try:
+            cell = self._advance(term, s)
+        finally:
+            self._depth -= 1
+        return frozenset(x for x, t in cell["entries"].items() if t <= s)
+
+    def entry_stage(self, term, x, s):
+        t = self._advance(term, s)["entries"].get(x)
+        return t if t is not None and t <= s else None
+
+    def fresh(self, term, s):
+        return self.approx(term, s) - self.approx(term, s - 1)
+
+
+def assert_agree(term, stages=S):
+    new, ref = Evaluator(), ReferenceEvaluator()
+    prev = frozenset()
+    for s in range(stages + 1):
+        got = new.approx(term, s)
+        new_ticks = new._steps
+        want = ref.approx(term, s)
+        assert got == want, f"stage {s}"
+        assert new_ticks <= ref._steps, f"stage {s}"
+        fresh = new.fresh(term, s)
+        assert len(fresh) == len(set(fresh)) and set(fresh) == got - prev
+        for x in got:
+            assert new.entry_stage(term, x, s) == ref.entry_stage(term, x, s)
+        prev = got
+
+
+ARGUMENTS = {
+    "script": script([(0, {1}), (2, {4, 0}), (3, {9}), (7, {2}), (11, {30})]),
+    "fullcolumn": FullColumnOf(1),
+    "progression": compile_descriptor(Progression(3, 4)).term,
+    "finite": compile_descriptor(Finite(frozenset({0, 1, 5, 12}))).term,
+    "cofinite": compile_descriptor(Cofinite(frozenset({0, 2, 3})),
+                                   delay=2).term,
+}
+
+
+@pytest.mark.parametrize("cid", sorted(COMBINATORS))
+@pytest.mark.parametrize("name", sorted(ARGUMENTS))
+def test_every_combinator_agrees_with_the_reference(cid, name):
+    a = ARGUMENTS[name]
+    args = (a, ARGUMENTS["script"], a) if cid == "level_columns" else (a,)
+    params = (1, 2) if cid == "from_descriptor" else ()
+    term = Combinator(cid, args, params)
+    assert_agree(term)
+    assert_agree(Indexed(encode(term)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 * 10 ** 5))
+def test_decoded_terms_agree_with_the_reference(code):
+    # codes this small decode to terms with small elements and
+    # parameters, so no factorial or block size blows up within S stages
+    assert_agree(decode(code), stages=12)
