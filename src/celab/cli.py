@@ -63,6 +63,9 @@ def cmd_enumerate(args) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc} before stage {args.stage}", file=sys.stderr)
         return EXIT_UNKNOWN
+    except RecursionError:
+        # evaluation, and decoding an (indexed n), recurse per level
+        raise InputError("term nested too deeply to evaluate")
     print("{" + ", ".join(str(x) for x in elems) + "}")
     return EXIT_OK
 
@@ -82,7 +85,11 @@ def cmd_reduce(args) -> int:
     # parameters; only its argument is the user's
     payload = NceTuple((EMPTY,)) if red.payload_kind == "nce" else EMPTY
     out = replace(red.build(payload).term, args=(term,))
-    print(term_to_sexpr(out))
+    try:
+        text = term_to_sexpr(out)
+    except RecursionError:
+        raise InputError("term nested too deeply to print")
+    print(text)
     return EXIT_OK
 
 

@@ -189,6 +189,8 @@ def _step_median_multiples(ev, args, params, s, state):
 
     The step size is a + b + delta where a, b are the two middle
     elements, so distinct medians give distinct (>= 2) step sizes.
+    After a fill every value up to the old top is emitted, so the next
+    fill scans only from there.
     """
     delta = param(params, 0, 2)
     elems = state.setdefault("sorted", [])
@@ -204,8 +206,10 @@ def _step_median_multiples(ev, args, params, s, state):
         state["fills"] = state.get("fills", 0) + 1
         top = state.get("top", -1)
         done = state.setdefault("done", set())
-        out.extend(x for x in range(top + 1) if x not in done)
+        out.extend(x for x in range(state.get("filled", 0), top + 1)
+                   if x not in done)
         done.update(out)
+        state["filled"] = top + 1
         state["mult"] = 0
     d = mid[0] + mid[1] + delta
     state["mult"] = state.get("mult", 0) + 1

@@ -535,11 +535,6 @@ def _explicit_bound(family) -> int:
     return top
 
 
-def _stage_set(d: Descriptor, s: int) -> set:
-    """Canonical enumeration: everything below s that belongs."""
-    return {x for x in range(s) if member(d, x)}
-
-
 def _column(ws: set, c: int, height: int = 16) -> frozenset:
     return frozenset(k for k in range(height)
                      if pair(c, k) in ws)
@@ -560,16 +555,22 @@ def run_pairwise_module(a: Descriptor, b: Descriptor,
                         stages: int) -> PairwiseResult:
     """Build D_ab and D_ba from enumerations of a and b.
 
-    A pair code <c, k> enters D_ab at stage s+1 when it lies in
-    A_s \\ B_s and the two stage approximations agree on every <c, n>
-    with n < k; and it also enters (the echo rule) once it lies in
-    D_ba together with both A_s and B_s.
+    A and B are enumerated canonically: A_s is everything below s that
+    belongs to a.  A pair code <c, k> enters D_ab at stage s+1 when it
+    lies in A_s \\ B_s and the two stage approximations agree on every
+    <c, n> with n < k; and it also enters (the echo rule) once it lies
+    in D_ba together with both A_s and B_s.  The stage sets grow by one
+    membership test per stage.
     """
     d_ab: set = set()
     d_ba: set = set()
+    ws_a: set = set()
+    ws_b: set = set()
     for s in range(stages):
-        ws_a = _stage_set(a, s)
-        ws_b = _stage_set(b, s)
+        if s and member(a, s - 1):
+            ws_a.add(s - 1)
+        if s and member(b, s - 1):
+            ws_b.add(s - 1)
         new_ab = set()
         new_ba = set()
         for x in ws_a | ws_b:
@@ -632,9 +633,9 @@ class _Slice:
     ``marker`` counts how many marker positions have been used; the
     current marker element is the pair code of ((c, j), marker).
     ``minima`` maps each smaller input index i to the last seen least
-    column difference, or None.  ``facts`` remembers, per larger input
-    index k, whether the minima-agreement fact held at the previous
-    stage.
+    column difference, or None.  ``retired`` lists the retired marker
+    elements in order; the first ``checked`` of them were found in every
+    output by an earlier invariant check.
     """
 
     c: int
@@ -642,6 +643,7 @@ class _Slice:
     marker: int = 0
     minima: dict = field(default_factory=dict)
     retired: list = field(default_factory=list)
+    checked: int = 0
     churned: bool = False
     last_churn: int = -1
     last_move: int = 0
@@ -662,6 +664,11 @@ class TrackedFamilyMachine:
     planted.  Inputs k with j < k <= c are steered to match G[j] or the
     earlier outputs on the slice according to how W_k treats the least
     column differences.
+
+    Input k is enumerated canonically: ``stage_sets[k]`` is W_k at the
+    current stage, everything below it that belongs to input k.  A step
+    reads W_k at stage s and s+1, so the stage sets grow by one
+    membership test per stage and input.
     """
 
     def __init__(self, family, slices_c: int, height: int = 16):
@@ -673,6 +680,7 @@ class TrackedFamilyMachine:
         self.cells = {}  # (c, j) -> per-output restriction to the slice
         self.slices = {}
         self.stage = 0
+        self.stage_sets = [set() for _ in self.family]
         for c in range(slices_c):
             for j in range(self.k):
                 sl = _Slice(c, j)
@@ -713,8 +721,9 @@ class TrackedFamilyMachine:
 
     def step(self):
         s = self.stage
-        prev_sets = [_stage_set(d, s) for d in self.family]
-        next_sets = [_stage_set(d, s + 1) for d in self.family]
+        prev_sets = self.stage_sets
+        next_sets = [ws | {s} if member(d, s) else ws
+                     for d, ws in zip(self.family, prev_sets)]
         for sl in self.slices.values():
             c, j = sl.c, sl.j
             prev_facts = {
@@ -746,6 +755,7 @@ class TrackedFamilyMachine:
             for k in range(j + 1, min(c, self.k - 1) + 1):
                 if self._fact(sl, k, next_sets):
                     self._add(k, sl, x)
+        self.stage_sets = next_sets
         self.stage += 1
 
     def run(self, stages: int):
@@ -762,11 +772,15 @@ class TrackedFamilyMachine:
         issues = []
         for key, sl in self.slices.items():
             x = _marker_element(sl)
-            for r in sl.retired:
+            # outputs only grow (``_add`` is their one writer), so a
+            # retired marker found in every output stays there: each is
+            # checked until it is first found, then never again
+            for r in sl.retired[sl.checked:]:
                 if any(r not in g for g in self.outputs):
                     issues.append(f"slice {key}: retired marker {r} missing"
                                   " from some output")
                     break
+                sl.checked += 1
             cells = [self.slice_of(g, key) for g in range(self.k)]
             for a in range(self.k):
                 for b in range(a + 1, self.k):

@@ -103,12 +103,20 @@ def _build(node) -> Term:
     raise ParseError(f"unknown term head {head!r}")
 
 
-def term_from_sexpr(text: str) -> Term:
+def _parse(text: str, build, what: str):
     tokens = _tokenize(text)
-    node, pos = _read(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError("trailing input after term")
-    return _build(node)
+    try:
+        node, pos = _read(tokens, 0)
+        if pos != len(tokens):
+            raise ParseError(f"trailing input after {what}")
+        return build(node)
+    except RecursionError:
+        # the reader recurses once per level of nesting
+        raise ParseError(f"{what} nested too deeply") from None
+
+
+def term_from_sexpr(text: str) -> Term:
+    return _parse(text, _build, "term")
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +175,11 @@ def _build_desc(node):
         if len(node) != 3:
             raise ParseError("difference takes two descriptors")
         return D.Difference(_build_desc(node[1]), _build_desc(node[2]))
-    if head == "dyadic":
-        return D.DyadicBlocks(_build_desc(node[1]))
-    if head == "weight":
-        return D.WeightBlocks(_build_desc(node[1]))
+    if head in ("dyadic", "weight"):
+        if len(node) != 2:
+            raise ParseError(f"{head} takes one descriptor")
+        cls = D.DyadicBlocks if head == "dyadic" else D.WeightBlocks
+        return cls(_build_desc(node[1]))
     if head in ("columns", "overridecolumns"):
         if len(node) != 3 or not isinstance(node[1], list):
             raise ParseError(f"{head} takes a column list and a base")
@@ -195,8 +204,4 @@ def _build_desc(node):
 
 
 def desc_from_sexpr(text: str):
-    tokens = _tokenize(text)
-    node, pos = _read(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError("trailing input after descriptor")
-    return _build_desc(node)
+    return _parse(text, _build_desc, "descriptor")

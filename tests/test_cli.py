@@ -123,3 +123,28 @@ def test_malformed_corpus_exits_four(capsys, tmp_path):
     assert run(capsys, "verify", "--reduction", "eqce_to_e0",
                "--corpus", str(path))[0] == 4
     assert run(capsys, "corpus", "--in", str(path))[0] == 4
+
+
+def _nested(depth):
+    term = "(fullcolumn 0)"
+    for _ in range(depth):
+        term = f"(combinator saturate_up ({term}) ())"
+    return term
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--stage", "3"),
+    ("reduce", "--reduction", "eqce_to_e0"),
+])
+def test_too_deep_a_term_exits_four(capsys, argv):
+    assert main([*argv, "--term", _nested(3000)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: term nested too deeply\n"
+
+
+def test_too_deep_an_evaluation_exits_four(capsys):
+    # readable, but evaluating it recurses several frames per level
+    assert main(["enumerate", "--term", _nested(300), "--stage", "3"]) == 4
+    assert capsys.readouterr().err == \
+        "error: term nested too deeply to evaluate\n"

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401
 from celab.programs import Combinator, Evaluator, FullColumnOf, script
@@ -50,8 +51,30 @@ def test_descriptor_round_trips():
 
 @pytest.mark.parametrize("bad", [
     "(progression 1)", "(difference (finite 1))", "(blocks (finite))",
-    "(finite -3)",
+    "(finite -3)", "(dyadic)", "(weight (finite) (finite))",
 ])
 def test_malformed_descriptors_are_rejected(bad):
     with pytest.raises(ParseError):
         desc_from_sexpr(bad)
+
+
+_TOKENS = st.sampled_from([
+    "(", ")", "()", "0", "7", "-1", "x",
+    "script", "fullcolumn", "combinator", "indexed", "saturate_up",
+    "finite", "cofinite", "progression", "union", "difference", "dyadic",
+    "weight", "columns", "overridecolumns", "columnsbyset", "tailcolumns",
+]) | st.text("()0123456789ax", max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TOKENS, max_size=24), st.sampled_from([0, 1, 3, 3000]),
+       st.integers(0, 3000))
+def test_readers_raise_only_parse_errors(tokens, opened, closed):
+    """Any token string, however deeply nested, parses or is rejected
+    with ParseError."""
+    text = "(" * opened + " ".join(tokens) + ")" * min(closed, opened)
+    for read in (term_from_sexpr, desc_from_sexpr):
+        try:
+            read(text)
+        except ParseError:
+            pass
