@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from .harness import (DEFAULT_WINDOW, corpus_from_json, corpus_to_json,
                       default_budget, exit_code, gen_corpus, verify_reduction)
-from .descriptors import EMPTY
+from .descriptors import EMPTY, UnsupportedDescriptor
 from .hierarchy import BY_NUMBER, render, render_all
 from .programs import BudgetExceeded, Evaluator
 from .reductions import REDUCTIONS
@@ -97,7 +97,8 @@ def _read_corpus(path: str) -> list:
     try:
         with open(path) as fh:
             return corpus_from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, ParseError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ParseError,
+            UnsupportedDescriptor) as exc:
         raise InputError(f"bad corpus file: {exc}")
 
 

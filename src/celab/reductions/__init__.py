@@ -14,13 +14,14 @@ schedule-dependent).
 
 Each reduction also registers at least one *mutant*: a deliberately
 broken variant that the default corpus must catch.  Mutants are how the
-test suite knows the validation has teeth.  They are built only from
-production combinators, with wrong parameters or wrong inputs.
+test suite knows the validation has teeth.  A mutant is another
+reduction's production build, or the production build of a finitely
+perturbed payload checked against the honest prediction (``perturbed``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from ..descriptors import (
@@ -80,9 +81,21 @@ def perturbed(build, perturb):
     """A mutant build: the production term for a finitely perturbed
     payload, with the honest payload's predicted membership."""
     def broken(payload, rng=None):
-        bad = build(perturb(payload), rng)
-        return Built(bad.term, bad.settle, build(payload).member)
+        return replace(build(perturb(payload), rng),
+                       member=build(payload).member)
     return broken
+
+
+def adding(x: int):
+    """A perturbation: the payload with the element x added."""
+    extra = Finite(frozenset({x}))
+    return lambda d: Union((d, extra))
+
+
+def without_minimum(d: Descriptor) -> Descriptor:
+    """A perturbation: the payload without its least element."""
+    m = analyze(d).min()
+    return d if m is None else Difference(d, Finite(frozenset({m})))
 
 
 def mutated(red: Reduction, build) -> Reduction:

@@ -277,7 +277,7 @@ class Uce:
 
     def advance(self, s: int) -> None:
         while self.stage <= s:
-            for z in self.ev.approx(self.term, self.stage):
+            for z in self.ev.fresh(self.term, self.stage):
                 a, b = unpair(z)
                 self.uf.union(a, b)
             self.stage += 1

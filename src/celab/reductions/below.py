@@ -27,7 +27,7 @@ from ..orders import rational_from_code
 from ..relations import ClassKey, QCut
 from . import (
     Built, Reduction, register_reduction, register_mutant,
-    gen_pair_1d, compile_arg,
+    gen_pair_1d, compile_arg, perturbed, adding, without_minimum,
 )
 
 
@@ -102,18 +102,15 @@ def _step_saturate_down(ev, args, params, s, state):
 
 
 def _step_interval_hull(ev, args, params, s, state):
-    """Enumerate [current minimum + off, current maximum].
+    """Enumerate [current minimum, current maximum].
 
     The minimum only falls and the maximum only rises, so each stage's
     interval contains the last one and only its new ends are emitted."""
-    off = param(params, 0)
     bounds = _running_bounds(ev, arg(args, 0), s, state)
     if bounds is None:
         return ()
     ev.tick()
-    lo, hi = bounds[0] + off, bounds[1]
-    if lo > hi:
-        return ()
+    lo, hi = bounds
     done = state.get("done")  # the interval emitted so far
     state["done"] = (lo, hi)
     if done is None:
@@ -122,9 +119,7 @@ def _step_interval_hull(ev, args, params, s, state):
 
 
 def _step_min_factorials(ev, args, params, s, state):
-    """Emit (m + shift)! whenever the current minimum m changes."""
-    shift = param(params, 0, 2)
-    scale = param(params, 1, 1)
+    """Emit (m + 2)! whenever the current minimum m changes."""
     bounds = _running_bounds(ev, arg(args, 0), s, state)
     if bounds is None:
         return ()
@@ -133,13 +128,11 @@ def _step_min_factorials(ev, args, params, s, state):
     if state.get("last") == m:
         return ()
     state["last"] = m
-    return (_fact(m + shift) * scale,)
+    return (_fact(m + 2),)
 
 
 def _step_max_factorials(ev, args, params, s, state):
-    """Emit (m + shift)! whenever the current maximum m changes."""
-    shift = param(params, 0, 2)
-    scale = param(params, 1, 1)
+    """Emit (m + 2)! whenever the current maximum m changes."""
     bounds = _running_bounds(ev, arg(args, 0), s, state)
     if bounds is None:
         return ()
@@ -148,12 +141,11 @@ def _step_max_factorials(ev, args, params, s, state):
     if state.get("last") == m:
         return ()
     state["last"] = m
-    return (_fact(m + shift) * scale,)
+    return (_fact(m + 2),)
 
 
 def _step_stage_gcds(ev, args, params, s, state):
     """Emit the gcd of the stage approximation whenever it is finite."""
-    scale = param(params, 0, 1)
     ev.tick()
     g = state.get("gcd", 0)
     for x in ev.fresh(arg(args, 0), s):
@@ -161,20 +153,19 @@ def _step_stage_gcds(ev, args, params, s, state):
     state["gcd"] = g
     if g == 0:
         return ()  # empty, or a subset of {0}: gcd is infinite
-    return (g * scale,)
+    return (g,)
 
 
 def _step_stage_lcms(ev, args, params, s, state):
     """Emit the lcm of the positive stage elements (1 when there are
     none), every stage."""
-    scale = param(params, 0, 1)
     ev.tick()
     l = state.get("lcm", 1)
     for x in ev.fresh(arg(args, 0), s):
         if x > 0:
             l = l * x // math.gcd(l, x)
     state["lcm"] = l
-    return (l * scale,)
+    return (l,)
 
 
 def _two_middle(sorted_elems):
@@ -187,12 +178,11 @@ def _step_median_multiples(ev, args, params, s, state):
     median; on every median change, fill everything up to the largest
     value emitted so far.
 
-    The step size is a + b + delta where a, b are the two middle
-    elements, so distinct medians give distinct (>= 2) step sizes.
-    After a fill every value up to the old top is emitted, so the next
-    fill scans only from there.
+    The step size is a + b + 2 where a, b are the two middle elements,
+    so distinct medians give distinct (>= 2) step sizes.  After a fill
+    every value up to the old top is emitted, so the next fill scans
+    only from there.
     """
-    delta = param(params, 0, 2)
     elems = state.setdefault("sorted", [])
     for x in ev.fresh(arg(args, 0), s):
         bisect.insort(elems, x)
@@ -211,7 +201,7 @@ def _step_median_multiples(ev, args, params, s, state):
         done.update(out)
         state["filled"] = top + 1
         state["mult"] = 0
-    d = mid[0] + mid[1] + delta
+    d = mid[0] + mid[1] + 2
     state["mult"] = state.get("mult", 0) + 1
     v = d * state["mult"]
     done = state.setdefault("done", set())
@@ -238,25 +228,23 @@ def _codes_below(ev, state, s, bound):
 
 
 def _step_rational_cut(ev, args, params, s, state):
-    """Enumerate rational codes q with q < (current maximum) - trim."""
-    trim = param(params, 0, 1)
+    """Enumerate rational codes q with q < (current maximum) - 1."""
     bounds = _running_bounds(ev, arg(args, 0), s, state)
     bound = None
     if bounds is not None:
         ev.tick()
         if bounds[1] > 0:  # the cut of {0} is empty; until then codes wait
-            bound = bounds[1] - trim
+            bound = bounds[1] - 1
     return _codes_below(ev, state, s, bound)
 
 
 def _step_triadic_cut(ev, args, params, s, state):
     """Enumerate rational codes q with q < sum of 3^-(n+1) over the
     stage approximation."""
-    wshift = param(params, 0, 1)
     ev.tick()
     total = state.get("total", Fraction(0))
     for n in ev.fresh(arg(args, 0), s):
-        total += Fraction(1, 3 ** (n + wshift))
+        total += Fraction(1, 3 ** (n + 1))
     state["total"] = total
     return _codes_below(ev, state, s, total)
 
@@ -337,40 +325,36 @@ def _downward_image(payload) -> Descriptor:
     return Finite(frozenset(range(mx + 1)))
 
 
-def _build_saturate_down(trim=0, predict=_downward_image):
-    def build(payload, rng=None):
-        term_a, sa, _ = compile_arg(payload, rng)
-        term = Combinator("saturate_down", (term_a,),
-                          (trim,) if trim else ())
-        image = predict(payload)
-        empty, finite, mx = _max_info(payload)
+def _build_saturate_down(payload, rng=None):
+    term_a, sa, _ = compile_arg(payload, rng)
+    term = Combinator("saturate_down", (term_a,))
+    image = _downward_image(payload)
+    empty, finite, mx = _max_info(payload)
 
-        def settle(M):
-            if empty:
-                return M + 2
-            w = mx if finite else _witness_ge(analyze(payload), M)
-            if w is None:
-                w = M
-            return sa(w) + 2
+    def settle(M):
+        if empty:
+            return M + 2
+        w = mx if finite else _witness_ge(analyze(payload), M)
+        if w is None:
+            w = M
+        return sa(w) + 2
 
-        return Built(term, settle, lambda x: member(image, x))
-    return build
+    return Built(term, settle, lambda x: member(image, x))
 
 
 saturate_down = register_reduction(Reduction(
     name="saturate_down", source="e_max", target="eq_ce",
-    build=_build_saturate_down(),
+    build=_build_saturate_down,
     predict=_downward_image,
     gen_case=gen_pair_1d,
     window=256,
     combinator="saturate_down",
     doc="sets with equal maxima saturate to the same initial segment",
 ))
-register_mutant("saturate_down", "drops-maximum", _build_saturate_down(1))
 
 emax_to_emed = register_reduction(Reduction(
     name="emax_to_emed", source="e_max", target="e_med",
-    build=_build_saturate_down(),
+    build=_build_saturate_down,
     predict=_downward_image,
     gen_case=gen_pair_1d,
     window=256,
@@ -378,7 +362,6 @@ emax_to_emed = register_reduction(Reduction(
     doc="the initial segment [0, max] has median max/2, an injective"
         " function of the maximum",
 ))
-register_mutant("emax_to_emed", "drops-maximum", _build_saturate_down(1))
 
 
 # ---------------------------------------------------------------------------
@@ -394,41 +377,37 @@ def _cut_image(payload) -> Descriptor:
     return Finite(frozenset(range(mx)))
 
 
-def _build_cut_below(trim=1):
+def _build_cut_below(payload, rng=None):
     """The cut {x : x < max} is the initial segment [0, max - 1]."""
-    def build(payload, rng=None):
-        term_a, sa, _ = compile_arg(payload, rng)
-        term = Combinator("saturate_down", (term_a,),
-                          (trim,) if trim else ())
-        image = _cut_image(payload)
-        empty, finite, mx = _max_info(payload)
+    term_a, sa, _ = compile_arg(payload, rng)
+    term = Combinator("saturate_down", (term_a,), (1,))
+    image = _cut_image(payload)
+    empty, finite, mx = _max_info(payload)
 
-        def settle(M):
-            if empty:
-                return M + 2
-            w = mx if finite else _witness_ge(analyze(payload), M + 1)
-            if w is None:
-                w = M + 1
-            return sa(w) + 2
+    def settle(M):
+        if empty:
+            return M + 2
+        w = mx if finite else _witness_ge(analyze(payload), M + 1)
+        if w is None:
+            w = M + 1
+        return sa(w) + 2
 
-        return Built(term, settle, lambda x: member(image, x))
-    return build
+    return Built(term, settle, lambda x: member(image, x))
 
 
 cut_omega = register_reduction(Reduction(
     name="cut_omega", source="el_omega", target="eq_ce",
-    build=_build_cut_below(),
+    build=_build_cut_below,
     predict=_cut_image,
     gen_case=gen_pair_1d,
     window=256,
     combinator="saturate_down",
     doc="replace a set by the cut it determines in the order omega",
 ))
-register_mutant("cut_omega", "keeps-maximum", _build_cut_below(0))
 
 elomega_to_homega = register_reduction(Reduction(
     name="elomega_to_homega", source="el_omega", target="h_omega",
-    build=_build_cut_below(),
+    build=_build_cut_below,
     predict=_cut_image,
     gen_case=gen_pair_1d,
     window=256,
@@ -436,7 +415,12 @@ elomega_to_homega = register_reduction(Reduction(
     doc="a cut is its own convex hull, so the cut map also reduces"
         " same-cut to same-hull",
 ))
-register_mutant("elomega_to_homega", "keeps-maximum", _build_cut_below(0))
+# the initial segment [0, max] and the cut [0, max) are each other's
+# mutants
+register_mutant("saturate_down", "drops-maximum", _build_cut_below)
+register_mutant("emax_to_emed", "drops-maximum", _build_cut_below)
+register_mutant("cut_omega", "keeps-maximum", _build_saturate_down)
+register_mutant("elomega_to_homega", "keeps-maximum", _build_saturate_down)
 
 
 def _hull_image(payload) -> Descriptor:
@@ -449,35 +433,34 @@ def _hull_image(payload) -> Descriptor:
     return Finite(frozenset(range(m, ana.max() + 1)))
 
 
-def _build_interval_hull(off=0):
-    def build(payload, rng=None):
-        term_a, sa, _ = compile_arg(payload, rng)
-        term = Combinator("interval_hull", (term_a,), (off,) if off else ())
-        image = _hull_image(payload)
-        ana = analyze(payload)
+def _build_interval_hull(payload, rng=None):
+    term_a, sa, _ = compile_arg(payload, rng)
+    term = Combinator("interval_hull", (term_a,))
+    image = _hull_image(payload)
+    ana = analyze(payload)
 
-        def settle(M):
-            if ana.is_empty:
-                return M + 2
-            w = ana.max() if ana.is_finite else _witness_ge(ana, M)
-            if w is None:
-                w = M
-            return sa(max(w, ana.min())) + 2
+    def settle(M):
+        if ana.is_empty:
+            return M + 2
+        w = ana.max() if ana.is_finite else _witness_ge(ana, M)
+        if w is None:
+            w = M
+        return sa(max(w, ana.min())) + 2
 
-        return Built(term, settle, lambda x: member(image, x))
-    return build
+    return Built(term, settle, lambda x: member(image, x))
 
 
 hull_omega = register_reduction(Reduction(
     name="hull_omega", source="h_omega", target="eq_ce",
-    build=_build_interval_hull(),
+    build=_build_interval_hull,
     predict=_hull_image,
     gen_case=gen_pair_1d,
     window=256,
     combinator="interval_hull",
     doc="replace a set by its convex hull in the order omega",
 ))
-register_mutant("hull_omega", "trims-minimum", _build_interval_hull(1))
+register_mutant("hull_omega", "drops-minimum",
+                perturbed(_build_interval_hull, without_minimum))
 
 
 def _upper_cone_image(payload) -> Descriptor:
@@ -495,7 +478,8 @@ emin_to_homega = register_reduction(Reduction(
     doc="the strict upper cone is the hull of the reverse-order cut,"
         " an injective function of the minimum",
 ))
-register_mutant("emin_to_homega", "wider-cone", _build_saturate_up(offset=2))
+register_mutant("emin_to_homega", "drops-minimum",
+                perturbed(emin_to_homega.build, without_minimum))
 
 
 # ---------------------------------------------------------------------------
@@ -511,39 +495,36 @@ def _qcut_of_max(payload) -> QCut:
     return QCut(Fraction(mx - 1))
 
 
-def _build_rational_cut(trim=1):
-    def build(payload, rng=None):
-        term_a, sa, _ = compile_arg(payload, rng)
-        term = Combinator("rational_cut", (term_a,), (trim,))
-        cut = _qcut_of_max(payload)
-        empty, finite, mx = _max_info(payload)
+def _build_rational_cut(payload, rng=None):
+    term_a, sa, _ = compile_arg(payload, rng)
+    term = Combinator("rational_cut", (term_a,))
+    cut = _qcut_of_max(payload)
+    empty, finite, mx = _max_info(payload)
 
-        def mem(c):
-            if cut.bound == -math.inf:
-                return False
-            if cut.bound == math.inf:
-                return True
-            return rational_from_code(c) < cut.bound
+    def mem(c):
+        if cut.bound == -math.inf:
+            return False
+        if cut.bound == math.inf:
+            return True
+        return rational_from_code(c) < cut.bound
 
-        def settle(M):
-            if empty:
-                return M + 2
-            if finite:
-                w = mx
-            else:
-                # a witness above every rational with code <= M
-                top = max(
-                    (rational_from_code(c) for c in range(M + 1)),
-                    default=Fraction(0),
-                )
-                w = _witness_ge(analyze(payload),
-                                math.ceil(top) + trim + 1)
-            if w is None:
-                w = M
-            return sa(w) + M + 2
+    def settle(M):
+        if empty:
+            return M + 2
+        if finite:
+            w = mx
+        else:
+            # a witness above every rational with code <= M
+            top = max(
+                (rational_from_code(c) for c in range(M + 1)),
+                default=Fraction(0),
+            )
+            w = _witness_ge(analyze(payload), math.ceil(top) + 2)
+        if w is None:
+            w = M
+        return sa(w) + M + 2
 
-        return Built(term, settle, mem)
-    return build
+    return Built(term, settle, mem)
 
 
 def _gen_pair_small(rng):
@@ -554,48 +535,46 @@ def _gen_pair_small(rng):
 
 omega_into_rationals = register_reduction(Reduction(
     name="omega_into_rationals", source="el_omega", target="eq_ce",
-    build=_build_rational_cut(),
+    build=_build_rational_cut,
     predict=_qcut_of_max,
     gen_case=_gen_pair_small,
     window=96,
     combinator="rational_cut",
     doc="embed cuts of the order omega into cuts of the rationals",
 ))
-register_mutant("omega_into_rationals", "off-by-one-bound",
-                _build_rational_cut(trim=0))
+register_mutant("omega_into_rationals", "adds-seven",
+                perturbed(_build_rational_cut, adding(7)))
 
 
 def _triadic_sum(payload) -> Fraction:
     return analyze(payload).triadic_sum()
 
 
-def _build_triadic_cut(wshift=1):
-    def build(payload, rng=None):
-        term_a, sa, _ = compile_arg(payload, rng)
-        term = Combinator("triadic_cut", (term_a,), (wshift,))
-        total = _triadic_sum(payload)
+def _build_triadic_cut(payload, rng=None):
+    term_a, sa, _ = compile_arg(payload, rng)
+    term = Combinator("triadic_cut", (term_a,))
+    total = _triadic_sum(payload)
 
-        def mem(c):
-            return rational_from_code(c) < total
+    def mem(c):
+        return rational_from_code(c) < total
 
-        def settle(M):
-            gaps = [total - rational_from_code(c) for c in range(M + 1)
-                    if rational_from_code(c) < total]
-            if not gaps:
-                return M + 2
-            need = min(gaps)
-            n = 0
-            while Fraction(3, 2) * Fraction(1, 3 ** (n + 2)) >= need:
-                n += 1
-            return sa(n) + M + 2
+    def settle(M):
+        gaps = [total - rational_from_code(c) for c in range(M + 1)
+                if rational_from_code(c) < total]
+        if not gaps:
+            return M + 2
+        need = min(gaps)
+        n = 0
+        while Fraction(3, 2) * Fraction(1, 3 ** (n + 2)) >= need:
+            n += 1
+        return sa(n) + M + 2
 
-        return Built(term, settle, mem)
-    return build
+    return Built(term, settle, mem)
 
 
 eqce_to_eQ = register_reduction(Reduction(
     name="eqce_to_eQ", source="eq_ce", target="eq_ce",
-    build=_build_triadic_cut(),
+    build=_build_triadic_cut,
     predict=lambda payload: QCut(_triadic_sum(payload)),
     gen_case=gen_pair_1d,
     window=96,
@@ -603,7 +582,8 @@ eqce_to_eQ = register_reduction(Reduction(
     doc="set equality embeds into equality of rational cuts via exact"
         " base-3 sums",
 ))
-register_mutant("eqce_to_eQ", "wrong-weights", _build_triadic_cut(wshift=0))
+register_mutant("eqce_to_eQ", "adds-zero",
+                perturbed(_build_triadic_cut, adding(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +603,12 @@ def _gcd_witness(ana: EP) -> int:
     return w
 
 
-def _build_min_factorials(shift=2, scale=1):
-    def build(payload, rng=None):
-        term_a, sa, _ = compile_arg(payload, rng)
-        term = Combinator("min_factorials", (term_a,), (shift, scale))
-        m = _min_of(payload)
-        settle = (lambda M: M + 2) if m is None else (lambda M: sa(m) + 2)
-        return Built(term, settle)
-    return build
+def _build_min_factorials(payload, rng=None):
+    term_a, sa, _ = compile_arg(payload, rng)
+    term = Combinator("min_factorials", (term_a,))
+    m = _min_of(payload)
+    settle = (lambda M: M + 2) if m is None else (lambda M: sa(m) + 2)
+    return Built(term, settle)
 
 
 def _validate_min_factorials(ev, built, payload, window):
@@ -652,7 +630,7 @@ def _validate_min_factorials(ev, built, payload, window):
 
 min_to_gcd = register_reduction(Reduction(
     name="min_to_gcd", source="e_min", target="e_gcd",
-    build=_build_min_factorials(),
+    build=_build_min_factorials,
     predict=lambda payload: ClassKey(
         "e_gcd",
         math.inf if _min_of(payload) is None
@@ -664,24 +642,21 @@ min_to_gcd = register_reduction(Reduction(
     doc="emit factorials of running minima; their gcd is the factorial"
         " of the true minimum",
 ))
-register_mutant("min_to_gcd", "doubled-values",
-                _build_min_factorials(scale=2))
+register_mutant("min_to_gcd", "drops-minimum",
+                perturbed(_build_min_factorials, without_minimum))
 
 
-def _build_stage_gcds(scale=1):
-    def build(payload, rng=None):
-        term_a, sa, _ = compile_arg(payload, rng)
-        term = Combinator("stage_gcds", (term_a,),
-                          (scale,) if scale != 1 else ())
-        ana = analyze(payload)
-        g = ana.gcd_value()
-        if g is math.inf:
-            settle = lambda M: M + 2
-        else:
-            w = _gcd_witness(ana)
-            settle = lambda M: sa(w) + 2
-        return Built(term, settle)
-    return build
+def _build_stage_gcds(payload, rng=None):
+    term_a, sa, _ = compile_arg(payload, rng)
+    term = Combinator("stage_gcds", (term_a,))
+    ana = analyze(payload)
+    g = ana.gcd_value()
+    if g is math.inf:
+        settle = lambda M: M + 2
+    else:
+        w = _gcd_witness(ana)
+        settle = lambda M: sa(w) + 2
+    return Built(term, settle)
 
 
 def _validate_stage_gcds(ev, built, payload, window):
@@ -702,7 +677,7 @@ def _validate_stage_gcds(ev, built, payload, window):
 
 gcd_to_min = register_reduction(Reduction(
     name="gcd_to_min", source="e_gcd", target="e_min",
-    build=_build_stage_gcds(),
+    build=_build_stage_gcds,
     predict=lambda payload: ClassKey(
         "e_min",
         ("empty",) if analyze(payload).gcd_value() is math.inf
@@ -713,25 +688,24 @@ gcd_to_min = register_reduction(Reduction(
     combinator="stage_gcds",
     doc="emit the running gcds; their minimum is the true gcd",
 ))
-register_mutant("gcd_to_min", "doubled-values", _build_stage_gcds(scale=2))
+register_mutant("gcd_to_min", "adds-one",
+                perturbed(_build_stage_gcds, adding(1)))
 
 
-def _build_max_factorials(shift=2, scale=1):
-    def build(payload, rng=None):
-        term_a, sa, _ = compile_arg(payload, rng)
-        term = Combinator("max_factorials", (term_a,), (shift, scale))
-        empty, finite, mx = _max_info(payload)
+def _build_max_factorials(payload, rng=None):
+    term_a, sa, _ = compile_arg(payload, rng)
+    term = Combinator("max_factorials", (term_a,))
+    empty, finite, mx = _max_info(payload)
 
-        def settle(M):
-            if empty:
-                return M + 2
-            w = mx if finite else _witness_ge(analyze(payload), M)
-            if w is None:
-                w = M
-            return sa(w) + 2
+    def settle(M):
+        if empty:
+            return M + 2
+        w = mx if finite else _witness_ge(analyze(payload), M)
+        if w is None:
+            w = M
+        return sa(w) + 2
 
-        return Built(term, settle)
-    return build
+    return Built(term, settle)
 
 
 def _validate_max_factorials(ev, built, payload, window):
@@ -757,7 +731,7 @@ def _validate_max_factorials(ev, built, payload, window):
 
 max_to_lcm = register_reduction(Reduction(
     name="max_to_lcm", source="e_max", target="e_lcm",
-    build=_build_max_factorials(),
+    build=_build_max_factorials,
     predict=lambda payload: ClassKey("e_lcm", (
         1 if _max_info(payload)[0]
         else (math.inf if not _max_info(payload)[1]
@@ -769,27 +743,24 @@ max_to_lcm = register_reduction(Reduction(
     doc="emit factorials of running maxima; their lcm is the factorial"
         " of the true maximum",
 ))
-register_mutant("max_to_lcm", "doubled-values",
-                _build_max_factorials(scale=2))
+register_mutant("max_to_lcm", "adds-nineteen",
+                perturbed(_build_max_factorials, adding(19)))
 
 
-def _build_stage_lcms(scale=1):
-    def build(payload, rng=None):
-        term_a, sa, _ = compile_arg(payload, rng)
-        term = Combinator("stage_lcms", (term_a,),
-                          (scale,) if scale != 1 else ())
-        ana = analyze(payload)
-        l = ana.lcm_value()
+def _build_stage_lcms(payload, rng=None):
+    term_a, sa, _ = compile_arg(payload, rng)
+    term = Combinator("stage_lcms", (term_a,))
+    ana = analyze(payload)
+    l = ana.lcm_value()
 
-        def settle(M):
-            if l is math.inf:
-                w = _witness_ge(ana, M + 1)
-                return sa(w if w is not None else M) + 2
-            w = 0 if ana.is_empty else ana.max()
-            return sa(w) + 2
+    def settle(M):
+        if l is math.inf:
+            w = _witness_ge(ana, M + 1)
+            return sa(w if w is not None else M) + 2
+        w = 0 if ana.is_empty else ana.max()
+        return sa(w) + 2
 
-        return Built(term, settle)
-    return build
+    return Built(term, settle)
 
 
 def _validate_stage_lcms(ev, built, payload, window):
@@ -810,7 +781,7 @@ def _validate_stage_lcms(ev, built, payload, window):
 
 lcm_to_max = register_reduction(Reduction(
     name="lcm_to_max", source="e_lcm", target="e_max",
-    build=_build_stage_lcms(),
+    build=_build_stage_lcms,
     predict=lambda payload: ClassKey("e_max", (
         ("inf",) if analyze(payload).lcm_value() is math.inf
         else ("max", analyze(payload).lcm_value()))),
@@ -820,7 +791,8 @@ lcm_to_max = register_reduction(Reduction(
     combinator="stage_lcms",
     doc="emit the running lcms; their maximum is the true lcm",
 ))
-register_mutant("lcm_to_max", "doubled-values", _build_stage_lcms(scale=2))
+register_mutant("lcm_to_max", "adds-sixty-one",
+                perturbed(_build_stage_lcms, adding(61)))
 
 
 # ---------------------------------------------------------------------------
@@ -848,21 +820,19 @@ def _emed_predict(payload):
     return ClassKey("e0", ("inf", d, frozenset({0})))
 
 
-def _build_median_multiples(delta=2):
-    def build(payload, rng=None):
-        term_a, sa, _ = compile_arg(payload, rng)
-        term = Combinator("median_multiples", (term_a,), (delta,))
-        ana = analyze(payload)
+def _build_median_multiples(payload, rng=None):
+    term_a, sa, _ = compile_arg(payload, rng)
+    term = Combinator("median_multiples", (term_a,))
+    ana = analyze(payload)
 
-        def settle(M):
-            if ana.is_empty:
-                return M + 2
-            if ana.is_finite:
-                return sa(ana.max()) + 2
-            return sa(M) + 2
+    def settle(M):
+        if ana.is_empty:
+            return M + 2
+        if ana.is_finite:
+            return sa(ana.max()) + 2
+        return sa(M) + 2
 
-        return Built(term, settle)
-    return build
+    return Built(term, settle)
 
 
 def _validate_median_multiples(ev, built, payload, window):
@@ -903,7 +873,7 @@ def _validate_median_multiples(ev, built, payload, window):
 
 emed_to_e0 = register_reduction(Reduction(
     name="emed_to_e0", source="e_med", target="e0",
-    build=_build_median_multiples(),
+    build=_build_median_multiples,
     predict=_emed_predict,
     gen_case=gen_pair_1d,
     window=64,
@@ -912,7 +882,8 @@ emed_to_e0 = register_reduction(Reduction(
     doc="emit multiples of the running median step, refilling on every"
         " median change",
 ))
-register_mutant("emed_to_e0", "wrong-step", _build_median_multiples(delta=3))
+register_mutant("emed_to_e0", "adds-hundred",
+                perturbed(_build_median_multiples, adding(100)))
 
 
 # ---------------------------------------------------------------------------

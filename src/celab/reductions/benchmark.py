@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from ..pairing import pair, unpair
 from ..programs import Combinator, register_combinator, arg, param
 from ..descriptors import (
-    ColumnsBySet, Columns, Difference, Finite, Union, EMPTY, FULL,
+    ColumnsBySet, Columns, Difference, Finite, EMPTY, FULL,
     Descriptor, analyze, block_bounds, block_of, column_descriptor, member,
     DyadicBlocks, WeightBlocks, TailColumns,
 )
@@ -41,7 +41,7 @@ from ..enumerable import string_of
 from ..relations import ClassKey, columnwise_key, decide
 from . import (
     Built, Reduction, register_reduction, register_mutant,
-    gen_pair_1d, gen_pair_columns, compile_arg, perturbed,
+    gen_pair_1d, gen_pair_columns, compile_arg, perturbed, adding,
 )
 
 
@@ -97,10 +97,9 @@ def _step_block_union(ev, args, params, s, state):
     """Element n of the argument grows the n-th block, one value per
     stage, in increasing order."""
     kind = _block_kind(params)
-    shift = param(params, 1)  # mutants use a shifted block index
     gens = state.setdefault("gens", {})  # n -> [next value, block end]
     for n in ev.fresh(arg(args, 0), s):
-        gens[n] = list(block_bounds(kind, n + shift))
+        gens[n] = list(block_bounds(kind, n))
     ev.tick(len(gens))
     out = []
     for n, gen in list(gens.items()):
@@ -120,7 +119,6 @@ def _step_scaled_blocks(ev, args, params, s, state):
     v2(x+1) = c; the row k in column c grows the image of the k-th
     dyadic block there, one value per stage.
     """
-    off = param(params, 0)  # mutants perturb the class offset
     gens = state.setdefault("gens", {})
     for z in ev.fresh(arg(args, 0), s):
         c, k = unpair(z)
@@ -129,7 +127,7 @@ def _step_scaled_blocks(ev, args, params, s, state):
     out = []
     for (c, k), r in list(gens.items()):
         if r < 1 << (k + 1):
-            out.append((1 << c) - 1 + off + r * (1 << (c + 1)))
+            out.append((1 << c) - 1 + r * (1 << (c + 1)))
             gens[(c, k)] = r + 1
         else:
             del gens[(c, k)]  # block complete
@@ -143,7 +141,6 @@ def _step_prefixed_columns(ev, args, params, s, state):
     Generator <n, m> activates at stage <n, m>; its static part is
     emitted at once, its tail follows the argument's column n.
     """
-    pad = param(params, 0)  # mutants change the tail offset
     active = state.setdefault("active", {})   # n -> [(m, |s_m|)]
     rows = state.setdefault("rows", {})       # n -> set of known rows
     out = []
@@ -154,7 +151,7 @@ def _step_prefixed_columns(ev, args, params, s, state):
         for gm, slen in active.get(n, ()):
             if k >= slen:
                 ev.tick()
-                out.append(pair(pair(n, gm), n + 1 + pad + k))
+                out.append(pair(pair(n, gm), n + 1 + k))
     # activate the next generator
     n, m = unpair(s)
     word = string_of(m)
@@ -169,14 +166,13 @@ def _step_prefixed_columns(ev, args, params, s, state):
     for k in rows.get(n, ()):
         if k >= len(word):
             ev.tick()
-            out.append(pair(pair(n, m), n + 1 + pad + k))
+            out.append(pair(pair(n, m), n + 1 + k))
     return out
 
 
 def _step_prefix_family(ev, args, params, s, state):
     """Output column m holds the m-th binary string, then the argument
     set beyond the string's length."""
-    pad = param(params, 0)
     active = state.setdefault("active", {})  # m -> |s_m|
     known = state.setdefault("known", set())
     out = []
@@ -185,7 +181,7 @@ def _step_prefix_family(ev, args, params, s, state):
         for m, slen in active.items():
             if x >= slen:
                 ev.tick()
-                out.append(pair(m, x + pad))
+                out.append(pair(m, x))
     m = s
     word = string_of(m)
     active[m] = len(word)
@@ -196,7 +192,7 @@ def _step_prefix_family(ev, args, params, s, state):
     for x in known:
         if x >= len(word):
             ev.tick()
-            out.append(pair(m, x + pad))
+            out.append(pair(m, x))
     return out
 
 
@@ -251,11 +247,6 @@ eqce_to_e0 = register_reduction(Reduction(
     combinator="expand_columns",
     doc="equality drops to finite-difference via full-column images",
 ))
-register_mutant("eqce_to_e0", "transposed-pairs", _simple_build(
-    "replicate_columns",
-    settle_fn=lambda sa, M: sa(M) + M + 1,
-    member_of=_member_of_descriptor(_expand_transform),
-))
 
 
 # e0_to_e1: column x is the argument minus [0, x) -----------------------------
@@ -301,11 +292,7 @@ e0_to_e2 = register_reduction(Reduction(
     combinator="block_union",
     doc="finite difference becomes finite-weight difference",
 ))
-register_mutant("e0_to_e2", "shifted-block", _simple_build(
-    "block_union", params=(1, 1),
-    settle_fn=_block_settle("weight"),
-    member_of=_member_of_descriptor(WeightBlocks),
-))
+register_mutant("e0_to_e2", "adds-zero", perturbed(e0_to_e2.build, adding(0)))
 
 e0_to_z0 = register_reduction(Reduction(
     name="e0_to_z0", source="e0", target="z0",
@@ -320,11 +307,7 @@ e0_to_z0 = register_reduction(Reduction(
     combinator="block_union",
     doc="finite difference becomes density-zero difference",
 ))
-register_mutant("e0_to_z0", "shifted-block", _simple_build(
-    "block_union", params=(0, 1),
-    settle_fn=_block_settle("dyadic"),
-    member_of=_member_of_descriptor(DyadicBlocks),
-))
+register_mutant("e0_to_z0", "adds-one", perturbed(e0_to_z0.build, adding(1)))
 
 
 # e0_to_e3: every column is the argument --------------------------------------
@@ -346,8 +329,9 @@ e0_to_e3 = register_reduction(Reduction(
     combinator="replicate_columns",
     doc="finite difference becomes columnwise almost equality",
 ))
-register_mutant("e0_to_e3", "adds-zero",
-                perturbed(e0_to_e3.build, lambda a: Union((a, _ZERO))))
+register_mutant("e0_to_e3", "adds-zero", perturbed(e0_to_e3.build, adding(0)))
+# copying the argument into every column transposes the full columns
+register_mutant("eqce_to_e0", "transposed-pairs", e0_to_e3.build)
 
 
 # e3_to_z0: interleave column block images into thinning classes --------------
@@ -372,7 +356,7 @@ def _scaled_settle(sa, M):
 e3_to_z0 = register_reduction(Reduction(
     name="e3_to_z0", source="e3", target="z0",
     build=_simple_build(
-        "scaled_blocks", params=(0,),
+        "scaled_blocks",
         settle_fn=_scaled_settle,
         member_of=lambda payload: _scaled_member(payload),
     ),
@@ -384,11 +368,7 @@ e3_to_z0 = register_reduction(Reduction(
     combinator="scaled_blocks",
     doc="columnwise almost equality becomes density-zero difference",
 ))
-register_mutant("e3_to_z0", "offset-classes", _simple_build(
-    "scaled_blocks", params=(1,),
-    settle_fn=_scaled_settle,
-    member_of=lambda payload: _scaled_member(payload),
-))
+register_mutant("e3_to_z0", "adds-zero", perturbed(e3_to_z0.build, adding(0)))
 
 
 # e3_to_eset: prefix-closed column variants ------------------------------------
@@ -432,11 +412,8 @@ e3_to_eset = register_reduction(Reduction(
     combinator="prefixed_columns",
     doc="columnwise almost equality becomes column-family equality",
 ))
-register_mutant("e3_to_eset", "padded-tail", _simple_build(
-    "prefixed_columns", params=(1,),
-    settle_fn=_prefixed_settle,
-    member_of=lambda payload: _prefixed_member(payload),
-))
+register_mutant("e3_to_eset", "adds-zero",
+                perturbed(e3_to_eset.build, adding(0)))
 
 
 # e0_to_eset: all finite variants of one set -----------------------------------
@@ -470,11 +447,8 @@ e0_to_eset = register_reduction(Reduction(
     combinator="prefix_family",
     doc="finite difference becomes equality of finite-variant families",
 ))
-register_mutant("e0_to_eset", "padded-tail", _simple_build(
-    "prefix_family", params=(1,),
-    settle_fn=_prefix_family_settle,
-    member_of=lambda payload: _prefix_family_member(payload),
-))
+register_mutant("e0_to_eset", "adds-zero",
+                perturbed(e0_to_eset.build, adding(0)))
 
 
 # ---------------------------------------------------------------------------

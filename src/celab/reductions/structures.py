@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 
 from ..pairing import pair, unpair, seq_decode, set_decode
-from ..programs import Combinator, register_combinator, arg, param
+from ..programs import Combinator, register_combinator, arg
 from ..descriptors import (
-    Descriptor, Finite, Cofinite, Union, Difference, ColumnsBySet,
+    Finite, Cofinite, Union, Difference,
     EMPTY, FULL, analyze, member,
 )
 from ..relations import (
@@ -21,10 +21,11 @@ from ..relations import (
     one_equivalence_key, nce_value,
 )
 from ..nce import nce_stage_value
+from .benchmark import eqce_to_e0
 from . import (
     Built, Reduction, register_reduction, register_mutant,
     gen_pair_1d, gen_pair_columns, compile_arg, random_ep_descriptor,
-    repackage,
+    repackage, perturbed, adding, without_minimum,
 )
 
 
@@ -34,12 +35,10 @@ from . import (
 
 def _step_star_edges(ev, args, params, s, state):
     """Element n of the argument adds the edge root -> leaf n+1."""
-    skip = param(params, 0)
     out = []
     for n in ev.fresh(arg(args, 0), s):
         ev.tick()
-        if n >= skip:
-            out.append(pair(0, n + 1))
+        out.append(pair(0, n + 1))
     return out
 
 
@@ -74,14 +73,14 @@ def _react_by_code(ev, a, s, state, point):
     return out
 
 
-def _tree_edge(x: int, has, trim: int) -> bool:
+def _tree_edge(x: int, has) -> bool:
     """Decode x as an edge of the membership tree.
 
     Vertex codes: 0 is the root; 1 + 2*b is the branch for b = <n, r>
     (column n, copy r); 2 + 2*<b, <k, t>> is position t of the chain
     recording element k under branch b.  ``has(n, k)`` tests column
-    membership; chains run to position k - trim (trim 0 is honest).
-    ``has`` is called at most once, as the last test.
+    membership; chains run to position k.  ``has`` is called at most
+    once, as the last test.
     """
     u, v = unpair(x)
     if u == 0:
@@ -90,7 +89,7 @@ def _tree_edge(x: int, has, trim: int) -> bool:
         return False
     bv, ktv = unpair((v - 2) // 2)
     k, t = unpair(ktv)
-    if t > k - trim:
+    if t > k:
         return False
     n = unpair(bv)[0]
     if u % 2 == 1:                 # branch -> chain start
@@ -105,10 +104,9 @@ def _step_membership_tree(ev, args, params, s, state):
 
     An edge needs one column membership, and the argument only grows,
     so each code is decided once and waits for its membership."""
-    trim = param(params, 0)
     return _react_by_code(
         ev, arg(args, 0), s, state,
-        lambda x, has: _tree_edge(x, lambda n, k: has(pair(n, k)), trim))
+        lambda x, has: _tree_edge(x, lambda n, k: has(pair(n, k))))
 
 
 def _perm_of(m: int):
@@ -119,15 +117,15 @@ def _perm_of(m: int):
     return p
 
 
-def _copies_point(x: int, edge_has, shift: int) -> bool:
+def _copies_point(x: int, edge_has) -> bool:
     """Decode x as a point of the copies family.
 
     Odd columns 2t+1 enumerate the t-th marked finite set ({0} plus the
     set shifted up by one); even columns 2m hold the image of the input
-    edge set under candidate permutation m (edge codes shifted by
-    ``shift``; 1 is honest, keeping 0 free as the marker), or the marked
-    empty set {0} when m is not a valid permutation code.  ``edge_has``
-    is called at most once, as the last test.
+    edge set under candidate permutation m (edge codes shifted up by one,
+    keeping 0 free as the marker), or the marked empty set {0} when m is
+    not a valid permutation code.  ``edge_has`` is called at most once,
+    as the last test.
     """
     c, y = unpair(x)
     if c % 2 == 1:
@@ -136,9 +134,9 @@ def _copies_point(x: int, edge_has, shift: int) -> bool:
     p = _perm_of(c // 2)
     if p is None:
         return y == 0
-    if y < shift:
+    if y == 0:
         return False
-    u, v = unpair(y - shift)
+    u, v = unpair(y - 1)
     inv = [0] * len(p)
     for i, pi in enumerate(p):
         inv[pi] = i
@@ -148,22 +146,18 @@ def _copies_point(x: int, edge_has, shift: int) -> bool:
 
 
 def _step_perm_copies(ev, args, params, s, state):
-    shift = param(params, 0, default=1)
-    return _react_by_code(
-        ev, arg(args, 0), s, state,
-        lambda x, has: _copies_point(x, has, shift))
+    return _react_by_code(ev, arg(args, 0), s, state, _copies_point)
 
 
 def _step_level_columns(ev, args, params, s, state):
     """Column k of the output grows at exactly the stages where k lies
     in the running difference/union fold of the arguments."""
-    shift = param(params, 0)
     cur = nce_stage_value(ev, args, s)
     out = []
     for k in cur:
         ev.tick()
         if k <= s:
-            out.append(pair(k + shift, s))
+            out.append(pair(k, s))
     return out
 
 
@@ -188,16 +182,6 @@ def _eqm_predict(payload):
     return ClassKey("eq_1", _EQ1_KEY[many_one_key(analyze(payload))])
 
 
-def _build_full_columns(cid: str = "expand_columns"):
-    def build(payload, rng=None):
-        term_a, settle_a, _ = compile_arg(payload, rng)
-        image = ColumnsBySet(payload, FULL, EMPTY)
-        return Built(Combinator(cid, (term_a,)),
-                     lambda M: settle_a(M) + M + 1,
-                     lambda x: member(image, x))
-    return build
-
-
 def _gen_pair_eqm(rng):
     """Pairs mixing the three many-one classes in varied presentations."""
     def one():
@@ -220,7 +204,7 @@ def _gen_pair_eqm(rng):
 
 eqm_to_eq1 = register_reduction(Reduction(
     name="eqm_to_eq1", source="eq_m", target="eq_1",
-    build=_build_full_columns(),
+    build=eqce_to_e0.build,
     predict=_eqm_predict,
     gen_case=_gen_pair_eqm,
     window=128,
@@ -228,8 +212,8 @@ eqm_to_eq1 = register_reduction(Reduction(
     doc="many-one classes of decidable sets drop to cardinality classes"
         " via full-column images",
 ))
-register_mutant("eqm_to_eq1", "transposed-pairs",
-                _build_full_columns("replicate_columns"))
+register_mutant("eqm_to_eq1", "adds-zero",
+                perturbed(eqce_to_e0.build, adding(0)))
 
 
 def one_one_from_many_one(phi):
@@ -259,19 +243,16 @@ def _star_member(payload):
     return mem
 
 
-def _build_star(skip: int = 0):
-    def build(payload, rng=None):
-        term_a, settle_a, _ = compile_arg(payload, rng)
-        return Built(Combinator("star_edges", (term_a,),
-                                (skip,) if skip else ()),
-                     lambda M: settle_a(M) + 1,
-                     _star_member(payload))
-    return build
+def _build_star(payload, rng=None):
+    term_a, settle_a, _ = compile_arg(payload, rng)
+    return Built(Combinator("star_edges", (term_a,)),
+                 lambda M: settle_a(M) + 1,
+                 _star_member(payload))
 
 
 eq1_to_compiso = register_reduction(Reduction(
     name="eq1_to_compiso", source="eq_1", target="compiso_bin",
-    build=_build_star(),
+    build=_build_star,
     predict=lambda payload: ClassKey(
         "compiso_bin", one_equivalence_key(analyze(payload))),
     gen_case=gen_pair_1d,
@@ -280,7 +261,8 @@ eq1_to_compiso = register_reduction(Reduction(
     doc="cardinality classes become computable-isomorphism classes of"
         " star graphs",
 ))
-register_mutant("eq1_to_compiso", "dropped-leaf", _build_star(skip=1))
+register_mutant("eq1_to_compiso", "drops-minimum",
+                perturbed(_build_star, without_minimum))
 
 
 # ---------------------------------------------------------------------------
@@ -288,27 +270,23 @@ register_mutant("eq1_to_compiso", "dropped-leaf", _build_star(skip=1))
 
 
 def _tree_member(payload):
-    return lambda x: _tree_edge(
-        x, lambda n, k: member(payload, pair(n, k)), 0)
+    return lambda x: _tree_edge(x, lambda n, k: member(payload, pair(n, k)))
 
 
-def _build_membership_tree(trim: int = 0):
-    def build(payload, rng=None):
-        term_a, settle_a, _ = compile_arg(payload, rng)
+def _build_membership_tree(payload, rng=None):
+    term_a, settle_a, _ = compile_arg(payload, rng)
 
-        def settle(M):
-            h = max((M - 2) // 2 + 1, 1)
-            return max(M, settle_a(pair(h, h))) + 1
+    def settle(M):
+        h = max((M - 2) // 2 + 1, 1)
+        return max(M, settle_a(pair(h, h))) + 1
 
-        return Built(Combinator("membership_tree", (term_a,),
-                                (trim,) if trim else ()),
-                     settle, _tree_member(payload))
-    return build
+    return Built(Combinator("membership_tree", (term_a,)),
+                 settle, _tree_member(payload))
 
 
 eset_to_isobin = register_reduction(Reduction(
     name="eset_to_isobin", source="eset", target="iso_bin",
-    build=_build_membership_tree(),
+    build=_build_membership_tree,
     predict=lambda payload: ClassKey(
         "iso_bin", ("membership-tree", column_family_key(payload))),
     gen_case=lambda rng: gen_pair_columns(rng, hi=6),
@@ -317,7 +295,8 @@ eset_to_isobin = register_reduction(Reduction(
     doc="column families become trees: one branch per (column, copy),"
         " one depth-k chain per column element k",
 ))
-register_mutant("eset_to_isobin", "short-chains", _build_membership_tree(1))
+register_mutant("eset_to_isobin", "adds-zero",
+                perturbed(_build_membership_tree, adding(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +309,17 @@ def _edge_codes(payload) -> frozenset:
     return payload.elems
 
 
-def _copies_member(payload, shift: int = 1):
+def _copies_member(payload):
     edges = _edge_codes(payload)
-    return lambda x: _copies_point(x, lambda e: e in edges, shift)
+    return lambda x: _copies_point(x, lambda e: e in edges)
 
 
-def _build_perm_copies(shift: int = 1):
-    def build(payload, rng=None):
-        term_a, settle_a, _ = compile_arg(payload, rng)
-        emax = max(_edge_codes(payload), default=0)
-        return Built(Combinator("perm_copies", (term_a,), (shift,)),
-                     lambda M: max(M, settle_a(emax)) + 1,
-                     _copies_member(payload, shift=1))
-    return build
+def _build_perm_copies(payload, rng=None):
+    term_a, settle_a, _ = compile_arg(payload, rng)
+    emax = max(_edge_codes(payload), default=0)
+    return Built(Combinator("perm_copies", (term_a,)),
+                 lambda M: max(M, settle_a(emax)) + 1,
+                 _copies_member(payload))
 
 
 def _gen_pair_digraphs(rng):
@@ -372,7 +349,7 @@ def _gen_pair_digraphs(rng):
 
 compiso_to_eset = register_reduction(Reduction(
     name="compiso_to_eset", source="compiso_bin", target="eset",
-    build=_build_perm_copies(),
+    build=_build_perm_copies,
     predict=lambda payload: ClassKey(
         "eset", ("iso-copies", digraph_canonical(
             frozenset(unpair(e) for e in _edge_codes(payload))))),
@@ -382,7 +359,8 @@ compiso_to_eset = register_reduction(Reduction(
     doc="a graph maps to the family of all its finite-support permuted"
         " copies, hidden among the marked finite sets",
 ))
-register_mutant("compiso_to_eset", "unmarked-copies", _build_perm_copies(0))
+register_mutant("compiso_to_eset", "adds-loop", perturbed(
+    _build_perm_copies, lambda g: Finite(g.elems | {pair(0, 0)})))
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +411,18 @@ def _validate_nce_embed(ev, built, payload, window):
     return issues
 
 
-def _build_nce_embed(filler: Descriptor = EMPTY):
-    def build(payload, rng=None):
-        term_f, settle_f, _ = compile_arg(filler, rng)
-        terms, settle = _compile_tuple(payload, rng)
-        terms = terms + (term_f,)
-        return Built(terms[0],
-                     lambda M: max(settle(M), settle_f(M)) + 1,
-                     None, parts=terms)
-    return build
+def _build_nce_embed(payload, rng=None):
+    term_f, settle_f, _ = compile_arg(EMPTY, rng)
+    terms, settle = _compile_tuple(payload, rng)
+    terms = terms + (term_f,)
+    return Built(terms[0],
+                 lambda M: max(settle(M), settle_f(M)) + 1,
+                 None, parts=terms)
 
 
 nce_embed = register_reduction(Reduction(
     name="nce_embed", source="eq_nce", target="eq_ltomega",
-    build=_build_nce_embed(),
+    build=_build_nce_embed,
     predict=lambda payload: NceTuple(payload.parts + (EMPTY,)),
     gen_case=gen_pair_nce,
     window=64,
@@ -456,7 +432,9 @@ nce_embed = register_reduction(Reduction(
     doc="a length-n difference/union tuple embeds into length n+1 by an"
         " empty slot",
 ))
-register_mutant("nce_embed", "full-filler", _build_nce_embed(filler=FULL))
+# a FULL slot before the empty filler folds exactly like a FULL filler
+register_mutant("nce_embed", "full-filler", perturbed(
+    _build_nce_embed, lambda t: NceTuple(t.parts + (FULL,))))
 
 
 def _validate_level_columns(ev, built, payload, window):
@@ -482,19 +460,16 @@ def _validate_level_columns(ev, built, payload, window):
     return issues
 
 
-def _build_level_columns(shift: int = 0):
-    def build(payload, rng=None):
-        terms, settle = _compile_tuple(payload, rng)
-        return Built(Combinator("level_columns", terms,
-                                (shift,) if shift else ()),
-                     lambda M: settle(M) + M + 1,
-                     None, parts=terms)
-    return build
+def _build_level_columns(payload, rng=None):
+    terms, settle = _compile_tuple(payload, rng)
+    return Built(Combinator("level_columns", terms),
+                 lambda M: settle(M) + M + 1,
+                 None, parts=terms)
 
 
 ltomega_to_e3 = register_reduction(Reduction(
     name="ltomega_to_e3", source="eq_ltomega", target="e3",
-    build=_build_level_columns(),
+    build=_build_level_columns,
     predict=lambda payload: ClassKey(
         "e3", ("level-set", nce_value(payload.parts))),
     gen_case=gen_pair_nce,
@@ -505,19 +480,18 @@ ltomega_to_e3 = register_reduction(Reduction(
     doc="column k grows forever exactly when k stays in the limit of the"
         " difference/union fold",
 ))
-register_mutant("ltomega_to_e3", "shifted-levels", _build_level_columns(1))
+register_mutant("ltomega_to_e3", "adds-zero", perturbed(
+    _build_level_columns,
+    lambda t: NceTuple((adding(0)(t.parts[0]),) + t.parts[1:])))
 
 
 # ---------------------------------------------------------------------------
 # eq_nat into E_min: singleton images
 
 
-def _build_singleton(shift: int = 0):
-    def build(a, rng=None):
-        d = Finite(frozenset({a + shift}))
-        term, settle, _ = compile_arg(d, rng)
-        return Built(term, settle, lambda x: x == a + shift)
-    return build
+def _build_singleton(a, rng=None):
+    term, settle, _ = compile_arg(Finite(frozenset({a})), rng)
+    return Built(term, settle, lambda x: x == a)
 
 
 def _gen_pair_nat(rng):
@@ -529,7 +503,7 @@ def _gen_pair_nat(rng):
 
 eqnat_to_emin = register_reduction(Reduction(
     name="eqnat_to_emin", source="eq_nat", target="e_min",
-    build=_build_singleton(),
+    build=_build_singleton,
     predict=lambda a: Finite(frozenset({a})),
     gen_case=_gen_pair_nat,
     window=64,
@@ -537,7 +511,8 @@ eqnat_to_emin = register_reduction(Reduction(
     combinator="",
     doc="equality of naturals realized by singleton minima",
 ))
-register_mutant("eqnat_to_emin", "shifted-point", _build_singleton(1))
+register_mutant("eqnat_to_emin", "shifted-point",
+                perturbed(_build_singleton, lambda a: a + 1))
 
 
 # ---------------------------------------------------------------------------

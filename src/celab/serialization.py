@@ -168,7 +168,10 @@ def _build_desc(node):
     if head == "progression":
         if len(node) != 3:
             raise ParseError("progression takes start and step")
-        return D.Progression(_nat(node[1]), _nat(node[2]))
+        step = _nat(node[2])
+        if step == 0:
+            raise ParseError("progression step must be >= 1")
+        return D.Progression(_nat(node[1]), step)
     if head == "union":
         return D.Union(tuple(_build_desc(p) for p in node[1:]))
     if head == "difference":

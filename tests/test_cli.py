@@ -1,11 +1,17 @@
 """The command-line surface, driven through main() in-process."""
 
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from celab.cli import main
 from celab.descriptors import Finite
+from celab.pairing import pair
 from celab.programs import Evaluator
 from celab.reductions import REDUCTIONS
 from celab.relations import NceTuple
@@ -106,6 +112,18 @@ def test_enumerate_past_the_step_budget_exits_three(capsys, monkeypatch):
     assert code == 3 and out == ""
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 * 10 ** 5),
+       st.integers(min_value=0, max_value=40))
+def test_enumerating_any_code_under_a_small_budget_exits_0_or_3(code,
+                                                                  stage):
+    with mock.patch.dict(os.environ, {"CELAB_STEP_BUDGET": "500"}), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["enumerate", "--term", f"(indexed {code})",
+                     "--stage", str(stage)]) in (0, 3)
+
+
 def test_verify_rejects_a_corpus_of_another_relation(capsys, tmp_path):
     path = tmp_path / "corpus.json"
     code, _ = run(capsys, "corpus", "--reduction", "eqce_to_e0",
@@ -123,6 +141,19 @@ def test_malformed_corpus_exits_four(capsys, tmp_path):
     assert run(capsys, "verify", "--reduction", "eqce_to_e0",
                "--corpus", str(path))[0] == 4
     assert run(capsys, "corpus", "--in", str(path))[0] == 4
+
+
+def test_corpus_case_the_oracle_refuses_exits_four(capsys, tmp_path):
+    # the isomorphism oracle brute-forces at most 8 vertices
+    path_graph = " ".join(str(pair(v, v + 1)) for v in range(9))
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(
+        {"version": 1, "relation": "compiso_bin", "seed": 1, "cases": [
+            {"descA": f"(finite {path_graph})", "descB": "(finite)",
+             "expected": False}]}))
+    assert run(capsys, "corpus", "--in", str(path))[0] == 4
+    assert run(capsys, "verify", "--reduction", "compiso_to_eset",
+               "--corpus", str(path))[0] == 4
 
 
 def _nested(depth):

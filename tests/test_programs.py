@@ -61,6 +61,21 @@ def test_program_numbering_is_a_bijection(code):
     assert program_code(term) == code
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 * 10 ** 5))
+def test_decoded_terms_grow_with_the_stage(code):
+    term = program_from_code(code)
+    ev = Evaluator(budget=20000)
+    prev = frozenset()
+    for s in range(20):
+        try:
+            got = ev.approx(term, s)
+        except BudgetExceeded:
+            break
+        assert prev <= got, f"stage {s}"
+        prev = got
+
+
 @pytest.mark.parametrize("query", [
     lambda ev, term: ev.approx(term, 300),
     lambda ev, term: ev.fresh(term, 300),

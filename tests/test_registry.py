@@ -82,10 +82,32 @@ def test_numbering_round_trips_both_ways(code):
     assert decode(encode(term)) == term
 
 
+def signature(term):
+    # from_descriptor's parameters are the compiled payload itself
+    return (term.cid, () if term.cid == "from_descriptor" else term.params)
+
+
+def built_terms(build, payload):
+    built = build(payload, random.Random(0))
+    return (built.term,) + tuple(built.parts)
+
+
+PRODUCTION_SIGNATURES = {
+    signature(term)
+    for red in REDUCTIONS.values()
+    for term in built_terms(red.build, red.gen_case(random.Random(0))[0])
+    if isinstance(term, Combinator)
+}
+
+
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutants_use_only_production_combinators(name):
+    """A mutant is built from production constructions with the
+    parameters production gives them: its fault lies in its input or in
+    the choice of construction, never in a parameter of its own."""
     payload, _ = REDUCTIONS[name].gen_case(random.Random(0))
     for _, build in MUTANTS[name]:
-        built = build(payload, random.Random(0))
-        for term in (built.term,) + tuple(built.parts):
+        for term in built_terms(build, payload):
             assert cids(term) <= set(COMBINATORS)
+            if isinstance(term, Combinator):
+                assert signature(term) in PRODUCTION_SIGNATURES

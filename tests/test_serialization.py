@@ -52,6 +52,7 @@ def test_descriptor_round_trips():
 @pytest.mark.parametrize("bad", [
     "(progression 1)", "(difference (finite 1))", "(blocks (finite))",
     "(finite -3)", "(dyadic)", "(weight (finite) (finite))",
+    "(progression 1 0)",
 ])
 def test_malformed_descriptors_are_rejected(bad):
     with pytest.raises(ParseError):
