@@ -66,7 +66,13 @@ def cmd_enumerate(args) -> int:
     except RecursionError:
         # evaluation, and decoding an (indexed n), recurse per level
         raise InputError("term nested too deeply to evaluate")
-    print("{" + ", ".join(str(x) for x in elems) + "}")
+    try:
+        text = ", ".join(str(x) for x in elems)
+    except ValueError:
+        # int-to-str conversion refuses integers past a digit limit
+        raise InputError(f"an element is too large to print (over"
+                         f" {sys.get_int_max_str_digits()} digits)")
+    print("{" + text + "}")
     return EXIT_OK
 
 

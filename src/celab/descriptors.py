@@ -18,6 +18,7 @@ the index level and anything else raises ``UnsupportedDescriptor``
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -141,53 +142,86 @@ def columns(colmap: dict, default: Descriptor = EMPTY) -> Columns:
 # eventually periodic analysis
 
 
+def _low(n: int) -> int:
+    """The bitset {0, ..., n - 1}."""
+    return (1 << n) - 1
+
+
+def _tile(pattern: int, period: int, n: int) -> int:
+    """Bits [0, n) of ``pattern`` repeated every ``period`` bits."""
+    copies = -(-n // period)
+    return pattern * (_low(period * copies) // _low(period)) & _low(n)
+
+
+def _mask(xs) -> int:
+    """The bitset of a finite set of naturals."""
+    return reduce(operator.or_, (1 << x for x in xs), 0)
+
+
+def _positions(bits: int) -> list:
+    """The set bits of ``bits``, ascending."""
+    return [i for i, c in enumerate(reversed(bin(bits))) if c == "1"]
+
+
+def _lowest(bits: int) -> int:
+    """The least set bit of a nonzero ``bits``."""
+    return (bits & -bits).bit_length() - 1
+
+
 @dataclass(frozen=True)
 class EP:
-    """x < threshold: x in head; x >= threshold: x % period in residues."""
+    """x < threshold: x in the bitset head; x >= threshold: x % period
+    in the bitset residues.
+
+    ``make`` keeps the form canonical (least period, then least
+    threshold), so equal sets are equal EPs.
+    """
 
     threshold: int
     period: int
-    head: frozenset
-    residues: frozenset  # absolute residues mod period
+    head: int
+    residues: int
 
     # -- construction --------------------------------------------------
 
     @staticmethod
-    def make(threshold: int, period: int, head, residues) -> "EP":
-        head = frozenset(head)
-        residues = frozenset(residues)
-        period, residues = _minimal_period(period, residues)
-        # minimal threshold
-        t = threshold
-        head = frozenset(x for x in head if x < t)
-        while t > 0 and ((t - 1) in head) == ((t - 1) % period in residues):
-            head = head - {t - 1}
-            t -= 1
-        return EP(t, period, head, residues)
+    def make(threshold: int, period: int, head: int, residues: int) -> "EP":
+        residues &= _low(period)
+        period = next(q for q in range(1, period + 1) if period % q == 0
+                      and _tile(residues & _low(q), q, period) == residues)
+        residues &= _low(period)
+        head &= _low(threshold)
+        # past the last disagreement with the periodic part, head is
+        # redundant
+        t = (head ^ _tile(residues, period, threshold)).bit_length()
+        return EP(t, period, head & _low(t), residues)
 
     @staticmethod
     def from_finite(elems) -> "EP":
-        elems = frozenset(elems)
-        t = max(elems) + 1 if elems else 0
-        return EP.make(t, 1, elems, frozenset())
+        bits = _mask(elems)
+        return EP.make(bits.bit_length(), 1, bits, 0)
 
     @staticmethod
     def from_cofinite(excluded) -> "EP":
-        excluded = frozenset(excluded)
-        t = max(excluded) + 1 if excluded else 0
-        head = frozenset(x for x in range(t) if x not in excluded)
-        return EP.make(t, 1, head, {0})
+        bits = _mask(excluded)
+        t = bits.bit_length()
+        return EP.make(t, 1, _low(t) ^ bits, 1)
 
     @staticmethod
     def from_progression(start: int, step: int) -> "EP":
-        return EP.make(start, step, frozenset(), {start % step})
+        return EP.make(start, step, 0, 1 << start % step)
+
+    def _bits(self, n: int) -> int:
+        """The members below n, as a bitset."""
+        periodic = _tile(self.residues, self.period, n) & ~_low(self.threshold)
+        return (self.head | periodic) & _low(n)
 
     # -- membership & basic data ---------------------------------------
 
     def member(self, x: int) -> bool:
         if x < self.threshold:
-            return x in self.head
-        return x % self.period in self.residues
+            return bool(self.head >> x & 1)
+        return bool(self.residues >> x % self.period & 1)
 
     @property
     def is_finite(self) -> bool:
@@ -199,69 +233,66 @@ class EP:
 
     @property
     def is_full(self) -> bool:
-        return self.threshold == 0 and len(self.residues) == self.period
-
-    def complement(self) -> "EP":
-        return ep_combine(ep_full(), self, lambda a, b: a and not b)
+        return self.threshold == 0 and self.is_cofinite
 
     @property
     def is_cofinite(self) -> bool:
-        return self.complement().is_finite
+        return self.residues == _low(self.period)
+
+    def complement(self) -> "EP":
+        # flipping every bit keeps both minimality conditions
+        return EP(self.threshold, self.period,
+                  self.head ^ _low(self.threshold),
+                  self.residues ^ _low(self.period))
 
     def elements(self) -> frozenset:
         if not self.is_finite:
             raise UnsupportedDescriptor("infinite set has no element list")
-        return self.head
-
-    def elements_upto(self, n: int) -> list:
-        return [x for x in range(n + 1) if self.member(x)]
+        return frozenset(_positions(self.head))
 
     def cardinality(self):
-        return len(self.head) if self.is_finite else math.inf
+        return self.head.bit_count() if self.is_finite else math.inf
 
-    def min(self) -> Optional[int]:
-        if self.head:
-            small = min(self.head)
-        else:
-            small = None
-        if self.residues:
-            first = min(
-                _first_at_least(self.threshold, r, self.period)
-                for r in self.residues
-            )
-            if small is None or first < small:
-                # all head elements are < threshold <= first
-                small = small if small is not None else first
-                small = min(small, first)
-        return small
+    def min(self, at_least: int = 0) -> Optional[int]:
+        """The least element >= at_least, or None."""
+        head = self.head >> at_least
+        if head:
+            return at_least + _lowest(head)
+        if not self.residues:
+            return None
+        start = max(at_least, self.threshold)
+        r = start % self.period
+        # rotate so that bit i stands for the class of start + i
+        ahead = self.residues >> r | self.residues << (self.period - r)
+        return start + _lowest(ahead)
 
     def max(self) -> Optional[int]:
         if not self.is_finite:
             raise UnsupportedDescriptor("max of infinite set")
-        return max(self.head) if self.head else None
+        return self.head.bit_length() - 1 if self.head else None
 
     def density(self) -> Fraction:
-        return Fraction(len(self.residues), self.period)
+        return Fraction(self.residues.bit_count(), self.period)
 
     def gcd_value(self):
         """gcd of all elements; infinity for sets within {0} (or empty)."""
-        g = 0
-        for x in self.head:
-            g = math.gcd(g, x)
-        for r in self.residues:
-            a = _first_at_least(self.threshold, r, self.period)
-            g = math.gcd(g, math.gcd(a, self.period))
+        # each residue class contributes its first member and the period
+        g = math.gcd(*_positions(self._bits(self.threshold + self.period)),
+                     self.period if self.residues else 0)
         return math.inf if g == 0 else g
+
+    def gcd_witness(self) -> int:
+        """A bound w such that the members <= w already have the gcd of
+        the whole set: the first two members of a residue class past
+        the threshold have the gcd of the whole class."""
+        last = self._bits(self.threshold + self.period).bit_length() - 1
+        return last + self.period if self.residues else last
 
     def lcm_value(self):
         """lcm of the positive elements; 1 if none; infinity if unbounded."""
         if not self.is_finite:
             return math.inf
-        l = 1
-        for x in self.head:
-            if x > 0:
-                l = l * x // math.gcd(l, x)
-        return l
+        return math.lcm(*_positions(self.head & ~1))
 
     def median_key(self):
         """('empty',) | ('inf',) | ('med', Fraction midpoint)."""
@@ -269,7 +300,7 @@ class EP:
             return ("empty",)
         if not self.is_finite:
             return ("inf",)
-        xs = sorted(self.head)
+        xs = _positions(self.head)
         n = len(xs)
         mid = Fraction(xs[(n - 1) // 2] + xs[n // 2], 2)
         return ("med", mid)
@@ -278,77 +309,48 @@ class EP:
         """Canonical invariant of the almost-equality class."""
         if self.is_finite:
             return ("fin",)
-        return ("inf",) + _minimal_period(self.period, self.residues)
+        return ("inf", self.period, self.residues)
 
     def triadic_sum(self) -> Fraction:
         """Exact sum of 3^-(n+1) over the set."""
-        total = Fraction(0)
-        for x in self.head:
-            total += Fraction(1, 3 ** (x + 1))
-        for r in self.residues:
-            a = _first_at_least(self.threshold, r, self.period)
-            p = self.period
-            total += Fraction(3 ** p, (3 ** p - 1)) * Fraction(1, 3 ** (a + 1))
-        return total
-
-
-def _divisors(n: int) -> list:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _minimal_period(period: int, residues: frozenset) -> tuple:
-    """The least period q of a residue set below ``period``, and its
-    classes mod q.
-
-    Lifting the classes mod a divisor q back below ``period`` gives
-    len(classes) * (period // q) residues, a superset of ``residues``;
-    q is a period exactly when the two counts agree.
-    """
-    for q in _divisors(period):
-        classes = frozenset(r % q for r in residues)
-        if len(classes) * (period // q) == len(residues):
-            return q, classes
-    raise AssertionError("unreachable: period itself always qualifies")
-
-
-def _first_at_least(t: int, r: int, p: int) -> int:
-    """Least x >= t with x % p == r."""
-    delta = (r - t) % p
-    return t + delta
-
-
-def ep_full() -> EP:
-    return EP.make(0, 1, frozenset(), {0})
+        t, p = self.threshold, self.period
+        # a member x >= t recurs at x + p, x + 2p, ...: a geometric series
+        repeat = Fraction(3 ** p, 3 ** p - 1)
+        return sum((Fraction(1, 3 ** (x + 1)) * (repeat if x >= t else 1)
+                    for x in _positions(self._bits(t + p))), Fraction(0))
 
 
 def ep_combine(a: EP, b: EP, op) -> EP:
-    t = max(a.threshold, b.threshold)
-    p = a.period * b.period // math.gcd(a.period, b.period)
-    head = frozenset(x for x in range(t) if op(a.member(x), b.member(x)))
-    residues = frozenset(
-        (t + i) % p
-        for i in range(p)
-        if op(a.member(t + i), b.member(t + i))
-    )
-    # residues above are sampled just past the threshold, which is sound
-    # because both arguments are purely periodic from t on.
-    return EP.make(t, p, head, residues)
+    """The EP of ``op`` (a bitwise operator) applied to both sets.
+
+    Both sides are periodic with the lcm period from the first multiple
+    t of it at or past both thresholds, so the bits of [t, t + lcm) are
+    the residues of the result.
+    """
+    p = math.lcm(a.period, b.period)
+    t = -(-max(a.threshold, b.threshold) // p) * p
+    bits = op(a._bits(t + p), b._bits(t + p))
+    return EP.make(t, p, bits, bits >> t)
+
+
+def _and_not(x: int, y: int) -> int:
+    return x & ~y
 
 
 def ep_union(a, b):
-    return ep_combine(a, b, lambda x, y: x or y)
+    return ep_combine(a, b, operator.or_)
 
 
 def ep_difference(a, b):
-    return ep_combine(a, b, lambda x, y: x and not y)
+    return ep_combine(a, b, _and_not)
 
 
 def ep_intersection(a, b):
-    return ep_combine(a, b, lambda x, y: x and y)
+    return ep_combine(a, b, operator.and_)
 
 
 def ep_symdiff(a, b):
-    return ep_combine(a, b, lambda x, y: x != y)
+    return ep_combine(a, b, operator.xor)
 
 
 # ---------------------------------------------------------------------------
@@ -436,34 +438,31 @@ def analyze(d: Descriptor) -> Analysis:
 _ANALYSIS_CACHE: dict = {}
 
 
+def _block_bits(kind: str, ns) -> int:
+    """The union of the blocks indexed by ns, as a bitset."""
+    bits = 0
+    for n in ns:
+        lo, hi = block_bounds(kind, n)
+        bits |= _low(hi) ^ _low(lo)
+    return bits
+
+
 def _materialize_blocks(kind: str, index: EP) -> Optional[EP]:
-    if index.is_finite:
-        elems = index.elements()
-        if not elems:
-            return EP.from_finite(())
-        hi = block_bounds(kind, max(elems))[1]
-        if hi <= MATERIALIZE_CAP:
-            out = set()
-            for n in elems:
-                lo, h = block_bounds(kind, n)
-                out.update(range(lo, h))
-            return EP.from_finite(out)
+    """The block image as an EP, if the index set is finite or cofinite
+    and the blocks it names or misses end by MATERIALIZE_CAP."""
+    cofinite = index.is_cofinite
+    if not (cofinite or index.is_finite):
         return None
-    comp = index.complement()
-    if comp.is_finite:
-        missing = comp.elements()
-        hi = max(
-            (block_bounds(kind, n)[1] for n in missing), default=1
-        )
-        if hi <= MATERIALIZE_CAP:
-            excluded = set()
-            if kind == "dyadic":
-                excluded.add(0)  # dyadic blocks never cover 0
-            for n in missing:
-                lo, h = block_bounds(kind, n)
-                excluded.update(range(lo, h))
-            return EP.from_cofinite(excluded)
-    return None
+    ns = (index.complement() if cofinite else index).elements()
+    hi = max((block_bounds(kind, n)[1] for n in ns), default=1)
+    if hi > MATERIALIZE_CAP:
+        return None
+    bits = _block_bits(kind, ns)
+    if not cofinite:
+        return EP.make(hi, 1, bits, 0)
+    if kind == "dyadic":
+        bits |= 1  # dyadic blocks never cover 0
+    return EP.make(hi, 1, _low(hi) ^ bits, 1)
 
 
 def _blocks_analysis(kind: str, d: Descriptor) -> Analysis:

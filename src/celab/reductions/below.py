@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from ..programs import Combinator, register_combinator, arg, param
 from ..descriptors import (
-    EP, Descriptor, Finite, Progression, EMPTY, FULL, analyze, member,
+    Descriptor, Finite, Progression, EMPTY, FULL, analyze, member,
 )
 from ..orders import rational_from_code
 from ..relations import ClassKey, QCut
@@ -33,15 +33,6 @@ from . import (
 
 def _fact(n: int) -> int:
     return math.factorial(n)
-
-
-def _witness_ge(ana: EP, m: int):
-    """The least element >= m of an EP set, or None."""
-    stop = max(m, ana.threshold) + ana.period + 1
-    for x in range(m, stop + 1):
-        if ana.member(x):
-            return x
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -118,30 +109,20 @@ def _step_interval_hull(ev, args, params, s, state):
     return [*range(lo, done[0]), *range(done[1] + 1, hi + 1)]
 
 
-def _step_min_factorials(ev, args, params, s, state):
-    """Emit (m + 2)! whenever the current minimum m changes."""
-    bounds = _running_bounds(ev, arg(args, 0), s, state)
-    if bounds is None:
-        return ()
-    ev.tick()
-    m = bounds[0]
-    if state.get("last") == m:
-        return ()
-    state["last"] = m
-    return (_fact(m + 2),)
-
-
-def _step_max_factorials(ev, args, params, s, state):
-    """Emit (m + 2)! whenever the current maximum m changes."""
-    bounds = _running_bounds(ev, arg(args, 0), s, state)
-    if bounds is None:
-        return ()
-    ev.tick()
-    m = bounds[1]
-    if state.get("last") == m:
-        return ()
-    state["last"] = m
-    return (_fact(m + 2),)
+def _step_factorials(side: int):
+    """A step that emits (m + 2)! whenever the running bound m changes:
+    the minimum for side 0, the maximum for side 1."""
+    def step(ev, args, params, s, state):
+        bounds = _running_bounds(ev, arg(args, 0), s, state)
+        if bounds is None:
+            return ()
+        ev.tick()
+        m = bounds[side]
+        if state.get("last") == m:
+            return ()
+        state["last"] = m
+        return (_fact(m + 2),)
+    return step
 
 
 def _step_stage_gcds(ev, args, params, s, state):
@@ -252,8 +233,8 @@ def _step_triadic_cut(ev, args, params, s, state):
 register_combinator("saturate_up", _step_saturate_up)
 register_combinator("saturate_down", _step_saturate_down)
 register_combinator("interval_hull", _step_interval_hull)
-register_combinator("min_factorials", _step_min_factorials)
-register_combinator("max_factorials", _step_max_factorials)
+register_combinator("min_factorials", _step_factorials(0))
+register_combinator("max_factorials", _step_factorials(1))
 register_combinator("stage_gcds", _step_stage_gcds)
 register_combinator("stage_lcms", _step_stage_lcms)
 register_combinator("median_multiples", _step_median_multiples)
@@ -334,7 +315,7 @@ def _build_saturate_down(payload, rng=None):
     def settle(M):
         if empty:
             return M + 2
-        w = mx if finite else _witness_ge(analyze(payload), M)
+        w = mx if finite else analyze(payload).min(at_least=M)
         if w is None:
             w = M
         return sa(w) + 2
@@ -387,7 +368,7 @@ def _build_cut_below(payload, rng=None):
     def settle(M):
         if empty:
             return M + 2
-        w = mx if finite else _witness_ge(analyze(payload), M + 1)
+        w = mx if finite else analyze(payload).min(at_least=M + 1)
         if w is None:
             w = M + 1
         return sa(w) + 2
@@ -442,7 +423,7 @@ def _build_interval_hull(payload, rng=None):
     def settle(M):
         if ana.is_empty:
             return M + 2
-        w = ana.max() if ana.is_finite else _witness_ge(ana, M)
+        w = ana.max() if ana.is_finite else ana.min(at_least=M)
         if w is None:
             w = M
         return sa(max(w, ana.min())) + 2
@@ -519,7 +500,7 @@ def _build_rational_cut(payload, rng=None):
                 (rational_from_code(c) for c in range(M + 1)),
                 default=Fraction(0),
             )
-            w = _witness_ge(analyze(payload), math.ceil(top) + 2)
+            w = analyze(payload).min(at_least=math.ceil(top) + 2)
         if w is None:
             w = M
         return sa(w) + M + 2
@@ -590,19 +571,6 @@ register_mutant("eqce_to_eQ", "adds-zero",
 # invariant streams (schedule dependent; semantic validators)
 
 
-def _gcd_witness(ana: EP) -> int:
-    """A value by which the running gcd has reached its limit."""
-    w = 0
-    for x in ana.head:
-        w = max(w, x)
-    for r in ana.residues:
-        # the first two members of the residue class at or after the
-        # threshold already have gcd equal to gcd(first, period)
-        x0 = ana.threshold + ((r - ana.threshold) % ana.period)
-        w = max(w, x0 + ana.period)
-    return w
-
-
 def _build_min_factorials(payload, rng=None):
     term_a, sa, _ = compile_arg(payload, rng)
     term = Combinator("min_factorials", (term_a,))
@@ -654,7 +622,7 @@ def _build_stage_gcds(payload, rng=None):
     if g is math.inf:
         settle = lambda M: M + 2
     else:
-        w = _gcd_witness(ana)
+        w = ana.gcd_witness()
         settle = lambda M: sa(w) + 2
     return Built(term, settle)
 
@@ -700,7 +668,7 @@ def _build_max_factorials(payload, rng=None):
     def settle(M):
         if empty:
             return M + 2
-        w = mx if finite else _witness_ge(analyze(payload), M)
+        w = mx if finite else analyze(payload).min(at_least=M)
         if w is None:
             w = M
         return sa(w) + 2
@@ -723,7 +691,7 @@ def _validate_max_factorials(ev, built, payload, window):
             issues.append("image contains a value that is not a factorial"
                           " of a value at or below the maximum")
         return issues
-    w = _witness_ge(analyze(payload), window)
+    w = analyze(payload).min(at_least=window)
     if w is not None and max(got, default=0) < _fact(w + 2):
         issues.append("image of an unbounded set grows too slowly")
     return issues
@@ -755,7 +723,7 @@ def _build_stage_lcms(payload, rng=None):
 
     def settle(M):
         if l is math.inf:
-            w = _witness_ge(ana, M + 1)
+            w = ana.min(at_least=M + 1)
             return sa(w if w is not None else M) + 2
         w = 0 if ana.is_empty else ana.max()
         return sa(w) + 2

@@ -348,6 +348,10 @@ def _scaled_member(payload):
     return mem
 
 
+def _e0_colkey(col):
+    return col.e0_key() if hasattr(col, "e0_key") else col
+
+
 def _scaled_settle(sa, M):
     lg = max(M, 1).bit_length()
     return sa(pair(lg + 1, lg + 1)) + M + 2
@@ -361,8 +365,7 @@ e3_to_z0 = register_reduction(Reduction(
         member_of=lambda payload: _scaled_member(payload),
     ),
     predict=lambda payload: ClassKey(
-        "z0", columnwise_key(payload, lambda col: col.e0_key()
-                             if hasattr(col, "e0_key") else col)),
+        "z0", columnwise_key(payload, _e0_colkey)),
     gen_case=gen_pair_columns,
     window=128,
     combinator="scaled_blocks",
@@ -392,10 +395,6 @@ def _prefixed_member(payload):
 def _prefixed_settle(sa, M):
     w = _pair_width(M)
     return max(M, sa(pair(w + 1, w + 1))) + 2
-
-
-def _e0_colkey(col):
-    return col.e0_key() if hasattr(col, "e0_key") else col
 
 
 e3_to_eset = register_reduction(Reduction(

@@ -20,7 +20,8 @@ from .pairing import unpair
 from .descriptors import (
     EP, BlockImage, Descriptor, Finite, Columns, ColumnsBySet,
     TailColumns, OverrideColumns, UnsupportedDescriptor, analyze,
-    block_bounds, columns_view, ep_symdiff, region_pairs,
+    block_bounds, columns_view, ep_difference, ep_symdiff, ep_union,
+    region_pairs,
 )
 
 # ---------------------------------------------------------------------------
@@ -357,7 +358,6 @@ def columnwise_key(d, colkey) -> frozenset:
     Regions with the same column invariant are merged, so the key does
     not depend on how the payload happens to be presented.
     """
-    from .descriptors import ep_union
     buckets: dict = {}
     for region, col in columns_view(d).regions:
         if region.is_empty:
@@ -413,7 +413,6 @@ def _edges_of(payload) -> frozenset:
 
 def nce_value(parts) -> EP:
     """((d1 - d2) | d3) - d4 ..., as an EP analysis."""
-    from .descriptors import ep_union, ep_difference
     acc = EP.from_finite(())
     for i, d in enumerate(parts, start=1):
         ana = analyze(d) if not isinstance(d, EP) else d

@@ -179,3 +179,14 @@ def test_too_deep_an_evaluation_exits_four(capsys):
     assert main(["enumerate", "--term", _nested(300), "--stage", "3"]) == 4
     assert capsys.readouterr().err == \
         "error: term nested too deeply to evaluate\n"
+
+
+def test_an_element_too_large_to_print_exits_four(capsys):
+    # (m + 2)! of the running maximum passes the int-to-str digit limit
+    assert main(["enumerate", "--term",
+                 "(combinator max_factorials ((fullcolumn 0)) ())",
+                 "--stage", "100"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

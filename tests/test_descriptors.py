@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401
-from celab.descriptors import (EMPTY, EP, FULL, Cofinite, Difference, Finite,
-                               Progression, Union, analyze, block_of,
+from celab.descriptors import (EMPTY, EP, FULL, Cofinite, Difference,
+                               DyadicBlocks, Finite, Progression, Union,
+                               WeightBlocks, analyze, block_of,
                                compile_descriptor, dyadic_block, member,
                                weight_block)
 from celab.programs import Evaluator
@@ -41,6 +42,20 @@ def test_complement_is_involutive_on_window(d):
     for x in range(WINDOW + 1):
         assert comp.member(x) != ana.member(x)
     assert comp.complement() == ana
+
+
+@pytest.mark.parametrize("d", [
+    DyadicBlocks(Finite(frozenset({0, 3}))),
+    DyadicBlocks(Cofinite(frozenset({1, 2}))),
+    DyadicBlocks(FULL),
+    WeightBlocks(EMPTY),
+    WeightBlocks(Finite(frozenset({1, 3}))),
+    WeightBlocks(Cofinite(frozenset({0, 2}))),
+])
+def test_materialized_block_images_match_membership(d):
+    ana = analyze(d)
+    assert isinstance(ana, EP)
+    assert {x for x in range(WINDOW + 1) if ana.member(x)} == brute(d)
 
 
 @pytest.mark.parametrize("d", descriptors(13))
@@ -148,6 +163,6 @@ def test_minimal_period_matches_the_set_comparison():
         if rng.random() < 0.5:
             residues ^= {rng.randrange(period)}  # break the period q
         residues = frozenset(residues)
-        ep = EP.make(0, period, (), residues)
-        assert (ep.period, ep.residues) == \
-            reference_minimal_period(period, residues)
+        ep = EP.make(0, period, 0, sum(1 << r for r in residues))
+        q, classes = reference_minimal_period(period, residues)
+        assert (ep.period, ep.residues) == (q, sum(1 << r for r in classes))
