@@ -736,20 +736,21 @@ class Compiled:
     total_settle: Optional[int] = None
 
 
-def _step_from_descriptor(ev, args, params, s, state):
+def _step_from_descriptor(ev, args, params, s, state, bound=None):
     d = state.get("descriptor")
     if d is None:
         d = decode_descriptor(param(params, 0))
         state["descriptor"] = d
     delay = param(params, 1)
     x = s - delay
-    if x < 0:
+    # candidates rise with the stage: past the bound none is tested
+    if x < 0 or bound is not None and x > bound:
         return ()
     ev.tick()
     return (x,) if member(d, x) else ()
 
 
-register_combinator("from_descriptor", _step_from_descriptor)
+register_combinator("from_descriptor", _step_from_descriptor, bounded=True)
 
 
 def compile_descriptor(d: Descriptor, delay: int = 0,

@@ -211,10 +211,6 @@ class _Unknown(Exception):
     """A case whose programs cannot be certified within budget."""
 
 
-def _window_set(ev, term, stage: int, window: int) -> frozenset:
-    return frozenset(x for x in ev.approx(term, stage) if x <= window)
-
-
 def _certified_window(ev, built, window: int, budget: int) -> frozenset:
     """The program's settled content on [0, window].
 
@@ -226,8 +222,8 @@ def _certified_window(ev, built, window: int, budget: int) -> frozenset:
     for _ in range(2):
         if stage > budget:
             raise _Unknown(f"settle stage {stage} exceeds budget {budget}")
-        got = _window_set(ev, built.term, stage, window)
-        later = _window_set(ev, built.term, stage + window, window)
+        got = ev.upto(built.term, stage, window)
+        later = ev.upto(built.term, stage + window, window)
         if later == got:
             return got
         stage = stage + window

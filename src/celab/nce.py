@@ -13,18 +13,27 @@ from .pairing import seq_encode, seq_decode, pair, unpair
 from .descriptors import encode_descriptor, decode_descriptor
 
 
-def nce_stage_value(ev, terms, s: int) -> frozenset:
-    """The fold evaluated on the stage-s approximations."""
-    acc: frozenset = frozenset()
-    for i, t in enumerate(terms, start=1):
-        cur = ev.approx(t, s)
+def fold_point(slots) -> bool:
+    """Whether a point lies in the fold, given whether it lies in each
+    slot, in order."""
+    acc = False
+    for i, inside in enumerate(slots, start=1):
         if i == 1:
-            acc = cur
+            acc = inside
         elif i % 2 == 0:
-            acc = acc - cur
+            acc = acc and not inside
         else:
-            acc = acc | cur
+            acc = acc or inside
     return acc
+
+
+def nce_stage_value(ev, terms, s: int, bound=None) -> frozenset:
+    """The fold evaluated on the stage-s approximations, or on their
+    elements <= bound: the fold works point by point."""
+    sets = [ev.approx(t, s) if bound is None else ev.upto(t, s, bound)
+            for t in terms]
+    return frozenset(x for x in frozenset().union(*sets)
+                     if fold_point(x in a for a in sets))
 
 
 def toggle_count(ev, terms, x: int, last_stage: int) -> int:

@@ -19,6 +19,16 @@ react to those instead of rescanning their whole argument at every
 stage (semi-naive evaluation: fire only on new facts).  A budget on
 primitive steps turns runaway simulations into a ``BudgetExceeded``
 error instead of a hang.
+
+A caller that reads a program only on ``[0, bound]`` asks
+``upto(P, s, bound)``, and a bounded step asks ``fresh(arg, s, bound)``
+of its arguments: the bound is pushed down through the term (the demand,
+or "magic sets", transformation of Datalog), so constructions stop
+computing what the caller cannot see.  A construction that takes a bound
+may over-emit, since the evaluator drops what it returns above the
+bound, but it must never miss an element ``<= bound``.  One that takes
+no bound needs all of its argument; its bounded queries filter its
+unbounded approximation.
 """
 
 from __future__ import annotations
@@ -130,6 +140,15 @@ class CombinatorDef:
     as a list, tuple or set.  It may query argument programs only at
     stages <= s.
 
+    With ``bounded`` the step also takes a keyword ``bound=None``.  Under
+    a bound b it must return every element <= b that the unbounded step
+    returns, in the same order; it may return more, since the evaluator
+    drops what lies above b.  It passes a bound to ``ev.fresh(arg, s,
+    bound)`` that keeps every argument element an output <= b can come
+    from, and stops generators whose next output lies past b.  A
+    construction without ``bounded`` needs all of its argument; bounded
+    queries of it filter its unbounded approximation.
+
     A step should react to ``ev.fresh(arg, s)``, the argument's new
     elements, and keep what it needs of earlier ones in ``state``,
     rather than rescan ``ev.approx(arg, s)`` at every stage.  The
@@ -141,17 +160,28 @@ class CombinatorDef:
 
     cid: str
     step: Callable
+    bounded: bool = False
 
 
 COMBINATORS: dict = {}
 
 
-def register_combinator(cid: str, step: Callable) -> None:
+def register_combinator(cid: str, step: Callable,
+                        bounded: bool = False) -> None:
     if cid in COMBINATORS:
         if COMBINATORS[cid].step is step:
             return  # idempotent re-registration
         raise ValueError(f"combinator {cid!r} already registered")
-    COMBINATORS[cid] = CombinatorDef(cid, step)
+    COMBINATORS[cid] = CombinatorDef(cid, step, bounded)
+
+
+def _takes_bound(term: Term) -> bool:
+    """Whether bounded queries of term keep a cell of their own, built
+    by pushing the bound into its construction."""
+    if isinstance(term, Combinator):
+        cdef = COMBINATORS.get(term.cid)
+        return cdef is None or cdef.bounded
+    return True
 
 
 def arg(args: tuple, i: int) -> Term:
@@ -181,13 +211,16 @@ class Evaluator:
     All evaluation is deterministic given (term, stage); the cache only
     memoizes it.  One evaluator instance must not be shared between
     threads.  The budget bounds the steps of each top-level call of
-    ``approx``, ``fresh`` or ``entry_stage``, nested calls included.
+    ``approx``, ``upto``, ``fresh`` or ``entry_stage``, nested calls
+    included.
     """
 
     def __init__(self, budget: Optional[int] = None):
         if budget is None:
             budget = int(os.environ.get("CELAB_STEP_BUDGET", DEFAULT_BUDGET))
         self.budget = budget
+        # term -> its cell; (term, bound) -> the cell of its elements
+        # <= bound, for the terms that take a bound
         self._cells: dict = {}
         self._steps = 0
         self._depth = 0
@@ -200,7 +233,8 @@ class Evaluator:
                 f"exceeded {self.budget} primitive steps"
             )
 
-    def _stage_elements(self, term: Term, s: int, cell: _Cell) -> Iterable:
+    def _stage_elements(self, term: Term, s: int, cell: _Cell,
+                        bound: Optional[int]) -> Iterable:
         if isinstance(term, Script):
             for stage, elems in term.entries:
                 if stage == s:
@@ -212,42 +246,57 @@ class Evaluator:
             cdef = COMBINATORS.get(term.cid)
             if cdef is None:
                 return ()
-            return cdef.step(self, term.args, term.params, s, cell.state)
+            if bound is None:
+                return cdef.step(self, term.args, term.params, s, cell.state)
+            return cdef.step(self, term.args, term.params, s, cell.state,
+                             bound=bound)
         if isinstance(term, Indexed):
             from . import numbering
             inner = cell.state.get("inner")
             if inner is None:
                 inner = numbering.decode(term.code)
                 cell.state["inner"] = inner
-            return self.fresh(inner, s)
+            return self.fresh(inner, s, bound)
         raise TypeError(f"not a program term: {term!r}")
 
-    def _advance(self, term: Term, s: int) -> _Cell:
-        cell = self._cells.get(term)
+    def _advance(self, term: Term, s: int, bound: Optional[int]) -> _Cell:
+        key = term if bound is None else (term, bound)
+        cell = self._cells.get(key)
         if cell is None:
-            cell = self._cells[term] = _Cell()
+            cell = self._cells[key] = _Cell()
         entries, order, ends = cell.entries, cell.order, cell.ends
         append = order.append
         while len(ends) <= s:
             t = len(ends)
-            elems = self._stage_elements(term, t, cell)
+            elems = self._stage_elements(term, t, cell, bound)
             # one step for the stage, one per element emitted
             self.tick(1 + len(elems))
-            for x in elems:
-                if x not in entries:
-                    entries[x] = t
-                    append(x)
+            if bound is None:
+                for x in elems:
+                    if x not in entries:
+                        entries[x] = t
+                        append(x)
+            else:
+                for x in elems:
+                    if x <= bound and x not in entries:
+                        entries[x] = t
+                        append(x)
             ends.append(len(order))
         return cell
 
-    def _run(self, term: Term, s: int) -> _Cell:
+    def _run(self, term: Term, s: int,
+             bound: Optional[int] = None) -> _Cell:
         """Advance term through stage s.  The entry point of every
-        public query: a top-level call starts a fresh step count."""
+        public query: a top-level call starts a fresh step count.  A
+        bound reaches only the terms that take one; the others keep
+        their unbounded cell, which the caller filters."""
         if self._depth == 0:
             self._steps = 0
         self._depth += 1
         try:
-            return self._advance(term, s)
+            if bound is not None and not _takes_bound(term):
+                bound = None
+            return self._advance(term, s, bound)
         finally:
             self._depth -= 1
 
@@ -258,14 +307,27 @@ class Evaluator:
         cell = self._run(term, s)
         return frozenset(cell.order[:cell.ends[s]])
 
-    def fresh(self, term: Term, s: int) -> list:
+    def upto(self, term: Term, s: int, bound: int) -> frozenset:
+        """``{x in approx(term, s) : x <= bound}``, computed only as far
+        as the bound lets the term's constructions stop."""
+        if s < 0:
+            return frozenset()
+        cell = self._run(term, s, bound)
+        return frozenset(x for x in cell.order[:cell.ends[s]] if x <= bound)
+
+    def fresh(self, term: Term, s: int,
+              bound: Optional[int] = None) -> list:
         """The elements that first appear at stage s, in entry order:
-        ``approx(term, s) - approx(term, s - 1)`` as a new list."""
+        ``approx(term, s) - approx(term, s - 1)`` as a new list, only
+        those <= bound when a bound is given."""
         if s < 0:
             return []
-        cell = self._run(term, s)
+        cell = self._run(term, s, bound)
         ends = cell.ends
-        return cell.order[ends[s - 1] if s else 0:ends[s]]
+        new = cell.order[ends[s - 1] if s else 0:ends[s]]
+        if bound is None:
+            return new
+        return [x for x in new if x <= bound]
 
     def entry_stage(self, term: Term, x: int, s: int) -> Optional[int]:
         """First stage <= s at which x appeared, or None."""

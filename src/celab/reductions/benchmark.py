@@ -58,60 +58,88 @@ def _pair_width(m: int) -> int:
 # combinator steps
 
 
-def _entered(ev, a, s, state):
+def _entered(ev, a, s, state, bound):
     """Every (element, entry stage) of the argument up to stage s."""
     entered = state.setdefault("entered", [])
-    entered.extend((x, s) for x in ev.fresh(a, s))
+    entered.extend((x, s) for x in ev.fresh(a, s, bound))
     return entered
 
 
-def _step_expand_columns(ev, args, params, s, state):
+def _step_expand_columns(ev, args, params, s, state, bound=None):
     """Element c of the argument grows the full column c, one row per
     stage from the stage c appeared."""
-    entered = _entered(ev, arg(args, 0), s, state)
+    # <c, k> >= c, and column c's next row rises with the stage: a
+    # column past the bound is done
+    entered = _entered(ev, arg(args, 0), s, state, bound)
     ev.tick(len(entered))
-    return [pair(c, s - t) for c, t in entered]
-
-
-def _step_tail_columns(ev, args, params, s, state):
-    """New element x contributes <c, x> for every column c <= x."""
-    out = []
-    for x in ev.fresh(arg(args, 0), s):
-        ev.tick(x + 1)
-        out.extend(pair(c, x) for c in range(x + 1))
+    out = [pair(c, s - t) for c, t in entered]
+    if bound is not None:
+        state["entered"] = [e for e, x in zip(entered, out) if x <= bound]
     return out
 
 
-def _step_replicate_columns(ev, args, params, s, state):
+def _step_tail_columns(ev, args, params, s, state, bound=None):
+    """New element x contributes <c, x> for every column c <= x."""
+    out = []
+    if bound is None:
+        for x in ev.fresh(arg(args, 0), s):
+            ev.tick(x + 1)
+            out.extend(pair(c, x) for c in range(x + 1))
+        return out
+    # <c, x> >= x and rises with c: the row stops at the bound
+    for x in ev.fresh(arg(args, 0), s, bound):
+        for c in range(x + 1):
+            ev.tick()
+            out.append(pair(c, x))
+            if out[-1] > bound:
+                break
+    return out
+
+
+def _step_replicate_columns(ev, args, params, s, state, bound=None):
     """Every column of the output converges to the argument set."""
-    entered = _entered(ev, arg(args, 0), s, state)
+    # <c, k> >= k, and row k's next column rises with the stage: a row
+    # past the bound is done
+    entered = _entered(ev, arg(args, 0), s, state, bound)
     ev.tick(len(entered))
-    return [pair(s - t, k) for k, t in entered]
+    out = [pair(s - t, k) for k, t in entered]
+    if bound is not None:
+        state["entered"] = [e for e, x in zip(entered, out) if x <= bound]
+    return out
 
 
 def _block_kind(params) -> str:
     return "weight" if param(params, 0) == 1 else "dyadic"
 
 
-def _step_block_union(ev, args, params, s, state):
-    """Element n of the argument grows the n-th block, one value per
-    stage, in increasing order."""
-    kind = _block_kind(params)
-    gens = state.setdefault("gens", {})  # n -> [next value, block end]
-    for n in ev.fresh(arg(args, 0), s):
-        gens[n] = list(block_bounds(kind, n))
+def _run_progressions(ev, gens: dict) -> list:
+    """Emit the next value of every generator [next, end, step] and
+    drop the generators that are done."""
     ev.tick(len(gens))
     out = []
-    for n, gen in list(gens.items()):
+    for key, gen in list(gens.items()):
         if gen[0] < gen[1]:
             out.append(gen[0])
-            gen[0] += 1
+            gen[0] += gen[2]
         else:
-            del gens[n]  # block complete
+            del gens[key]
     return out
 
 
-def _step_scaled_blocks(ev, args, params, s, state):
+def _step_block_union(ev, args, params, s, state, bound=None):
+    """Element n of the argument grows the n-th block, one value per
+    stage, in increasing order."""
+    # block n starts at or past n and its values rise: a block stops
+    # at the bound
+    kind = _block_kind(params)
+    gens = state.setdefault("gens", {})
+    for n in ev.fresh(arg(args, 0), s, bound):
+        lo, hi = block_bounds(kind, n)
+        gens[n] = [lo, hi if bound is None else min(hi, bound + 1), 1]
+    return _run_progressions(ev, gens)
+
+
+def _step_scaled_blocks(ev, args, params, s, state, bound=None):
     """Interleave the dyadic-block images of the argument's columns
     into geometrically thinning residue classes.
 
@@ -119,22 +147,20 @@ def _step_scaled_blocks(ev, args, params, s, state):
     v2(x+1) = c; the row k in column c grows the image of the k-th
     dyadic block there, one value per stage.
     """
+    # the image of <c, k> starts at 2^c - 1 + 2^(c+k+1) >= <c, k> and
+    # rises: an image stops at the bound
     gens = state.setdefault("gens", {})
-    for z in ev.fresh(arg(args, 0), s):
+    for z in ev.fresh(arg(args, 0), s, bound):
         c, k = unpair(z)
-        gens[(c, k)] = 1 << k
-    ev.tick(len(gens))
-    out = []
-    for (c, k), r in list(gens.items()):
-        if r < 1 << (k + 1):
-            out.append((1 << c) - 1 + r * (1 << (c + 1)))
-            gens[(c, k)] = r + 1
-        else:
-            del gens[(c, k)]  # block complete
-    return out
+        step = 1 << (c + 1)
+        lo = (1 << c) - 1
+        hi = lo + (step << (k + 1))
+        gens[z] = [lo + (step << k), hi if bound is None
+                   else min(hi, bound + 1), step]
+    return _run_progressions(ev, gens)
 
 
-def _step_prefixed_columns(ev, args, params, s, state):
+def _step_prefixed_columns(ev, args, params, s, state, bound=None):
     """Output column <n, m> holds n ones, a zero, the m-th binary
     string, then column n of the argument beyond the string's length.
 
@@ -142,16 +168,20 @@ def _step_prefixed_columns(ev, args, params, s, state):
     emitted at once, its tail follows the argument's column n.
     """
     active = state.setdefault("active", {})   # n -> [(m, |s_m|)]
-    rows = state.setdefault("rows", {})       # n -> set of known rows
+    rows = state.setdefault("rows", {})       # n -> known rows
     out = []
-    # route new argument elements to active generators
-    for z in ev.fresh(arg(args, 0), s):
+    # route new argument elements to active generators; the row
+    # <<n, m>, n + 1 + k> it gives <n, k> is >= <n, k>
+    for z in ev.fresh(arg(args, 0), s, bound):
         n, k = unpair(z)
-        rows.setdefault(n, set()).add(k)
+        rows.setdefault(n, []).append(k)
         for gm, slen in active.get(n, ()):
             if k >= slen:
                 ev.tick()
                 out.append(pair(pair(n, gm), n + 1 + k))
+    # every output of generator <n, m> = s is a pair <s, y> >= <s, 0>
+    if bound is not None and pair(s, 0) > bound:
+        return out
     # activate the next generator
     n, m = unpair(s)
     word = string_of(m)
@@ -170,18 +200,22 @@ def _step_prefixed_columns(ev, args, params, s, state):
     return out
 
 
-def _step_prefix_family(ev, args, params, s, state):
+def _step_prefix_family(ev, args, params, s, state, bound=None):
     """Output column m holds the m-th binary string, then the argument
     set beyond the string's length."""
     active = state.setdefault("active", {})  # m -> |s_m|
-    known = state.setdefault("known", set())
+    known = state.setdefault("known", [])
     out = []
-    for x in ev.fresh(arg(args, 0), s):
-        known.add(x)
+    # <m, x> >= x
+    for x in ev.fresh(arg(args, 0), s, bound):
+        known.append(x)
         for m, slen in active.items():
             if x >= slen:
                 ev.tick()
                 out.append(pair(m, x))
+    # column m = s opens now, and <m, y> >= <m, 0>
+    if bound is not None and pair(s, 0) > bound:
+        return out
     m = s
     word = string_of(m)
     active[m] = len(word)
@@ -196,13 +230,15 @@ def _step_prefix_family(ev, args, params, s, state):
     return out
 
 
-register_combinator("expand_columns", _step_expand_columns)
-register_combinator("tail_columns", _step_tail_columns)
-register_combinator("replicate_columns", _step_replicate_columns)
-register_combinator("block_union", _step_block_union)
-register_combinator("scaled_blocks", _step_scaled_blocks)
-register_combinator("prefixed_columns", _step_prefixed_columns)
-register_combinator("prefix_family", _step_prefix_family)
+register_combinator("expand_columns", _step_expand_columns, bounded=True)
+register_combinator("tail_columns", _step_tail_columns, bounded=True)
+register_combinator("replicate_columns", _step_replicate_columns,
+                    bounded=True)
+register_combinator("block_union", _step_block_union, bounded=True)
+register_combinator("scaled_blocks", _step_scaled_blocks, bounded=True)
+register_combinator("prefixed_columns", _step_prefixed_columns,
+                    bounded=True)
+register_combinator("prefix_family", _step_prefix_family, bounded=True)
 
 
 # ---------------------------------------------------------------------------

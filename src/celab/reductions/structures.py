@@ -20,7 +20,7 @@ from ..relations import (
     ClassKey, NceTuple, column_family_key, digraph_canonical, many_one_key,
     one_equivalence_key, nce_value,
 )
-from ..nce import nce_stage_value
+from ..nce import fold_point, nce_stage_value
 from .benchmark import eqce_to_e0
 from . import (
     Built, Reduction, register_reduction, register_mutant,
@@ -152,7 +152,19 @@ def _step_perm_copies(ev, args, params, s, state):
 def _step_level_columns(ev, args, params, s, state):
     """Column k of the output grows at exactly the stages where k lies
     in the running difference/union fold of the arguments."""
-    cur = nce_stage_value(ev, args, s)
+    seen = state.setdefault("seen", [set() for _ in args])
+    cur = state.setdefault("fold", set())
+    # only the points new in some argument can change their fold value
+    new = set()
+    for a, have in zip(args, seen):
+        for x in ev.fresh(a, s):
+            have.add(x)
+            new.add(x)
+    for x in new:
+        if fold_point(x in have for have in seen):
+            cur.add(x)
+        else:
+            cur.discard(x)
     out = []
     for k in cur:
         ev.tick()
@@ -399,13 +411,12 @@ def _validate_nce_embed(ev, built, payload, window):
     issues = []
     limit = nce_value(payload.parts + (EMPTY,))
     s1 = built.settle(window)
-    got = {x for x in nce_stage_value(ev, built.parts, s1) if x <= window}
+    got = nce_stage_value(ev, built.parts, s1, window)
     want = {x for x in range(window + 1) if limit.member(x)}
     if got != want:
         issues.append(f"fold window diff +{sorted(got - want)[:5]}"
                       f" -{sorted(want - got)[:5]}")
-    later = {x for x in nce_stage_value(ev, built.parts, s1 + 20)
-             if x <= window}
+    later = nce_stage_value(ev, built.parts, s1 + 20, window)
     if later != got:
         issues.append("fold value still moving after the settle bound")
     return issues

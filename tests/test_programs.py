@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401  (registers combinators)
-from celab.descriptors import Progression, compile_descriptor
+from celab.descriptors import Cofinite, Progression, compile_descriptor
 from celab.pairing import pair
 from celab.numbering import decode as program_from_code, encode as program_code
 from celab.programs import (COMBINATORS, BudgetExceeded, Combinator,
@@ -78,9 +78,10 @@ def test_decoded_terms_grow_with_the_stage(code):
 
 @pytest.mark.parametrize("query", [
     lambda ev, term: ev.approx(term, 300),
+    lambda ev, term: ev.upto(term, 300, 10 ** 9),
     lambda ev, term: ev.fresh(term, 300),
     lambda ev, term: ev.entry_stage(term, 0, 300),
-], ids=["approx", "fresh", "entry_stage"])
+], ids=["approx", "upto", "fresh", "entry_stage"])
 def test_budget_bounds_every_entry_point(query):
     term = Combinator("expand_columns", (FullColumnOf(0),), ())
     with pytest.raises(BudgetExceeded):
@@ -116,3 +117,20 @@ def test_steps_grow_linearly_with_the_stage(cid):
     a = compile_descriptor(Progression(3, 7)).term
     term = Combinator(cid, (a,))
     assert _ticks(term, 400) / _ticks(term, 200) <= 2.3
+
+
+def _upto_ticks(term, s: int, bound: int) -> int:
+    ev = Evaluator()
+    ev.upto(term, s, bound)
+    return ev._steps
+
+
+@pytest.mark.parametrize(
+    "cid", sorted(cid for cid, d in COMBINATORS.items() if d.bounded))
+def test_bounded_steps_grow_linearly_with_the_stage(cid):
+    """Under a bound, a construction that takes one stops its
+    generators at the bound, so past it every stage costs a constant,
+    even where its unbounded output grows superlinearly."""
+    a = compile_descriptor(Cofinite(frozenset({0, 2, 3}))).term
+    term = Combinator(cid, (a,))
+    assert _upto_ticks(term, 400, 64) / _upto_ticks(term, 200, 64) <= 2.3

@@ -3,9 +3,12 @@
 ``ReferenceEvaluator`` is the evaluator as it was before ``fresh``: one
 dict per term from element to first stage, every approximation filtered
 out of that dict, ``fresh`` and ``Indexed`` computed as the difference of
-two full approximations.  Both evaluators run the same registered steps,
-so they must agree on every approximation and entry stage, and the
-incremental one may never charge more steps.
+two full approximations, and a bound applied by filtering them.  Both
+evaluators run the same registered steps, so they must agree on every
+approximation and entry stage, and the incremental one may never charge
+more steps.  Under a bound the incremental evaluator pushes the bound
+into the constructions that take one; it must still give exactly the
+filtered sets, in the unbounded entry order, at no more steps.
 """
 
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401  (registers combinators)
 from celab.descriptors import Cofinite, Finite, Progression, compile_descriptor
+from celab.nce import nce_stage_value
 from celab.numbering import decode, encode
 from celab.pairing import pair
 from celab.programs import (COMBINATORS, DEFAULT_BUDGET, BudgetExceeded,
@@ -79,8 +83,14 @@ class ReferenceEvaluator:
         t = self._advance(term, s)["entries"].get(x)
         return t if t is not None and t <= s else None
 
-    def fresh(self, term, s):
-        return self.approx(term, s) - self.approx(term, s - 1)
+    def upto(self, term, s, bound):
+        return frozenset(x for x in self.approx(term, s) if x <= bound)
+
+    def fresh(self, term, s, bound=None):
+        new = self.approx(term, s) - self.approx(term, s - 1)
+        if bound is None:
+            return new
+        return frozenset(x for x in new if x <= bound)
 
 
 def assert_agree(term, stages=S):
@@ -97,6 +107,20 @@ def assert_agree(term, stages=S):
         for x in got:
             assert new.entry_stage(term, x, s) == ref.entry_stage(term, x, s)
         prev = got
+
+
+def assert_bound_agrees(term, bound, stages=S):
+    full, cut, ref = Evaluator(), Evaluator(), ReferenceEvaluator()
+    for s in range(stages + 1):
+        want = full.approx(term, s)
+        full_ticks = full._steps
+        got = cut.upto(term, s, bound)
+        assert got == {x for x in want if x <= bound}, f"stage {s}"
+        assert cut._steps <= full_ticks, f"stage {s}"
+        assert got == ref.upto(term, s, bound), f"stage {s}"
+        new = cut.fresh(term, s, bound)
+        assert new == [x for x in full.fresh(term, s) if x <= bound]
+        assert set(new) == ref.fresh(term, s, bound), f"stage {s}"
 
 
 ARGUMENTS = {
@@ -118,11 +142,29 @@ def test_every_combinator_agrees_with_the_reference(cid, name):
     term = Combinator(cid, args, params)
     assert_agree(term)
     assert_agree(Indexed(encode(term)))
+    for bound in (21, 62):
+        assert_bound_agrees(term, bound)
+        assert_bound_agrees(Indexed(encode(term)), bound)
+
+
+def test_level_columns_follow_the_fold_of_whole_approximations():
+    # 4 enters the fold at stage 4, leaves it at 10 and is back at 15
+    parts = (compile_descriptor(Cofinite(frozenset({0, 2, 3}))).term,
+             script([(10, {4}), (12, {1})]), script([(15, {4})]))
+    ev, ref = Evaluator(), ReferenceEvaluator()
+    term = Combinator("level_columns", parts)
+    want = set()
+    for s in range(S + 1):
+        want |= {pair(k, s) for k in nce_stage_value(ref, parts, s) if k <= s}
+        assert ev.approx(term, s) == want, f"stage {s}"
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=2 * 10 ** 5))
-def test_decoded_terms_agree_with_the_reference(code):
+@given(st.integers(min_value=0, max_value=2 * 10 ** 5),
+       st.integers(min_value=0, max_value=200))
+def test_decoded_terms_agree_with_the_reference(code, bound):
     # codes this small decode to terms with small elements and
     # parameters, so no factorial or block size blows up within S stages
     assert_agree(decode(code), stages=12)
+    assert_bound_agrees(decode(code), bound, stages=12)
+    assert_bound_agrees(Indexed(code), bound, stages=12)
