@@ -431,10 +431,16 @@ def analyze(d: Descriptor) -> Analysis:
     out = _ANALYSIS_CACHE.get(d)
     if out is None:
         out = _analyze(d)
+        if len(_ANALYSIS_CACHE) >= ANALYSIS_CACHE_CAP:
+            _ANALYSIS_CACHE.clear()
         _ANALYSIS_CACHE[d] = out
     return out
 
 
+# A long run meets new descriptors without end (every corpus draws
+# fresh ones), so the cache is emptied when it reaches the cap.  The
+# cap is about twice what the criterion-1 sweep keeps after set-up.
+ANALYSIS_CACHE_CAP = 1 << 14
 _ANALYSIS_CACHE: dict = {}
 
 
@@ -727,13 +733,11 @@ class Compiled:
     """A program realizing a descriptor, with settlement data.
 
     ``settle(M)`` is a stage past which approx agrees with the
-    descriptor on [0, M].  ``total_settle`` is a stage past which the
-    whole (finite) set is enumerated, or None for infinite sets.
+    descriptor on [0, M].
     """
 
     term: object
     settle: object  # Callable[[int], int]
-    total_settle: Optional[int] = None
 
 
 def _step_from_descriptor(ev, args, params, s, state, bound=None):
@@ -771,15 +775,8 @@ def compile_descriptor(d: Descriptor, delay: int = 0,
             rng.shuffle(elems)
         entries = [(delay + i, {x}) for i, x in enumerate(elems)]
         last = delay + len(elems)
-        return Compiled(script(entries), lambda M: last, total_settle=last)
+        return Compiled(script(entries), lambda M: last)
 
     term = Combinator("from_descriptor",
                       params=(encode_descriptor(d), delay))
-    total = None
-    try:
-        ana = analyze(d)
-        if isinstance(ana, EP) and ana.is_finite:
-            total = (max(ana.elements()) if ana.elements() else 0) + delay + 1
-    except UnsupportedDescriptor:
-        pass
-    return Compiled(term, lambda M: M + delay + 1, total_settle=total)
+    return Compiled(term, lambda M: M + delay + 1)

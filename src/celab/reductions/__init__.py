@@ -28,6 +28,7 @@ from ..descriptors import (
     Descriptor, Finite, Cofinite, Progression, Union, Difference,
     ColumnsBySet, OverrideColumns, FULL, analyze, compile_descriptor, member,
 )
+from ..programs import Combinator
 
 
 @dataclass
@@ -35,10 +36,10 @@ class Built:
     """A constructed program plus what we know about it.
 
     ``settle(M)`` bounds the stage at which the program agrees with its
-    limit on [0, M].  ``member(x)`` is the predicted limit membership
-    (None when the limit is schedule-dependent and a custom validator
-    applies).  ``parts`` carries auxiliary terms for multi-program
-    constructions.
+    limit on [0, M].  ``member(x)`` is the limit membership, set only
+    for images whose prediction is a class key (a set or a cut states
+    its own membership; a custom validator needs none).  ``parts``
+    carries auxiliary terms for multi-program constructions.
     """
 
     term: object
@@ -100,12 +101,7 @@ def without_minimum(d: Descriptor) -> Descriptor:
 
 def mutated(red: Reduction, build) -> Reduction:
     """A copy of a reduction with a broken build (for mutation runs)."""
-    return Reduction(
-        name=red.name, source=red.source, target=red.target, build=build,
-        predict=red.predict, gen_case=red.gen_case, window=red.window,
-        validator=red.validator, payload_kind=red.payload_kind,
-        combinator=red.combinator, doc=red.doc,
-    )
+    return replace(red, build=build)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +196,9 @@ def gen_pair_columns(rng, hi: int = 20):
 def compile_arg(payload: Descriptor, rng):
     """Compile a source payload with a randomized enumeration schedule.
 
-    Returns (term, settle, delay).  Randomizing the delay (and using
-    plain scripts for small finite sets) keeps corpora honest about
-    schedule independence.
+    Returns (term, settle).  Randomizing the delay (and using plain
+    scripts for small finite sets) keeps corpora honest about schedule
+    independence.
     """
     delay = rng.randrange(4) if rng is not None else 0
     try:
@@ -213,6 +209,23 @@ def compile_arg(payload: Descriptor, rng):
     if finite and rng is not None and rng.random() < 0.4:
         built = compile_descriptor(payload, delay=delay, as_script=True,
                                    rng=rng)
-        return built.term, built.settle, delay
+        return built.term, built.settle
     built = compile_descriptor(payload, delay=delay)
-    return built.term, built.settle, delay
+    return built.term, built.settle
+
+
+def one_arg_build(cid: str, settle, params: tuple = (), member=None):
+    """The build of a one-argument construction: combinator ``cid``
+    applied to the payload compiled by ``compile_arg``.
+
+    ``settle(payload, sa, M)`` bounds the image's settle stage on
+    [0, M], given the argument's settle function ``sa``.
+    ``member(payload)``, for images whose prediction is a class key,
+    gives the limit membership.
+    """
+    def build(payload, rng=None):
+        term, sa = compile_arg(payload, rng)
+        return Built(Combinator(cid, (term,), params),
+                     lambda M: settle(payload, sa, M),
+                     member(payload) if member else None)
+    return build

@@ -19,15 +19,15 @@ import heapq
 import math
 from fractions import Fraction
 
-from ..programs import Combinator, register_combinator, arg, param
+from ..programs import register_combinator, arg, param
 from ..descriptors import (
-    Descriptor, Finite, Progression, EMPTY, FULL, analyze, member,
+    Descriptor, Finite, Progression, EMPTY, FULL, analyze,
 )
 from ..orders import rational_from_code
 from ..relations import ClassKey, QCut
 from . import (
-    Built, Reduction, register_reduction, register_mutant,
-    gen_pair_1d, compile_arg, perturbed, adding, without_minimum,
+    Reduction, register_reduction, register_mutant,
+    gen_pair_1d, one_arg_build, perturbed, adding, without_minimum,
 )
 
 
@@ -261,23 +261,30 @@ def _max_info(payload):
 
 
 # ---------------------------------------------------------------------------
+# settle bounds shared by several builds
+
+
+def _max_settle(trim):
+    """For constructions that follow the running maximum: the maximum
+    of a finite set is in by sa(maximum); an unbounded set's first
+    member >= M + trim, by sa of it, takes the image past [0, M]."""
+    def settle(payload, sa, M):
+        empty, finite, mx = _max_info(payload)
+        if empty:
+            return M + 2
+        w = mx if finite else analyze(payload).min(at_least=M + trim)
+        return sa(w) + 2
+    return settle
+
+
+def _upward_settle(payload, sa, M):
+    """The cone is filled up to M one value per stage."""
+    m = _min_of(payload)
+    return sa(M if m is None else m) + M + 2
+
+
+# ---------------------------------------------------------------------------
 # saturations (schedule independent)
-
-
-def _build_saturate_up(offset=0):
-    def build(payload, rng=None):
-        term_a, sa, _ = compile_arg(payload, rng)
-        term = Combinator("saturate_up", (term_a,),
-                          (offset,) if offset else ())
-        m = _min_of(payload)
-        image = EMPTY if m is None else Progression(m + offset, 1)
-
-        def settle(M):
-            base = sa(m) if m is not None else sa(M)
-            return base + M + 2
-
-        return Built(term, settle, lambda x: member(image, x))
-    return build
 
 
 def _upward_image(payload) -> Descriptor:
@@ -287,14 +294,13 @@ def _upward_image(payload) -> Descriptor:
 
 saturate_up = register_reduction(Reduction(
     name="saturate_up", source="e_min", target="eq_ce",
-    build=_build_saturate_up(),
+    build=one_arg_build("saturate_up", _upward_settle),
     predict=_upward_image,
     gen_case=gen_pair_1d,
     window=256,
     combinator="saturate_up",
     doc="sets with equal minima saturate to the same upward cone",
 ))
-register_mutant("saturate_up", "excludes-minimum", _build_saturate_up(1))
 
 
 def _downward_image(payload) -> Descriptor:
@@ -306,22 +312,7 @@ def _downward_image(payload) -> Descriptor:
     return Finite(frozenset(range(mx + 1)))
 
 
-def _build_saturate_down(payload, rng=None):
-    term_a, sa, _ = compile_arg(payload, rng)
-    term = Combinator("saturate_down", (term_a,))
-    image = _downward_image(payload)
-    empty, finite, mx = _max_info(payload)
-
-    def settle(M):
-        if empty:
-            return M + 2
-        w = mx if finite else analyze(payload).min(at_least=M)
-        if w is None:
-            w = M
-        return sa(w) + 2
-
-    return Built(term, settle, lambda x: member(image, x))
-
+_build_saturate_down = one_arg_build("saturate_down", _max_settle(0))
 
 saturate_down = register_reduction(Reduction(
     name="saturate_down", source="e_max", target="eq_ce",
@@ -358,23 +349,8 @@ def _cut_image(payload) -> Descriptor:
     return Finite(frozenset(range(mx)))
 
 
-def _build_cut_below(payload, rng=None):
-    """The cut {x : x < max} is the initial segment [0, max - 1]."""
-    term_a, sa, _ = compile_arg(payload, rng)
-    term = Combinator("saturate_down", (term_a,), (1,))
-    image = _cut_image(payload)
-    empty, finite, mx = _max_info(payload)
-
-    def settle(M):
-        if empty:
-            return M + 2
-        w = mx if finite else analyze(payload).min(at_least=M + 1)
-        if w is None:
-            w = M + 1
-        return sa(w) + 2
-
-    return Built(term, settle, lambda x: member(image, x))
-
+# the cut {x : x < max} is the initial segment [0, max - 1]
+_build_cut_below = one_arg_build("saturate_down", _max_settle(1), (1,))
 
 cut_omega = register_reduction(Reduction(
     name="cut_omega", source="el_omega", target="eq_ce",
@@ -414,26 +390,9 @@ def _hull_image(payload) -> Descriptor:
     return Finite(frozenset(range(m, ana.max() + 1)))
 
 
-def _build_interval_hull(payload, rng=None):
-    term_a, sa, _ = compile_arg(payload, rng)
-    term = Combinator("interval_hull", (term_a,))
-    image = _hull_image(payload)
-    ana = analyze(payload)
-
-    def settle(M):
-        if ana.is_empty:
-            return M + 2
-        w = ana.max() if ana.is_finite else ana.min(at_least=M)
-        if w is None:
-            w = M
-        return sa(max(w, ana.min())) + 2
-
-    return Built(term, settle, lambda x: member(image, x))
-
-
 hull_omega = register_reduction(Reduction(
     name="hull_omega", source="h_omega", target="eq_ce",
-    build=_build_interval_hull,
+    build=one_arg_build("interval_hull", _max_settle(0)),
     predict=_hull_image,
     gen_case=gen_pair_1d,
     window=256,
@@ -441,7 +400,7 @@ hull_omega = register_reduction(Reduction(
     doc="replace a set by its convex hull in the order omega",
 ))
 register_mutant("hull_omega", "drops-minimum",
-                perturbed(_build_interval_hull, without_minimum))
+                perturbed(hull_omega.build, without_minimum))
 
 
 def _upper_cone_image(payload) -> Descriptor:
@@ -451,7 +410,7 @@ def _upper_cone_image(payload) -> Descriptor:
 
 emin_to_homega = register_reduction(Reduction(
     name="emin_to_homega", source="e_min", target="h_omega",
-    build=_build_saturate_up(offset=1),
+    build=one_arg_build("saturate_up", _upward_settle, (1,)),
     predict=_upper_cone_image,
     gen_case=gen_pair_1d,
     window=256,
@@ -461,6 +420,8 @@ emin_to_homega = register_reduction(Reduction(
 ))
 register_mutant("emin_to_homega", "drops-minimum",
                 perturbed(emin_to_homega.build, without_minimum))
+# the strict cone misses the minimum
+register_mutant("saturate_up", "excludes-minimum", emin_to_homega.build)
 
 
 # ---------------------------------------------------------------------------
@@ -476,36 +437,16 @@ def _qcut_of_max(payload) -> QCut:
     return QCut(Fraction(mx - 1))
 
 
-def _build_rational_cut(payload, rng=None):
-    term_a, sa, _ = compile_arg(payload, rng)
-    term = Combinator("rational_cut", (term_a,))
-    cut = _qcut_of_max(payload)
+def _rational_cut_settle(payload, sa, M):
     empty, finite, mx = _max_info(payload)
-
-    def mem(c):
-        if cut.bound == -math.inf:
-            return False
-        if cut.bound == math.inf:
-            return True
-        return rational_from_code(c) < cut.bound
-
-    def settle(M):
-        if empty:
-            return M + 2
-        if finite:
-            w = mx
-        else:
-            # a witness above every rational with code <= M
-            top = max(
-                (rational_from_code(c) for c in range(M + 1)),
-                default=Fraction(0),
-            )
-            w = analyze(payload).min(at_least=math.ceil(top) + 2)
-        if w is None:
-            w = M
-        return sa(w) + M + 2
-
-    return Built(term, settle, mem)
+    if empty:
+        return M + 2
+    if finite:
+        return sa(mx) + M + 2
+    # a witness above every rational with code <= M
+    top = max((rational_from_code(c) for c in range(M + 1)),
+              default=Fraction(0))
+    return sa(analyze(payload).min(at_least=math.ceil(top) + 2)) + M + 2
 
 
 def _gen_pair_small(rng):
@@ -516,7 +457,7 @@ def _gen_pair_small(rng):
 
 omega_into_rationals = register_reduction(Reduction(
     name="omega_into_rationals", source="el_omega", target="eq_ce",
-    build=_build_rational_cut,
+    build=one_arg_build("rational_cut", _rational_cut_settle),
     predict=_qcut_of_max,
     gen_case=_gen_pair_small,
     window=96,
@@ -524,38 +465,29 @@ omega_into_rationals = register_reduction(Reduction(
     doc="embed cuts of the order omega into cuts of the rationals",
 ))
 register_mutant("omega_into_rationals", "adds-seven",
-                perturbed(_build_rational_cut, adding(7)))
+                perturbed(omega_into_rationals.build, adding(7)))
 
 
 def _triadic_sum(payload) -> Fraction:
     return analyze(payload).triadic_sum()
 
 
-def _build_triadic_cut(payload, rng=None):
-    term_a, sa, _ = compile_arg(payload, rng)
-    term = Combinator("triadic_cut", (term_a,))
+def _triadic_cut_settle(payload, sa, M):
     total = _triadic_sum(payload)
-
-    def mem(c):
-        return rational_from_code(c) < total
-
-    def settle(M):
-        gaps = [total - rational_from_code(c) for c in range(M + 1)
-                if rational_from_code(c) < total]
-        if not gaps:
-            return M + 2
-        need = min(gaps)
-        n = 0
-        while Fraction(3, 2) * Fraction(1, 3 ** (n + 2)) >= need:
-            n += 1
-        return sa(n) + M + 2
-
-    return Built(term, settle, mem)
+    gaps = [total - rational_from_code(c) for c in range(M + 1)
+            if rational_from_code(c) < total]
+    if not gaps:
+        return M + 2
+    need = min(gaps)
+    n = 0
+    while Fraction(3, 2) * Fraction(1, 3 ** (n + 2)) >= need:
+        n += 1
+    return sa(n) + M + 2
 
 
 eqce_to_eQ = register_reduction(Reduction(
     name="eqce_to_eQ", source="eq_ce", target="eq_ce",
-    build=_build_triadic_cut,
+    build=one_arg_build("triadic_cut", _triadic_cut_settle),
     predict=lambda payload: QCut(_triadic_sum(payload)),
     gen_case=gen_pair_1d,
     window=96,
@@ -564,19 +496,17 @@ eqce_to_eQ = register_reduction(Reduction(
         " base-3 sums",
 ))
 register_mutant("eqce_to_eQ", "adds-zero",
-                perturbed(_build_triadic_cut, adding(0)))
+                perturbed(eqce_to_eQ.build, adding(0)))
 
 
 # ---------------------------------------------------------------------------
 # invariant streams (schedule dependent; semantic validators)
 
 
-def _build_min_factorials(payload, rng=None):
-    term_a, sa, _ = compile_arg(payload, rng)
-    term = Combinator("min_factorials", (term_a,))
+def _min_settle(payload, sa, M):
+    """The running minimum settles by sa(minimum)."""
     m = _min_of(payload)
-    settle = (lambda M: M + 2) if m is None else (lambda M: sa(m) + 2)
-    return Built(term, settle)
+    return M + 2 if m is None else sa(m) + 2
 
 
 def _validate_min_factorials(ev, built, payload, window):
@@ -596,13 +526,15 @@ def _validate_min_factorials(ev, built, payload, window):
     return issues
 
 
+def _min_gcd_key(payload) -> ClassKey:
+    m = _min_of(payload)
+    return ClassKey("e_gcd", math.inf if m is None else _fact(m + 2))
+
+
 min_to_gcd = register_reduction(Reduction(
     name="min_to_gcd", source="e_min", target="e_gcd",
-    build=_build_min_factorials,
-    predict=lambda payload: ClassKey(
-        "e_gcd",
-        math.inf if _min_of(payload) is None
-        else _fact(_min_of(payload) + 2)),
+    build=one_arg_build("min_factorials", _min_settle),
+    predict=_min_gcd_key,
     gen_case=lambda rng: gen_pair_1d(rng, hi=18),
     window=64,
     validator=_validate_min_factorials,
@@ -611,20 +543,14 @@ min_to_gcd = register_reduction(Reduction(
         " of the true minimum",
 ))
 register_mutant("min_to_gcd", "drops-minimum",
-                perturbed(_build_min_factorials, without_minimum))
+                perturbed(min_to_gcd.build, without_minimum))
 
 
-def _build_stage_gcds(payload, rng=None):
-    term_a, sa, _ = compile_arg(payload, rng)
-    term = Combinator("stage_gcds", (term_a,))
+def _stage_gcds_settle(payload, sa, M):
     ana = analyze(payload)
-    g = ana.gcd_value()
-    if g is math.inf:
-        settle = lambda M: M + 2
-    else:
-        w = ana.gcd_witness()
-        settle = lambda M: sa(w) + 2
-    return Built(term, settle)
+    if ana.gcd_value() is math.inf:
+        return M + 2
+    return sa(ana.gcd_witness()) + 2
 
 
 def _validate_stage_gcds(ev, built, payload, window):
@@ -643,13 +569,15 @@ def _validate_stage_gcds(ev, built, payload, window):
     return issues
 
 
+def _gcd_min_key(payload) -> ClassKey:
+    g = analyze(payload).gcd_value()
+    return ClassKey("e_min", ("empty",) if g is math.inf else ("min", g))
+
+
 gcd_to_min = register_reduction(Reduction(
     name="gcd_to_min", source="e_gcd", target="e_min",
-    build=_build_stage_gcds,
-    predict=lambda payload: ClassKey(
-        "e_min",
-        ("empty",) if analyze(payload).gcd_value() is math.inf
-        else ("min", analyze(payload).gcd_value())),
+    build=one_arg_build("stage_gcds", _stage_gcds_settle),
+    predict=_gcd_min_key,
     gen_case=lambda rng: gen_pair_1d(rng, hi=18),
     window=64,
     validator=_validate_stage_gcds,
@@ -657,23 +585,7 @@ gcd_to_min = register_reduction(Reduction(
     doc="emit the running gcds; their minimum is the true gcd",
 ))
 register_mutant("gcd_to_min", "adds-one",
-                perturbed(_build_stage_gcds, adding(1)))
-
-
-def _build_max_factorials(payload, rng=None):
-    term_a, sa, _ = compile_arg(payload, rng)
-    term = Combinator("max_factorials", (term_a,))
-    empty, finite, mx = _max_info(payload)
-
-    def settle(M):
-        if empty:
-            return M + 2
-        w = mx if finite else analyze(payload).min(at_least=M)
-        if w is None:
-            w = M
-        return sa(w) + 2
-
-    return Built(term, settle)
+                perturbed(gcd_to_min.build, adding(1)))
 
 
 def _validate_max_factorials(ev, built, payload, window):
@@ -697,13 +609,16 @@ def _validate_max_factorials(ev, built, payload, window):
     return issues
 
 
+def _max_lcm_key(payload) -> ClassKey:
+    empty, finite, mx = _max_info(payload)
+    return ClassKey("e_lcm", 1 if empty
+                    else _fact(mx + 2) if finite else math.inf)
+
+
 max_to_lcm = register_reduction(Reduction(
     name="max_to_lcm", source="e_max", target="e_lcm",
-    build=_build_max_factorials,
-    predict=lambda payload: ClassKey("e_lcm", (
-        1 if _max_info(payload)[0]
-        else (math.inf if not _max_info(payload)[1]
-              else _fact(_max_info(payload)[2] + 2)))),
+    build=one_arg_build("max_factorials", _max_settle(0)),
+    predict=_max_lcm_key,
     gen_case=lambda rng: gen_pair_1d(rng, hi=18),
     window=64,
     validator=_validate_max_factorials,
@@ -712,23 +627,14 @@ max_to_lcm = register_reduction(Reduction(
         " of the true maximum",
 ))
 register_mutant("max_to_lcm", "adds-nineteen",
-                perturbed(_build_max_factorials, adding(19)))
+                perturbed(max_to_lcm.build, adding(19)))
 
 
-def _build_stage_lcms(payload, rng=None):
-    term_a, sa, _ = compile_arg(payload, rng)
-    term = Combinator("stage_lcms", (term_a,))
+def _stage_lcms_settle(payload, sa, M):
     ana = analyze(payload)
-    l = ana.lcm_value()
-
-    def settle(M):
-        if l is math.inf:
-            w = ana.min(at_least=M + 1)
-            return sa(w if w is not None else M) + 2
-        w = 0 if ana.is_empty else ana.max()
-        return sa(w) + 2
-
-    return Built(term, settle)
+    if ana.lcm_value() is math.inf:
+        return sa(ana.min(at_least=M + 1)) + 2
+    return sa(0 if ana.is_empty else ana.max()) + 2
 
 
 def _validate_stage_lcms(ev, built, payload, window):
@@ -747,12 +653,15 @@ def _validate_stage_lcms(ev, built, payload, window):
     return issues
 
 
+def _lcm_max_key(payload) -> ClassKey:
+    l = analyze(payload).lcm_value()
+    return ClassKey("e_max", ("inf",) if l is math.inf else ("max", l))
+
+
 lcm_to_max = register_reduction(Reduction(
     name="lcm_to_max", source="e_lcm", target="e_max",
-    build=_build_stage_lcms,
-    predict=lambda payload: ClassKey("e_max", (
-        ("inf",) if analyze(payload).lcm_value() is math.inf
-        else ("max", analyze(payload).lcm_value()))),
+    build=one_arg_build("stage_lcms", _stage_lcms_settle),
+    predict=_lcm_max_key,
     gen_case=lambda rng: gen_pair_1d(rng, hi=18),
     window=64,
     validator=_validate_stage_lcms,
@@ -760,52 +669,39 @@ lcm_to_max = register_reduction(Reduction(
     doc="emit the running lcms; their maximum is the true lcm",
 ))
 register_mutant("lcm_to_max", "adds-sixty-one",
-                perturbed(_build_stage_lcms, adding(61)))
+                perturbed(lcm_to_max.build, adding(61)))
 
 
 # ---------------------------------------------------------------------------
 # medians into almost equality
 
 
-def _med_step_size(payload):
-    """The step size of the limit progression, or None/'full'."""
-    ana = analyze(payload)
-    if ana.is_empty:
-        return None
-    if not ana.is_finite:
-        return "full"
-    xs = sorted(ana.elements())
-    a, b = _two_middle(xs)
-    return a + b + 2
+def _med_step(key) -> int:
+    """The step a + b + 2 = 2 * mid + 2 of the limit progression, for
+    the median key of a finite nonempty set (a, b its two middle
+    elements)."""
+    return int(2 * key[1]) + 2
 
 
 def _emed_predict(payload):
-    d = _med_step_size(payload)
-    if d is None:
+    key = analyze(payload).median_key()
+    if key[0] == "empty":
         return ClassKey("e0", ("fin",))
-    if d == "full":
+    if key[0] == "inf":
         return ClassKey("e0", ("inf", 1, frozenset({0})))
-    return ClassKey("e0", ("inf", d, frozenset({0})))
+    return ClassKey("e0", ("inf", _med_step(key), frozenset({0})))
 
 
-def _build_median_multiples(payload, rng=None):
-    term_a, sa, _ = compile_arg(payload, rng)
-    term = Combinator("median_multiples", (term_a,))
+def _median_settle(payload, sa, M):
     ana = analyze(payload)
-
-    def settle(M):
-        if ana.is_empty:
-            return M + 2
-        if ana.is_finite:
-            return sa(ana.max()) + 2
-        return sa(M) + 2
-
-    return Built(term, settle)
+    if ana.is_empty:
+        return M + 2
+    return sa(ana.max() if ana.is_finite else M) + 2
 
 
 def _validate_median_multiples(ev, built, payload, window):
     issues = []
-    d = _med_step_size(payload)
+    key = analyze(payload).median_key()
     s1 = built.settle(window)
     span = 50
     first = ev.approx(built.term, s1)
@@ -816,11 +712,11 @@ def _validate_median_multiples(ev, built, payload, window):
     done1 = set(state.get("done", ()))
     second = ev.approx(built.term, s1 + span)
     fresh = second - first
-    if d is None:
+    if key[0] == "empty":
         if second:
             issues.append("image of the empty set is nonempty")
         return issues
-    if d == "full":
+    if key[0] == "inf":
         if state.get("fills", 0) <= max(fills1, 1):
             issues.append("median of an infinite set stopped moving")
         if any(x not in second for x in range(top1 + 1)):
@@ -832,6 +728,7 @@ def _validate_median_multiples(ev, built, payload, window):
         issues.append("running median differs from the settled median")
     if state.get("fills", 0) != fills1:
         issues.append("median changed after the settlement stage")
+    d = _med_step(key)
     expected = {d * k for k in range(mult1 + 1, mult1 + span + 1)} - done1
     if fresh != expected:
         issues.append("settled image does not continue with consecutive"
@@ -841,7 +738,7 @@ def _validate_median_multiples(ev, built, payload, window):
 
 emed_to_e0 = register_reduction(Reduction(
     name="emed_to_e0", source="e_med", target="e0",
-    build=_build_median_multiples,
+    build=one_arg_build("median_multiples", _median_settle),
     predict=_emed_predict,
     gen_case=gen_pair_1d,
     window=64,
@@ -851,7 +748,7 @@ emed_to_e0 = register_reduction(Reduction(
         " median change",
 ))
 register_mutant("emed_to_e0", "adds-hundred",
-                perturbed(_build_median_multiples, adding(100)))
+                perturbed(emed_to_e0.build, adding(100)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..pairing import pair, unpair
-from ..programs import Combinator, register_combinator, arg, param
+from ..programs import register_combinator, arg, param
 from ..descriptors import (
     ColumnsBySet, Columns, Difference, Finite, EMPTY, FULL,
     Descriptor, analyze, block_bounds, block_of, column_descriptor, member,
@@ -40,8 +40,8 @@ from ..descriptors import (
 from ..enumerable import string_of
 from ..relations import ClassKey, columnwise_key, decide
 from . import (
-    Built, Reduction, register_reduction, register_mutant,
-    gen_pair_1d, gen_pair_columns, compile_arg, perturbed, adding,
+    Reduction, register_reduction, register_mutant,
+    gen_pair_1d, gen_pair_columns, one_arg_build, perturbed, adding,
 )
 
 
@@ -245,38 +245,26 @@ register_combinator("prefix_family", _step_prefix_family, bounded=True)
 # builds
 
 
-def _simple_build(cid, params=(), settle_fn=None, member_of=None):
-    """A build function for a one-argument combinator."""
-
-    def build(payload, rng=None):
-        term_a, settle_a, _ = compile_arg(payload, rng)
-        term = Combinator(cid, (term_a,), params)
-        mem = member_of(payload) if member_of else None
-        return Built(term, lambda M: settle_fn(settle_a, M), mem)
-
-    return build
-
-
-def _member_of_descriptor(transform):
-    def member_of(payload):
-        image = transform(payload)
-        return lambda x: member(image, x)
-    return member_of
-
-
 # eqce_to_e0: c in A becomes the full column c --------------------------------
 
 def _expand_transform(a: Descriptor) -> Descriptor:
     return ColumnsBySet(a, FULL, EMPTY)
 
 
+def _expand_member(payload):
+    # eqm_to_eq1 reuses this build and predicts a class key
+    image = _expand_transform(payload)
+    return lambda x: member(image, x)
+
+
+def _column_settle(payload, sa, M):
+    return sa(M) + M + 1
+
+
 eqce_to_e0 = register_reduction(Reduction(
     name="eqce_to_e0", source="eq_ce", target="e0",
-    build=_simple_build(
-        "expand_columns",
-        settle_fn=lambda sa, M: sa(M) + M + 1,
-        member_of=_member_of_descriptor(_expand_transform),
-    ),
+    build=one_arg_build("expand_columns", _column_settle,
+                        member=_expand_member),
     predict=_expand_transform,
     gen_case=gen_pair_1d,
     window=128,
@@ -289,11 +277,7 @@ eqce_to_e0 = register_reduction(Reduction(
 
 e0_to_e1 = register_reduction(Reduction(
     name="e0_to_e1", source="e0", target="e1",
-    build=_simple_build(
-        "tail_columns",
-        settle_fn=lambda sa, M: sa(M) + 1,
-        member_of=_member_of_descriptor(TailColumns),
-    ),
+    build=one_arg_build("tail_columns", lambda p, sa, M: sa(M) + 1),
     predict=TailColumns,
     gen_case=gen_pair_1d,
     window=128,
@@ -307,21 +291,17 @@ register_mutant("e0_to_e1", "drops-zero",
 # e0_to_e2 / e0_to_z0: block unions ------------------------------------------
 
 def _block_settle(kind):
-    def settle_fn(sa, M):
+    def settle(payload, sa, M):
         n = block_of(kind, M)
         if n is None:
             n = 0
         return sa(n) + M + 2
-    return settle_fn
+    return settle
 
 
 e0_to_e2 = register_reduction(Reduction(
     name="e0_to_e2", source="e0", target="e2",
-    build=_simple_build(
-        "block_union", params=(1,),
-        settle_fn=_block_settle("weight"),
-        member_of=_member_of_descriptor(WeightBlocks),
-    ),
+    build=one_arg_build("block_union", _block_settle("weight"), (1,)),
     predict=WeightBlocks,
     gen_case=gen_pair_1d,
     window=128,
@@ -332,11 +312,7 @@ register_mutant("e0_to_e2", "adds-zero", perturbed(e0_to_e2.build, adding(0)))
 
 e0_to_z0 = register_reduction(Reduction(
     name="e0_to_z0", source="e0", target="z0",
-    build=_simple_build(
-        "block_union", params=(0,),
-        settle_fn=_block_settle("dyadic"),
-        member_of=_member_of_descriptor(DyadicBlocks),
-    ),
+    build=one_arg_build("block_union", _block_settle("dyadic"), (0,)),
     predict=DyadicBlocks,
     gen_case=gen_pair_1d,
     window=128,
@@ -354,11 +330,7 @@ def _replicate_transform(a: Descriptor) -> Descriptor:
 
 e0_to_e3 = register_reduction(Reduction(
     name="e0_to_e3", source="e0", target="e3",
-    build=_simple_build(
-        "replicate_columns",
-        settle_fn=lambda sa, M: sa(M) + M + 1,
-        member_of=_member_of_descriptor(_replicate_transform),
-    ),
+    build=one_arg_build("replicate_columns", _column_settle),
     predict=_replicate_transform,
     gen_case=gen_pair_1d,
     window=96,
@@ -388,18 +360,15 @@ def _e0_colkey(col):
     return col.e0_key() if hasattr(col, "e0_key") else col
 
 
-def _scaled_settle(sa, M):
+def _scaled_settle(payload, sa, M):
     lg = max(M, 1).bit_length()
     return sa(pair(lg + 1, lg + 1)) + M + 2
 
 
 e3_to_z0 = register_reduction(Reduction(
     name="e3_to_z0", source="e3", target="z0",
-    build=_simple_build(
-        "scaled_blocks",
-        settle_fn=_scaled_settle,
-        member_of=lambda payload: _scaled_member(payload),
-    ),
+    build=one_arg_build("scaled_blocks", _scaled_settle,
+                        member=_scaled_member),
     predict=lambda payload: ClassKey(
         "z0", columnwise_key(payload, _e0_colkey)),
     gen_case=gen_pair_columns,
@@ -428,18 +397,15 @@ def _prefixed_member(payload):
     return mem
 
 
-def _prefixed_settle(sa, M):
+def _prefixed_settle(payload, sa, M):
     w = _pair_width(M)
     return max(M, sa(pair(w + 1, w + 1))) + 2
 
 
 e3_to_eset = register_reduction(Reduction(
     name="e3_to_eset", source="e3", target="eset",
-    build=_simple_build(
-        "prefixed_columns",
-        settle_fn=_prefixed_settle,
-        member_of=lambda payload: _prefixed_member(payload),
-    ),
+    build=one_arg_build("prefixed_columns", _prefixed_settle,
+                        member=_prefixed_member),
     predict=lambda payload: ClassKey(
         "eset", ("marked-variants", columnwise_key(payload, _e0_colkey))),
     gen_case=gen_pair_columns,
@@ -463,18 +429,15 @@ def _prefix_family_member(payload):
     return mem
 
 
-def _prefix_family_settle(sa, M):
+def _prefix_family_settle(payload, sa, M):
     w = _pair_width(M)
     return max(w, sa(w)) + M + 2
 
 
 e0_to_eset = register_reduction(Reduction(
     name="e0_to_eset", source="e0", target="eset",
-    build=_simple_build(
-        "prefix_family",
-        settle_fn=_prefix_family_settle,
-        member_of=lambda payload: _prefix_family_member(payload),
-    ),
+    build=one_arg_build("prefix_family", _prefix_family_settle,
+                        member=_prefix_family_member),
     predict=lambda payload: ClassKey(
         "eset", ("prefix-family", analyze(payload).e0_key())),
     gen_case=gen_pair_1d,
@@ -653,7 +616,6 @@ class _Slice:
     minima: dict = field(default_factory=dict)
     retired: list = field(default_factory=list)
     checked: int = 0
-    churned: bool = False
     last_churn: int = -1
     last_move: int = 0
 
@@ -702,9 +664,8 @@ class TrackedFamilyMachine:
         self.cells[(sl.c, sl.j)][g].add(x)
 
     def _minimum(self, ws_i, ws_j, c):
-        diff = [k for k in range(self.height)
-                if (pair(c, k) in ws_i) != (pair(c, k) in ws_j)]
-        return diff[0] if diff else None
+        return next((k for k in range(self.height)
+                     if (pair(c, k) in ws_i) != (pair(c, k) in ws_j)), None)
 
     def _fact(self, sl: _Slice, k: int, stage_sets) -> bool:
         """Input k treats every recorded least difference of slice
@@ -735,10 +696,6 @@ class TrackedFamilyMachine:
                      for d, ws in zip(self.family, prev_sets)]
         for sl in self.slices.values():
             c, j = sl.c, sl.j
-            prev_facts = {
-                k: self._fact(sl, k, prev_sets)
-                for k in range(j + 1, min(c, self.k - 1) + 1)
-            }
             churn = False
             for i in range(j):
                 m = self._minimum(prev_sets[i], prev_sets[j], c)
@@ -747,23 +704,20 @@ class TrackedFamilyMachine:
                 sl.minima[i] = m
             if j > 0 and any(sl.minima[i] is None for i in range(j)):
                 churn = True
+            steered = range(j + 1, min(c, self.k - 1) + 1)
+            matching = [k for k in steered if self._fact(sl, k, next_sets)]
             if not churn:
                 # a steered input that holds its marker but no longer
                 # matches input j on the minima forces a fresh marker
                 x = _marker_element(sl)
-                for k in prev_facts:
-                    now = self._fact(sl, k, next_sets)
-                    if not now and x in self.outputs[k]:
-                        churn = True
+                churn = any(x in self.outputs[k]
+                            for k in steered if k not in matching)
             if churn:
                 self._retire(sl)
-            sl.churned = churn
-            if churn:
                 sl.last_churn = s + 1
             x = _marker_element(sl)
-            for k in range(j + 1, min(c, self.k - 1) + 1):
-                if self._fact(sl, k, next_sets):
-                    self._add(k, sl, x)
+            for k in matching:
+                self._add(k, sl, x)
         self.stage_sets = next_sets
         self.stage += 1
 

@@ -24,8 +24,8 @@ from ..nce import fold_point, nce_stage_value
 from .benchmark import eqce_to_e0
 from . import (
     Built, Reduction, register_reduction, register_mutant,
-    gen_pair_1d, gen_pair_columns, compile_arg, random_ep_descriptor,
-    repackage, perturbed, adding, without_minimum,
+    gen_pair_1d, gen_pair_columns, compile_arg, one_arg_build,
+    random_ep_descriptor, repackage, perturbed, adding, without_minimum,
 )
 
 
@@ -255,16 +255,10 @@ def _star_member(payload):
     return mem
 
 
-def _build_star(payload, rng=None):
-    term_a, settle_a, _ = compile_arg(payload, rng)
-    return Built(Combinator("star_edges", (term_a,)),
-                 lambda M: settle_a(M) + 1,
-                 _star_member(payload))
-
-
 eq1_to_compiso = register_reduction(Reduction(
     name="eq1_to_compiso", source="eq_1", target="compiso_bin",
-    build=_build_star,
+    build=one_arg_build("star_edges", lambda p, sa, M: sa(M) + 1,
+                        member=_star_member),
     predict=lambda payload: ClassKey(
         "compiso_bin", one_equivalence_key(analyze(payload))),
     gen_case=gen_pair_1d,
@@ -274,7 +268,7 @@ eq1_to_compiso = register_reduction(Reduction(
         " star graphs",
 ))
 register_mutant("eq1_to_compiso", "drops-minimum",
-                perturbed(_build_star, without_minimum))
+                perturbed(eq1_to_compiso.build, without_minimum))
 
 
 # ---------------------------------------------------------------------------
@@ -285,20 +279,15 @@ def _tree_member(payload):
     return lambda x: _tree_edge(x, lambda n, k: member(payload, pair(n, k)))
 
 
-def _build_membership_tree(payload, rng=None):
-    term_a, settle_a, _ = compile_arg(payload, rng)
-
-    def settle(M):
-        h = max((M - 2) // 2 + 1, 1)
-        return max(M, settle_a(pair(h, h))) + 1
-
-    return Built(Combinator("membership_tree", (term_a,)),
-                 settle, _tree_member(payload))
+def _tree_settle(payload, sa, M):
+    h = max((M - 2) // 2 + 1, 1)
+    return max(M, sa(pair(h, h))) + 1
 
 
 eset_to_isobin = register_reduction(Reduction(
     name="eset_to_isobin", source="eset", target="iso_bin",
-    build=_build_membership_tree,
+    build=one_arg_build("membership_tree", _tree_settle,
+                        member=_tree_member),
     predict=lambda payload: ClassKey(
         "iso_bin", ("membership-tree", column_family_key(payload))),
     gen_case=lambda rng: gen_pair_columns(rng, hi=6),
@@ -308,7 +297,7 @@ eset_to_isobin = register_reduction(Reduction(
         " one depth-k chain per column element k",
 ))
 register_mutant("eset_to_isobin", "adds-zero",
-                perturbed(_build_membership_tree, adding(0)))
+                perturbed(eset_to_isobin.build, adding(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +315,8 @@ def _copies_member(payload):
     return lambda x: _copies_point(x, lambda e: e in edges)
 
 
-def _build_perm_copies(payload, rng=None):
-    term_a, settle_a, _ = compile_arg(payload, rng)
-    emax = max(_edge_codes(payload), default=0)
-    return Built(Combinator("perm_copies", (term_a,)),
-                 lambda M: max(M, settle_a(emax)) + 1,
-                 _copies_member(payload))
+def _copies_settle(payload, sa, M):
+    return max(M, sa(max(_edge_codes(payload), default=0))) + 1
 
 
 def _gen_pair_digraphs(rng):
@@ -361,7 +346,8 @@ def _gen_pair_digraphs(rng):
 
 compiso_to_eset = register_reduction(Reduction(
     name="compiso_to_eset", source="compiso_bin", target="eset",
-    build=_build_perm_copies,
+    build=one_arg_build("perm_copies", _copies_settle,
+                        member=_copies_member),
     predict=lambda payload: ClassKey(
         "eset", ("iso-copies", digraph_canonical(
             frozenset(unpair(e) for e in _edge_codes(payload))))),
@@ -372,7 +358,7 @@ compiso_to_eset = register_reduction(Reduction(
         " copies, hidden among the marked finite sets",
 ))
 register_mutant("compiso_to_eset", "adds-loop", perturbed(
-    _build_perm_copies, lambda g: Finite(g.elems | {pair(0, 0)})))
+    compiso_to_eset.build, lambda g: Finite(g.elems | {pair(0, 0)})))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +369,7 @@ def _compile_tuple(payload: NceTuple, rng):
     terms = []
     settles = []
     for d in payload.parts:
-        term, settle, _ = compile_arg(d, rng)
+        term, settle = compile_arg(d, rng)
         terms.append(term)
         settles.append(settle)
     return tuple(terms), lambda M: max(s(M) for s in settles) + 1
@@ -423,7 +409,7 @@ def _validate_nce_embed(ev, built, payload, window):
 
 
 def _build_nce_embed(payload, rng=None):
-    term_f, settle_f, _ = compile_arg(EMPTY, rng)
+    term_f, settle_f = compile_arg(EMPTY, rng)
     terms, settle = _compile_tuple(payload, rng)
     terms = terms + (term_f,)
     return Built(terms[0],
@@ -501,8 +487,7 @@ register_mutant("ltomega_to_e3", "adds-zero", perturbed(
 
 
 def _build_singleton(a, rng=None):
-    term, settle, _ = compile_arg(Finite(frozenset({a})), rng)
-    return Built(term, settle, lambda x: x == a)
+    return Built(*compile_arg(Finite(frozenset({a})), rng))
 
 
 def _gen_pair_nat(rng):

@@ -166,3 +166,15 @@ def test_minimal_period_matches_the_set_comparison():
         ep = EP.make(0, period, 0, sum(1 << r for r in residues))
         q, classes = reference_minimal_period(period, residues)
         assert (ep.period, ep.residues) == (q, sum(1 << r for r in classes))
+
+
+def test_analysis_cache_stays_bounded():
+    """The cache empties at its cap, and analyses after a clear are the
+    same as before it."""
+    from celab import descriptors as D
+    n = 2 ** 14 + 1
+    ds = [Finite(frozenset({i % 64, 64 + i // 64})) for i in range(n)]
+    first = [analyze(d) for d in ds]
+    assert len(D._ANALYSIS_CACHE) <= 2 ** 14
+    assert [analyze(d) for d in ds] == first
+    assert all(a.elements() == d.elems for a, d in zip(first, ds))

@@ -32,7 +32,7 @@ def test_class_enumerator_walks_the_almost_equality_class():
     rng = random.Random(6)
     for _ in range(20):
         p = random_ep_descriptor(rng)
-        term, settle, _ = compile_arg(p, rng)
+        term, settle = compile_arg(p, rng)
         n = rng.randrange(12)
         prog = e0_class_enumerator(n, term)
         ev = Evaluator()
@@ -69,7 +69,7 @@ def test_translation_action_law_on_fifty_triples():
     rng = random.Random(7)
     for _ in range(50):
         p = random_ep_descriptor(rng, hi=12)
-        term, settle, _ = compile_arg(p, rng)
+        term, settle = compile_arg(p, rng)
         g1, g2 = rng.randrange(6), rng.randrange(6)
         ev = Evaluator()
         s = settle(64) + 3

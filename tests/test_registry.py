@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401  (registers combinators)
 from celab.numbering import COMBINATOR_CODES, decode, encode
+from celab.harness import predicted_member
 from celab.programs import COMBINATORS, Combinator, Evaluator, FullColumnOf
 from celab.reductions import MUTANTS, REDUCTIONS
 
@@ -111,3 +112,20 @@ def test_mutants_use_only_production_combinators(name):
             assert cids(term) <= set(COMBINATORS)
             if isinstance(term, Combinator):
                 assert signature(term) in PRODUCTION_SIGNATURES
+
+
+def test_image_is_stated_once():
+    """A build states its image's membership exactly when some reduction
+    on it predicts a class key and has no validator: a predicted set or
+    cut states its own membership, and a validator reads none."""
+    by_build = {}
+    for red in REDUCTIONS.values():
+        by_build.setdefault(red.build, []).append(red)
+    rng = random.Random(8)
+    for build, reds in by_build.items():
+        payload = reds[0].gen_case(rng)[0]
+        needed = any(red.validator is None
+                     and predicted_member(red.predict(payload)) is None
+                     for red in reds)
+        stated = build(payload, rng).member is not None
+        assert stated == needed, [red.name for red in reds]
