@@ -26,7 +26,7 @@ from typing import Optional, Tuple, Union as TUnion
 
 from .pairing import pair, unpair, seq_encode, seq_decode
 from .programs import (
-    Combinator, columns_of, param, register_combinator, script,
+    Combinator, close, columns_of, param, register_combinator, script,
 )
 
 # Block shapes whose total extent exceeds this are kept symbolic.
@@ -740,14 +740,36 @@ class Compiled:
     settle: object  # Callable[[int], int]
 
 
+def _finite_top(d: Descriptor) -> Optional[int]:
+    """A bound on the elements of d when its structure shows d finite
+    (-1 when it shows d empty), else None.
+
+    Read off the structure rather than ``analyze``, which would build a
+    bitset as long as the largest element of a program's parameter."""
+    if isinstance(d, Finite):
+        return max(d.elems, default=-1)
+    if isinstance(d, Union):
+        tops = [_finite_top(p) for p in d.parts]
+        return None if None in tops else max(tops, default=-1)
+    if isinstance(d, Difference):
+        return _finite_top(d.left)
+    return None
+
+
 def _step_from_descriptor(ev, args, params, s, state, bound=None):
     d = state.get("descriptor")
     if d is None:
         d = decode_descriptor(param(params, 0))
         state["descriptor"] = d
+        top = _finite_top(d)
+        state["last"] = min(math.inf if bound is None else bound,
+                            math.inf if top is None else top)
     delay = param(params, 1)
     x = s - delay
-    # candidates rise with the stage: past the bound none is tested
+    # candidates rise with the stage: past the bound none is tested,
+    # and past the largest element none would pass
+    if x >= state["last"]:
+        close(state)
     if x < 0 or bound is not None and x > bound:
         return ()
     ev.tick()

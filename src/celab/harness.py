@@ -230,14 +230,15 @@ def _certified_window(ev, built, window: int, budget: int) -> frozenset:
     raise _Unknown("window content still changing after escalation")
 
 
-def check_built(red: Reduction, payload, rng, window: int,
+def check_built(red: Reduction, payload, pred, rng, window: int,
                 budget: int) -> list:
-    """Issues with the built program for one payload ([] when clean)."""
+    """Issues with the built program for one payload ([] when clean);
+    ``pred`` is ``red.predict(payload)``."""
     built = red.build(payload, rng)
     ev = Evaluator()
     if red.validator is not None:
         return list(red.validator(ev, built, payload, window))
-    mem = predicted_member(red.predict(payload)) or built.member
+    mem = predicted_member(pred) or built.member
     got = _certified_window(ev, built, window, budget)
     want = frozenset(x for x in range(window + 1) if mem(x))
     if got != want:
@@ -250,7 +251,8 @@ def verify_case(red: Reduction, case: TestCase, rng, window: int,
                 budget: int) -> Optional[dict]:
     """None on agreement, a trace dict on disagreement; raises _Unknown
     or BudgetExceeded when the case cannot be certified."""
-    got = decide(red.target, red.predict(case.a), red.predict(case.b))
+    preds = red.predict(case.a), red.predict(case.b)
+    got = decide(red.target, *preds)
     if got != case.expected:
         return {
             "index": case.index,
@@ -260,8 +262,8 @@ def verify_case(red: Reduction, case: TestCase, rng, window: int,
                       f" {got}",
         }
     issues = []
-    for side, payload in (("A", case.a), ("B", case.b)):
-        for issue in check_built(red, payload, rng, window, budget):
+    for side, payload, pred in zip("AB", (case.a, case.b), preds):
+        for issue in check_built(red, payload, pred, rng, window, budget):
             issues.append(f"payload {side}: {issue}")
     if issues:
         return {

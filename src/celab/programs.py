@@ -29,6 +29,17 @@ may over-emit, since the evaluator drops what it returns above the
 bound, but it must never miss an element ``<= bound``.  One that takes
 no bound needs all of its argument; its bounded queries filter its
 unbounded approximation.
+
+A cell that can gain nothing more is *closed*: from the stage it closes
+at, no later stage can give it an element that is new and ``<= bound``
+(any new element, for an unbounded cell).  The evaluator extends a
+closed cell to later stages without calling its step or charging a
+step, so a bounded query past the point where its demand is met, such
+as the harness's stability re-check, costs nothing: once the demanded
+part of a fixpoint is complete, evaluation stops.  A ``Script`` closes
+at its last entry stage, ``FullColumnOf`` once its rows reach the
+bound, ``Indexed`` when its decoded term does, and a
+construction when its step calls ``close(state)``.
 """
 
 from __future__ import annotations
@@ -156,6 +167,14 @@ class CombinatorDef:
     a step charges ``ev.tick()`` for its own further work, once per
     stage or once per new element it handles, never per element
     rescanned.
+
+    A step that knows no later stage can give a new element ``<= b``
+    (any new element, unbounded) calls ``close(state)``, which sets the
+    reserved state key ``"closed"``; the evaluator then calls it no
+    more.  It may close only after it has advanced every argument it
+    reads to stage s, and it learns that an argument can give nothing
+    more from ``ev.closed(arg, s, bound)``, asked with the bound it
+    passes to ``fresh``.
     """
 
     cid: str
@@ -173,6 +192,11 @@ def register_combinator(cid: str, step: Callable,
             return  # idempotent re-registration
         raise ValueError(f"combinator {cid!r} already registered")
     COMBINATORS[cid] = CombinatorDef(cid, step, bounded)
+
+
+def close(state: dict) -> None:
+    """Declare, from a step, that its cell is closed after this stage."""
+    state["closed"] = True
 
 
 def _takes_bound(term: Term) -> bool:
@@ -236,12 +260,19 @@ class Evaluator:
     def _stage_elements(self, term: Term, s: int, cell: _Cell,
                         bound: Optional[int]) -> Iterable:
         if isinstance(term, Script):
+            if not term.entries or s >= term.entries[-1][0]:
+                close(cell.state)
             for stage, elems in term.entries:
                 if stage == s:
                     return elems
             return ()
         if isinstance(term, FullColumnOf):
-            return (pair(term.c, s),)
+            x = pair(term.c, s)
+            # rows rise with the stage: once one reaches the bound, no
+            # later one is <= it
+            if bound is not None and x >= bound:
+                close(cell.state)
+            return (x,)
         if isinstance(term, Combinator):
             cdef = COMBINATORS.get(term.cid)
             if cdef is None:
@@ -256,7 +287,10 @@ class Evaluator:
             if inner is None:
                 inner = numbering.decode(term.code)
                 cell.state["inner"] = inner
-            return self.fresh(inner, s, bound)
+            new = self.fresh(inner, s, bound)
+            if self.closed(inner, s, bound):
+                close(cell.state)
+            return new
         raise TypeError(f"not a program term: {term!r}")
 
     def _advance(self, term: Term, s: int, bound: Optional[int]) -> _Cell:
@@ -265,8 +299,12 @@ class Evaluator:
         if cell is None:
             cell = self._cells[key] = _Cell()
         entries, order, ends = cell.entries, cell.order, cell.ends
+        state = cell.state
         append = order.append
         while len(ends) <= s:
+            if "closed" in state:
+                ends.extend([ends[-1]] * (s + 1 - len(ends)))
+                break
             t = len(ends)
             elems = self._stage_elements(term, t, cell, bound)
             # one step for the stage, one per element emitted
@@ -328,6 +366,23 @@ class Evaluator:
         if bound is None:
             return new
         return [x for x in new if x <= bound]
+
+    def closed(self, term: Term, s: int,
+               bound: Optional[int] = None) -> bool:
+        """Whether no element new after stage s and <= bound can enter
+        term: its cell has closed, and nothing entered it after stage s.
+
+        The stage matters because cells are shared: another query may
+        have advanced term past s, and what it gained there is still new
+        to a caller at stage s.  The bound maps as in ``_run``: a term
+        that takes no bound answers for its unbounded cell."""
+        if bound is not None and not _takes_bound(term):
+            bound = None
+        cell = self._cells.get(term if bound is None else (term, bound))
+        if cell is None or "closed" not in cell.state:
+            return False
+        ends = cell.ends
+        return len(ends) <= s or ends[s] == len(cell.order)
 
     def entry_stage(self, term: Term, x: int, s: int) -> Optional[int]:
         """First stage <= s at which x appeared, or None."""

@@ -80,10 +80,14 @@ def register_mutant(name: str, mutant_name: str, build) -> None:
 
 def perturbed(build, perturb):
     """A mutant build: the production term for a finitely perturbed
-    payload, with the honest payload's predicted membership."""
+    payload, with the honest payload's predicted membership.  A build
+    whose ``member`` is None leaves it None on every payload, so only a
+    build that carries one builds the honest payload too."""
     def broken(payload, rng=None):
-        return replace(build(perturb(payload), rng),
-                       member=build(payload).member)
+        built = build(perturb(payload), rng)
+        if built.member is None:
+            return built
+        return replace(built, member=build(payload).member)
     return broken
 
 

@@ -19,7 +19,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from ..programs import register_combinator, arg, param
+from ..programs import close, register_combinator, arg, param
 from ..descriptors import (
     Descriptor, Finite, Progression, EMPTY, FULL, analyze,
 )
@@ -75,15 +75,24 @@ def _step_saturate_up(ev, args, params, s, state):
     return out
 
 
-def _step_saturate_down(ev, args, params, s, state):
+def _step_saturate_down(ev, args, params, s, state, bound=None):
     """Enumerate [0, current maximum - trim], extending upward as the
     maximum grows."""
+    # the maximum needs all of the argument; the output stops at the
+    # bound
+    a = arg(args, 0)
     trim = param(params, 0)
-    bounds = _running_bounds(ev, arg(args, 0), s, state)
+    bounds = _running_bounds(ev, a, s, state)
+    if ev.closed(a, s):
+        close(state)
     if bounds is None:
         return ()
     ev.tick()
     mx = bounds[1] - trim
+    if bound is not None:
+        mx = min(mx, bound)
+        if mx >= bound:
+            close(state)
     filled = state.get("filled", -1)
     if mx <= filled:
         return ()
@@ -97,7 +106,10 @@ def _step_interval_hull(ev, args, params, s, state):
 
     The minimum only falls and the maximum only rises, so each stage's
     interval contains the last one and only its new ends are emitted."""
-    bounds = _running_bounds(ev, arg(args, 0), s, state)
+    a = arg(args, 0)
+    bounds = _running_bounds(ev, a, s, state)
+    if ev.closed(a, s):
+        close(state)
     if bounds is None:
         return ()
     ev.tick()
@@ -113,7 +125,10 @@ def _step_factorials(side: int):
     """A step that emits (m + 2)! whenever the running bound m changes:
     the minimum for side 0, the maximum for side 1."""
     def step(ev, args, params, s, state):
-        bounds = _running_bounds(ev, arg(args, 0), s, state)
+        a = arg(args, 0)
+        bounds = _running_bounds(ev, a, s, state)
+        if ev.closed(a, s):
+            close(state)
         if bounds is None:
             return ()
         ev.tick()
@@ -128,10 +143,13 @@ def _step_factorials(side: int):
 def _step_stage_gcds(ev, args, params, s, state):
     """Emit the gcd of the stage approximation whenever it is finite."""
     ev.tick()
+    a = arg(args, 0)
     g = state.get("gcd", 0)
-    for x in ev.fresh(arg(args, 0), s):
+    for x in ev.fresh(a, s):
         g = math.gcd(g, x)
     state["gcd"] = g
+    if ev.closed(a, s):
+        close(state)
     if g == 0:
         return ()  # empty, or a subset of {0}: gcd is infinite
     return (g,)
@@ -141,11 +159,14 @@ def _step_stage_lcms(ev, args, params, s, state):
     """Emit the lcm of the positive stage elements (1 when there are
     none), every stage."""
     ev.tick()
+    a = arg(args, 0)
     l = state.get("lcm", 1)
-    for x in ev.fresh(arg(args, 0), s):
+    for x in ev.fresh(a, s):
         if x > 0:
             l = l * x // math.gcd(l, x)
     state["lcm"] = l
+    if ev.closed(a, s):
+        close(state)
     return (l,)
 
 
@@ -193,53 +214,62 @@ def _step_median_multiples(ev, args, params, s, state):
     return out
 
 
-def _codes_below(ev, state, s, bound):
-    """Rational codes <= s whose rational lies below ``bound``, each
-    emitted at the first stage it qualifies; ``bound`` None emits none.
+def _codes_below(ev, a, s, state, cut, bound):
+    """Rational codes <= s (and <= bound) whose rational lies below
+    ``cut``, each emitted at the first stage it qualifies; ``cut`` None
+    emits none.
 
-    The bound only rises, so the codes still waiting are kept in a heap
+    The cut only rises, so the codes still waiting are kept in a heap
     by their rational and leave it from the small end: each code is
-    decoded once instead of being rescanned at every stage."""
+    decoded once instead of being rescanned at every stage.  Once every
+    code <= bound has been pushed, the cell closes when none waits or
+    the argument, and with it the cut, can change no more."""
     waiting = state.setdefault("pend", [])  # heap of (rational, code)
-    heapq.heappush(waiting, (rational_from_code(s), s))
+    if bound is None or s <= bound:
+        heapq.heappush(waiting, (rational_from_code(s), s))
     out = []
-    while bound is not None and waiting and waiting[0][0] < bound:
+    while cut is not None and waiting and waiting[0][0] < cut:
         out.append(heapq.heappop(waiting)[1])
+    if (bound is not None and s >= bound
+            and (not waiting or ev.closed(a, s))):
+        close(state)
     return out
 
 
-def _step_rational_cut(ev, args, params, s, state):
+def _step_rational_cut(ev, args, params, s, state, bound=None):
     """Enumerate rational codes q with q < (current maximum) - 1."""
-    bounds = _running_bounds(ev, arg(args, 0), s, state)
-    bound = None
+    a = arg(args, 0)
+    bounds = _running_bounds(ev, a, s, state)
+    cut = None
     if bounds is not None:
         ev.tick()
         if bounds[1] > 0:  # the cut of {0} is empty; until then codes wait
-            bound = bounds[1] - 1
-    return _codes_below(ev, state, s, bound)
+            cut = bounds[1] - 1
+    return _codes_below(ev, a, s, state, cut, bound)
 
 
-def _step_triadic_cut(ev, args, params, s, state):
+def _step_triadic_cut(ev, args, params, s, state, bound=None):
     """Enumerate rational codes q with q < sum of 3^-(n+1) over the
     stage approximation."""
     ev.tick()
+    a = arg(args, 0)
     total = state.get("total", Fraction(0))
-    for n in ev.fresh(arg(args, 0), s):
+    for n in ev.fresh(a, s):
         total += Fraction(1, 3 ** (n + 1))
     state["total"] = total
-    return _codes_below(ev, state, s, total)
+    return _codes_below(ev, a, s, state, total, bound)
 
 
 register_combinator("saturate_up", _step_saturate_up)
-register_combinator("saturate_down", _step_saturate_down)
+register_combinator("saturate_down", _step_saturate_down, bounded=True)
 register_combinator("interval_hull", _step_interval_hull)
 register_combinator("min_factorials", _step_factorials(0))
 register_combinator("max_factorials", _step_factorials(1))
 register_combinator("stage_gcds", _step_stage_gcds)
 register_combinator("stage_lcms", _step_stage_lcms)
 register_combinator("median_multiples", _step_median_multiples)
-register_combinator("rational_cut", _step_rational_cut)
-register_combinator("triadic_cut", _step_triadic_cut)
+register_combinator("rational_cut", _step_rational_cut, bounded=True)
+register_combinator("triadic_cut", _step_triadic_cut, bounded=True)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,12 @@ suite can check them at every stage.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 from ..pairing import pair, unpair
-from ..programs import register_combinator, arg, param
+from ..programs import close, register_combinator, arg, param
 from ..descriptors import (
     ColumnsBySet, Columns, Difference, Finite, EMPTY, FULL,
     Descriptor, analyze, block_bounds, block_of, column_descriptor, member,
@@ -48,10 +49,19 @@ from . import (
 _ZERO = Finite(frozenset({0}))
 
 
+def _column_reach(b: int) -> int:
+    """The largest c with <c, 0> = c(c+1)/2 <= b."""
+    return (math.isqrt(8 * b + 1) - 1) // 2
+
+
+def _row_reach(b: int) -> int:
+    """The largest x with <0, x> = x(x+3)/2 <= b."""
+    return (math.isqrt(8 * b + 9) - 3) // 2
+
+
 def _pair_width(m: int) -> int:
     """Largest component value a pair code <= m can involve."""
-    import math
-    return (math.isqrt(8 * m + 1) - 1) // 2 + 1
+    return _column_reach(m) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -68,43 +78,59 @@ def _entered(ev, a, s, state, bound):
 def _step_expand_columns(ev, args, params, s, state, bound=None):
     """Element c of the argument grows the full column c, one row per
     stage from the stage c appeared."""
-    # <c, k> >= c, and column c's next row rises with the stage: a
-    # column past the bound is done
-    entered = _entered(ev, arg(args, 0), s, state, bound)
+    # <c, k> >= <c, 0>, so only c <= _column_reach(b) can give an output
+    # <= b; column c's next row rises with the stage: a column past the
+    # bound is done
+    a = arg(args, 0)
+    reach = None if bound is None else _column_reach(bound)
+    entered = _entered(ev, a, s, state, reach)
     ev.tick(len(entered))
     out = [pair(c, s - t) for c, t in entered]
     if bound is not None:
-        state["entered"] = [e for e, x in zip(entered, out) if x <= bound]
+        state["entered"] = entered = [
+            e for e, x in zip(entered, out) if x <= bound]
+    if not entered and ev.closed(a, s, reach):
+        close(state)
     return out
 
 
 def _step_tail_columns(ev, args, params, s, state, bound=None):
     """New element x contributes <c, x> for every column c <= x."""
+    # <c, x> >= <0, x>, so only x <= _row_reach(b) can give an output
+    # <= b; <c, x> rises with c: the row stops at the bound
+    a = arg(args, 0)
+    reach = None if bound is None else _row_reach(bound)
     out = []
-    if bound is None:
-        for x in ev.fresh(arg(args, 0), s):
+    for x in ev.fresh(a, s, reach):
+        if bound is None:
             ev.tick(x + 1)
             out.extend(pair(c, x) for c in range(x + 1))
-        return out
-    # <c, x> >= x and rises with c: the row stops at the bound
-    for x in ev.fresh(arg(args, 0), s, bound):
+            continue
         for c in range(x + 1):
             ev.tick()
             out.append(pair(c, x))
             if out[-1] > bound:
                 break
+    if ev.closed(a, s, reach):
+        close(state)
     return out
 
 
 def _step_replicate_columns(ev, args, params, s, state, bound=None):
     """Every column of the output converges to the argument set."""
-    # <c, k> >= k, and row k's next column rises with the stage: a row
-    # past the bound is done
-    entered = _entered(ev, arg(args, 0), s, state, bound)
+    # <c, k> >= <0, k>, so only k <= _row_reach(b) can give an output
+    # <= b; row k's next column rises with the stage: a row past the
+    # bound is done
+    a = arg(args, 0)
+    reach = None if bound is None else _row_reach(bound)
+    entered = _entered(ev, a, s, state, reach)
     ev.tick(len(entered))
     out = [pair(s - t, k) for k, t in entered]
     if bound is not None:
-        state["entered"] = [e for e, x in zip(entered, out) if x <= bound]
+        state["entered"] = entered = [
+            e for e, x in zip(entered, out) if x <= bound]
+    if not entered and ev.closed(a, s, reach):
+        close(state)
     return out
 
 
@@ -112,9 +138,10 @@ def _block_kind(params) -> str:
     return "weight" if param(params, 0) == 1 else "dyadic"
 
 
-def _run_progressions(ev, gens: dict) -> list:
-    """Emit the next value of every generator [next, end, step] and
-    drop the generators that are done."""
+def _run_progressions(ev, a, s, state, bound, gens: dict) -> list:
+    """Emit the next value of every generator [next, end, step], drop
+    the generators that are done, and close once they are all done and
+    the argument can start no more."""
     ev.tick(len(gens))
     out = []
     for key, gen in list(gens.items()):
@@ -123,6 +150,9 @@ def _run_progressions(ev, gens: dict) -> list:
             gen[0] += gen[2]
         else:
             del gens[key]
+    if (ev.closed(a, s, bound)
+            and all(gen[0] >= gen[1] for gen in gens.values())):
+        close(state)
     return out
 
 
@@ -131,12 +161,13 @@ def _step_block_union(ev, args, params, s, state, bound=None):
     stage, in increasing order."""
     # block n starts at or past n and its values rise: a block stops
     # at the bound
+    a = arg(args, 0)
     kind = _block_kind(params)
     gens = state.setdefault("gens", {})
-    for n in ev.fresh(arg(args, 0), s, bound):
+    for n in ev.fresh(a, s, bound):
         lo, hi = block_bounds(kind, n)
         gens[n] = [lo, hi if bound is None else min(hi, bound + 1), 1]
-    return _run_progressions(ev, gens)
+    return _run_progressions(ev, a, s, state, bound, gens)
 
 
 def _step_scaled_blocks(ev, args, params, s, state, bound=None):
@@ -149,15 +180,16 @@ def _step_scaled_blocks(ev, args, params, s, state, bound=None):
     """
     # the image of <c, k> starts at 2^c - 1 + 2^(c+k+1) >= <c, k> and
     # rises: an image stops at the bound
+    a = arg(args, 0)
     gens = state.setdefault("gens", {})
-    for z in ev.fresh(arg(args, 0), s, bound):
+    for z in ev.fresh(a, s, bound):
         c, k = unpair(z)
         step = 1 << (c + 1)
         lo = (1 << c) - 1
         hi = lo + (step << (k + 1))
         gens[z] = [lo + (step << k), hi if bound is None
                    else min(hi, bound + 1), step]
-    return _run_progressions(ev, gens)
+    return _run_progressions(ev, a, s, state, bound, gens)
 
 
 def _step_prefixed_columns(ev, args, params, s, state, bound=None):
@@ -167,19 +199,24 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
     Generator <n, m> activates at stage <n, m>; its static part is
     emitted at once, its tail follows the argument's column n.
     """
+    a = arg(args, 0)
     active = state.setdefault("active", {})   # n -> [(m, |s_m|)]
     rows = state.setdefault("rows", {})       # n -> known rows
     out = []
     # route new argument elements to active generators; the row
     # <<n, m>, n + 1 + k> it gives <n, k> is >= <n, k>
-    for z in ev.fresh(arg(args, 0), s, bound):
+    for z in ev.fresh(a, s, bound):
         n, k = unpair(z)
         rows.setdefault(n, []).append(k)
         for gm, slen in active.get(n, ()):
             if k >= slen:
                 ev.tick()
                 out.append(pair(pair(n, gm), n + 1 + k))
-    # every output of generator <n, m> = s is a pair <s, y> >= <s, 0>
+    # every output of generator <n, m> = s is a pair <s, y> >= <s, 0>,
+    # so past the bound only the argument can add outputs
+    if (bound is not None and pair(s + 1, 0) > bound
+            and ev.closed(a, s, bound)):
+        close(state)
     if bound is not None and pair(s, 0) > bound:
         return out
     # activate the next generator
@@ -203,17 +240,23 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
 def _step_prefix_family(ev, args, params, s, state, bound=None):
     """Output column m holds the m-th binary string, then the argument
     set beyond the string's length."""
+    a = arg(args, 0)
     active = state.setdefault("active", {})  # m -> |s_m|
     known = state.setdefault("known", [])
     out = []
-    # <m, x> >= x
-    for x in ev.fresh(arg(args, 0), s, bound):
+    # <m, x> >= <0, x>, so only x <= _row_reach(b) can give an output <= b
+    reach = None if bound is None else _row_reach(bound)
+    for x in ev.fresh(a, s, reach):
         known.append(x)
         for m, slen in active.items():
             if x >= slen:
                 ev.tick()
                 out.append(pair(m, x))
-    # column m = s opens now, and <m, y> >= <m, 0>
+    # column m = s opens now, and <m, y> >= <m, 0>: past the bound only
+    # the argument can add outputs
+    if (bound is not None and pair(s + 1, 0) > bound
+            and ev.closed(a, s, reach)):
+        close(state)
     if bound is not None and pair(s, 0) > bound:
         return out
     m = s

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from ..pairing import pair, unpair, seq_decode, set_decode
-from ..programs import Combinator, register_combinator, arg
+from ..programs import Combinator, close, register_combinator, arg
 from ..descriptors import (
     Finite, Cofinite, Union, Difference,
     EMPTY, FULL, analyze, member,
@@ -35,10 +35,13 @@ from . import (
 
 def _step_star_edges(ev, args, params, s, state):
     """Element n of the argument adds the edge root -> leaf n+1."""
+    a = arg(args, 0)
     out = []
-    for n in ev.fresh(arg(args, 0), s):
+    for n in ev.fresh(a, s):
         ev.tick()
         out.append(pair(0, n + 1))
+    if ev.closed(a, s):
+        close(state)
     return out
 
 

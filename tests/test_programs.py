@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401  (registers combinators)
-from celab.descriptors import Cofinite, Progression, compile_descriptor
+from celab.descriptors import Cofinite, Finite, Progression, compile_descriptor
 from celab.pairing import pair
 from celab.numbering import decode as program_from_code, encode as program_code
 from celab.programs import (COMBINATORS, BudgetExceeded, Combinator,
-                            Evaluator, FullColumnOf, columns_of, script)
+                            Evaluator, FullColumnOf, Indexed, columns_of,
+                            script)
 
 entries = st.lists(
     st.tuples(st.integers(min_value=0, max_value=8),
@@ -134,3 +135,64 @@ def test_bounded_steps_grow_linearly_with_the_stage(cid):
     a = compile_descriptor(Cofinite(frozenset({0, 2, 3}))).term
     term = Combinator(cid, (a,))
     assert _upto_ticks(term, 400, 64) / _upto_ticks(term, 200, 64) <= 2.3
+
+
+# Constructions that close: once their argument has and, under a bound,
+# once what they still have to emit lies past it.
+CLOSING = {"block_union", "expand_columns", "from_descriptor",
+           "interval_hull", "max_factorials", "min_factorials",
+           "prefix_family", "prefixed_columns", "rational_cut",
+           "replicate_columns", "saturate_down", "scaled_blocks",
+           "stage_gcds", "stage_lcms", "star_edges", "tail_columns",
+           "triadic_cut"}
+CLOSING_ARGUMENTS = {
+    "script": script([(0, {1}), (2, {4, 0}), (3, {9}), (7, {2}),
+                      (11, {30})]),
+    "finite": compile_descriptor(Finite(frozenset({0, 1, 5, 12}))).term,
+    "fullcolumn": FullColumnOf(1),
+    "progression": compile_descriptor(Progression(3, 4)).term,
+    "cofinite": compile_descriptor(Cofinite(frozenset({0, 2, 3})),
+                                   delay=2).term,
+}
+
+
+def _closing_terms():
+    for cid in sorted(CLOSING):
+        for name, a in CLOSING_ARGUMENTS.items():
+            # past the bound only a bounded construction can close on
+            # an infinite argument, and triadic_cut's codes wait on a
+            # sum that never stops changing
+            if name not in ("script", "finite") and (
+                    not COMBINATORS[cid].bounded or cid == "triadic_cut"):
+                continue
+            params = (1, 2) if cid == "from_descriptor" else ()
+            yield pytest.param(Combinator(cid, (a,), params),
+                               id=f"{cid}-{name}")
+
+
+@pytest.mark.parametrize("term", _closing_terms())
+def test_closed_cells_cost_nothing(term):
+    for t in (term, Indexed(program_code(term))):
+        ev = Evaluator()
+        ev.upto(t, 200, 21)
+        assert ev.closed(t, 200, 21)
+        ev.upto(t, 2000, 21)
+        assert ev._steps == 0
+
+
+@pytest.mark.parametrize("cid", sorted(CLOSING))
+def test_an_argument_closed_ahead_still_feeds_its_construction(cid):
+    """A cell closed at a later stage than its reader has reached still
+    hands the reader what it gained after the reader's stage."""
+    a = CLOSING_ARGUMENTS["script"]
+    term = Combinator(cid, (a,), (1, 2) if cid == "from_descriptor" else ())
+    ahead, inner_ahead, alone = Evaluator(), Evaluator(), Evaluator()
+    ahead.approx(a, 40)
+    for b in range(22):
+        ahead.upto(a, 40, b)
+    inner_ahead.approx(term, 40)
+    inner_ahead.upto(term, 40, 21)
+    for s in range(41):
+        want = alone.upto(term, s, 21)
+        assert ahead.upto(term, s, 21) == want, f"stage {s}"
+        assert inner_ahead.upto(Indexed(program_code(term)), s, 21) == want

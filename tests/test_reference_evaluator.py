@@ -8,7 +8,10 @@ evaluators run the same registered steps, so they must agree on every
 approximation and entry stage, and the incremental one may never charge
 more steps.  Under a bound the incremental evaluator pushes the bound
 into the constructions that take one; it must still give exactly the
-filtered sets, in the unbounded entry order, at no more steps.
+filtered sets, in the unbounded entry order, at no more steps.  The
+reference never closes a cell, so it steps every cell at every stage:
+a cell the incremental evaluator closes too early shows as a missing
+element.
 """
 
 import pytest
@@ -92,6 +95,10 @@ class ReferenceEvaluator:
             return new
         return frozenset(x for x in new if x <= bound)
 
+    def closed(self, term, s, bound=None):
+        # never closed: the reference steps every cell at every stage
+        return False
+
 
 def assert_agree(term, stages=S):
     new, ref = Evaluator(), ReferenceEvaluator()
@@ -130,6 +137,8 @@ ARGUMENTS = {
     "finite": compile_descriptor(Finite(frozenset({0, 1, 5, 12}))).term,
     "cofinite": compile_descriptor(Cofinite(frozenset({0, 2, 3})),
                                    delay=2).term,
+    # a small element and a new maximum after stage 21 move both cuts
+    "late": script([(0, {3}), (30, {0, 9})]),
 }
 
 
@@ -142,9 +151,13 @@ def test_every_combinator_agrees_with_the_reference(cid, name):
     term = Combinator(cid, args, params)
     assert_agree(term)
     assert_agree(Indexed(encode(term)))
-    for bound in (21, 62):
-        assert_bound_agrees(term, bound)
-        assert_bound_agrees(Indexed(encode(term)), bound)
+    # 21 = <6, 0> and 27 = <0, 6> sit on the edges of the argument
+    # bounds of expand_columns and of replicate_columns, tail_columns
+    # and prefix_family; under bound 21, stage 80 lies past every
+    # closure
+    for bound, stages in ((21, 80), (27, S), (62, S)):
+        assert_bound_agrees(term, bound, stages)
+        assert_bound_agrees(Indexed(encode(term)), bound, stages)
 
 
 def test_level_columns_follow_the_fold_of_whole_approximations():
