@@ -32,18 +32,21 @@ unbounded approximation.
 
 A cell that can gain nothing more is *closed*: from the stage it closes
 at, no later stage can give it an element that is new and ``<= bound``
-(any new element, for an unbounded cell).  The evaluator extends a
-closed cell to later stages without calling its step or charging a
-step, so a bounded query past the point where its demand is met, such
-as the harness's stability re-check, costs nothing: once the demanded
-part of a fixpoint is complete, evaluation stops.  A ``Script`` closes
-at its last entry stage, ``FullColumnOf`` once its rows reach the
-bound, ``Indexed`` when its decoded term does, and a
-construction when its step calls ``close(state)``.
+(any new element, for an unbounded cell).  The evaluator answers for a
+closed cell at any later stage from what it holds at the stage it
+closed at: it calls no step, charges no step and stores nothing per
+later stage, so a query past the point where its demand is met, such
+as the harness's stability re-check, costs the same at stage 10^10 as
+at the next stage.  Once the demanded part of a fixpoint is complete,
+evaluation stops.  A ``Script`` closes at its last entry stage,
+``FullColumnOf`` once its rows reach the bound, ``Indexed`` when its
+decoded term does, and a construction when its step calls
+``close(state)``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
@@ -173,8 +176,8 @@ class CombinatorDef:
     reserved state key ``"closed"``; the evaluator then calls it no
     more.  It may close only after it has advanced every argument it
     reads to stage s, and it learns that an argument can give nothing
-    more from ``ev.closed(arg, s, bound)``, asked with the bound it
-    passes to ``fresh``.
+    more from ``arg_closed(ev, state, arg, s, bound)``, asked with the
+    bound it passes to ``fresh``.
     """
 
     cid: str
@@ -197,6 +200,22 @@ def register_combinator(cid: str, step: Callable,
 def close(state: dict) -> None:
     """Declare, from a step, that its cell is closed after this stage."""
     state["closed"] = True
+
+
+def arg_closed(ev: Evaluator, state: dict, term: Term, s: int,
+               bound: Optional[int] = None) -> bool:
+    """``ev.closed(term, s, bound)`` for the argument a step reads.
+
+    A step asks at every stage, and most arguments never close, so the
+    argument's cell is looked up once, after the step's first ``fresh``
+    of it, and kept in the reserved state key ``"arg_cell"``."""
+    cell = state.get("arg_cell")
+    if cell is None:
+        cell = ev.cell_of(term, bound)
+        if cell is None:
+            return False
+        state["arg_cell"] = cell
+    return cell.settled <= s
 
 
 def _takes_bound(term: Term) -> bool:
@@ -227,6 +246,15 @@ class _Cell:
     entries: dict = field(default_factory=dict)  # element -> first stage
     order: list = field(default_factory=list)    # elements in entry order
     ends: list = field(default_factory=list)     # order[:ends[t]]: stage t
+    # no element enters from this stage on: the last entry stage once
+    # the cell has closed, infinite while it is open
+    settled: float = math.inf
+
+    def end(self, s: int) -> int:
+        """How many elements the cell holds at stage s, once advanced
+        through s: past the stage it closed at, all of them."""
+        ends = self.ends
+        return ends[s] if s < len(ends) else len(self.order)
 
 
 class Evaluator:
@@ -288,7 +316,7 @@ class Evaluator:
                 inner = numbering.decode(term.code)
                 cell.state["inner"] = inner
             new = self.fresh(inner, s, bound)
-            if self.closed(inner, s, bound):
+            if arg_closed(self, cell.state, inner, s, bound):
                 close(cell.state)
             return new
         raise TypeError(f"not a program term: {term!r}")
@@ -300,11 +328,11 @@ class Evaluator:
             cell = self._cells[key] = _Cell()
         entries, order, ends = cell.entries, cell.order, cell.ends
         state = cell.state
+        if "closed" in state:
+            # a closed cell's ends stop at the stage it closed at
+            return cell
         append = order.append
         while len(ends) <= s:
-            if "closed" in state:
-                ends.extend([ends[-1]] * (s + 1 - len(ends)))
-                break
             t = len(ends)
             elems = self._stage_elements(term, t, cell, bound)
             # one step for the stage, one per element emitted
@@ -320,6 +348,9 @@ class Evaluator:
                         entries[x] = t
                         append(x)
             ends.append(len(order))
+            if "closed" in state:
+                cell.settled = entries[order[-1]] if order else 0
+                break
         return cell
 
     def _run(self, term: Term, s: int,
@@ -343,7 +374,7 @@ class Evaluator:
         if s < 0:
             return frozenset()
         cell = self._run(term, s)
-        return frozenset(cell.order[:cell.ends[s]])
+        return frozenset(cell.order[:cell.end(s)])
 
     def upto(self, term: Term, s: int, bound: int) -> frozenset:
         """``{x in approx(term, s) : x <= bound}``, computed only as far
@@ -351,7 +382,7 @@ class Evaluator:
         if s < 0:
             return frozenset()
         cell = self._run(term, s, bound)
-        return frozenset(x for x in cell.order[:cell.ends[s]] if x <= bound)
+        return frozenset(x for x in cell.order[:cell.end(s)] if x <= bound)
 
     def fresh(self, term: Term, s: int,
               bound: Optional[int] = None) -> list:
@@ -362,6 +393,8 @@ class Evaluator:
             return []
         cell = self._run(term, s, bound)
         ends = cell.ends
+        if s >= len(ends):
+            return []  # the cell closed before stage s
         new = cell.order[ends[s - 1] if s else 0:ends[s]]
         if bound is None:
             return new
@@ -376,13 +409,15 @@ class Evaluator:
         have advanced term past s, and what it gained there is still new
         to a caller at stage s.  The bound maps as in ``_run``: a term
         that takes no bound answers for its unbounded cell."""
+        cell = self.cell_of(term, bound)
+        return cell is not None and cell.settled <= s
+
+    def cell_of(self, term: Term,
+                bound: Optional[int] = None) -> Optional[_Cell]:
+        """The cell that answers for term under bound, once made."""
         if bound is not None and not _takes_bound(term):
             bound = None
-        cell = self._cells.get(term if bound is None else (term, bound))
-        if cell is None or "closed" not in cell.state:
-            return False
-        ends = cell.ends
-        return len(ends) <= s or ends[s] == len(cell.order)
+        return self._cells.get(term if bound is None else (term, bound))
 
     def entry_stage(self, term: Term, x: int, s: int) -> Optional[int]:
         """First stage <= s at which x appeared, or None."""

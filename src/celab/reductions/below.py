@@ -19,7 +19,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from ..programs import close, register_combinator, arg, param
+from ..programs import arg_closed, close, register_combinator, arg, param
 from ..descriptors import (
     Descriptor, Finite, Progression, EMPTY, FULL, analyze,
 )
@@ -83,7 +83,7 @@ def _step_saturate_down(ev, args, params, s, state, bound=None):
     a = arg(args, 0)
     trim = param(params, 0)
     bounds = _running_bounds(ev, a, s, state)
-    if ev.closed(a, s):
+    if arg_closed(ev, state, a, s):
         close(state)
     if bounds is None:
         return ()
@@ -108,7 +108,7 @@ def _step_interval_hull(ev, args, params, s, state):
     interval contains the last one and only its new ends are emitted."""
     a = arg(args, 0)
     bounds = _running_bounds(ev, a, s, state)
-    if ev.closed(a, s):
+    if arg_closed(ev, state, a, s):
         close(state)
     if bounds is None:
         return ()
@@ -127,7 +127,7 @@ def _step_factorials(side: int):
     def step(ev, args, params, s, state):
         a = arg(args, 0)
         bounds = _running_bounds(ev, a, s, state)
-        if ev.closed(a, s):
+        if arg_closed(ev, state, a, s):
             close(state)
         if bounds is None:
             return ()
@@ -148,7 +148,7 @@ def _step_stage_gcds(ev, args, params, s, state):
     for x in ev.fresh(a, s):
         g = math.gcd(g, x)
     state["gcd"] = g
-    if ev.closed(a, s):
+    if arg_closed(ev, state, a, s):
         close(state)
     if g == 0:
         return ()  # empty, or a subset of {0}: gcd is infinite
@@ -165,7 +165,7 @@ def _step_stage_lcms(ev, args, params, s, state):
         if x > 0:
             l = l * x // math.gcd(l, x)
     state["lcm"] = l
-    if ev.closed(a, s):
+    if arg_closed(ev, state, a, s):
         close(state)
     return (l,)
 
@@ -231,7 +231,7 @@ def _codes_below(ev, a, s, state, cut, bound):
     while cut is not None and waiting and waiting[0][0] < cut:
         out.append(heapq.heappop(waiting)[1])
     if (bound is not None and s >= bound
-            and (not waiting or ev.closed(a, s))):
+            and (not waiting or arg_closed(ev, state, a, s))):
         close(state)
     return out
 

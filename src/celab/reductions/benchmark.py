@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..pairing import pair, unpair
-from ..programs import close, register_combinator, arg, param
+from ..programs import arg_closed, close, register_combinator, arg, param
 from ..descriptors import (
     ColumnsBySet, Columns, Difference, Finite, EMPTY, FULL,
     Descriptor, analyze, block_bounds, block_of, column_descriptor, member,
@@ -89,7 +89,7 @@ def _step_expand_columns(ev, args, params, s, state, bound=None):
     if bound is not None:
         state["entered"] = entered = [
             e for e, x in zip(entered, out) if x <= bound]
-    if not entered and ev.closed(a, s, reach):
+    if not entered and arg_closed(ev, state, a, s, reach):
         close(state)
     return out
 
@@ -111,7 +111,7 @@ def _step_tail_columns(ev, args, params, s, state, bound=None):
             out.append(pair(c, x))
             if out[-1] > bound:
                 break
-    if ev.closed(a, s, reach):
+    if arg_closed(ev, state, a, s, reach):
         close(state)
     return out
 
@@ -129,7 +129,7 @@ def _step_replicate_columns(ev, args, params, s, state, bound=None):
     if bound is not None:
         state["entered"] = entered = [
             e for e, x in zip(entered, out) if x <= bound]
-    if not entered and ev.closed(a, s, reach):
+    if not entered and arg_closed(ev, state, a, s, reach):
         close(state)
     return out
 
@@ -150,7 +150,7 @@ def _run_progressions(ev, a, s, state, bound, gens: dict) -> list:
             gen[0] += gen[2]
         else:
             del gens[key]
-    if (ev.closed(a, s, bound)
+    if (arg_closed(ev, state, a, s, bound)
             and all(gen[0] >= gen[1] for gen in gens.values())):
         close(state)
     return out
@@ -215,7 +215,7 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
     # every output of generator <n, m> = s is a pair <s, y> >= <s, 0>,
     # so past the bound only the argument can add outputs
     if (bound is not None and pair(s + 1, 0) > bound
-            and ev.closed(a, s, bound)):
+            and arg_closed(ev, state, a, s, bound)):
         close(state)
     if bound is not None and pair(s, 0) > bound:
         return out
@@ -255,7 +255,7 @@ def _step_prefix_family(ev, args, params, s, state, bound=None):
     # column m = s opens now, and <m, y> >= <m, 0>: past the bound only
     # the argument can add outputs
     if (bound is not None and pair(s + 1, 0) > bound
-            and ev.closed(a, s, reach)):
+            and arg_closed(ev, state, a, s, reach)):
         close(state)
     if bound is not None and pair(s, 0) > bound:
         return out

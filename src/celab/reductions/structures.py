@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from ..pairing import pair, unpair, seq_decode, set_decode
-from ..programs import Combinator, close, register_combinator, arg
+from ..programs import Combinator, arg_closed, close, register_combinator, arg
 from ..descriptors import (
     Finite, Cofinite, Union, Difference,
     EMPTY, FULL, analyze, member,
@@ -40,7 +40,7 @@ def _step_star_edges(ev, args, params, s, state):
     for n in ev.fresh(a, s):
         ev.tick()
         out.append(pair(0, n + 1))
-    if ev.closed(a, s):
+    if arg_closed(ev, state, a, s):
         close(state)
     return out
 

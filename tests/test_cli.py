@@ -112,6 +112,17 @@ def test_enumerate_past_the_step_budget_exits_three(capsys, monkeypatch):
     assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize("term", [
+    "(script)", "(script (3 (4 9)))", "(indexed 0)",
+    "(combinator from_descriptor () (5786 0))"])
+def test_enumerating_a_closing_term_at_a_huge_stage_is_cheap(capsys, term):
+    """A closed program costs nothing per later stage, so a stage far
+    past any step budget still answers at once."""
+    code, out = run(capsys, "enumerate", "--term", term,
+                    "--stage", str(10 ** 10))
+    assert code == 0 and out.startswith("{")
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2 * 10 ** 5),
        st.integers(min_value=0, max_value=40))

@@ -176,8 +176,11 @@ def test_closed_cells_cost_nothing(term):
         ev = Evaluator()
         ev.upto(t, 200, 21)
         assert ev.closed(t, 200, 21)
-        ev.upto(t, 2000, 21)
+        window = ev.upto(t, 2000, 21)
         assert ev._steps == 0
+        # a closed cell stores nothing per later stage
+        assert ev.upto(t, 10 ** 12, 21) == window and ev._steps == 0
+        assert ev.fresh(t, 10 ** 12, 21) == [] and ev._steps == 0
 
 
 @pytest.mark.parametrize("cid", sorted(CLOSING))
