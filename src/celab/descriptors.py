@@ -766,11 +766,13 @@ def _step_from_descriptor(ev, args, params, s, state, bound=None):
                             math.inf if top is None else top)
     delay = param(params, 1)
     x = s - delay
-    # candidates rise with the stage: past the bound none is tested,
-    # and past the largest element none would pass
+    # candidates rise with the stage: past the largest element none
+    # would pass, and past the bound (at or past last) none is tested
     if x >= state["last"]:
         close(state)
-    if x < 0 or bound is not None and x > bound:
+        if bound is not None and x > bound:
+            return ()
+    if x < 0:
         return ()
     ev.tick()
     return (x,) if member(d, x) else ()

@@ -247,7 +247,7 @@ class _Cell:
     order: list = field(default_factory=list)    # elements in entry order
     ends: list = field(default_factory=list)     # order[:ends[t]]: stage t
     # no element enters from this stage on: the last entry stage once
-    # the cell has closed, infinite while it is open
+    # the evaluator has seen the cell closed, infinite until then
     settled: float = math.inf
 
     def end(self, s: int) -> int:
@@ -287,6 +287,14 @@ class Evaluator:
 
     def _stage_elements(self, term: Term, s: int, cell: _Cell,
                         bound: Optional[int]) -> Iterable:
+        if isinstance(term, Combinator):
+            cdef = COMBINATORS.get(term.cid)
+            if cdef is None:
+                return ()
+            if bound is None:
+                return cdef.step(self, term.args, term.params, s, cell.state)
+            return cdef.step(self, term.args, term.params, s, cell.state,
+                             bound=bound)
         if isinstance(term, Script):
             if not term.entries or s >= term.entries[-1][0]:
                 close(cell.state)
@@ -301,14 +309,6 @@ class Evaluator:
             if bound is not None and x >= bound:
                 close(cell.state)
             return (x,)
-        if isinstance(term, Combinator):
-            cdef = COMBINATORS.get(term.cid)
-            if cdef is None:
-                return ()
-            if bound is None:
-                return cdef.step(self, term.args, term.params, s, cell.state)
-            return cdef.step(self, term.args, term.params, s, cell.state,
-                             bound=bound)
         if isinstance(term, Indexed):
             from . import numbering
             inner = cell.state.get("inner")
@@ -327,16 +327,19 @@ class Evaluator:
         if cell is None:
             cell = self._cells[key] = _Cell()
         entries, order, ends = cell.entries, cell.order, cell.ends
-        state = cell.state
-        if "closed" in state:
-            # a closed cell's ends stop at the stage it closed at
-            return cell
         append = order.append
         while len(ends) <= s:
+            if "closed" in cell.state:
+                # its step closed the cell at its last stage: the ends
+                # stop there, and nothing enters from its last entry on
+                cell.settled = entries[order[-1]] if order else 0
+                break
             t = len(ends)
             elems = self._stage_elements(term, t, cell, bound)
             # one step for the stage, one per element emitted
-            self.tick(1 + len(elems))
+            self._steps += 1 + len(elems)
+            if self._steps > self.budget:
+                self.tick(0)  # raises BudgetExceeded
             if bound is None:
                 for x in elems:
                     if x not in entries:
@@ -348,9 +351,6 @@ class Evaluator:
                         entries[x] = t
                         append(x)
             ends.append(len(order))
-            if "closed" in state:
-                cell.settled = entries[order[-1]] if order else 0
-                break
         return cell
 
     def _run(self, term: Term, s: int,
@@ -393,9 +393,10 @@ class Evaluator:
             return []
         cell = self._run(term, s, bound)
         ends = cell.ends
-        if s >= len(ends):
+        try:
+            new = cell.order[ends[s - 1] if s else 0:ends[s]]
+        except IndexError:
             return []  # the cell closed before stage s
-        new = cell.order[ends[s - 1] if s else 0:ends[s]]
         if bound is None:
             return new
         return [x for x in new if x <= bound]

@@ -140,8 +140,8 @@ def _block_kind(params) -> str:
 
 def _run_progressions(ev, a, s, state, bound, gens: dict) -> list:
     """Emit the next value of every generator [next, end, step], drop
-    the generators that are done, and close once they are all done and
-    the argument can start no more."""
+    the generators that are done, and close once they are all dropped
+    and the argument can start no more."""
     ev.tick(len(gens))
     out = []
     for key, gen in list(gens.items()):
@@ -150,8 +150,7 @@ def _run_progressions(ev, a, s, state, bound, gens: dict) -> list:
             gen[0] += gen[2]
         else:
             del gens[key]
-    if (arg_closed(ev, state, a, s, bound)
-            and all(gen[0] >= gen[1] for gen in gens.values())):
+    if not gens and arg_closed(ev, state, a, s, bound):
         close(state)
     return out
 
