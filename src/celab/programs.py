@@ -408,8 +408,11 @@ class Evaluator:
 
         The stage matters because cells are shared: another query may
         have advanced term past s, and what it gained there is still new
-        to a caller at stage s.  The bound maps as in ``_run``: a term
-        that takes no bound answers for its unbounded cell."""
+        to a caller at stage s.  The evaluator sees that a step closed
+        its cell when it next advances the cell, so a reader at the
+        closing stage learns of it one stage later.  The bound maps as
+        in ``_run``: a term that takes no bound answers for its
+        unbounded cell."""
         cell = self.cell_of(term, bound)
         return cell is not None and cell.settled <= s
 
