@@ -1,7 +1,9 @@
 """Image reductions into the combinatorial benchmark relations, plus the
 two stage machines (pairwise difference module and tracked families)."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -171,3 +173,55 @@ def test_pairwise_module_matches_the_naive_rebuild():
         for stages in (0, 1, 2, 45):
             res = run_pairwise_module(a, b, stages)
             assert (res.d_ab, res.d_ba) == _naive_pairwise(a, b, stages)
+
+
+# End-state golden of the tracked-family machine: reports and every
+# slice's bookkeeping for fixed families, so an optimization of the
+# machine is held to the behaviour it had before.
+
+FAMILY_GOLDEN = Path(__file__).parent / "goldens" / "family_machine.json"
+GOLDEN_SEEDS = (1, 2, 3)
+
+
+def _family_machine_golden() -> str:
+    """One JSON line per family report and per slice, in run order."""
+    lines = []
+    for seed in GOLDEN_SEEDS:
+        for cols, height in FAMILY_SHAPES:
+            family = gen_family(random.Random(seed), cols=cols,
+                                height=height)
+            report = run_tracked_family(family)
+            head = {"seed": seed, "shape": [cols, height]}
+            lines.append(json.dumps({
+                **head, "issues": report.issues,
+                "verdicts": [[m, n, want, got] for (m, n), (want, got)
+                             in sorted(report.verdicts.items())]}))
+            # the same run as run_tracked_family, kept to read its end
+            # state (the report above says whether it stopped early)
+            machine = TrackedFamilyMachine(family, 8, height=8)
+            while machine.stage < 60:
+                machine.step()
+                if machine.invariant_issues():
+                    break
+            for (c, j), sl in machine.slices.items():
+                cells = machine.cells[(c, j)]
+                shared = set.intersection(*cells)
+                lines.append(json.dumps({
+                    **head, "slice": [c, j], "marker": sl.marker,
+                    "retired": sl.retired, "last_churn": sl.last_churn,
+                    "last_move": sl.last_move,
+                    "minima": [sl.minima[i] for i in range(j)],
+                    # each output's restriction to the slice is the
+                    # shared part plus its own
+                    "shared": sorted(shared),
+                    "outputs": [sorted(cell - shared) for cell in cells]}))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+def test_family_machine_end_state_matches_the_golden():
+    assert _family_machine_golden() == FAMILY_GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_benchmark.py rewrites the golden
+    FAMILY_GOLDEN.write_text(_family_machine_golden())
