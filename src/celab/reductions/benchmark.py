@@ -22,7 +22,11 @@ Two outputs differ on finitely many values exactly when the two inputs
 differ on finitely many columns.  The machine exposes its invariants
 (per-slice differences bounded by the current marker, retired markers
 present everywhere, churning slices staying synchronized) so the test
-suite can check them at every stage.
+suite can check them at every stage.  Both machines grow their stage
+sets by one membership test per stage and input.  The family machine
+also updates only the least column differences that the stage's new
+element can change, and compares a slice's outputs pairwise only when
+its bookkeeping shows they may differ beyond the current marker.
 """
 
 from __future__ import annotations
@@ -644,12 +648,15 @@ def check_pairwise(a: Descriptor, b: Descriptor, columns: int = 10,
 class _Slice:
     """Per-(column, input) bookkeeping.
 
-    ``marker`` counts how many marker positions have been used; the
-    current marker element is the pair code of ((c, j), marker).
-    ``minima`` maps each smaller input index i to the last seen least
-    column difference, or None.  ``retired`` lists the retired marker
-    elements in order; the first ``checked`` of them were found in every
-    output by an earlier invariant check.
+    ``marker`` counts how many marker positions have been used;
+    ``current`` is the current marker element, the pair code of
+    ((c, j), marker).
+    ``minima`` maps each smaller input index i to the least column
+    difference between inputs i and j seen so far, or None.
+    ``retired`` lists the retired marker elements in order; the first
+    ``checked`` of them were found in every output by an earlier
+    invariant check.  ``split`` maps each element that some outputs hold
+    on the slice, but not all, to the number that hold it.
     """
 
     c: int
@@ -660,6 +667,11 @@ class _Slice:
     checked: int = 0
     last_churn: int = -1
     last_move: int = 0
+    split: dict = field(default_factory=dict)
+    current: int = field(init=False)
+
+    def __post_init__(self):
+        self.current = _marker_element(self)
 
 
 def _marker_element(sl: _Slice) -> int:
@@ -679,9 +691,19 @@ class TrackedFamilyMachine:
     column differences.
 
     Input k is enumerated canonically: ``stage_sets[k]`` is W_k at the
-    current stage, everything below it that belongs to input k.  A step
-    reads W_k at stage s and s+1, so the stage sets grow by one
-    membership test per stage and input.
+    current stage, everything below it that belongs to input k.  The
+    machine keeps its checks incremental, since a stage changes little:
+
+    - each stage set grows by one membership test per stage and input;
+    - W at stage s differs from W at stage s-1 by at most the element
+      s-1 = <c, n>, so only column c's slices can see a new least
+      difference, and only at position n;
+    - ``_add``, the one writer of ``outputs`` and ``cells``, keeps each
+      slice's ``split`` elements, so ``invariant_issues`` compares a
+      slice's cells pairwise only when something besides the current
+      marker tells two outputs apart;
+    - each retired marker is checked until it is first found in every
+      output.
     """
 
     def __init__(self, family, slices_c: int, height: int = 16):
@@ -696,18 +718,42 @@ class TrackedFamilyMachine:
         self.stage_sets = [set() for _ in self.family]
         for c in range(slices_c):
             for j in range(self.k):
-                sl = _Slice(c, j)
+                sl = _Slice(c, j, minima=dict.fromkeys(range(j)))
                 self.slices[(c, j)] = sl
                 self.cells[(c, j)] = [set() for _ in range(self.k)]
-                self._add(j, sl, _marker_element(sl))
+                self._add(j, sl, sl.current)
 
     def _add(self, g: int, sl: _Slice, x: int):
+        cell = self.cells[(sl.c, sl.j)][g]
+        if x in cell:
+            return
+        cell.add(x)
         self.outputs[g].add(x)
-        self.cells[(sl.c, sl.j)][g].add(x)
+        held = sl.split.pop(x, 0) + 1
+        if held < self.k:
+            sl.split[x] = held
 
-    def _minimum(self, ws_i, ws_j, c):
-        return next((k for k in range(self.height)
-                     if (pair(c, k) in ws_i) != (pair(c, k) in ws_j)), None)
+    def _new_minima(self, x: int) -> set:
+        """Take in element x, the one that entered the stage sets since
+        the last stage; returns the slices whose minima it changed.
+
+        Before x entered, no input held <c, n> = x, so it now differs
+        between inputs i and j exactly when one of them took it in, and
+        their least difference becomes min(old, n).
+        """
+        c, n = unpair(x)
+        if n >= self.height or c >= self.slices_c:
+            return set()
+        held = [x in ws for ws in self.stage_sets]
+        changed = set()
+        for j in range(1, self.k):
+            sl = self.slices[(c, j)]
+            for i in range(j):
+                m = sl.minima[i]
+                if held[i] != held[j] and (m is None or n < m):
+                    sl.minima[i] = n
+                    changed.add((c, j))
+        return changed
 
     def _fact(self, sl: _Slice, k: int, stage_sets) -> bool:
         """Input k treats every recorded least difference of slice
@@ -723,44 +769,40 @@ class TrackedFamilyMachine:
         return True
 
     def _retire(self, sl: _Slice):
-        x = _marker_element(sl)
+        x = sl.current
         for g in range(self.k):
             self._add(g, sl, x)
         sl.retired.append(x)
         sl.marker += 1
+        sl.current = _marker_element(sl)
         sl.last_move = self.stage
-        self._add(sl.j, sl, _marker_element(sl))
+        self._add(sl.j, sl, sl.current)
 
     def step(self):
         s = self.stage
-        prev_sets = self.stage_sets
-        next_sets = [ws | {s} if member(d, s) else ws
-                     for d, ws in zip(self.family, prev_sets)]
-        for sl in self.slices.values():
-            c, j = sl.c, sl.j
-            churn = False
-            for i in range(j):
-                m = self._minimum(prev_sets[i], prev_sets[j], c)
-                if m is None or m != sl.minima.get(i, m):
-                    churn = True
-                sl.minima[i] = m
-            if j > 0 and any(sl.minima[i] is None for i in range(j)):
-                churn = True
+        # the minima read W at stage s, the facts W at stage s+1
+        changed = self._new_minima(s - 1) if s else set()
+        next_sets = self.stage_sets
+        for d, ws in zip(self.family, next_sets):
+            if member(d, s):
+                ws.add(s)
+        for key, sl in self.slices.items():
+            c, j = key
+            churn = key in changed or None in sl.minima.values()
             steered = range(j + 1, min(c, self.k - 1) + 1)
             matching = [k for k in steered if self._fact(sl, k, next_sets)]
             if not churn:
                 # a steered input that holds its marker but no longer
                 # matches input j on the minima forces a fresh marker
-                x = _marker_element(sl)
+                x = sl.current
                 churn = any(x in self.outputs[k]
                             for k in steered if k not in matching)
             if churn:
                 self._retire(sl)
                 sl.last_churn = s + 1
-            x = _marker_element(sl)
+            x = sl.current
             for k in matching:
                 self._add(k, sl, x)
-        self.stage_sets = next_sets
         self.stage += 1
 
     def run(self, stages: int):
@@ -776,7 +818,7 @@ class TrackedFamilyMachine:
         """Checks that must hold at every stage."""
         issues = []
         for key, sl in self.slices.items():
-            x = _marker_element(sl)
+            x = sl.current
             # outputs only grow (``_add`` is their one writer), so a
             # retired marker found in every output stays there: each is
             # checked until it is first found, then never again
@@ -786,6 +828,10 @@ class TrackedFamilyMachine:
                                   " from some output")
                     break
                 sl.checked += 1
+            # two outputs differ on the slice only where some output
+            # lacks an element another holds
+            if all(y == x for y in sl.split):
+                continue
             cells = [self.slice_of(g, key) for g in range(self.k)]
             for a in range(self.k):
                 for b in range(a + 1, self.k):
@@ -811,7 +857,7 @@ class TrackedFamilyMachine:
             if self.stage - sl.last_churn > 2 * self.height + 4:
                 issues.append(f"slice {key}: agreement slice stopped"
                               " churning")
-            x = _marker_element(sl)
+            x = sl.current
             cells = [self.slice_of(g, key) - {x} for g in range(self.k)]
             if any(cell != cells[0] for cell in cells):
                 issues.append(f"slice {key}: agreement slice outputs differ"
@@ -842,7 +888,7 @@ class TrackedFamilyMachine:
             c, j = key
             if c < tail_from:
                 continue
-            x = _marker_element(sl)
+            x = sl.current
             a = self.slice_of(m, key) - {x}
             b = self.slice_of(n, key) - {x}
             if a != b:

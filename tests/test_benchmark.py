@@ -6,12 +6,13 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401
 from celab.descriptors import member
 from celab.harness import verify_reduction
 from celab.pairing import pair, unpair
-from celab.reductions import REDUCTIONS
+from celab.reductions import REDUCTIONS, benchmark
 from celab.reductions.benchmark import (TrackedFamilyMachine, _marker_element,
                                         check_pairwise, gen_family,
                                         gen_pair_inputs, run_pairwise_module,
@@ -52,7 +53,9 @@ def test_registry_metadata_is_complete():
 
 
 # Naive references for the machines' incremental fast paths: stage sets
-# rebuilt from scratch at every stage, every retired marker re-checked.
+# rebuilt from scratch at every stage, every minimum found by walking the
+# column from its start, every retired marker and every slice's cells
+# re-checked.
 
 FAMILY_SHAPES = [(3, 5), (4, 4), (5, 3), (6, 2)]  # criterion 2's shapes
 
@@ -103,16 +106,88 @@ def _full_invariant_issues(machine):
     return issues
 
 
-def _run_against_references(family, horizon=60):
+def _minimum(ws_i, ws_j, c, height):
+    """Least position below height where column c of two stage sets
+    differs, or None."""
+    return next((k for k in range(height)
+                 if (pair(c, k) in ws_i) != (pair(c, k) in ws_j)), None)
+
+
+class _NaiveMachine(TrackedFamilyMachine):
+    """The machine as it was before its checks became incremental: new
+    stage sets built by copying, every slice's minima recomputed from
+    the column's start and every slice's cells compared pairwise."""
+
+    def step(self):
+        s = self.stage
+        prev_sets = self.stage_sets
+        next_sets = [ws | {s} if member(d, s) else ws
+                     for d, ws in zip(self.family, prev_sets)]
+        for sl in self.slices.values():
+            c, j = sl.c, sl.j
+            churn = False
+            for i in range(j):
+                m = _minimum(prev_sets[i], prev_sets[j], c, self.height)
+                if m is None or m != sl.minima.get(i, m):
+                    churn = True
+                sl.minima[i] = m
+            steered = range(j + 1, min(c, self.k - 1) + 1)
+            matching = [k for k in steered if self._fact(sl, k, next_sets)]
+            if not churn:
+                x = _marker_element(sl)
+                churn = any(x in self.outputs[k]
+                            for k in steered if k not in matching)
+            if churn:
+                self._retire(sl)
+                sl.last_churn = s + 1
+            x = _marker_element(sl)
+            for k in matching:
+                self._add(k, sl, x)
+        self.stage_sets = next_sets
+        self.stage += 1
+
+    def invariant_issues(self):
+        return _full_invariant_issues(self)
+
+
+def _with_stray(machine_class, stray):
+    """machine_class, or a subclass that, after step ``at``, adds the
+    element y to output g's cell of slice key."""
+    if stray is None:
+        return machine_class
+    at, g, key, y = stray
+
+    class Stray(machine_class):
+        def step(self):
+            super().step()
+            if self.stage == at:
+                self._add(g, self.slices[key], y)
+
+    return Stray
+
+
+def _report(machine_class, family) -> tuple:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(benchmark, "TrackedFamilyMachine", machine_class)
+        report = run_tracked_family(family)
+    return report.issues, report.verdicts
+
+
+def _run_against_references(family, horizon=60,
+                            machine_class=TrackedFamilyMachine):
     """Step a machine as run_tracked_family does, comparing its stage
-    sets and its invariant check with the naive references at every
-    stage; returns the stages after which issues were reported."""
-    machine = TrackedFamilyMachine(family, 8, height=8)
+    sets, its minima and its invariant check with the naive references
+    at every stage; returns the stages after which issues were
+    reported."""
+    machine = machine_class(family, 8, height=8)
     flagged = []
     while machine.stage < horizon:
-        assert machine.stage_sets == [_stage_set(d, machine.stage)
-                                      for d in family]
+        sets = [_stage_set(d, machine.stage) for d in family]
+        assert machine.stage_sets == sets
         machine.step()
+        for (c, j), sl in machine.slices.items():
+            assert sl.minima == {i: _minimum(sets[i], sets[j], c, 8)
+                                 for i in range(j)}, (machine.stage, c, j)
         issues = machine.invariant_issues()
         assert issues == _full_invariant_issues(machine), machine.stage
         if issues:
@@ -166,6 +241,32 @@ def test_a_missing_retired_marker_is_reported_when_it_happens(monkeypatch):
     assert "retired marker" in report.issues[0]
 
 
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(FAMILY_SHAPES), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(2, 5),
+       stray=st.none() | st.tuples(st.integers(1, 59), st.integers(0, 4),
+                                   st.integers(0, 7), st.integers(0, 4),
+                                   st.integers(0, 2000)))
+def test_family_machine_matches_the_naive_machine(shape, seed, k, stray):
+    """Per stage, the minima and the invariant check equal the naive
+    references, and the end state and the report equal the naive
+    machine's; a stray
+    element in one output's cell sends the check to its pairwise
+    comparison."""
+    cols, height = shape
+    family = gen_family(random.Random(seed), k=k, cols=cols, height=height)
+    if stray is not None:
+        at, g, c, j, y = stray
+        stray = (at, g % k, (c, j % k), y)
+    machine, _ = _run_against_references(
+        family, machine_class=_with_stray(TrackedFamilyMachine, stray))
+    naive = _with_stray(_NaiveMachine, stray)(family, 8, height=8)
+    naive.run(machine.stage)
+    assert _slice_states(machine) == _slice_states(naive)
+    assert (_report(_with_stray(TrackedFamilyMachine, stray), family)
+            == _report(_with_stray(_NaiveMachine, stray), family))
+
+
 def test_pairwise_module_matches_the_naive_rebuild():
     rng = random.Random(43)
     for _ in range(25):
@@ -181,6 +282,23 @@ def test_pairwise_module_matches_the_naive_rebuild():
 
 FAMILY_GOLDEN = Path(__file__).parent / "goldens" / "family_machine.json"
 GOLDEN_SEEDS = (1, 2, 3)
+
+
+def _slice_states(machine) -> list:
+    """Every slice's bookkeeping and its restriction of each output."""
+    states = []
+    for (c, j), sl in machine.slices.items():
+        cells = machine.cells[(c, j)]
+        shared = set.intersection(*cells)
+        states.append({
+            "slice": [c, j], "marker": sl.marker, "retired": sl.retired,
+            "last_churn": sl.last_churn, "last_move": sl.last_move,
+            "minima": [sl.minima[i] for i in range(j)],
+            # each output's restriction to the slice is the shared part
+            # plus its own
+            "shared": sorted(shared),
+            "outputs": [sorted(cell - shared) for cell in cells]})
+    return states
 
 
 def _family_machine_golden() -> str:
@@ -203,18 +321,8 @@ def _family_machine_golden() -> str:
                 machine.step()
                 if machine.invariant_issues():
                     break
-            for (c, j), sl in machine.slices.items():
-                cells = machine.cells[(c, j)]
-                shared = set.intersection(*cells)
-                lines.append(json.dumps({
-                    **head, "slice": [c, j], "marker": sl.marker,
-                    "retired": sl.retired, "last_churn": sl.last_churn,
-                    "last_move": sl.last_move,
-                    "minima": [sl.minima[i] for i in range(j)],
-                    # each output's restriction to the slice is the
-                    # shared part plus its own
-                    "shared": sorted(shared),
-                    "outputs": [sorted(cell - shared) for cell in cells]}))
+            lines.extend(json.dumps({**head, **state})
+                         for state in _slice_states(machine))
     return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
