@@ -114,9 +114,9 @@ def _minimum(ws_i, ws_j, c, height):
 
 
 class _NaiveMachine(TrackedFamilyMachine):
-    """The machine as it was before its checks became incremental: new
-    stage sets built by copying, every slice's minima recomputed from
-    the column's start and every slice's cells compared pairwise."""
+    """The machine without its incremental checks: new stage sets
+    built by copying, every slice's minima recomputed from the column's
+    start and every slice's cells compared pairwise."""
 
     def step(self):
         s = self.stage
@@ -250,9 +250,8 @@ def test_a_missing_retired_marker_is_reported_when_it_happens(monkeypatch):
 def test_family_machine_matches_the_naive_machine(shape, seed, k, stray):
     """Per stage, the minima and the invariant check equal the naive
     references, and the end state and the report equal the naive
-    machine's; a stray
-    element in one output's cell sends the check to its pairwise
-    comparison."""
+    machine's; a stray element in one output's cell sends the check to
+    its pairwise comparison."""
     cols, height = shape
     family = gen_family(random.Random(seed), k=k, cols=cols, height=height)
     if stray is not None:
