@@ -757,6 +757,7 @@ def _finite_top(d: Descriptor) -> Optional[int]:
 
 
 def _step_from_descriptor(ev, args, params, s, state, bound=None):
+    delay = param(params, 1)
     d = state.get("descriptor")
     if d is None:
         d = decode_descriptor(param(params, 0))
@@ -764,7 +765,8 @@ def _step_from_descriptor(ev, args, params, s, state, bound=None):
         top = _finite_top(d)
         state["last"] = min(math.inf if bound is None else bound,
                             math.inf if top is None else top)
-    delay = param(params, 1)
+        # stage t tests t - delay, and later stages larger candidates
+        state["floor"] = lambda t: t - delay + 1
     x = s - delay
     # candidates rise with the stage: past the largest element none
     # would pass, and past the bound (at or past last) none is tested

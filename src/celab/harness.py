@@ -58,6 +58,16 @@ class TestCase:
                 f" the oracle says {actual}")
 
 
+def _decided_case(index: int, source: str, a, b,
+                  expected: bool) -> TestCase:
+    """A TestCase whose verdict the caller has just computed with
+    ``decide``, built without deciding it again."""
+    case = object.__new__(TestCase)
+    case.__dict__.update(index=index, source=source, a=a, b=b,
+                         expected=expected)
+    return case
+
+
 @dataclass
 class VerificationReport:
     reduction: str
@@ -132,7 +142,7 @@ def gen_corpus(red, seed: int = 1, size: int = 50) -> list:
         if counts[expected] >= cap:
             continue
         counts[expected] += 1
-        cases.append(TestCase(len(cases), red.source, a, b, expected))
+        cases.append(_decided_case(len(cases), red.source, a, b, expected))
     return cases
 
 

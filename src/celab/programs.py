@@ -42,6 +42,12 @@ evaluation stops.  A ``Script`` closes at its last entry stage,
 ``FullColumnOf`` once its rows reach the bound, ``Indexed`` when its
 decoded term does, and a construction when its step calls
 ``close(state)``.
+
+A term whose elements rise with the stage also reports a *floor*: the
+least element a stage after a given one can still add.  A reader that
+needs only the elements below some threshold, such as a saturation
+past its bound, then learns that the unbounded cell it reads can give
+it nothing more, though that cell never closes.
 """
 
 from __future__ import annotations
@@ -177,7 +183,13 @@ class CombinatorDef:
     more.  It may close only after it has advanced every argument it
     reads to stage s, and it learns that an argument can give nothing
     more from ``arg_closed(ev, state, arg, s, bound)``, asked with the
-    bound it passes to ``fresh``.
+    bound it passes to ``fresh``, or nothing more ``<= below`` from
+    ``arg_closed(ev, state, arg, s, bound, below)``.
+
+    A step whose elements rise with the stage may set, once, the
+    reserved state key ``"floor"`` to a function of the stage t: the
+    least element that a stage after t can still add.  A cell without
+    one never closes for a reader before its step closes it.
     """
 
     cid: str
@@ -203,8 +215,11 @@ def close(state: dict) -> None:
 
 
 def arg_closed(ev: Evaluator, state: dict, term: Term, s: int,
-               bound: Optional[int] = None) -> bool:
-    """``ev.closed(term, s, bound)`` for the argument a step reads.
+               bound: Optional[int] = None,
+               below: Optional[int] = None) -> bool:
+    """``ev.closed(term, s, bound)`` for the argument a step reads under
+    bound; with ``below``, whether nothing new after stage s and
+    ``<= below`` can enter that cell.
 
     A step asks at every stage, and most arguments never close, so the
     argument's cell is looked up once, after the step's first ``fresh``
@@ -215,7 +230,11 @@ def arg_closed(ev: Evaluator, state: dict, term: Term, s: int,
         if cell is None:
             return False
         state["arg_cell"] = cell
-    return cell.settled <= s
+    if below is None:
+        below = bound
+    if below is None:
+        return cell.settled <= s  # without a call: most readers ask this
+    return cell.closed(s, below)
 
 
 def _takes_bound(term: Term) -> bool:
@@ -255,6 +274,20 @@ class _Cell:
         through s: past the stage it closed at, all of them."""
         ends = self.ends
         return ends[s] if s < len(ends) else len(self.order)
+
+    def closed(self, s: int, below: Optional[int] = None) -> bool:
+        """Whether no element new after stage s and <= below (any new
+        element, without one) can enter the cell: it has closed, or its
+        floor past the last stage it reached lies above below and
+        nothing <= below entered it after stage s."""
+        if self.settled <= s:
+            return True
+        if below is None:
+            return False
+        floor = self.state.get("floor")
+        if floor is None or floor(len(self.ends) - 1) <= below:
+            return False
+        return all(x > below for x in self.order[self.end(s):])
 
 
 class Evaluator:
@@ -326,6 +359,10 @@ class Evaluator:
         cell = self._cells.get(key)
         if cell is None:
             cell = self._cells[key] = _Cell()
+            if isinstance(term, FullColumnOf):
+                # row t + 1 is the least a stage after t adds
+                c = term.c
+                cell.state["floor"] = lambda t: pair(c, t + 1)
         entries, order, ends = cell.entries, cell.order, cell.ends
         append = order.append
         while len(ends) <= s:
@@ -404,17 +441,19 @@ class Evaluator:
     def closed(self, term: Term, s: int,
                bound: Optional[int] = None) -> bool:
         """Whether no element new after stage s and <= bound can enter
-        term: its cell has closed, and nothing entered it after stage s.
+        term: its cell has closed, and nothing entered it after stage s,
+        or its floor lies past the bound, and nothing <= bound entered
+        it after stage s.
 
         The stage matters because cells are shared: another query may
         have advanced term past s, and what it gained there is still new
         to a caller at stage s.  The evaluator sees that a step closed
         its cell when it next advances the cell, so a reader at the
-        closing stage learns of it one stage later.  The bound maps as
-        in ``_run``: a term that takes no bound answers for its
-        unbounded cell."""
+        closing stage learns of it one stage later, unless the floor
+        tells it at once.  The bound maps as in ``_run``: a term that
+        takes no bound answers for its unbounded cell."""
         cell = self.cell_of(term, bound)
-        return cell is not None and cell.settled <= s
+        return cell is not None and cell.closed(s, bound)
 
     def cell_of(self, term: Term,
                 bound: Optional[int] = None) -> Optional[_Cell]:

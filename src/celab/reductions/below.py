@@ -52,12 +52,17 @@ def _running_bounds(ev, a, s, state):
     return bounds
 
 
-def _step_saturate_up(ev, args, params, s, state):
+def _step_saturate_up(ev, args, params, s, state, bound=None):
     """Enumerate [current minimum + offset, infinity), one new value per
     stage, extending downward whenever the minimum drops."""
+    # high counts stages from the argument's first minimum, which can
+    # lie past the bound, so the argument is read whole
     off = param(params, 0)
-    bounds = _running_bounds(ev, arg(args, 0), s, state)
+    a = arg(args, 0)
+    bounds = _running_bounds(ev, a, s, state)
     if bounds is None:
+        if arg_closed(ev, state, a, s):
+            close(state)
         return ()
     ev.tick()
     m = bounds[0] + off
@@ -72,6 +77,11 @@ def _step_saturate_up(ev, args, params, s, state):
     high += 1
     out.append(high)
     state["low"], state["high"] = low, high
+    # [low, high] is out; past the bound only a new minimum below
+    # low - off extends it downward
+    if (bound is not None and high >= bound
+            and arg_closed(ev, state, a, s, below=low - off - 1)):
+        close(state)
     return out
 
 
@@ -101,11 +111,12 @@ def _step_saturate_down(ev, args, params, s, state, bound=None):
     return out
 
 
-def _step_interval_hull(ev, args, params, s, state):
+def _step_interval_hull(ev, args, params, s, state, bound=None):
     """Enumerate [current minimum, current maximum].
 
     The minimum only falls and the maximum only rises, so each stage's
     interval contains the last one and only its new ends are emitted."""
+    # the maximum needs all of the argument
     a = arg(args, 0)
     bounds = _running_bounds(ev, a, s, state)
     if arg_closed(ev, state, a, s):
@@ -114,6 +125,11 @@ def _step_interval_hull(ev, args, params, s, state):
         return ()
     ev.tick()
     lo, hi = bounds
+    # once hi reaches the bound, only a new minimum below lo can add an
+    # output <= b
+    if (bound is not None and hi >= bound
+            and arg_closed(ev, state, a, s, below=lo - 1)):
+        close(state)
     done = state.get("done")  # the interval emitted so far
     state["done"] = (lo, hi)
     if done is None:
@@ -260,9 +276,9 @@ def _step_triadic_cut(ev, args, params, s, state, bound=None):
     return _codes_below(ev, a, s, state, total, bound)
 
 
-register_combinator("saturate_up", _step_saturate_up)
+register_combinator("saturate_up", _step_saturate_up, bounded=True)
 register_combinator("saturate_down", _step_saturate_down, bounded=True)
-register_combinator("interval_hull", _step_interval_hull)
+register_combinator("interval_hull", _step_interval_hull, bounded=True)
 register_combinator("min_factorials", _step_factorials(0))
 register_combinator("max_factorials", _step_factorials(1))
 register_combinator("stage_gcds", _step_stage_gcds)

@@ -567,6 +567,15 @@ class PairwiseResult:
     d_ab: set
     d_ba: set
     stages: int
+    # element -> the stage it entered D_ab (D_ba)
+    ab_from: dict = field(default_factory=dict)
+    ba_from: dict = field(default_factory=dict)
+
+    def before(self, stages: int) -> tuple:
+        """(D_ab, D_ba) as a run of the first ``stages`` stages leaves
+        them: every stage depends only on the stages before it."""
+        return ({x for x, t in self.ab_from.items() if t < stages},
+                {x for x, t in self.ba_from.items() if t < stages})
 
 
 def run_pairwise_module(a: Descriptor, b: Descriptor,
@@ -580,8 +589,8 @@ def run_pairwise_module(a: Descriptor, b: Descriptor,
     in D_ba together with both A_s and B_s.  The stage sets grow by one
     membership test per stage.
     """
-    d_ab: set = set()
-    d_ba: set = set()
+    d_ab: dict = {}  # element -> entry stage
+    d_ba: dict = {}
     ws_a: set = set()
     ws_b: set = set()
     for s in range(stages):
@@ -604,9 +613,11 @@ def run_pairwise_module(a: Descriptor, b: Descriptor,
                 new_ab.add(x)
             if x in d_ab and x in ws_a and x in ws_b:
                 new_ba.add(x)
-        d_ab |= new_ab
-        d_ba |= new_ba
-    return PairwiseResult(d_ab, d_ba, stages)
+        for x in new_ab:
+            d_ab.setdefault(x, s)
+        for x in new_ba:
+            d_ba.setdefault(x, s)
+    return PairwiseResult(set(d_ab), set(d_ba), stages, d_ab, d_ba)
 
 
 def check_pairwise(a: Descriptor, b: Descriptor, columns: int = 10,
@@ -620,13 +631,13 @@ def check_pairwise(a: Descriptor, b: Descriptor, columns: int = 10,
     finite (stable under extra stages).
     """
     issues = []
-    res = run_pairwise_module(a, b, stages)
     longer = run_pairwise_module(a, b, stages + probe)
+    d_ab, d_ba = longer.before(stages)
     for c in range(columns):
         in_a = frozenset(k for k in range(height) if member(a, pair(c, k)))
         in_b = frozenset(k for k in range(height) if member(b, pair(c, k)))
-        out_ab = _column(res.d_ab, c, height=stages)
-        out_ba = _column(res.d_ba, c, height=stages)
+        out_ab = _column(d_ab, c, height=stages)
+        out_ba = _column(d_ba, c, height=stages)
         if in_a == in_b:
             if out_ab != out_ba:
                 issues.append(f"column {c}: inputs agree but outputs differ")
@@ -716,6 +727,7 @@ class TrackedFamilyMachine:
         self.slices = {}
         self.stage = 0
         self.stage_sets = [set() for _ in self.family]
+        self._columns = {}  # (input, column) -> memberships below height
         for c in range(slices_c):
             for j in range(self.k):
                 sl = _Slice(c, j, minima=dict.fromkeys(range(j)))
@@ -841,10 +853,18 @@ class TrackedFamilyMachine:
                                       " beyond the current marker")
         return issues
 
+    def _column(self, m: int, c: int) -> tuple:
+        """Input m's memberships on column c below the height, kept
+        once computed: the verdicts ask for the same columns again."""
+        col = self._columns.get((m, c))
+        if col is None:
+            d = self.family[m]
+            col = self._columns[(m, c)] = tuple(
+                member(d, pair(c, k)) for k in range(self.height))
+        return col
+
     def column_agree(self, m: int, n: int, c: int) -> bool:
-        dm, dn = self.family[m], self.family[n]
-        return all(member(dm, pair(c, k)) == member(dn, pair(c, k))
-                   for k in range(self.height))
+        return self._column(m, c) == self._column(n, c)
 
     def agreement_issues(self) -> list:
         """Slices where some earlier input matches input j's column must

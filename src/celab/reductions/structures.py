@@ -21,7 +21,7 @@ from ..relations import (
     one_equivalence_key, nce_value,
 )
 from ..nce import fold_point, nce_stage_value
-from .benchmark import eqce_to_e0
+from .benchmark import _column_reach, _row_reach, eqce_to_e0
 from . import (
     Built, Reduction, register_reduction, register_mutant,
     gen_pair_1d, gen_pair_columns, compile_arg, one_arg_build,
@@ -33,46 +33,55 @@ from . import (
 # combinator steps
 
 
-def _step_star_edges(ev, args, params, s, state):
+def _step_star_edges(ev, args, params, s, state, bound=None):
     """Element n of the argument adds the edge root -> leaf n+1."""
+    # <0, n + 1> <= b needs n + 1 <= _row_reach(b)
     a = arg(args, 0)
+    reach = None if bound is None else _row_reach(bound) - 1
     out = []
-    for n in ev.fresh(a, s):
+    for n in ev.fresh(a, s, reach):
         ev.tick()
         out.append(pair(0, n + 1))
-    if arg_closed(ev, state, a, s):
+    if arg_closed(ev, state, a, s, reach):
         close(state)
     return out
 
 
-def _react_by_code(ev, a, s, state, point):
+def _react_by_code(ev, a, s, state, point, bound=None, reach=None):
     """Emit each code x at the first stage >= x at which it is a point.
 
     ``point(x, has)`` decides x and calls ``has(e)``, a test of the
     argument's membership, at most once and as its last test.  So code
     s is decided once, at stage s; when it waits on an element e not
     yet present, it is parked under e and released at the stage e
-    enters.
+    enters.  Under a bound b only the codes <= b are decided, and
+    ``reach`` bounds every element they can wait on.
     """
     have = state.setdefault("have", set())
     parked = state.setdefault("parked", {})  # element -> codes waiting
     out = []
-    for e in ev.fresh(a, s):
+    for e in ev.fresh(a, s, reach):
         ev.tick()
         have.add(e)
         out.extend(parked.pop(e, ()))
-    ev.tick()
-    wanted = []
+    if bound is None or s <= bound:
+        ev.tick()
+        wanted = []
 
-    def has(e):
-        wanted.append(e)
-        return True
+        def has(e):
+            wanted.append(e)
+            return True
 
-    if point(s, has):
-        if not wanted or wanted[0] in have:
-            out.append(s)
-        else:
-            parked.setdefault(wanted[0], []).append(s)
+        if point(s, has):
+            if not wanted or wanted[0] in have:
+                out.append(s)
+            else:
+                parked.setdefault(wanted[0], []).append(s)
+    # from stage b on every code <= b is decided, and what is parked
+    # waits on the argument
+    if (bound is not None and s >= bound
+            and (not parked or arg_closed(ev, state, a, s, reach))):
+        close(state)
     return out
 
 
@@ -102,14 +111,17 @@ def _tree_edge(x: int, has) -> bool:
     return bu == bv and k2 == k and t2 + 1 == t and has(n, k)
 
 
-def _step_membership_tree(ev, args, params, s, state):
+def _step_membership_tree(ev, args, params, s, state, bound=None):
     """Emit the tree's edges among the codes <= s.
 
     An edge needs one column membership, and the argument only grows,
     so each code is decided once and waits for its membership."""
+    # code <u, v> waits on <n, k> <= (v - 2) // 2 <= (x - 2) // 2, as
+    # pair is monotone in both arguments
     return _react_by_code(
         ev, arg(args, 0), s, state,
-        lambda x, has: _tree_edge(x, lambda n, k: has(pair(n, k))))
+        lambda x, has: _tree_edge(x, lambda n, k: has(pair(n, k))),
+        bound, None if bound is None else (bound - 2) // 2)
 
 
 def _perm_of(m: int):
@@ -148,8 +160,33 @@ def _copies_point(x: int, edge_has) -> bool:
     return edge_has(pair(pu, pv))
 
 
-def _step_perm_copies(ev, args, params, s, state):
-    return _react_by_code(ev, arg(args, 0), s, state, _copies_point)
+def _longest_seq(m: int) -> int:
+    """The greatest length of a tuple whose ``seq_encode`` code is <= m.
+
+    A tuple of length n has a code at least that of n zeros, as pair
+    is monotone, and those codes grow doubly exponentially with n."""
+    n, code = 0, 1
+    while code <= m:
+        n, code = n + 1, pair(0, code) + 1
+    return n
+
+
+def _copies_reach(b: int) -> int:
+    """A bound on every edge a code <= b of ``perm_copies`` waits on."""
+    # x = <c, y> <= b has c <= _column_reach(b) and y <= _row_reach(b);
+    # it waits on <pu, pv> for <u, v> = y - 1, where a permutation of
+    # length L keeps each of pu, pv <= max(u, v, L - 1)
+    y = _row_reach(b)
+    if y == 0:
+        return -1
+    k = max(_column_reach(y - 1), _longest_seq(_column_reach(b) // 2) - 1)
+    return pair(k, k)
+
+
+def _step_perm_copies(ev, args, params, s, state, bound=None):
+    return _react_by_code(ev, arg(args, 0), s, state, _copies_point,
+                          bound, None if bound is None
+                          else _copies_reach(bound))
 
 
 def _step_level_columns(ev, args, params, s, state):
@@ -176,9 +213,9 @@ def _step_level_columns(ev, args, params, s, state):
     return out
 
 
-register_combinator("star_edges", _step_star_edges)
-register_combinator("membership_tree", _step_membership_tree)
-register_combinator("perm_copies", _step_perm_copies)
+register_combinator("star_edges", _step_star_edges, bounded=True)
+register_combinator("membership_tree", _step_membership_tree, bounded=True)
+register_combinator("perm_copies", _step_perm_copies, bounded=True)
 register_combinator("level_columns", _step_level_columns)
 
 

@@ -8,8 +8,8 @@ from celab.descriptors import Cofinite, Finite, Progression, compile_descriptor
 from celab.pairing import pair
 from celab.numbering import decode as program_from_code, encode as program_code
 from celab.programs import (COMBINATORS, BudgetExceeded, Combinator,
-                            Evaluator, FullColumnOf, Indexed, columns_of,
-                            script)
+                            Evaluator, FullColumnOf, Indexed, arg_closed,
+                            columns_of, script)
 
 entries = st.lists(
     st.tuples(st.integers(min_value=0, max_value=8),
@@ -140,11 +140,11 @@ def test_bounded_steps_grow_linearly_with_the_stage(cid):
 # Constructions that close: once their argument has and, under a bound,
 # once what they still have to emit lies past it.
 CLOSING = {"block_union", "expand_columns", "from_descriptor",
-           "interval_hull", "max_factorials", "min_factorials",
-           "prefix_family", "prefixed_columns", "rational_cut",
-           "replicate_columns", "saturate_down", "scaled_blocks",
-           "stage_gcds", "stage_lcms", "star_edges", "tail_columns",
-           "triadic_cut"}
+           "interval_hull", "max_factorials", "membership_tree",
+           "min_factorials", "perm_copies", "prefix_family",
+           "prefixed_columns", "rational_cut", "replicate_columns",
+           "saturate_down", "saturate_up", "scaled_blocks", "stage_gcds",
+           "stage_lcms", "star_edges", "tail_columns", "triadic_cut"}
 CLOSING_ARGUMENTS = {
     "script": script([(0, {1}), (2, {4, 0}), (3, {9}), (7, {2}),
                       (11, {30})]),
@@ -199,3 +199,42 @@ def test_an_argument_closed_ahead_still_feeds_its_construction(cid):
         want = alone.upto(term, s, 21)
         assert ahead.upto(term, s, 21) == want, f"stage {s}"
         assert inner_ahead.upto(Indexed(program_code(term)), s, 21) == want
+
+
+@pytest.mark.parametrize("name", ["fullcolumn", "progression", "cofinite"])
+@pytest.mark.parametrize(
+    "cid", sorted(cid for cid in CLOSING if COMBINATORS[cid].bounded))
+def test_an_argument_read_ahead_still_feeds_its_construction(cid, name):
+    """A floor speaks of the stages after the last one its cell has
+    reached: what another query made the argument gain after the
+    reader's stage, below the bound, is still new to the reader."""
+    a = CLOSING_ARGUMENTS[name]
+    term = Combinator(cid, (a,), (1, 2) if cid == "from_descriptor" else ())
+    ahead, alone = Evaluator(), Evaluator()
+    ahead.approx(a, 60)
+    for b in range(22):
+        ahead.upto(a, 60, b)
+    for s in range(61):
+        assert ahead.upto(term, s, 21) == alone.upto(term, s, 21), \
+            f"stage {s}"
+
+
+@pytest.mark.parametrize("name", ["fullcolumn", "progression", "cofinite"])
+def test_a_floor_tells_what_can_still_enter(name):
+    """Whether anything <= below can still enter an unbounded argument
+    after stage s, asked of a cell advanced through s and of one that
+    another query advanced far past s."""
+    a = CLOSING_ARGUMENTS[name]
+    lockstep, ahead = Evaluator(), Evaluator()
+    ahead.approx(a, 200)
+    for s in range(100):
+        lockstep.approx(a, s)
+        # the least element a later stage can add: the next row, or the
+        # next candidate the descriptor is tested on
+        floor = pair(1, s + 1) if name == "fullcolumn" else \
+            s - a.params[1] + 1
+        assert arg_closed(lockstep, {}, a, s, below=floor - 1)
+        assert not arg_closed(lockstep, {}, a, s, below=floor)
+        nxt = min(ahead.approx(a, 200) - ahead.approx(a, s))
+        assert arg_closed(ahead, {}, a, s, below=nxt - 1)
+        assert not arg_closed(ahead, {}, a, s, below=nxt)

@@ -14,7 +14,9 @@ from celab.nce import (ltomega_decode, ltomega_encode, nce_stage_value,
 from celab.pairing import pair
 from celab.programs import Evaluator, script
 from celab.reductions import REDUCTIONS, random_ep_descriptor
-from celab.reductions.structures import (cylinder_member, family_columns,
+from celab.reductions.structures import (_copies_point, _copies_reach,
+                                         _tree_edge, cylinder_member,
+                                         family_columns,
                                          family_columns_permutation,
                                          many_one_from_one_one,
                                          one_one_from_many_one)
@@ -102,3 +104,25 @@ def test_family_columns_align_up_to_permutation():
     sel_c = script([(0, {0, 3})])
     order_c, _ = family_columns(ev, family, sel_c, 8)
     assert family_columns_permutation(order_a, order_c) is None
+
+
+def _largest_wait(point, top):
+    """For each b <= top, the largest element a code <= b waits on."""
+    out, largest = [], -1
+    for x in range(top + 1):
+        wanted = []
+        point(x, lambda e: wanted.append(e) or True)
+        largest = max([largest] + wanted)
+        out.append(largest)
+    return out
+
+
+def test_copies_reach_covers_every_code_below_the_bound():
+    for b, largest in enumerate(_largest_wait(_copies_point, 2000)):
+        assert largest <= _copies_reach(b), b
+
+
+def test_tree_codes_wait_below_half_the_bound():
+    tree_point = lambda x, has: _tree_edge(x, lambda n, k: has(pair(n, k)))
+    for b, largest in enumerate(_largest_wait(tree_point, 2000)):
+        assert largest <= (b - 2) // 2, b
