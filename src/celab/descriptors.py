@@ -780,7 +780,7 @@ def _step_from_descriptor(ev, args, params, s, state, bound=None):
     return (x,) if member(d, x) else ()
 
 
-register_combinator("from_descriptor", _step_from_descriptor, bounded=True)
+register_combinator("from_descriptor", _step_from_descriptor)
 
 
 def compile_descriptor(d: Descriptor, delay: int = 0,

@@ -33,7 +33,7 @@ def string_of(m: int) -> tuple:
 # combinator steps
 
 
-def _step_prefix_substitution(ev, args, params, s, state):
+def _step_prefix_substitution(ev, args, params, s, state, bound=None):
     """Positions of 1s in a fixed binary string, then the argument
     beyond the string's length."""
     a = arg(args, 0)
@@ -48,7 +48,7 @@ def _step_prefix_substitution(ev, args, params, s, state):
     return out
 
 
-def _step_translate_mod(ev, args, params, s, state):
+def _step_translate_mod(ev, args, params, s, state, bound=None):
     """Left translation by gamma in the cyclic group of order n."""
     a = arg(args, 0)
     gamma = param(params, 0)
@@ -61,7 +61,7 @@ def _step_translate_mod(ev, args, params, s, state):
     return out
 
 
-def _step_group_columns(ev, args, params, s, state):
+def _step_group_columns(ev, args, params, s, state, bound=None):
     """Element w of the argument contributes g*w to column g, for every
     group element g (cyclic of order n)."""
     a = arg(args, 0)
@@ -75,7 +75,7 @@ def _step_group_columns(ev, args, params, s, state):
     return out
 
 
-def _step_permute_columns_mod(ev, args, params, s, state):
+def _step_permute_columns_mod(ev, args, params, s, state, bound=None):
     """Send input column c to output column c + gamma (mod n): the
     action (gamma . phi)(g) = phi(g gamma^{-1}) on column families."""
     a = arg(args, 0)

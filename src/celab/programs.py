@@ -20,15 +20,16 @@ stage (semi-naive evaluation: fire only on new facts).  A budget on
 primitive steps turns runaway simulations into a ``BudgetExceeded``
 error instead of a hang.
 
-A caller that reads a program only on ``[0, bound]`` asks
-``upto(P, s, bound)``, and a bounded step asks ``fresh(arg, s, bound)``
-of its arguments: the bound is pushed down through the term (the demand,
-or "magic sets", transformation of Datalog), so constructions stop
-computing what the caller cannot see.  A construction that takes a bound
-may over-emit, since the evaluator drops what it returns above the
-bound, but it must never miss an element ``<= bound``.  One that takes
-no bound needs all of its argument; its bounded queries filter its
-unbounded approximation.
+The evaluator keeps one cell per (term, bound), the bound None for an
+unbounded one, and an ``(indexed n)`` reads the cell of the term that n
+decodes to.  A caller that reads a program only on ``[0, bound]`` asks
+``upto(P, s, bound)``, and a step asks ``fresh(arg, s, bound)`` of its
+arguments: the bound is pushed down through the term (the demand, or
+"magic sets", transformation of Datalog), so constructions stop
+computing what the caller cannot see.  Every step is handed the bound of
+its cell and may ignore it, because the evaluator drops what a step
+returns above it; a step must never miss an element ``<= bound``.  A
+construction that needs all of its argument reads it unbounded.
 
 A cell that can gain nothing more is *closed*: from the stage it closes
 at, no later stage can give it an element that is new and ``<= bound``
@@ -39,9 +40,8 @@ later stage, so a query past the point where its demand is met, such
 as the harness's stability re-check, costs the same at stage 10^10 as
 at the next stage.  Once the demanded part of a fixpoint is complete,
 evaluation stops.  A ``Script`` closes at its last entry stage,
-``FullColumnOf`` once its rows reach the bound, ``Indexed`` when its
-decoded term does, and a construction when its step calls
-``close(state)``.
+``FullColumnOf`` once its rows reach the bound, and a construction when
+its step calls ``close(state)``.
 
 A term whose elements rise with the stage also reports a *floor*: the
 least element a stage after a given one can still add.  A reader that
@@ -155,19 +155,20 @@ EMPTY = Script(())
 class CombinatorDef:
     """A registered construction.
 
-    ``step(ev, args, params, s, state)`` is called once per stage, in
-    order, and returns the elements entering the output at stage ``s``
-    as a list, tuple or set.  It may query argument programs only at
-    stages <= s.
+    ``step(ev, args, params, s, state, bound=None)`` is called once per
+    stage, in order, for the cell of its term under bound (None:
+    unbounded), and returns the elements entering that cell at stage
+    ``s`` as a list, tuple or set.  It may query argument programs only
+    at stages <= s.
 
-    With ``bounded`` the step also takes a keyword ``bound=None``.  Under
-    a bound b it must return every element <= b that the unbounded step
-    returns, in the same order; it may return more, since the evaluator
-    drops what lies above b.  It passes a bound to ``ev.fresh(arg, s,
-    bound)`` that keeps every argument element an output <= b can come
-    from, and stops generators whose next output lies past b.  A
-    construction without ``bounded`` needs all of its argument; bounded
-    queries of it filter its unbounded approximation.
+    A step may ignore the bound, because the evaluator drops what it
+    returns above the bound: under a bound b it must return every
+    element <= b that the unbounded step returns, in the same order, and
+    may return more.  A step that uses the bound passes one to
+    ``ev.fresh(arg, s, bound)`` that keeps every argument element an
+    output <= b can come from, and stops generators whose next output
+    lies past b.  A step that needs all of its argument reads it
+    unbounded.
 
     A step should react to ``ev.fresh(arg, s)``, the argument's new
     elements, and keep what it needs of earlier ones in ``state``,
@@ -194,19 +195,17 @@ class CombinatorDef:
 
     cid: str
     step: Callable
-    bounded: bool = False
 
 
 COMBINATORS: dict = {}
 
 
-def register_combinator(cid: str, step: Callable,
-                        bounded: bool = False) -> None:
+def register_combinator(cid: str, step: Callable) -> None:
     if cid in COMBINATORS:
         if COMBINATORS[cid].step is step:
             return  # idempotent re-registration
         raise ValueError(f"combinator {cid!r} already registered")
-    COMBINATORS[cid] = CombinatorDef(cid, step, bounded)
+    COMBINATORS[cid] = CombinatorDef(cid, step)
 
 
 def close(state: dict) -> None:
@@ -217,9 +216,9 @@ def close(state: dict) -> None:
 def arg_closed(ev: Evaluator, state: dict, term: Term, s: int,
                bound: Optional[int] = None,
                below: Optional[int] = None) -> bool:
-    """``ev.closed(term, s, bound)`` for the argument a step reads under
-    bound; with ``below``, whether nothing new after stage s and
-    ``<= below`` can enter that cell.
+    """Whether nothing new after stage s and ``<= bound`` (any new
+    element, without a bound) can enter the cell a step reads of term
+    under bound; with ``below``, nothing new ``<= below``.
 
     A step asks at every stage, and most arguments never close, so the
     argument's cell is looked up once, after the step's first ``fresh``
@@ -235,15 +234,6 @@ def arg_closed(ev: Evaluator, state: dict, term: Term, s: int,
     if below is None:
         return cell.settled <= s  # without a call: most readers ask this
     return cell.closed(s, below)
-
-
-def _takes_bound(term: Term) -> bool:
-    """Whether bounded queries of term keep a cell of their own, built
-    by pushing the bound into its construction."""
-    if isinstance(term, Combinator):
-        cdef = COMBINATORS.get(term.cid)
-        return cdef is None or cdef.bounded
-    return True
 
 
 def arg(args: tuple, i: int) -> Term:
@@ -279,7 +269,14 @@ class _Cell:
         """Whether no element new after stage s and <= below (any new
         element, without one) can enter the cell: it has closed, or its
         floor past the last stage it reached lies above below and
-        nothing <= below entered it after stage s."""
+        nothing <= below entered it after stage s.
+
+        The stage matters because cells are shared: another query may
+        have advanced the cell past s, and what it gained there is still
+        new to a reader at stage s.  The evaluator sees that a step
+        closed its cell when it next advances the cell, so a reader at
+        the closing stage learns of it one stage later, unless the floor
+        tells it at once."""
         if self.settled <= s:
             return True
         if below is None:
@@ -297,16 +294,24 @@ class Evaluator:
     memoizes it.  One evaluator instance must not be shared between
     threads.  The budget bounds the steps of each top-level call of
     ``approx``, ``upto``, ``fresh`` or ``entry_stage``, nested calls
-    included.
+    included.  A tick counts one stage of a cell, one element a step
+    returns, and whatever further work its step charges.
+
+    A top-level call that raises, as when the budget runs out, leaves no
+    cell behind: a step may have taken its arguments' new elements into
+    its state and raised before its own were stored, so the call drops
+    every cell and the next one starts from an empty cache.  Only the
+    terms decoded from program codes stay.
     """
 
     def __init__(self, budget: Optional[int] = None):
         if budget is None:
             budget = int(os.environ.get("CELAB_STEP_BUDGET", DEFAULT_BUDGET))
         self.budget = budget
-        # term -> its cell; (term, bound) -> the cell of its elements
-        # <= bound, for the terms that take a bound
+        # (term, bound) -> the cell of its elements <= bound (all of
+        # them, bound None); never keyed by an Indexed term
         self._cells: dict = {}
+        self._decoded: dict = {}  # program code -> the term it decodes to
         self._steps = 0
         self._depth = 0
 
@@ -324,10 +329,8 @@ class Evaluator:
             cdef = COMBINATORS.get(term.cid)
             if cdef is None:
                 return ()
-            if bound is None:
-                return cdef.step(self, term.args, term.params, s, cell.state)
             return cdef.step(self, term.args, term.params, s, cell.state,
-                             bound=bound)
+                             bound)
         if isinstance(term, Script):
             if not term.entries or s >= term.entries[-1][0]:
                 close(cell.state)
@@ -342,23 +345,26 @@ class Evaluator:
             if bound is not None and x >= bound:
                 close(cell.state)
             return (x,)
-        if isinstance(term, Indexed):
-            from . import numbering
-            inner = cell.state.get("inner")
-            if inner is None:
-                inner = numbering.decode(term.code)
-                cell.state["inner"] = inner
-            new = self.fresh(inner, s, bound)
-            if arg_closed(self, cell.state, inner, s, bound):
-                close(cell.state)
-            return new
         raise TypeError(f"not a program term: {term!r}")
 
+    def _decoded_term(self, term: Term) -> Term:
+        """The term an ``(indexed n)`` stands for, through any chain of
+        them; each code is decoded once, since decoding a big code is
+        dear."""
+        while isinstance(term, Indexed):
+            inner = self._decoded.get(term.code)
+            if inner is None:
+                from . import numbering
+                inner = self._decoded[term.code] = numbering.decode(term.code)
+            term = inner
+        return term
+
     def _advance(self, term: Term, s: int, bound: Optional[int]) -> _Cell:
-        key = term if bound is None else (term, bound)
-        cell = self._cells.get(key)
+        cell = self._cells.get((term, bound))
         if cell is None:
-            cell = self._cells[key] = _Cell()
+            if isinstance(term, Indexed):
+                return self._advance(self._decoded_term(term), s, bound)
+            cell = self._cells[term, bound] = _Cell()
             if isinstance(term, FullColumnOf):
                 # row t + 1 is the least a stage after t adds
                 c = term.c
@@ -392,17 +398,19 @@ class Evaluator:
 
     def _run(self, term: Term, s: int,
              bound: Optional[int] = None) -> _Cell:
-        """Advance term through stage s.  The entry point of every
-        public query: a top-level call starts a fresh step count.  A
-        bound reaches only the terms that take one; the others keep
-        their unbounded cell, which the caller filters."""
-        if self._depth == 0:
+        """Advance the cell of term under bound through stage s.  The
+        entry point of every public query: a top-level call starts a
+        fresh step count, and one that raises drops every cell."""
+        top = self._depth == 0
+        if top:
             self._steps = 0
         self._depth += 1
         try:
-            if bound is not None and not _takes_bound(term):
-                bound = None
             return self._advance(term, s, bound)
+        except BaseException:
+            if top:
+                self._cells.clear()
+            raise
         finally:
             self._depth -= 1
 
@@ -419,7 +427,7 @@ class Evaluator:
         if s < 0:
             return frozenset()
         cell = self._run(term, s, bound)
-        return frozenset(x for x in cell.order[:cell.end(s)] if x <= bound)
+        return frozenset(cell.order[:cell.end(s)])
 
     def fresh(self, term: Term, s: int,
               bound: Optional[int] = None) -> list:
@@ -431,36 +439,14 @@ class Evaluator:
         cell = self._run(term, s, bound)
         ends = cell.ends
         try:
-            new = cell.order[ends[s - 1] if s else 0:ends[s]]
+            return cell.order[ends[s - 1] if s else 0:ends[s]]
         except IndexError:
             return []  # the cell closed before stage s
-        if bound is None:
-            return new
-        return [x for x in new if x <= bound]
-
-    def closed(self, term: Term, s: int,
-               bound: Optional[int] = None) -> bool:
-        """Whether no element new after stage s and <= bound can enter
-        term: its cell has closed, and nothing entered it after stage s,
-        or its floor lies past the bound, and nothing <= bound entered
-        it after stage s.
-
-        The stage matters because cells are shared: another query may
-        have advanced term past s, and what it gained there is still new
-        to a caller at stage s.  The evaluator sees that a step closed
-        its cell when it next advances the cell, so a reader at the
-        closing stage learns of it one stage later, unless the floor
-        tells it at once.  The bound maps as in ``_run``: a term that
-        takes no bound answers for its unbounded cell."""
-        cell = self.cell_of(term, bound)
-        return cell is not None and cell.closed(s, bound)
 
     def cell_of(self, term: Term,
                 bound: Optional[int] = None) -> Optional[_Cell]:
         """The cell that answers for term under bound, once made."""
-        if bound is not None and not _takes_bound(term):
-            bound = None
-        return self._cells.get(term if bound is None else (term, bound))
+        return self._cells.get((self._decoded_term(term), bound))
 
     def entry_stage(self, term: Term, x: int, s: int) -> Optional[int]:
         """First stage <= s at which x appeared, or None."""

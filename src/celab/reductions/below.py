@@ -24,7 +24,7 @@ from ..descriptors import (
     Descriptor, Finite, Progression, EMPTY, FULL, analyze,
 )
 from ..orders import rational_from_code
-from ..relations import ClassKey, QCut
+from ..relations import ClassKey, QCut, max_key
 from . import (
     Reduction, register_reduction, register_mutant,
     gen_pair_1d, one_arg_build, perturbed, adding, without_minimum,
@@ -139,8 +139,12 @@ def _step_interval_hull(ev, args, params, s, state, bound=None):
 
 def _step_factorials(side: int):
     """A step that emits (m + 2)! whenever the running bound m changes:
-    the minimum for side 0, the maximum for side 1."""
-    def step(ev, args, params, s, state):
+    the minimum for side 0, the maximum for side 1.
+
+    It keeps its last factorial and reaches the next one by multiplying
+    or dividing by the factors in between, charging one step per
+    factor before it computes."""
+    def step(ev, args, params, s, state, bound=None):
         a = arg(args, 0)
         bounds = _running_bounds(ev, a, s, state)
         if arg_closed(ev, state, a, s):
@@ -149,14 +153,20 @@ def _step_factorials(side: int):
             return ()
         ev.tick()
         m = bounds[side]
-        if state.get("last") == m:
+        last, fact = state.get("last", (-1, 1))  # (-1 + 2)! = 1
+        if last == m:
             return ()
-        state["last"] = m
-        return (_fact(m + 2),)
+        ev.tick(abs(m - last))
+        if m > last:
+            fact *= math.prod(range(last + 3, m + 3))
+        else:
+            fact //= math.prod(range(m + 3, last + 3))
+        state["last"] = m, fact
+        return (fact,)
     return step
 
 
-def _step_stage_gcds(ev, args, params, s, state):
+def _step_stage_gcds(ev, args, params, s, state, bound=None):
     """Emit the gcd of the stage approximation whenever it is finite."""
     ev.tick()
     a = arg(args, 0)
@@ -171,7 +181,7 @@ def _step_stage_gcds(ev, args, params, s, state):
     return (g,)
 
 
-def _step_stage_lcms(ev, args, params, s, state):
+def _step_stage_lcms(ev, args, params, s, state, bound=None):
     """Emit the lcm of the positive stage elements (1 when there are
     none), every stage."""
     ev.tick()
@@ -191,7 +201,7 @@ def _two_middle(sorted_elems):
     return sorted_elems[(n - 1) // 2], sorted_elems[n // 2]
 
 
-def _step_median_multiples(ev, args, params, s, state):
+def _step_median_multiples(ev, args, params, s, state, bound=None):
     """Emit positive multiples of a step size derived from the current
     median; on every median change, fill everything up to the largest
     value emitted so far.
@@ -213,9 +223,10 @@ def _step_median_multiples(ev, args, params, s, state):
         state["mid"] = mid
         state["fills"] = state.get("fills", 0) + 1
         top = state.get("top", -1)
+        filled = state.get("filled", 0)
+        ev.tick(max(top + 1 - filled, 0))
         done = state.setdefault("done", set())
-        out.extend(x for x in range(state.get("filled", 0), top + 1)
-                   if x not in done)
+        out.extend(x for x in range(filled, top + 1) if x not in done)
         done.update(out)
         state["filled"] = top + 1
         state["mult"] = 0
@@ -276,16 +287,16 @@ def _step_triadic_cut(ev, args, params, s, state, bound=None):
     return _codes_below(ev, a, s, state, total, bound)
 
 
-register_combinator("saturate_up", _step_saturate_up, bounded=True)
-register_combinator("saturate_down", _step_saturate_down, bounded=True)
-register_combinator("interval_hull", _step_interval_hull, bounded=True)
+register_combinator("saturate_up", _step_saturate_up)
+register_combinator("saturate_down", _step_saturate_down)
+register_combinator("interval_hull", _step_interval_hull)
 register_combinator("min_factorials", _step_factorials(0))
 register_combinator("max_factorials", _step_factorials(1))
 register_combinator("stage_gcds", _step_stage_gcds)
 register_combinator("stage_lcms", _step_stage_lcms)
 register_combinator("median_multiples", _step_median_multiples)
-register_combinator("rational_cut", _step_rational_cut, bounded=True)
-register_combinator("triadic_cut", _step_triadic_cut, bounded=True)
+register_combinator("rational_cut", _step_rational_cut)
+register_combinator("triadic_cut", _step_triadic_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +305,6 @@ register_combinator("triadic_cut", _step_triadic_cut, bounded=True)
 
 def _min_of(payload):
     return analyze(payload).min()
-
-
-def _max_info(payload):
-    """(is_empty, is_finite, max-or-None)."""
-    ana = analyze(payload)
-    if ana.is_empty:
-        return True, True, None
-    if not ana.is_finite:
-        return False, False, None
-    return False, True, ana.max()
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +316,11 @@ def _max_settle(trim):
     of a finite set is in by sa(maximum); an unbounded set's first
     member >= M + trim, by sa of it, takes the image past [0, M]."""
     def settle(payload, sa, M):
-        empty, finite, mx = _max_info(payload)
-        if empty:
+        key = max_key(analyze(payload))
+        if key[0] == "empty":
             return M + 2
-        w = mx if finite else analyze(payload).min(at_least=M + trim)
+        w = (key[1] if key[0] == "max"
+             else analyze(payload).min(at_least=M + trim))
         return sa(w) + 2
     return settle
 
@@ -350,12 +352,12 @@ saturate_up = register_reduction(Reduction(
 
 
 def _downward_image(payload) -> Descriptor:
-    empty, finite, mx = _max_info(payload)
-    if empty:
+    key = max_key(analyze(payload))
+    if key[0] == "empty":
         return EMPTY
-    if not finite:
+    if key[0] == "inf":
         return FULL
-    return Finite(frozenset(range(mx + 1)))
+    return Finite(frozenset(range(key[1] + 1)))
 
 
 _build_saturate_down = one_arg_build("saturate_down", _max_settle(0))
@@ -387,12 +389,12 @@ emax_to_emed = register_reduction(Reduction(
 
 
 def _cut_image(payload) -> Descriptor:
-    empty, finite, mx = _max_info(payload)
-    if empty or (finite and mx == 0):
+    key = max_key(analyze(payload))
+    if key in (("empty",), ("max", 0)):
         return EMPTY
-    if not finite:
+    if key[0] == "inf":
         return FULL
-    return Finite(frozenset(range(mx)))
+    return Finite(frozenset(range(key[1])))
 
 
 # the cut {x : x < max} is the initial segment [0, max - 1]
@@ -475,20 +477,20 @@ register_mutant("saturate_up", "excludes-minimum", emin_to_homega.build)
 
 
 def _qcut_of_max(payload) -> QCut:
-    empty, finite, mx = _max_info(payload)
-    if empty or (finite and mx == 0):
+    key = max_key(analyze(payload))
+    if key in (("empty",), ("max", 0)):
         return QCut(-math.inf)
-    if not finite:
+    if key[0] == "inf":
         return QCut(math.inf)
-    return QCut(Fraction(mx - 1))
+    return QCut(Fraction(key[1] - 1))
 
 
 def _rational_cut_settle(payload, sa, M):
-    empty, finite, mx = _max_info(payload)
-    if empty:
+    key = max_key(analyze(payload))
+    if key[0] == "empty":
         return M + 2
-    if finite:
-        return sa(mx) + M + 2
+    if key[0] == "max":
+        return sa(key[1]) + M + 2
     # a witness above every rational with code <= M
     top = max((rational_from_code(c) for c in range(M + 1)),
               default=Fraction(0))
@@ -636,13 +638,14 @@ register_mutant("gcd_to_min", "adds-one",
 
 def _validate_max_factorials(ev, built, payload, window):
     issues = []
-    empty, finite, mx = _max_info(payload)
+    key = max_key(analyze(payload))
     got = ev.approx(built.term, built.settle(window))
-    if empty:
+    if key[0] == "empty":
         if got:
             issues.append("image of the empty set is nonempty")
         return issues
-    if finite:
+    if key[0] == "max":
+        mx = key[1]
         if _fact(mx + 2) not in got:
             issues.append("factorial of the settled maximum is missing")
         if not got <= {_fact(k + 2) for k in range(mx + 1)}:
@@ -656,9 +659,9 @@ def _validate_max_factorials(ev, built, payload, window):
 
 
 def _max_lcm_key(payload) -> ClassKey:
-    empty, finite, mx = _max_info(payload)
-    return ClassKey("e_lcm", 1 if empty
-                    else _fact(mx + 2) if finite else math.inf)
+    key = max_key(analyze(payload))
+    return ClassKey("e_lcm", 1 if key[0] == "empty"
+                    else _fact(key[1] + 2) if key[0] == "max" else math.inf)
 
 
 max_to_lcm = register_reduction(Reduction(
@@ -751,7 +754,7 @@ def _validate_median_multiples(ev, built, payload, window):
     s1 = built.settle(window)
     span = 50
     first = ev.approx(built.term, s1)
-    state = ev._cells[built.term].state
+    state = ev.cell_of(built.term).state
     mult1 = state.get("mult", 0)
     fills1 = state.get("fills", 0)
     top1 = state.get("top", -1)

@@ -276,15 +276,13 @@ def _step_prefix_family(ev, args, params, s, state, bound=None):
     return out
 
 
-register_combinator("expand_columns", _step_expand_columns, bounded=True)
-register_combinator("tail_columns", _step_tail_columns, bounded=True)
-register_combinator("replicate_columns", _step_replicate_columns,
-                    bounded=True)
-register_combinator("block_union", _step_block_union, bounded=True)
-register_combinator("scaled_blocks", _step_scaled_blocks, bounded=True)
-register_combinator("prefixed_columns", _step_prefixed_columns,
-                    bounded=True)
-register_combinator("prefix_family", _step_prefix_family, bounded=True)
+register_combinator("expand_columns", _step_expand_columns)
+register_combinator("tail_columns", _step_tail_columns)
+register_combinator("replicate_columns", _step_replicate_columns)
+register_combinator("block_union", _step_block_union)
+register_combinator("scaled_blocks", _step_scaled_blocks)
+register_combinator("prefixed_columns", _step_prefixed_columns)
+register_combinator("prefix_family", _step_prefix_family)
 
 
 # ---------------------------------------------------------------------------

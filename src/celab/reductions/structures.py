@@ -189,7 +189,7 @@ def _step_perm_copies(ev, args, params, s, state, bound=None):
                           else _copies_reach(bound))
 
 
-def _step_level_columns(ev, args, params, s, state):
+def _step_level_columns(ev, args, params, s, state, bound=None):
     """Column k of the output grows at exactly the stages where k lies
     in the running difference/union fold of the arguments."""
     seen = state.setdefault("seen", [set() for _ in args])
@@ -213,9 +213,9 @@ def _step_level_columns(ev, args, params, s, state):
     return out
 
 
-register_combinator("star_edges", _step_star_edges, bounded=True)
-register_combinator("membership_tree", _step_membership_tree, bounded=True)
-register_combinator("perm_copies", _step_perm_copies, bounded=True)
+register_combinator("star_edges", _step_star_edges)
+register_combinator("membership_tree", _step_membership_tree)
+register_combinator("perm_copies", _step_perm_copies)
 register_combinator("level_columns", _step_level_columns)
 
 

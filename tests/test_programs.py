@@ -89,6 +89,26 @@ def test_budget_bounds_every_entry_point(query):
         query(Evaluator(budget=5000), term)
 
 
+@pytest.mark.parametrize("cid", ["min_factorials", "max_factorials"])
+def test_the_budget_bounds_a_factorial(cid):
+    """A factorial step charges one step per factor, before it
+    multiplies: (10^5 + 2)! does not fit a budget of 1000."""
+    term = Combinator(cid, (script([(0, {10 ** 5})]),))
+    with pytest.raises(BudgetExceeded):
+        Evaluator(budget=1000).approx(term, 0)
+
+
+def test_the_budget_stops_a_median_fill_before_it_is_built():
+    # the median moves at stage 2, when the running top is 10^5 + 2
+    a = script([(0, {0}), (1, {10 ** 5}), (2, {1})])
+    step, state = COMBINATORS["median_multiples"].step, {}
+    ev = Evaluator(budget=1000)
+    with pytest.raises(BudgetExceeded):
+        for s in range(3):
+            step(ev, (a,), (), s, state)
+    assert state["filled"] == 3
+
+
 # Combinators whose output grows faster than the stage count on an
 # infinite argument; their steps per stage grow with it.
 SUPERLINEAR_OUTPUT = {
@@ -120,14 +140,23 @@ def test_steps_grow_linearly_with_the_stage(cid):
     assert _ticks(term, 400) / _ticks(term, 200) <= 2.3
 
 
+# Constructions whose steps use the bound: under one they stop their
+# generators or close.  The others ignore it and read all of their
+# argument.
+TAKE_BOUND = {"block_union", "expand_columns", "from_descriptor",
+              "interval_hull", "membership_tree", "perm_copies",
+              "prefix_family", "prefixed_columns", "rational_cut",
+              "replicate_columns", "saturate_down", "saturate_up",
+              "scaled_blocks", "star_edges", "tail_columns", "triadic_cut"}
+
+
 def _upto_ticks(term, s: int, bound: int) -> int:
     ev = Evaluator()
     ev.upto(term, s, bound)
     return ev._steps
 
 
-@pytest.mark.parametrize(
-    "cid", sorted(cid for cid, d in COMBINATORS.items() if d.bounded))
+@pytest.mark.parametrize("cid", sorted(TAKE_BOUND))
 def test_bounded_steps_grow_linearly_with_the_stage(cid):
     """Under a bound, a construction that takes one stops its
     generators at the bound, so past it every stage costs a constant,
@@ -163,7 +192,7 @@ def _closing_terms():
             # an infinite argument, and triadic_cut's codes wait on a
             # sum that never stops changing
             if name not in ("script", "finite") and (
-                    not COMBINATORS[cid].bounded or cid == "triadic_cut"):
+                    cid not in TAKE_BOUND or cid == "triadic_cut"):
                 continue
             params = (1, 2) if cid == "from_descriptor" else ()
             yield pytest.param(Combinator(cid, (a,), params),
@@ -175,7 +204,7 @@ def test_closed_cells_cost_nothing(term):
     for t in (term, Indexed(program_code(term))):
         ev = Evaluator()
         ev.upto(t, 200, 21)
-        assert ev.closed(t, 200, 21)
+        assert arg_closed(ev, {}, t, 200, 21)
         window = ev.upto(t, 2000, 21)
         assert ev._steps == 0
         # a closed cell stores nothing per later stage
@@ -203,7 +232,7 @@ def test_an_argument_closed_ahead_still_feeds_its_construction(cid):
 
 @pytest.mark.parametrize("name", ["fullcolumn", "progression", "cofinite"])
 @pytest.mark.parametrize(
-    "cid", sorted(cid for cid in CLOSING if COMBINATORS[cid].bounded))
+    "cid", sorted(CLOSING & TAKE_BOUND))
 def test_an_argument_read_ahead_still_feeds_its_construction(cid, name):
     """A floor speaks of the stages after the last one its cell has
     reached: what another query made the argument gain after the
@@ -238,3 +267,23 @@ def test_a_floor_tells_what_can_still_enter(name):
         nxt = min(ahead.approx(a, 200) - ahead.approx(a, s))
         assert arg_closed(ahead, {}, a, s, below=nxt - 1)
         assert not arg_closed(ahead, {}, a, s, below=nxt)
+
+
+@pytest.mark.parametrize("name", ["fullcolumn", "cofinite"])
+@pytest.mark.parametrize("cid", sorted(COMBINATORS))
+def test_a_retry_after_the_budget_runs_out_gives_the_true_set(cid, name):
+    """A call that runs out of budget leaves no half-stepped cell: the
+    same evaluator, asked again with budget to spare, gives what a fresh
+    one gives.  Half of what the call costs always runs out."""
+    term = Combinator(cid, (CLOSING_ARGUMENTS[name],),
+                      (1, 2) if cid == "from_descriptor" else ())
+    fresh = Evaluator(budget=10 ** 8)
+    want = fresh.approx(term, 120)
+    for budget in (3000, fresh._steps // 2):
+        ev = Evaluator(budget=budget)
+        try:
+            ev.approx(term, 120)
+        except BudgetExceeded:
+            pass
+        ev.budget = 10 ** 8
+        assert ev.approx(term, 120) == want, f"budget {budget}"

@@ -6,16 +6,17 @@ out of that dict, ``fresh`` and ``Indexed`` computed as the difference of
 two full approximations, and a bound applied by filtering them.  Both
 evaluators run the same registered steps, so they must agree on every
 approximation and entry stage, and the incremental one may never charge
-more steps.  Under a bound the incremental evaluator pushes the bound
-into the constructions that take one; it must still give exactly the
-filtered sets, in the unbounded entry order, at no more steps.  The
-reference never closes a cell, so it steps every cell at every stage:
-a cell the incremental evaluator closes too early shows as a missing
-element.
+more steps.  Under a bound the incremental evaluator hands the bound to
+every construction; it must still give exactly the filtered sets, in the
+unbounded entry order, at no more steps.  The reference never closes a
+cell, so it steps every cell at every stage: a cell the incremental
+evaluator closes too early shows as a missing element.  A state machine
+at the end asks one long-lived evaluator everything in any order.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
 import celab  # noqa: F401  (registers combinators)
 from celab.descriptors import Cofinite, Finite, Progression, compile_descriptor
@@ -24,7 +25,7 @@ from celab.numbering import decode, encode
 from celab.pairing import pair
 from celab.programs import (COMBINATORS, DEFAULT_BUDGET, BudgetExceeded,
                             Combinator, Evaluator, FullColumnOf, Indexed,
-                            Script, script)
+                            Script, arg_closed, script)
 
 S = 24
 
@@ -182,3 +183,91 @@ def test_decoded_terms_agree_with_the_reference(code, bound):
     assert_agree(decode(code), stages=12)
     assert_bound_agrees(decode(code), bound, stages=12)
     assert_bound_agrees(Indexed(code), bound, stages=12)
+
+
+# One shared evaluator against the reference, under queries in any order.
+# The pool holds closing terms and terms that never close, terms whose
+# steps use the bound and terms whose steps ignore it, subterms shared
+# between terms, and (indexed n) forms of some of them.
+_column, _cofinite = ARGUMENTS["fullcolumn"], ARGUMENTS["cofinite"]
+_gcds = Combinator("stage_gcds", (ARGUMENTS["script"],))
+_down = Combinator("saturate_down", (_column,))
+_POOL = [
+    ARGUMENTS["script"], _column, _cofinite, _gcds, _down,
+    Combinator("saturate_up", (_cofinite,)),
+    Combinator("interval_hull", (_column,)),
+    Combinator("interval_hull", (_down,)),
+    Combinator("median_multiples", (_column,)),
+    Combinator("max_factorials", (ARGUMENTS["late"],)),
+    Combinator("expand_columns", (_gcds,)),
+    Combinator("rational_cut", (_cofinite,)),
+    Combinator("translate_mod", (_cofinite,), (3, 7)),
+]
+_POOL += [Indexed(encode(t)) for t in _POOL[3:9]]
+_HORIZON = 30
+
+
+class SharedEvaluatorMachine(RuleBasedStateMachine):
+    """Model-based test (QuickCheck's state machines): every answer of
+    one long-lived evaluator, whatever it was asked before and whatever
+    calls ran out of budget, equals the reference's."""
+
+    def __init__(self):
+        super().__init__()
+        self.ev, self.ref = Evaluator(), ReferenceEvaluator()
+
+    terms = st.sampled_from(_POOL)
+    stages = st.integers(min_value=0, max_value=40)
+    bounds = st.integers(min_value=0, max_value=120)
+
+    @rule(term=terms, s=stages)
+    def approx(self, term, s):
+        assert self.ev.approx(term, s) == self.ref.approx(term, s)
+
+    @rule(term=terms, s=stages, bound=bounds)
+    def upto(self, term, s, bound):
+        assert self.ev.upto(term, s, bound) == self.ref.upto(term, s, bound)
+
+    @rule(term=terms, s=stages, bound=st.none() | bounds)
+    def fresh(self, term, s, bound):
+        got = self.ev.fresh(term, s, bound)
+        assert len(got) == len(set(got))
+        assert set(got) == self.ref.fresh(term, s, bound)
+
+    @rule(term=terms, s=stages, data=st.data())
+    def entry_stage(self, term, s, data):
+        x = data.draw(st.sampled_from(sorted(self.ref.approx(term, 40)))
+                      | st.integers(min_value=0, max_value=200))
+        assert (self.ev.entry_stage(term, x, s)
+                == self.ref.entry_stage(term, x, s))
+
+    @rule(term=terms, s=stages, bound=st.none() | bounds,
+          below=st.none() | bounds)
+    def closed(self, term, s, bound, below):
+        if not arg_closed(self.ev, {}, term, s, bound, below):
+            return
+        # nothing new after s, or nothing new <= every limit given
+        limits = [b for b in (bound, below) if b is not None]
+        later = (self.ref.approx(term, s + _HORIZON)
+                 - self.ref.approx(term, s))
+        assert all(limits and x > min(limits) for x in later)
+
+    @rule(term=terms, s=stages, bound=st.none() | bounds,
+          budget=st.integers(min_value=1, max_value=400))
+    def retry(self, term, s, bound, budget):
+        """A call under a small budget, then the same call again."""
+        ask = ((lambda: self.approx(term, s)) if bound is None
+               else (lambda: self.upto(term, s, bound)))
+        self.ev.budget = budget
+        try:
+            ask()
+        except BudgetExceeded:
+            pass
+        finally:
+            self.ev.budget = DEFAULT_BUDGET
+        ask()
+
+
+TestSharedEvaluator = SharedEvaluatorMachine.TestCase
+TestSharedEvaluator.settings = settings(
+    max_examples=25, stateful_step_count=20, deadline=None)
