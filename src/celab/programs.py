@@ -13,7 +13,12 @@ A program is a closed term built from four constructors:
 Evaluation is stage-by-stage and incremental.  For every term the
 evaluator keeps its elements in the order they first appeared, with the
 end of each stage in that order, so ``approx(P, s)`` is monotone in
-``s`` by construction and re-evaluation is cheap.  ``fresh(P, s)``
+``s`` by construction and re-evaluation is cheap.  A set of the same
+elements answers membership, so a large stage whose elements are all
+new joins the cell in one pass (a set test, a set update and a list
+extend, all in C) instead of one interpreted test per element; a stage
+of a few elements, or one that repeats an earlier element, is taken
+element by element.  ``fresh(P, s)``
 gives the elements that first appear at stage ``s``; constructions
 react to those instead of rescanning their whole argument at every
 stage (semi-naive evaluation: fire only on new facts).  A budget on
@@ -54,12 +59,16 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
 from .pairing import pair, unpair
 
 DEFAULT_BUDGET = 10 ** 6
+# a stage of more elements than this joins its cell in one pass when
+# they are all new; a smaller one is cheaper element by element
+_BULK_STAGE = 8
 
 
 class BudgetExceeded(Exception):
@@ -252,9 +261,9 @@ def param(params: tuple, i: int, default: int = 0) -> int:
 @dataclass
 class _Cell:
     state: dict = field(default_factory=dict)
-    entries: dict = field(default_factory=dict)  # element -> first stage
-    order: list = field(default_factory=list)    # elements in entry order
-    ends: list = field(default_factory=list)     # order[:ends[t]]: stage t
+    seen: set = field(default_factory=set)     # the elements of order
+    order: list = field(default_factory=list)  # elements in entry order
+    ends: list = field(default_factory=list)   # order[:ends[t]]: stage t
     # no element enters from this stage on: the last entry stage once
     # the evaluator has seen the cell closed, infinite until then
     settled: float = math.inf
@@ -369,13 +378,13 @@ class Evaluator:
                 # row t + 1 is the least a stage after t adds
                 c = term.c
                 cell.state["floor"] = lambda t: pair(c, t + 1)
-        entries, order, ends = cell.entries, cell.order, cell.ends
+        seen, order, ends = cell.seen, cell.order, cell.ends
         append = order.append
         while len(ends) <= s:
             if "closed" in cell.state:
                 # its step closed the cell at its last stage: the ends
                 # stop there, and nothing enters from its last entry on
-                cell.settled = entries[order[-1]] if order else 0
+                cell.settled = bisect_left(ends, len(order))
                 break
             t = len(ends)
             elems = self._stage_elements(term, t, cell, bound)
@@ -383,15 +392,27 @@ class Evaluator:
             self._steps += 1 + len(elems)
             if self._steps > self.budget:
                 self.tick(0)  # raises BudgetExceeded
+            if len(elems) > _BULK_STAGE:
+                if bound is not None:
+                    elems = [x for x in elems if x <= bound]
+                if seen.isdisjoint(elems):
+                    # all new: one pass in C; a stage that repeats an
+                    # element keeps its first occurrence
+                    n = len(seen)
+                    seen.update(elems)
+                    order.extend(elems if len(seen) - n == len(elems)
+                                 else dict.fromkeys(elems))
+                    ends.append(len(order))
+                    continue
             if bound is None:
                 for x in elems:
-                    if x not in entries:
-                        entries[x] = t
+                    if x not in seen:
+                        seen.add(x)
                         append(x)
             else:
                 for x in elems:
-                    if x <= bound and x not in entries:
-                        entries[x] = t
+                    if x <= bound and x not in seen:
+                        seen.add(x)
                         append(x)
             ends.append(len(order))
         return cell
@@ -414,20 +435,25 @@ class Evaluator:
         finally:
             self._depth -= 1
 
+    @staticmethod
+    def _frozen(cell: _Cell, s: int) -> frozenset:
+        """The cell's elements at stage s, with no copy of its order
+        when that is all of them."""
+        order, end = cell.order, cell.end(s)
+        return frozenset(order if end == len(order) else order[:end])
+
     def approx(self, term: Term, s: int) -> frozenset:
         """The stage-s approximation of the set enumerated by term."""
         if s < 0:
             return frozenset()
-        cell = self._run(term, s)
-        return frozenset(cell.order[:cell.end(s)])
+        return self._frozen(self._run(term, s), s)
 
     def upto(self, term: Term, s: int, bound: int) -> frozenset:
         """``{x in approx(term, s) : x <= bound}``, computed only as far
         as the bound lets the term's constructions stop."""
         if s < 0:
             return frozenset()
-        cell = self._run(term, s, bound)
-        return frozenset(cell.order[:cell.end(s)])
+        return self._frozen(self._run(term, s, bound), s)
 
     def fresh(self, term: Term, s: int,
               bound: Optional[int] = None) -> list:
@@ -449,9 +475,15 @@ class Evaluator:
         return self._cells.get((self._decoded_term(term), bound))
 
     def entry_stage(self, term: Term, x: int, s: int) -> Optional[int]:
-        """First stage <= s at which x appeared, or None."""
-        t = self._run(term, s).entries.get(x)
-        return t if t is not None and t <= s else None
+        """First stage <= s at which x appeared, or None.
+
+        It finds x's place in the cell's entry order by a scan, so it
+        costs O(len(order)); nothing in the library calls it."""
+        cell = self._run(term, s)
+        if x not in cell.seen:
+            return None
+        t = bisect_right(cell.ends, cell.order.index(x))
+        return t if t <= s else None
 
 
 def columns_of(elems: Iterable) -> dict:

@@ -33,9 +33,12 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from ..pairing import pair, unpair
+from ..pairing import (
+    col_pairs, grown_cols, grown_rows, pair, row_pairs, unpair,
+)
 from ..programs import arg_closed, close, register_combinator, arg, param
 from ..descriptors import (
     ColumnsBySet, Columns, Difference, Finite, EMPTY, FULL,
@@ -89,7 +92,7 @@ def _step_expand_columns(ev, args, params, s, state, bound=None):
     reach = None if bound is None else _column_reach(bound)
     entered = _entered(ev, a, s, state, reach)
     ev.tick(len(entered))
-    out = [pair(c, s - t) for c, t in entered]
+    out = grown_cols(entered, s)
     if bound is not None:
         state["entered"] = entered = [
             e for e, x in zip(entered, out) if x <= bound]
@@ -106,15 +109,12 @@ def _step_tail_columns(ev, args, params, s, state, bound=None):
     reach = None if bound is None else _row_reach(bound)
     out = []
     for x in ev.fresh(a, s, reach):
-        if bound is None:
-            ev.tick(x + 1)
-            out.extend(pair(c, x) for c in range(x + 1))
-            continue
-        for c in range(x + 1):
-            ev.tick()
-            out.append(pair(c, x))
-            if out[-1] > bound:
-                break
+        # under a bound, the row runs to its first column past the
+        # bound: <c, x> <= b exactly when c + x <= _column_reach(b - x)
+        n = x + 1 if bound is None else min(
+            x + 1, _column_reach(bound - x) - x + 2)
+        ev.tick(n)
+        out += col_pairs(range(n), x)
     if arg_closed(ev, state, a, s, reach):
         close(state)
     return out
@@ -129,7 +129,7 @@ def _step_replicate_columns(ev, args, params, s, state, bound=None):
     reach = None if bound is None else _row_reach(bound)
     entered = _entered(ev, a, s, state, reach)
     ev.tick(len(entered))
-    out = [pair(s - t, k) for k, t in entered]
+    out = grown_rows(entered, s)
     if bound is not None:
         state["entered"] = entered = [
             e for e, x in zip(entered, out) if x <= bound]
@@ -142,18 +142,16 @@ def _block_kind(params) -> str:
     return "weight" if param(params, 0) == 1 else "dyadic"
 
 
-def _run_progressions(ev, a, s, state, bound, gens: dict) -> list:
-    """Emit the next value of every generator [next, end, step], drop
-    the generators that are done, and close once they are all dropped
-    and the argument can start no more."""
+def _run_progressions(ev, a, s, state, bound, gens: list) -> list:
+    """Emit the stage-s value lo + (s - s0) * step of every progression
+    (s0, lo, end, step) started at stage s0, drop those that are done,
+    and close once they are all dropped and the argument can start no
+    more."""
     ev.tick(len(gens))
-    out = []
-    for key, gen in list(gens.items()):
-        if gen[0] < gen[1]:
-            out.append(gen[0])
-            gen[0] += gen[2]
-        else:
-            del gens[key]
+    out = [x for s0, lo, end, step in gens
+           if (x := lo + (s - s0) * step) < end]
+    if len(out) < len(gens):
+        gens[:] = [g for g in gens if g[1] + (s - g[0]) * g[3] < g[2]]
     if not gens and arg_closed(ev, state, a, s, bound):
         close(state)
     return out
@@ -166,10 +164,10 @@ def _step_block_union(ev, args, params, s, state, bound=None):
     # at the bound
     a = arg(args, 0)
     kind = _block_kind(params)
-    gens = state.setdefault("gens", {})
+    gens = state.setdefault("gens", [])
     for n in ev.fresh(a, s, bound):
         lo, hi = block_bounds(kind, n)
-        gens[n] = [lo, hi if bound is None else min(hi, bound + 1), 1]
+        gens.append((s, lo, hi if bound is None else min(hi, bound + 1), 1))
     return _run_progressions(ev, a, s, state, bound, gens)
 
 
@@ -184,14 +182,14 @@ def _step_scaled_blocks(ev, args, params, s, state, bound=None):
     # the image of <c, k> starts at 2^c - 1 + 2^(c+k+1) >= <c, k> and
     # rises: an image stops at the bound
     a = arg(args, 0)
-    gens = state.setdefault("gens", {})
+    gens = state.setdefault("gens", [])
     for z in ev.fresh(a, s, bound):
         c, k = unpair(z)
         step = 1 << (c + 1)
         lo = (1 << c) - 1
         hi = lo + (step << (k + 1))
-        gens[z] = [lo + (step << k), hi if bound is None
-                   else min(hi, bound + 1), step]
+        gens.append((s, lo + (step << k), hi if bound is None
+                     else min(hi, bound + 1), step))
     return _run_progressions(ev, a, s, state, bound, gens)
 
 
@@ -203,7 +201,7 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
     emitted at once, its tail follows the argument's column n.
     """
     a = arg(args, 0)
-    active = state.setdefault("active", {})   # n -> [(m, |s_m|)]
+    active = state.setdefault("active", {})   # n -> [(<n, m>, |s_m|)]
     rows = state.setdefault("rows", {})       # n -> known rows
     out = []
     # route new argument elements to active generators; the row
@@ -211,10 +209,10 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
     for z in ev.fresh(a, s, bound):
         n, k = unpair(z)
         rows.setdefault(n, []).append(k)
-        for gm, slen in active.get(n, ()):
-            if k >= slen:
-                ev.tick()
-                out.append(pair(pair(n, gm), n + 1 + k))
+        cols = [col for col, slen in active.get(n, ()) if k >= slen]
+        if cols:
+            ev.tick(len(cols))
+            out += col_pairs(cols, n + 1 + k)
     # every output of generator <n, m> = s is a pair <s, y> >= <s, 0>,
     # so past the bound only the argument can add outputs
     if (bound is not None and pair(s + 1, 0) > bound
@@ -222,21 +220,15 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
         close(state)
     if bound is not None and pair(s, 0) > bound:
         return out
-    # activate the next generator
+    # activate the next generator, whose column <n, m> is s
     n, m = unpair(s)
     word = string_of(m)
-    active.setdefault(n, []).append((m, len(word)))
-    for j in range(n):
-        ev.tick()
-        out.append(pair(pair(n, m), j))
-    for i, bit in enumerate(word):
-        if bit:
-            ev.tick()
-            out.append(pair(pair(n, m), n + 1 + i))
-    for k in rows.get(n, ()):
-        if k >= len(word):
-            ev.tick()
-            out.append(pair(pair(n, m), n + 1 + k))
+    active.setdefault(n, []).append((s, len(word)))
+    ys = [*range(n),
+          *[n + 1 + i for i, bit in enumerate(word) if bit],
+          *[n + 1 + k for k in rows.get(n, ()) if k >= len(word)]]
+    ev.tick(len(ys))
+    out += row_pairs(s, ys)
     return out
 
 
@@ -244,17 +236,19 @@ def _step_prefix_family(ev, args, params, s, state, bound=None):
     """Output column m holds the m-th binary string, then the argument
     set beyond the string's length."""
     a = arg(args, 0)
-    active = state.setdefault("active", {})  # m -> |s_m|
+    # |s_m| of every open column m; strings come in length order, so
+    # the columns whose string is at most x long are the first ones
+    lens = state.setdefault("lens", [])
     known = state.setdefault("known", [])
     out = []
     # <m, x> >= <0, x>, so only x <= _row_reach(b) can give an output <= b
     reach = None if bound is None else _row_reach(bound)
     for x in ev.fresh(a, s, reach):
         known.append(x)
-        for m, slen in active.items():
-            if x >= slen:
-                ev.tick()
-                out.append(pair(m, x))
+        n = bisect_right(lens, x)
+        if n:
+            ev.tick(n)
+            out += col_pairs(range(n), x)
     # column m = s opens now, and <m, y> >= <m, 0>: past the bound only
     # the argument can add outputs
     if (bound is not None and pair(s + 1, 0) > bound
@@ -264,15 +258,11 @@ def _step_prefix_family(ev, args, params, s, state, bound=None):
         return out
     m = s
     word = string_of(m)
-    active[m] = len(word)
-    for i, bit in enumerate(word):
-        if bit:
-            ev.tick()
-            out.append(pair(m, i))
-    for x in known:
-        if x >= len(word):
-            ev.tick()
-            out.append(pair(m, x))
+    lens.append(len(word))
+    ys = [*[i for i, bit in enumerate(word) if bit],
+          *[x for x in known if x >= len(word)]]
+    ev.tick(len(ys))
+    out += row_pairs(m, ys)
     return out
 
 

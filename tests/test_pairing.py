@@ -1,9 +1,10 @@
 """Pairing and sequence codings are bijections."""
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from celab.pairing import (pair, unpair, triple, untriple, seq_encode,
-                           seq_decode, set_encode, set_decode)
+                           seq_decode, set_encode, set_decode, row_pairs,
+                           col_pairs, grown_cols, grown_rows)
 
 nats = st.integers(min_value=0, max_value=10 ** 6)
 small = st.integers(min_value=0, max_value=2000)
@@ -50,3 +51,27 @@ def test_set_roundtrip(s):
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_set_decode_total(n):
     assert set_encode(set_decode(n)) == n
+
+
+# past 2^64, so that no batch form may lean on a fixed-width shortcut
+huge = st.integers(min_value=0, max_value=2 ** 80)
+
+
+@given(huge, st.lists(huge, max_size=8))
+@example(0, [])
+@example(2 ** 64 + 1, [0, 2 ** 65, 3])
+def test_row_and_column_batches_are_pairs(c, ks):
+    assert row_pairs(c, ks) == [pair(c, k) for k in ks]
+    assert col_pairs(ks, c) == [pair(k, c) for k in ks]
+    assert row_pairs(c, range(len(ks))) == [pair(c, k)
+                                            for k in range(len(ks))]
+
+
+@given(st.lists(st.tuples(huge, huge), max_size=8), huge)
+@example([], 0)
+@example([(2 ** 64, 0), (0, 2 ** 64)], 2 ** 64 + 7)
+def test_grown_batches_are_pairs(starts, extra):
+    # every start stage t is at most the stage s
+    s = max((t for _, t in starts), default=0) + extra
+    assert grown_cols(starts, s) == [pair(c, s - t) for c, t in starts]
+    assert grown_rows(starts, s) == [pair(s - t, k) for k, t in starts]

@@ -24,8 +24,8 @@ from celab.nce import nce_stage_value
 from celab.numbering import decode, encode
 from celab.pairing import pair
 from celab.programs import (COMBINATORS, DEFAULT_BUDGET, BudgetExceeded,
-                            Combinator, Evaluator, FullColumnOf, Indexed,
-                            Script, arg_closed, script)
+                            Combinator, CombinatorDef, Evaluator,
+                            FullColumnOf, Indexed, Script, arg_closed, script)
 
 S = 24
 
@@ -183,6 +183,47 @@ def test_decoded_terms_agree_with_the_reference(code, bound):
     assert_agree(decode(code), stages=12)
     assert_bound_agrees(decode(code), bound, stages=12)
     assert_bound_agrees(Indexed(code), bound, stages=12)
+
+
+def _step_uneven(ev, args, params, s, state, bound=None):
+    """Stages on both sides of the evaluator's bulk-join cutoff (more
+    than 8 elements), repeating elements within a stage and from the
+    stage before, ignoring the bound."""
+    base = 20 * s
+    if s % 4 == 0:  # many new ones, three repeated within the stage
+        return [base + i for i in range(12)] + [base + 3, base, base + 11]
+    if s % 4 == 1:  # many, three of them from the stage before
+        return [base + 9 - i for i in range(10)] + [base - 20, base - 19,
+                                                    base - 18]
+    if s % 4 == 2:  # a few, repeated within and from before
+        return [base, base + 1, base, base - 20, base - 19]
+    return [base + 15 - i for i in range(16)]  # many new ones, descending
+
+
+@pytest.mark.parametrize("bound", [None, 45, 65, 90])
+def test_uneven_stages_join_their_cells_as_the_reference_does(
+        monkeypatch, bound):
+    monkeypatch.setitem(COMBINATORS, "uneven",
+                        CombinatorDef("uneven", _step_uneven))
+    term = Combinator("uneven")
+    assert_agree(term)
+    if bound is not None:
+        assert_bound_agrees(term, bound)
+    new, ref = Evaluator(), ReferenceEvaluator()
+    for s in range(S + 1):
+        want = ref.approx(term, s)
+        if bound is not None:
+            want = {x for x in want if x <= bound}
+            assert new.upto(term, s, bound) == want, f"stage {s}"
+        # fresh keeps each element once, in the order it first appeared
+        entered = ref._cells[term]["entries"].items()
+        assert new.fresh(term, s, bound) == [
+            x for x, t in entered
+            if t == s and (bound is None or x <= bound)], f"stage {s}"
+    for s in (0, 5, S):
+        for x in range(20 * S + 20):
+            assert (new.entry_stage(term, x, s)
+                    == ref.entry_stage(term, x, s)), f"{x} at stage {s}"
 
 
 # One shared evaluator against the reference, under queries in any order.
