@@ -379,20 +379,22 @@ class Evaluator:
                 c = term.c
                 cell.state["floor"] = lambda t: pair(c, t + 1)
         seen, order, ends = cell.seen, cell.order, cell.ends
-        append = order.append
-        while len(ends) <= s:
+        add, append = seen.add, order.append
+        # a step reads only its arguments, never its own cell, so each
+        # pass adds exactly one stage to ends
+        for t in range(len(ends), s + 1):
             if "closed" in cell.state:
                 # its step closed the cell at its last stage: the ends
                 # stop there, and nothing enters from its last entry on
                 cell.settled = bisect_left(ends, len(order))
                 break
-            t = len(ends)
             elems = self._stage_elements(term, t, cell, bound)
+            n = len(elems)
             # one step for the stage, one per element emitted
-            self._steps += 1 + len(elems)
+            self._steps += 1 + n
             if self._steps > self.budget:
                 self.tick(0)  # raises BudgetExceeded
-            if len(elems) > _BULK_STAGE:
+            if n > _BULK_STAGE:
                 if bound is not None:
                     elems = [x for x in elems if x <= bound]
                 if seen.isdisjoint(elems):
@@ -407,12 +409,12 @@ class Evaluator:
             if bound is None:
                 for x in elems:
                     if x not in seen:
-                        seen.add(x)
+                        add(x)
                         append(x)
             else:
                 for x in elems:
                     if x <= bound and x not in seen:
-                        seen.add(x)
+                        add(x)
                         append(x)
             ends.append(len(order))
         return cell
@@ -435,25 +437,23 @@ class Evaluator:
         finally:
             self._depth -= 1
 
-    @staticmethod
-    def _frozen(cell: _Cell, s: int) -> frozenset:
-        """The cell's elements at stage s, with no copy of its order
-        when that is all of them."""
-        order, end = cell.order, cell.end(s)
-        return frozenset(order if end == len(order) else order[:end])
-
     def approx(self, term: Term, s: int) -> frozenset:
         """The stage-s approximation of the set enumerated by term."""
         if s < 0:
             return frozenset()
-        return self._frozen(self._run(term, s), s)
+        cell = self._run(term, s)
+        # no copy of the order when the answer is all of it
+        order, end = cell.order, cell.end(s)
+        return frozenset(order if end == len(order) else order[:end])
 
     def upto(self, term: Term, s: int, bound: int) -> frozenset:
         """``{x in approx(term, s) : x <= bound}``, computed only as far
         as the bound lets the term's constructions stop."""
         if s < 0:
             return frozenset()
-        return self._frozen(self._run(term, s, bound), s)
+        cell = self._run(term, s, bound)
+        order, end = cell.order, cell.end(s)
+        return frozenset(order if end == len(order) else order[:end])
 
     def fresh(self, term: Term, s: int,
               bound: Optional[int] = None) -> list:

@@ -35,6 +35,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
 
 from ..pairing import (
     col_pairs, grown_cols, grown_rows, pair, row_pairs, unpair,
@@ -209,8 +210,9 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
     for z in ev.fresh(a, s, bound):
         n, k = unpair(z)
         rows.setdefault(n, []).append(k)
-        cols = [col for col, slen in active.get(n, ()) if k >= slen]
-        if cols:
+        gens = active.get(n)
+        if gens:
+            cols = [col for col, slen in gens if k >= slen]
             ev.tick(len(cols))
             out += col_pairs(cols, n + 1 + k)
     # every output of generator <n, m> = s is a pair <s, y> >= <s, 0>,
@@ -224,8 +226,9 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
     n, m = unpair(s)
     word = string_of(m)
     active.setdefault(n, []).append((s, len(word)))
-    ys = [*range(n),
-          *[n + 1 + i for i, bit in enumerate(word) if bit],
+    # rows 0..n-1, then n + 1 + i for each 1 at position i of the
+    # string, then the known rows of argument column n past it
+    ys = [*range(n), *compress(range(n + 1, n + 1 + len(word)), word),
           *[n + 1 + k for k in rows.get(n, ()) if k >= len(word)]]
     ev.tick(len(ys))
     out += row_pairs(s, ys)
@@ -259,7 +262,7 @@ def _step_prefix_family(ev, args, params, s, state, bound=None):
     m = s
     word = string_of(m)
     lens.append(len(word))
-    ys = [*[i for i, bit in enumerate(word) if bit],
+    ys = [*compress(range(len(word)), word),
           *[x for x in known if x >= len(word)]]
     ev.tick(len(ys))
     out += row_pairs(m, ys)
