@@ -379,15 +379,13 @@ class Evaluator:
                 c = term.c
                 cell.state["floor"] = lambda t: pair(c, t + 1)
         seen, order, ends = cell.seen, cell.order, cell.ends
-        add, append = seen.add, order.append
-        # a step reads only its arguments, never its own cell, so each
-        # pass adds exactly one stage to ends
-        for t in range(len(ends), s + 1):
+        while len(ends) <= s:
             if "closed" in cell.state:
                 # its step closed the cell at its last stage: the ends
                 # stop there, and nothing enters from its last entry on
                 cell.settled = bisect_left(ends, len(order))
                 break
+            t = len(ends)
             elems = self._stage_elements(term, t, cell, bound)
             n = len(elems)
             # one step for the stage, one per element emitted
@@ -409,13 +407,13 @@ class Evaluator:
             if bound is None:
                 for x in elems:
                     if x not in seen:
-                        add(x)
-                        append(x)
+                        seen.add(x)
+                        order.append(x)
             else:
                 for x in elems:
                     if x <= bound and x not in seen:
-                        add(x)
-                        append(x)
+                        seen.add(x)
+                        order.append(x)
             ends.append(len(order))
         return cell
 
