@@ -15,29 +15,11 @@ def pair(c: int, k: int) -> int:
     return s * (s + 1) // 2 + k
 
 
-# The batch forms below spell the formula out, so that a construction
-# emitting a whole row or column of codes makes no call per code.
-
-def row_pairs(c: int, ks) -> list:
-    """[pair(c, k) for k in ks]."""
-    return [(c + k) * (c + k + 1) // 2 + k for k in ks]
-
-
-def col_pairs(cs, k: int) -> list:
-    """[pair(c, k) for c in cs]."""
-    return [(c + k) * (c + k + 1) // 2 + k for c in cs]
-
-
-def grown_cols(starts, s: int) -> list:
-    """[pair(c, s - t) for c, t in starts]: the row each column c, grown
-    one row per stage from stage t, reaches at stage s."""
-    return [(c + s - t) * (c + s - t + 1) // 2 + s - t for c, t in starts]
-
-
-def grown_rows(starts, s: int) -> list:
-    """[pair(s - t, k) for k, t in starts]: the column each row k, grown
-    one column per stage from stage t, reaches at stage s."""
-    return [(s - t + k) * (s - t + k + 1) // 2 + k for k, t in starts]
+def pairs(cs, ks) -> list:
+    """[pair(c, k) for c, k in zip(cs, ks)], with the formula spelled
+    out so that a construction emitting a whole row or column of codes
+    makes no call per code; hold one side fixed with itertools.repeat."""
+    return [(c + k) * (c + k + 1) // 2 + k for c, k in zip(cs, ks)]
 
 
 def unpair(z: int) -> tuple[int, int]:

@@ -14,16 +14,11 @@ Evaluation is stage-by-stage and incremental.  For every term the
 evaluator keeps its elements in the order they first appeared, with the
 end of each stage in that order, so ``approx(P, s)`` is monotone in
 ``s`` by construction and re-evaluation is cheap.  A set of the same
-elements answers membership, so a large stage whose elements are all
-new joins the cell in one pass (a set test, a set update and a list
-extend, all in C) instead of one interpreted test per element; a stage
-of a few elements, or one that repeats an earlier element, is taken
-element by element.  ``fresh(P, s)``
-gives the elements that first appear at stage ``s``; constructions
-react to those instead of rescanning their whole argument at every
-stage (semi-naive evaluation: fire only on new facts).  A budget on
-primitive steps turns runaway simulations into a ``BudgetExceeded``
-error instead of a hang.
+elements answers membership.  ``fresh(P, s)`` gives the elements that
+first appear at stage ``s``; constructions react to those instead of
+rescanning their whole argument at every stage (semi-naive evaluation:
+fire only on new facts).  A budget on primitive steps turns runaway
+simulations into a ``BudgetExceeded`` error instead of a hang.
 
 The evaluator keeps one cell per (term, bound), the bound None for an
 unbounded one, and an ``(indexed n)`` reads the cell of the term that n
@@ -66,9 +61,6 @@ from typing import Callable, Iterable, Optional, Union
 from .pairing import pair, unpair
 
 DEFAULT_BUDGET = 10 ** 6
-# a stage of more elements than this joins its cell in one pass when
-# they are all new; a smaller one is cheaper element by element
-_BULK_STAGE = 8
 
 
 class BudgetExceeded(Exception):
@@ -387,23 +379,10 @@ class Evaluator:
                 break
             t = len(ends)
             elems = self._stage_elements(term, t, cell, bound)
-            n = len(elems)
             # one step for the stage, one per element emitted
-            self._steps += 1 + n
+            self._steps += 1 + len(elems)
             if self._steps > self.budget:
                 self.tick(0)  # raises BudgetExceeded
-            if n > _BULK_STAGE:
-                if bound is not None:
-                    elems = [x for x in elems if x <= bound]
-                if seen.isdisjoint(elems):
-                    # all new: one pass in C; a stage that repeats an
-                    # element keeps its first occurrence
-                    n = len(seen)
-                    seen.update(elems)
-                    order.extend(elems if len(seen) - n == len(elems)
-                                 else dict.fromkeys(elems))
-                    ends.append(len(order))
-                    continue
             if bound is None:
                 for x in elems:
                     if x not in seen:

@@ -35,11 +35,9 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 
-from ..pairing import (
-    col_pairs, grown_cols, grown_rows, pair, row_pairs, unpair,
-)
+from ..pairing import pair, pairs, unpair
 from ..programs import arg_closed, close, register_combinator, arg, param
 from ..descriptors import (
     ColumnsBySet, Columns, Difference, Finite, EMPTY, FULL,
@@ -93,7 +91,7 @@ def _step_expand_columns(ev, args, params, s, state, bound=None):
     reach = None if bound is None else _column_reach(bound)
     entered = _entered(ev, a, s, state, reach)
     ev.tick(len(entered))
-    out = grown_cols(entered, s)
+    out = [pair(c, s - t) for c, t in entered]
     if bound is not None:
         state["entered"] = entered = [
             e for e, x in zip(entered, out) if x <= bound]
@@ -115,7 +113,7 @@ def _step_tail_columns(ev, args, params, s, state, bound=None):
         n = x + 1 if bound is None else min(
             x + 1, _column_reach(bound - x) - x + 2)
         ev.tick(n)
-        out += col_pairs(range(n), x)
+        out += pairs(range(n), repeat(x))
     if arg_closed(ev, state, a, s, reach):
         close(state)
     return out
@@ -130,7 +128,7 @@ def _step_replicate_columns(ev, args, params, s, state, bound=None):
     reach = None if bound is None else _row_reach(bound)
     entered = _entered(ev, a, s, state, reach)
     ev.tick(len(entered))
-    out = grown_rows(entered, s)
+    out = [pair(s - t, k) for k, t in entered]
     if bound is not None:
         state["entered"] = entered = [
             e for e, x in zip(entered, out) if x <= bound]
@@ -214,7 +212,7 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
         if gens:
             cols = [col for col, slen in gens if k >= slen]
             ev.tick(len(cols))
-            out += col_pairs(cols, n + 1 + k)
+            out += pairs(cols, repeat(n + 1 + k))
     # every output of generator <n, m> = s is a pair <s, y> >= <s, 0>,
     # so past the bound only the argument can add outputs
     if (bound is not None and pair(s + 1, 0) > bound
@@ -231,7 +229,7 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
     ys = [*range(n), *compress(range(n + 1, n + 1 + len(word)), word),
           *[n + 1 + k for k in rows.get(n, ()) if k >= len(word)]]
     ev.tick(len(ys))
-    out += row_pairs(s, ys)
+    out += pairs(repeat(s), ys)
     return out
 
 
@@ -251,7 +249,7 @@ def _step_prefix_family(ev, args, params, s, state, bound=None):
         n = bisect_right(lens, x)
         if n:
             ev.tick(n)
-            out += col_pairs(range(n), x)
+            out += pairs(range(n), repeat(x))
     # column m = s opens now, and <m, y> >= <m, 0>: past the bound only
     # the argument can add outputs
     if (bound is not None and pair(s + 1, 0) > bound
@@ -265,7 +263,7 @@ def _step_prefix_family(ev, args, params, s, state, bound=None):
     ys = [*compress(range(len(word)), word),
           *[x for x in known if x >= len(word)]]
     ev.tick(len(ys))
-    out += row_pairs(m, ys)
+    out += pairs(repeat(m), ys)
     return out
 
 

@@ -1,10 +1,11 @@
 """Pairing and sequence codings are bijections."""
 
+from itertools import repeat
+
 from hypothesis import example, given, strategies as st
 
-from celab.pairing import (pair, unpair, triple, untriple, seq_encode,
-                           seq_decode, set_encode, set_decode, row_pairs,
-                           col_pairs, grown_cols, grown_rows)
+from celab.pairing import (pair, pairs, unpair, triple, untriple,
+                           seq_encode, seq_decode, set_encode, set_decode)
 
 nats = st.integers(min_value=0, max_value=10 ** 6)
 small = st.integers(min_value=0, max_value=2000)
@@ -57,21 +58,13 @@ def test_set_decode_total(n):
 huge = st.integers(min_value=0, max_value=2 ** 80)
 
 
-@given(huge, st.lists(huge, max_size=8))
-@example(0, [])
-@example(2 ** 64 + 1, [0, 2 ** 65, 3])
-def test_row_and_column_batches_are_pairs(c, ks):
-    assert row_pairs(c, ks) == [pair(c, k) for k in ks]
-    assert col_pairs(ks, c) == [pair(k, c) for k in ks]
-    assert row_pairs(c, range(len(ks))) == [pair(c, k)
-                                            for k in range(len(ks))]
-
-
-@given(st.lists(st.tuples(huge, huge), max_size=8), huge)
-@example([], 0)
-@example([(2 ** 64, 0), (0, 2 ** 64)], 2 ** 64 + 7)
-def test_grown_batches_are_pairs(starts, extra):
-    # every start stage t is at most the stage s
-    s = max((t for _, t in starts), default=0) + extra
-    assert grown_cols(starts, s) == [pair(c, s - t) for c, t in starts]
-    assert grown_rows(starts, s) == [pair(s - t, k) for k, t in starts]
+@given(huge, st.lists(huge, max_size=8), st.lists(huge, max_size=8))
+@example(0, [], [])
+@example(2 ** 64 + 1, [0, 2 ** 65, 3], [2 ** 64, 0])
+def test_batch_pairs_are_pairs(c, ks, cs):
+    assert pairs(cs, ks) == [pair(a, k) for a, k in zip(cs, ks)]
+    # a row and a column: one side held fixed
+    assert pairs(repeat(c), ks) == [pair(c, k) for k in ks]
+    assert pairs(ks, repeat(c)) == [pair(k, c) for k in ks]
+    assert pairs(range(len(ks)), repeat(c)) == [pair(a, c)
+                                                for a in range(len(ks))]

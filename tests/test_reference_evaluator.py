@@ -186,9 +186,8 @@ def test_decoded_terms_agree_with_the_reference(code, bound):
 
 
 def _step_uneven(ev, args, params, s, state, bound=None):
-    """Stages on both sides of the evaluator's bulk-join cutoff (more
-    than 8 elements), repeating elements within a stage and from the
-    stage before, ignoring the bound."""
+    """Stages of many and of few elements, repeating elements within a
+    stage and from the stage before, ignoring the bound."""
     base = 20 * s
     if s % 4 == 0:  # many new ones, three repeated within the stage
         return [base + i for i in range(12)] + [base + 3, base, base + 11]
