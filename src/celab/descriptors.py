@@ -561,6 +561,151 @@ def member(d: Descriptor, x: int) -> bool:
     raise UnsupportedDescriptor(f"not a descriptor: {d!r}")
 
 
+class _Unwalkable(Exception):
+    """A part of a descriptor that only ``member`` can answer."""
+
+
+def members(d: Descriptor, lo: int, hi: int) -> int:
+    """The members of d in [lo, hi) (0 <= lo) as a bitset, bit i for
+    lo + i, found in one walk of d rather than one per candidate.
+
+    It allocates in proportion to hi - lo and to the size of d, never to
+    a number inside d, which is why it does not go through ``analyze``.
+    The walk answers every part of a union or difference on the whole
+    range, where ``member`` stops at the first part that decides a
+    candidate.  So a descriptor with a part the walk cannot answer (a
+    progression whose step is not positive, a part that is no
+    descriptor) is answered by ``member`` candidate by candidate, and
+    raises just where ``member`` raises."""
+    if hi <= lo:
+        return 0
+    try:
+        return _members(d, lo, hi)
+    except _Unwalkable:
+        return _mask(x - lo for x in range(lo, hi) if member(d, x))
+
+
+def _members(d: Descriptor, lo: int, hi: int) -> int:
+    if isinstance(d, Finite):
+        return _elem_bits(d.elems, lo, hi)
+    if isinstance(d, Cofinite):
+        return _low(hi - lo) ^ _elem_bits(d.excluded, lo, hi)
+    if isinstance(d, Progression) and d.step >= 1:
+        start, step = d.start, d.step
+        first = max(start, lo)
+        first += (start - first) % step
+        if first >= hi:
+            return 0
+        if step >= hi - first:
+            return 1 << first - lo
+        return _tile(1, step, hi - first) << first - lo
+    if isinstance(d, Union):
+        bits = 0
+        for p in d.parts:
+            bits |= _members(p, lo, hi)
+        return bits
+    if isinstance(d, Difference):
+        bits = _members(d.left, lo, hi)
+        return bits & ~_members(d.right, lo, hi) if bits else 0
+    if isinstance(d, (DyadicBlocks, WeightBlocks)):
+        kind = "dyadic" if isinstance(d, DyadicBlocks) else "weight"
+        return _block_members(kind, d.index, lo, hi)
+    if isinstance(d, (Columns, ColumnsBySet, TailColumns, OverrideColumns)):
+        return _column_members(d, lo, hi)
+    raise _Unwalkable
+
+
+def _elem_bits(elems: frozenset, lo: int, hi: int) -> int:
+    """The elements of a finite set in [lo, hi), as a bitset from lo."""
+    if len(elems) > hi - lo:
+        return _mask(x - lo for x in range(lo, hi) if x in elems)
+    return _mask(x - lo for x in elems if lo <= x < hi)
+
+
+def _block_members(kind: str, index: Descriptor, lo: int, hi: int) -> int:
+    """``members`` of a block image: the blocks that meet [lo, hi) and
+    whose index is a member, cut to the range."""
+    first = block_of(kind, lo) or 0  # dyadic blocks miss 0
+    last = block_of(kind, hi - 1)
+    if last is None:
+        return 0
+    bits = 0
+    for i in _positions(_members(index, first, last + 1)):
+        a, b = block_bounds(kind, first + i)
+        bits |= _low(min(b, hi) - lo) ^ _low(max(a, lo) - lo)
+    return bits
+
+
+def _first_row(c: int, col: int, row: int) -> int:
+    """The least k with <c, k> >= <col, row>."""
+    # column c crosses the diagonal col + row at or past the code iff
+    # c <= col, else it enters past it on the next diagonal
+    if c <= col:
+        return col + row - c
+    return max(col + row + 1 - c, 0)
+
+
+def _column_spans(lo: int, hi: int) -> list:
+    """The columns with a code in [lo, hi), as one or two ranges."""
+    c0, r0 = unpair(lo)
+    c1, r1 = unpair(hi - 1)
+    w0, w1 = c0 + r0, c1 + r1
+    # the codes run down diagonal w0 from column c0, across the whole
+    # diagonals between, and down diagonal w1 to column c1
+    if w1 == w0:
+        return [range(c1, c0 + 1)]
+    if w1 == w0 + 1 and c1 > c0 + 1:
+        return [range(c0 + 1), range(c1, w1 + 1)]
+    return [range(w1 + 1)]
+
+
+def _scatter(c: int, k0: int, rows: int, lo: int) -> int:
+    """The codes <c, k0 + i> for the bits i of rows, as a bitset from
+    lo."""
+    return _mask(pair(c, k0 + i) - lo for i in _positions(rows))
+
+
+def _column_members(d: Descriptor, lo: int, hi: int) -> int:
+    """``members`` of a column shape, column by column: one 1-D call per
+    column with codes in [lo, hi), on the rows k0 <= k < k1 whose codes
+    lie there."""
+    at_lo, at_hi = unpair(lo), unpair(hi)
+    if isinstance(d, OverrideColumns):
+        # the base answers for every code, and an explicit column
+        # replaces its own (the first one given, as member reads)
+        bits = _members(d.base, lo, hi)
+        done = set()
+        for c, cd in d.cols:
+            k0, k1 = _first_row(c, *at_lo), _first_row(c, *at_hi)
+            if k0 < k1 and c not in done:
+                done.add(c)
+                bits &= ~_scatter(c, k0, _low(k1 - k0), lo)
+                bits |= _scatter(c, k0, _members(cd, k0, k1), lo)
+        return bits
+    if isinstance(d, Columns):
+        explicit = {}
+        for c, cd in d.cols:
+            explicit.setdefault(c, cd)
+    bits = 0
+    for cs in _column_spans(lo, hi):
+        if isinstance(d, ColumnsBySet):
+            index = _members(d.index, cs.start, cs.stop)
+        for c in cs:
+            k0, k1 = _first_row(c, *at_lo), _first_row(c, *at_hi)
+            if isinstance(d, TailColumns):
+                # column c is the base from row c on
+                start = max(k0, c)
+                rows = (_members(d.base, start, k1) << start - k0
+                        if start < k1 else 0)
+            elif isinstance(d, ColumnsBySet):
+                col = d.incol if index >> c - cs.start & 1 else d.outcol
+                rows = _members(col, k0, k1)
+            else:
+                rows = _members(explicit.get(c, d.default), k0, k1)
+            bits |= _scatter(c, k0, rows, lo)
+    return bits
+
+
 def column_descriptor(d: Descriptor, c: int) -> Descriptor:
     """The c-th column of a column-shaped (or finite) descriptor."""
     if isinstance(d, Columns):
@@ -756,6 +901,10 @@ def _finite_top(d: Descriptor) -> Optional[int]:
     return None
 
 
+# Candidates a from_descriptor cell answers per walk of its descriptor.
+CHUNK = 256
+
+
 def _step_from_descriptor(ev, args, params, s, state, bound=None):
     delay = param(params, 1)
     d = state.get("descriptor")
@@ -767,6 +916,7 @@ def _step_from_descriptor(ev, args, params, s, state, bound=None):
                             math.inf if top is None else top)
         # stage t tests t - delay, and later stages larger candidates
         state["floor"] = lambda t: t - delay + 1
+        state["chunk"] = (0, 0, 0)
     x = s - delay
     # candidates rise with the stage: past the largest element none
     # would pass, and past the bound (at or past last) none is tested
@@ -777,7 +927,13 @@ def _step_from_descriptor(ev, args, params, s, state, bound=None):
     if x < 0:
         return ()
     ev.tick()
-    return (x,) if member(d, x) else ()
+    # bit i of bits answers candidate lo + i, for lo <= x < hi
+    lo, bits, hi = state["chunk"]
+    if x >= hi:
+        lo, hi = x, min(x + CHUNK, state["last"] + 1)
+        bits = members(d, lo, hi)
+        state["chunk"] = (lo, bits, hi)
+    return (x,) if bits >> x - lo & 1 else ()
 
 
 register_combinator("from_descriptor", _step_from_descriptor)

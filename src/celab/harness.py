@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .descriptors import member as desc_member
+from .descriptors import member as desc_member, members as desc_members
 from .orders import rational_from_code
 from .programs import BudgetExceeded, Evaluator
 from .reductions import REDUCTIONS, Reduction
@@ -248,8 +248,13 @@ def check_built(red: Reduction, payload, pred, rng, window: int,
     ev = Evaluator()
     if red.validator is not None:
         return list(red.validator(ev, built, payload, window))
-    mem = predicted_member(pred) or built.member
     got = _certified_window(ev, built, window, budget)
+    if isinstance(pred, (ClassKey, QCut)):
+        mem = predicted_member(pred) or built.member
+    else:
+        # a descriptor: its members on the window in one walk
+        bits = desc_members(pred, 0, window + 1)
+        mem = lambda x: bits >> x & 1
     want = frozenset(x for x in range(window + 1) if mem(x))
     if got != want:
         return [f"window diff: spurious {sorted(got - want)[:6]},"

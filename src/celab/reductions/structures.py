@@ -116,12 +116,23 @@ def _step_membership_tree(ev, args, params, s, state, bound=None):
 
     An edge needs one column membership, and the argument only grows,
     so each code is decided once and waits for its membership."""
-    # code <u, v> waits on <n, k> <= (v - 2) // 2 <= (x - 2) // 2, as
-    # pair is monotone in both arguments
     return _react_by_code(
         ev, arg(args, 0), s, state,
         lambda x, has: _tree_edge(x, lambda n, k: has(pair(n, k))),
-        bound, None if bound is None else (bound - 2) // 2)
+        bound, None if bound is None else _tree_reach(bound))
+
+
+def _tree_reach(b: int) -> int:
+    """A bound on every element a code <= b of ``membership_tree``
+    waits on; -1 when none waits."""
+    # x = <u, v> <= b has v <= _row_reach(b) and waits only when v >= 2,
+    # on <n, k> for <bv, <k, t>> = (v - 2) // 2 and n the column of bv;
+    # a code z has its column <= _column_reach(z), its row <= _row_reach(z)
+    y = _row_reach(b)
+    if y < 2:
+        return -1
+    m = (y - 2) // 2
+    return pair(_column_reach(_column_reach(m)), _column_reach(_row_reach(m)))
 
 
 def _perm_of(m: int):

@@ -4,13 +4,15 @@ import contextlib
 import io
 import json
 import os
+import time
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from celab.cli import main
-from celab.descriptors import Finite
+from celab.descriptors import (Cofinite, DyadicBlocks, Finite, Progression,
+                               Union, compile_descriptor, member)
 from celab.pairing import pair
 from celab.programs import Evaluator
 from celab.reductions import REDUCTIONS
@@ -121,6 +123,24 @@ def test_enumerating_a_closing_term_at_a_huge_stage_is_cheap(capsys, term):
     code, out = run(capsys, "enumerate", "--term", term,
                     "--stage", str(10 ** 10))
     assert code == 0 and out.startswith("{")
+
+
+@pytest.mark.parametrize("d", [
+    Finite({10 ** 9}),
+    Progression(10 ** 12, 10 ** 12 + 1),
+    Union(tuple(Progression(7, p) for p in (999_983, 1_000_003, 999_979))),
+    DyadicBlocks(Cofinite(())),
+])
+def test_enumerating_a_descriptor_with_huge_constants_is_prompt(capsys, d):
+    """from_descriptor reads its descriptor a range of candidates at a
+    time, in memory proportional to the range: an analysis of any of
+    these would build a bitset as long as a constant in it."""
+    term = term_to_sexpr(compile_descriptor(d, delay=1).term)
+    started = time.monotonic()
+    code, out = run(capsys, "enumerate", "--term", term, "--stage", "700")
+    assert code == 0 and time.monotonic() - started < 5
+    want = ", ".join(str(x) for x in range(700) if member(d, x))
+    assert out.strip() == "{" + want + "}"
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,19 +3,24 @@ programs enumerate exactly the described sets."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401
-from celab.descriptors import (EMPTY, EP, FULL, Cofinite, Difference,
-                               DyadicBlocks, Finite, Progression, Union,
-                               WeightBlocks, analyze, block_of,
-                               compile_descriptor, dyadic_block, member,
-                               weight_block)
+from celab import descriptors as D
+from celab.descriptors import (EMPTY, EP, FULL, Cofinite, Columns,
+                               ColumnsBySet, Difference, DyadicBlocks,
+                               Finite, OverrideColumns, Progression,
+                               TailColumns, Union, WeightBlocks, analyze,
+                               block_of, compile_descriptor,
+                               decode_descriptor, dyadic_block, member,
+                               members, weight_block)
 from celab.programs import Evaluator
-from celab.reductions import random_ep_descriptor
+from celab.reductions import gen_pair_columns, random_ep_descriptor
 
 WINDOW = 200
 
@@ -178,3 +183,125 @@ def test_analysis_cache_stays_bounded():
     assert len(D._ANALYSIS_CACHE) <= 2 ** 14
     assert [analyze(d) for d in ds] == first
     assert all(a.elements() == d.elems for a, d in zip(first, ds))
+
+
+# ---------------------------------------------------------------------------
+# members: the bits of member on a range, in one walk
+
+
+def member_bits(d, lo, hi):
+    """members(d, lo, hi) by member, or the class of what member raises
+    first."""
+    bits = 0
+    for x in range(lo, hi):
+        try:
+            if member(d, x):
+                bits |= 1 << x - lo
+        except Exception as exc:
+            return type(exc)
+    return bits
+
+
+def _drawn(kind, seed):
+    rng = random.Random(seed)
+    if kind == "ep":
+        return random_ep_descriptor(rng, rng.choice([10, 40, 1000]))
+    if kind == "blocks":
+        shape = rng.choice([DyadicBlocks, WeightBlocks])
+        return shape(random_ep_descriptor(rng, 16))
+    if kind == "columns":
+        d = rng.choice(gen_pair_columns(rng, rng.choice([6, 20])))
+        roll = rng.randrange(4)
+        if roll == 0:
+            return TailColumns(random_ep_descriptor(rng))
+        if roll == 1:
+            cols = tuple((rng.randrange(60), random_ep_descriptor(rng))
+                         for _ in range(rng.randrange(4)))
+            return Columns(cols, random_ep_descriptor(rng))
+        if roll == 2:
+            cols = ((rng.randrange(40), random_ep_descriptor(rng)),)
+            return OverrideColumns(cols, TailColumns(d))
+        return d
+    return decode_descriptor(rng.getrandbits(rng.choice([8, 32, 96, 200])))
+
+
+# member raises on some of these, or stops before the part that would
+_MALFORMED = [
+    Progression(5, 0),
+    Progression(3, -2),
+    Union((FULL, Progression(0, 0))),
+    Union((EMPTY, Progression(20, 0))),
+    Difference(EMPTY, "junk"),
+    Difference(Progression(1, 3), Union((Finite({4}), "junk"))),
+    Columns(((3, "junk"),), FULL),
+    DyadicBlocks(Progression(2, 0)),
+    "junk",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["ep", "blocks", "columns", "code"]),
+       st.integers(0, 2 ** 32), st.integers(1, 5000), st.integers(1, 600))
+def test_members_are_the_bits_of_member(kind, seed, lo, width):
+    d = _drawn(kind, seed)
+    # a well-formed descriptor is answered in one walk, with no member call
+    with mock.patch.object(D, "member", side_effect=AssertionError):
+        got = members(d, lo, lo + width)
+    assert got == member_bits(d, lo, lo + width)
+
+
+@pytest.mark.parametrize("d", [
+    Columns(((2, FULL), (5, EMPTY), (2, EMPTY)), Progression(1, 2)),
+    OverrideColumns(((2, Progression(0, 3)), (2, FULL)),
+                    ColumnsBySet(Progression(0, 2), FULL, EMPTY)),
+])
+def test_members_read_the_first_of_repeated_columns(d):
+    """Decoded codes can name a column twice; member reads the first."""
+    for lo, hi in ((0, 100), (3, 40), (30, 31)):
+        assert members(d, lo, hi) == member_bits(d, lo, hi)
+
+
+@pytest.mark.parametrize("d", _MALFORMED, ids=repr)
+@pytest.mark.parametrize("lo, hi", [(1, 4), (1, 30), (4, 700), (20, 21)])
+def test_members_raises_where_member_raises(d, lo, hi):
+    want = member_bits(d, lo, hi)
+    if isinstance(want, int):
+        assert members(d, lo, hi) == want
+    else:
+        with pytest.raises(want):
+            members(d, lo, hi)
+
+
+COPRIME = (999_983, 1_000_003, 999_979)  # three primes near 10^6
+
+CRAFTED = [
+    (Finite({10 ** 9}), 10 ** 9 - 300),
+    (Finite({10 ** 9}), 1),
+    (Cofinite({10 ** 9, 10 ** 9 + 2}), 10 ** 9 - 1),
+    (Progression(10 ** 12, 10 ** 12 + 1), 10 ** 12 - 100),
+    (Progression(10 ** 12, 10 ** 12 + 1), 2 * 10 ** 12 + 1 - 300),
+    (Union(tuple(Progression(7, p) for p in COPRIME)), 2 * COPRIME[2]),
+    (Difference(Union(tuple(Progression(0, p) for p in COPRIME)),
+                Progression(0, COPRIME[0])), COPRIME[1] - 1),
+    (DyadicBlocks(Cofinite(())), 2 ** 40),
+    (DyadicBlocks(Cofinite(())), 2 ** 40 - 300),
+    (WeightBlocks(Finite({60})), weight_block(60)[0] - 300),
+    (TailColumns(Finite({10 ** 9})), 10 ** 6),
+]
+
+
+@pytest.mark.parametrize("d, lo", CRAFTED)
+def test_members_allocate_nothing_in_proportion_to_a_constant(d, lo):
+    """A descriptor whose constants are huge is answered in memory
+    proportional to the range: analyze would build a bitset as long as
+    the largest constant (or an lcm of periods)."""
+    # and in one walk, with no member call
+    with mock.patch.object(D, "member", side_effect=AssertionError):
+        tracemalloc.start()
+        try:
+            got = members(d, lo, lo + 600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert got == member_bits(d, lo, lo + 600)

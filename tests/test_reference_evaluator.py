@@ -19,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 import celab  # noqa: F401  (registers combinators)
-from celab.descriptors import Cofinite, Finite, Progression, compile_descriptor
+from celab.descriptors import (CHUNK, Cofinite, ColumnsBySet, DyadicBlocks,
+                               Finite, Progression, TailColumns, Union,
+                               compile_descriptor, member)
 from celab.nce import nce_stage_value
 from celab.numbering import decode, encode
 from celab.pairing import pair
@@ -113,8 +115,11 @@ def assert_agree(term, stages=S):
         assert new_ticks <= ref._steps, f"stage {s}"
         fresh = new.fresh(term, s)
         assert len(fresh) == len(set(fresh)) and set(fresh) == got - prev
-        for x in got:
-            assert new.entry_stage(term, x, s) == ref.entry_stage(term, x, s)
+        # the reference's entries of stage s are want - prev: each
+        # element is asked for its entry stage once, at that stage
+        for x in fresh:
+            assert new.entry_stage(term, x, s) == ref.entry_stage(
+                term, x, s) == s
         prev = got
 
 
@@ -183,6 +188,39 @@ def test_decoded_terms_agree_with_the_reference(code, bound):
     assert_agree(decode(code), stages=12)
     assert_bound_agrees(decode(code), bound, stages=12)
     assert_bound_agrees(Indexed(code), bound, stages=12)
+
+
+# from_descriptor answers CHUNK candidates per walk of its descriptor.
+# Members sit on both sides of the chunk edges, the largest element of
+# the finite set lies past the second one, and the delay moves the edges
+# off the stage numbers.
+CHUNKED = {
+    "progression": Progression(3, 7),
+    "cofinite": Cofinite({0, 255, 256, 257, 511, 512, 513}),
+    "finite": Finite({0, 255, 256, 257, 511, 512, 530}),
+    "union": Union((Progression(1, 5), Finite({256, 512}))),
+    "dyadic": DyadicBlocks(Progression(1, 2)),
+    "bycolumn": ColumnsBySet(Progression(0, 2), Progression(1, 3),
+                             Finite({0, 4})),
+    "tail": TailColumns(Cofinite({3, 300})),
+}
+
+
+@pytest.mark.parametrize("delay", [0, 3])
+@pytest.mark.parametrize("name", sorted(CHUNKED))
+def test_from_descriptor_agrees_across_chunk_edges(name, delay):
+    d = CHUNKED[name]
+    term = compile_descriptor(d, delay).term
+    stages = 2 * CHUNK + 100
+    ev, want = Evaluator(), set()
+    for s in range(stages + 1):
+        # stage s tests s - delay
+        if s >= delay and member(d, s - delay):
+            want.add(s - delay)
+        assert ev.approx(term, s) == want, f"stage {s}"
+    assert_agree(term, stages)
+    for bound in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1):
+        assert_bound_agrees(term, bound, stages)
 
 
 def _step_uneven(ev, args, params, s, state, bound=None):

@@ -15,7 +15,8 @@ from celab.pairing import pair
 from celab.programs import Evaluator, script
 from celab.reductions import REDUCTIONS, random_ep_descriptor
 from celab.reductions.structures import (_copies_point, _copies_reach,
-                                         _tree_edge, cylinder_member,
+                                         _tree_edge, _tree_reach,
+                                         cylinder_member,
                                          family_columns,
                                          family_columns_permutation,
                                          many_one_from_one_one,
@@ -126,3 +127,12 @@ def test_tree_codes_wait_below_half_the_bound():
     tree_point = lambda x, has: _tree_edge(x, lambda n, k: has(pair(n, k)))
     for b, largest in enumerate(_largest_wait(tree_point, 2000)):
         assert largest <= (b - 2) // 2, b
+
+
+def test_tree_reach_covers_every_code_below_the_bound():
+    """The argument bound membership_tree reads under is far below
+    (b - 2) // 2: 1, 12 and 24 at b = 24, 256 and 2000."""
+    tree_point = lambda x, has: _tree_edge(x, lambda n, k: has(pair(n, k)))
+    for b, largest in enumerate(_largest_wait(tree_point, 2000)):
+        assert largest <= _tree_reach(b), b
+    assert [_tree_reach(b) for b in (24, 256, 2000)] == [1, 12, 24]
