@@ -295,7 +295,7 @@ def test_members_allocate_nothing_in_proportion_to_a_constant(d, lo):
     """A descriptor whose constants are huge is answered in memory
     proportional to the range: analyze would build a bitset as long as
     the largest constant (or an lcm of periods)."""
-    # and in one walk, with no member call
+    # in one walk: no member call
     with mock.patch.object(D, "member", side_effect=AssertionError):
         tracemalloc.start()
         try:
