@@ -561,28 +561,18 @@ def member(d: Descriptor, x: int) -> bool:
     raise UnsupportedDescriptor(f"not a descriptor: {d!r}")
 
 
-class _Unwalkable(Exception):
-    """A part of a descriptor that only ``member`` can answer."""
-
-
 def members(d: Descriptor, lo: int, hi: int) -> int:
     """The members of d in [lo, hi) (0 <= lo) as a bitset, bit i for
     lo + i, found in one walk of d rather than one per candidate.
 
     It allocates in proportion to hi - lo and to the size of d, never to
     a number inside d, which is why it does not go through ``analyze``.
-    The walk answers every part of a union or difference on the whole
-    range, where ``member`` stops at the first part that decides a
-    candidate.  So a descriptor with a part the walk cannot answer (a
-    progression whose step is not positive, a part that is no
-    descriptor) is answered by ``member`` candidate by candidate, and
-    raises just where ``member`` raises."""
+    Like ``analyze``, it raises ``UnsupportedDescriptor`` on a
+    progression whose step is not positive and on a part that is no
+    descriptor, wherever the walk meets them."""
     if hi <= lo:
         return 0
-    try:
-        return _members(d, lo, hi)
-    except _Unwalkable:
-        return _mask(x - lo for x in range(lo, hi) if member(d, x))
+    return _members(d, lo, hi)
 
 
 def _members(d: Descriptor, lo: int, hi: int) -> int:
@@ -590,7 +580,9 @@ def _members(d: Descriptor, lo: int, hi: int) -> int:
         return _elem_bits(d.elems, lo, hi)
     if isinstance(d, Cofinite):
         return _low(hi - lo) ^ _elem_bits(d.excluded, lo, hi)
-    if isinstance(d, Progression) and d.step >= 1:
+    if isinstance(d, Progression):
+        if d.step < 1:
+            raise UnsupportedDescriptor("progression step must be >= 1")
         start, step = d.start, d.step
         first = max(start, lo)
         first += (start - first) % step
@@ -605,14 +597,13 @@ def _members(d: Descriptor, lo: int, hi: int) -> int:
             bits |= _members(p, lo, hi)
         return bits
     if isinstance(d, Difference):
-        bits = _members(d.left, lo, hi)
-        return bits & ~_members(d.right, lo, hi) if bits else 0
+        return _members(d.left, lo, hi) & ~_members(d.right, lo, hi)
     if isinstance(d, (DyadicBlocks, WeightBlocks)):
         kind = "dyadic" if isinstance(d, DyadicBlocks) else "weight"
         return _block_members(kind, d.index, lo, hi)
     if isinstance(d, (Columns, ColumnsBySet, TailColumns, OverrideColumns)):
         return _column_members(d, lo, hi)
-    raise _Unwalkable
+    raise UnsupportedDescriptor(f"not a descriptor: {d!r}")
 
 
 def _elem_bits(elems: frozenset, lo: int, hi: int) -> int:

@@ -251,11 +251,11 @@ def check_built(red: Reduction, payload, pred, rng, window: int,
     got = _certified_window(ev, built, window, budget)
     if isinstance(pred, (ClassKey, QCut)):
         mem = predicted_member(pred) or built.member
+        want = frozenset(x for x in range(window + 1) if mem(x))
     else:
         # a descriptor: its members on the window in one walk
         bits = desc_members(pred, 0, window + 1)
-        mem = lambda x: bits >> x & 1
-    want = frozenset(x for x in range(window + 1) if mem(x))
+        want = frozenset(x for x in range(window + 1) if bits >> x & 1)
     if got != want:
         return [f"window diff: spurious {sorted(got - want)[:6]},"
                 f" missing {sorted(want - got)[:6]}"]
