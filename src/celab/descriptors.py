@@ -148,9 +148,15 @@ def _low(n: int) -> int:
 
 
 def _tile(pattern: int, period: int, n: int) -> int:
-    """Bits [0, n) of ``pattern`` repeated every ``period`` bits."""
-    copies = -(-n // period)
-    return pattern * (_low(period * copies) // _low(period)) & _low(n)
+    """Bits [0, n) of ``pattern`` repeated every ``period`` bits.
+
+    ``pattern`` lies below ``1 << period``: each doubling shift then
+    lands its copy on zero bits."""
+    width = period
+    while width < n:
+        pattern |= pattern << width
+        width <<= 1
+    return pattern & (1 << n) - 1
 
 
 def _mask(xs) -> int:
@@ -186,15 +192,20 @@ class EP:
 
     @staticmethod
     def make(threshold: int, period: int, head: int, residues: int) -> "EP":
-        residues &= _low(period)
-        period = next(q for q in range(1, period + 1) if period % q == 0
-                      and _tile(residues & _low(q), q, period) == residues)
-        residues &= _low(period)
-        head &= _low(threshold)
+        full = (1 << period) - 1
+        residues &= full
+        # the least period is the least divisor q of period under which
+        # every residue r < period - q agrees with r + q
+        for q in range(1, period // 2 + 1):
+            if not period % q and residues >> q == residues & full >> q:
+                residues &= (1 << q) - 1
+                period = q
+                break
+        head &= (1 << threshold) - 1
         # past the last disagreement with the periodic part, head is
         # redundant
         t = (head ^ _tile(residues, period, threshold)).bit_length()
-        return EP(t, period, head & _low(t), residues)
+        return EP(t, period, head & (1 << t) - 1, residues)
 
     @staticmethod
     def from_finite(elems) -> "EP":
@@ -213,8 +224,10 @@ class EP:
 
     def _bits(self, n: int) -> int:
         """The members below n, as a bitset."""
-        periodic = _tile(self.residues, self.period, n) & ~_low(self.threshold)
-        return (self.head | periodic) & _low(n)
+        t = self.threshold
+        if n <= t:
+            return self.head & (1 << n) - 1
+        return self.head | _tile(self.residues, self.period, n) >> t << t
 
     # -- membership & basic data ---------------------------------------
 
@@ -428,12 +441,23 @@ Analysis = TUnion[EP, BlockImage]
 
 
 def analyze(d: Descriptor) -> Analysis:
+    """The analysis of d, kept on d itself after its first lookup.
+
+    A cache hit hashes and compares the whole nested descriptor, so
+    only an object's first lookup goes through the shared cache, which
+    hands equal objects (a payload read back from JSON, say) one
+    analysis.  The kept attribute is no dataclass field: ``==``,
+    ``hash`` and ``repr`` do not see it."""
+    out = getattr(d, "_analysis", None)
+    if out is not None:
+        return out
     out = _ANALYSIS_CACHE.get(d)
     if out is None:
         out = _analyze(d)
         if len(_ANALYSIS_CACHE) >= ANALYSIS_CACHE_CAP:
             _ANALYSIS_CACHE.clear()
         _ANALYSIS_CACHE[d] = out
+    object.__setattr__(d, "_analysis", out)
     return out
 
 

@@ -10,6 +10,7 @@ Grammar::
 
 from __future__ import annotations
 
+from . import descriptors as D
 from .programs import Script, FullColumnOf, Combinator, Indexed, Term, script
 
 
@@ -42,22 +43,36 @@ def _tokenize(text: str) -> list:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _read(tokens: list, pos: int):
-    if pos >= len(tokens):
+def _read(tokens: list, what: str):
+    """The one node that ``tokens`` spell: a symbol or a nested list.
+
+    One pass with an explicit stack of the open lists, so nesting
+    costs no recursion."""
+    if not tokens:
         raise ParseError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == "(":
-        out = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            node, pos = _read(tokens, pos)
-            out.append(node)
-        if pos >= len(tokens):
-            raise ParseError("unbalanced parentheses")
-        return out, pos + 1
-    if tok == ")":
+    rest = iter(tokens)
+    node = next(rest)
+    if node == ")":
         raise ParseError("unexpected ')'")
-    return tok, pos + 1
+    if node == "(":
+        node, stack = [], []
+        for tok in rest:
+            if tok == "(":
+                stack.append(node)
+                node = []
+            elif tok == ")":
+                if not stack:
+                    break
+                parent = stack.pop()
+                parent.append(node)
+                node = parent
+            else:
+                node.append(tok)
+        else:
+            raise ParseError("unbalanced parentheses")
+    if next(rest, None) is not None:
+        raise ParseError(f"trailing input after {what}")
+    return node
 
 
 def _nat(node) -> int:
@@ -104,14 +119,11 @@ def _build(node) -> Term:
 
 
 def _parse(text: str, build, what: str):
-    tokens = _tokenize(text)
+    node = _read(_tokenize(text), what)
     try:
-        node, pos = _read(tokens, 0)
-        if pos != len(tokens):
-            raise ParseError(f"trailing input after {what}")
         return build(node)
     except RecursionError:
-        # the reader recurses once per level of nesting
+        # the builders recurse once or twice per level of nesting
         raise ParseError(f"{what} nested too deeply") from None
 
 
@@ -124,7 +136,6 @@ def term_from_sexpr(text: str) -> Term:
 
 
 def desc_to_sexpr(d) -> str:
-    from . import descriptors as D
     if isinstance(d, D.Finite):
         body = " ".join(str(x) for x in sorted(d.elems))
         return f"(finite {body})" if body else "(finite)"
@@ -157,7 +168,6 @@ def desc_to_sexpr(d) -> str:
 
 
 def _build_desc(node):
-    from . import descriptors as D
     if not isinstance(node, list) or not node:
         raise ParseError(f"expected a descriptor, got {node!r}")
     head = node[0]

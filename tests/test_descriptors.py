@@ -185,6 +185,71 @@ def test_analysis_cache_stays_bounded():
     assert all(a.elements() == d.elems for a, d in zip(first, ds))
 
 
+class CountingDict(dict):
+    """A dict that counts how often it is read or written."""
+
+    consulted = 0
+
+    def get(self, key, default=None):
+        self.consulted += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.consulted += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.consulted += 1
+        return super().__contains__(key)
+
+    def __setitem__(self, key, value):
+        self.consulted += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("d", descriptors(17)[:20] + [
+    DyadicBlocks(Progression(1, 2)), WeightBlocks(Finite({0, 2}))])
+def test_a_second_analysis_reads_what_the_object_keeps(monkeypatch, d):
+    cache = CountingDict()
+    monkeypatch.setattr(D, "_ANALYSIS_CACHE", cache)
+    first = analyze(d)
+    consulted = cache.consulted
+    assert consulted > 0
+    assert analyze(d) is first
+    assert cache.consulted == consulted
+
+
+def test_equal_objects_read_back_from_json_share_one_analysis(monkeypatch):
+    import json
+    from celab.harness import corpus_from_json, corpus_to_json, gen_corpus
+    monkeypatch.setattr(D, "_ANALYSIS_CACHE", {})
+    cases = gen_corpus("e0_to_e3", seed=4, size=12)
+    back = corpus_from_json(json.loads(json.dumps(
+        corpus_to_json("e0_to_e3", 4, cases))))
+    for c, r in zip(cases, back):
+        for d, e in ((c.a, r.a), (c.b, r.b)):
+            assert e == d and e is not d
+            assert analyze(e) is analyze(d)
+
+
+@pytest.mark.parametrize("d", descriptors(19)[:20] + [
+    DyadicBlocks(Progression(1, 2)), WeightBlocks(Finite({0, 2}))])
+def test_a_kept_analysis_is_invisible(d):
+    import pickle
+    from celab.serialization import desc_from_sexpr, desc_to_sexpr
+    twin = desc_from_sexpr(desc_to_sexpr(d))
+    assert twin == d and twin is not d
+    analyze(d)
+    assert d == twin and twin == d
+    assert hash(d) == hash(twin)
+    assert repr(d) == repr(twin)
+    assert desc_to_sexpr(d) == desc_to_sexpr(twin)
+    back = pickle.loads(pickle.dumps(d))
+    assert back == twin and hash(back) == hash(twin)
+    assert repr(back) == repr(twin)
+    assert analyze(back) == analyze(twin) == analyze(d)
+
+
 # ---------------------------------------------------------------------------
 # members: the bits of member on a range, in one walk
 

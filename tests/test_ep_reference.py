@@ -14,8 +14,9 @@ from typing import Optional
 
 from hypothesis import given, settings, strategies as st
 
-from celab.descriptors import (EP, UnsupportedDescriptor, ep_difference,
-                               ep_intersection, ep_symdiff, ep_union)
+from celab.descriptors import (EP, UnsupportedDescriptor, _tile,
+                               ep_difference, ep_intersection, ep_symdiff,
+                               ep_union)
 
 
 @dataclass(frozen=True)
@@ -247,3 +248,51 @@ def test_bitset_ep_agrees_with_the_frozenset_reference(raw_a, raw_b):
     for combine, op in COMBINES:
         assert as_tuple(combine(a, b)) == as_bits(ref_combine(ref_a, ref_b, op))
     assert (a.e0_key() == b.e0_key()) == (ref_a.e0_key() == ref_b.e0_key())
+
+
+# periods of the size the oracle corpora reach: lcms of small periods
+# such as 15, 20, 30 and 60, and anything up to 64
+_WIDE_PERIODS = st.integers(1, 64) | st.sampled_from([15, 20, 24, 30, 36,
+                                                      40, 48, 60])
+
+
+@st.composite
+def wide_raw_eps(draw):
+    """Like raw_eps, with periods up to 64, thresholds up to 256 and
+    residue bits reaching well past the period."""
+    t = draw(st.integers(0, 256))
+    p = draw(_WIDE_PERIODS)
+    head = draw(st.integers(0, (1 << (t + 8)) - 1))
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([d for d in range(1, p + 1) if p % d == 0]))
+        pattern = draw(st.integers(0, (1 << q) - 1))
+        residues = sum(pattern << k for k in range(0, p, q))
+        # bits above the period are cut off before the period is sought
+        residues |= draw(st.integers(0, 255)) << p
+    else:
+        residues = draw(st.integers(0, (1 << (2 * p + 8)) - 1))
+    return t, p, head, residues
+
+
+def ref_bits(ref: RefEP, n: int) -> int:
+    return mask(x for x in range(n) if ref.member(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_raw_eps(), wide_raw_eps(), st.integers(0, 400))
+def test_wide_periods_agree_with_the_frozenset_reference(raw_a, raw_b, n):
+    (a, ref_a), (b, ref_b) = both(raw_a), both(raw_b)
+    for ep, ref in ((a, ref_a), (b, ref_b)):
+        assert as_tuple(ep) == as_bits(ref)
+        for m in (0, n, ep.threshold, ep.threshold + ep.period):
+            assert ep._bits(m) == ref_bits(ref, m), m
+    for combine, op in COMBINES:
+        assert as_tuple(combine(a, b)) == as_bits(ref_combine(ref_a, ref_b, op))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 70), st.integers(0, 600))
+def test_tile_repeats_its_pattern_bit_by_bit(data, period, n):
+    pattern = data.draw(st.integers(0, (1 << period) - 1))
+    want = sum(1 << x for x in range(n) if pattern >> x % period & 1)
+    assert _tile(pattern, period, n) == want

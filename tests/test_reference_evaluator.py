@@ -1,9 +1,10 @@
 """The incremental evaluator against a naive reference evaluator.
 
 ``ReferenceEvaluator`` is the evaluator as it was before ``fresh``: one
-dict per term from element to first stage, every approximation filtered
-out of that dict, ``fresh`` and ``Indexed`` computed as the difference of
-two full approximations, and a bound applied by filtering them.  Both
+dict per term from element to first stage, every approximation the
+prefix of that dict entered by its stage, ``fresh`` and ``Indexed``
+computed as the difference of two full approximations, and a bound
+applied by filtering them.  Both
 evaluators run the same registered steps, so they must agree on every
 approximation and entry stage, and the incremental one may never charge
 more steps.  Under a bound the incremental evaluator hands the bound to
@@ -13,6 +14,8 @@ cell, so it steps every cell at every stage: a cell the incremental
 evaluator closes too early shows as a missing element.  A state machine
 at the end asks one long-lived evaluator everything in any order.
 """
+
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,15 +65,17 @@ class ReferenceEvaluator:
         return self.fresh(cell["state"]["inner"], s)
 
     def _advance(self, term, s):
+        # entries keeps its elements in the order they entered, so the
+        # elements entered by stage t are its first ends[t]
         cell = self._cells.setdefault(
-            term, {"state": {}, "last": -1, "entries": {}})
-        while cell["last"] < s:
-            t = cell["last"] + 1
+            term, {"state": {}, "entries": {}, "ends": []})
+        while len(cell["ends"]) <= s:
+            t = len(cell["ends"])
             self.tick()
             for x in self._stage_elements(term, t, cell):
                 self.tick()
                 cell["entries"].setdefault(x, t)
-            cell["last"] = t
+            cell["ends"].append(len(cell["entries"]))
         return cell
 
     def approx(self, term, s):
@@ -83,7 +88,7 @@ class ReferenceEvaluator:
             cell = self._advance(term, s)
         finally:
             self._depth -= 1
-        return frozenset(x for x, t in cell["entries"].items() if t <= s)
+        return frozenset(islice(cell["entries"], cell["ends"][s]))
 
     def entry_stage(self, term, x, s):
         t = self._advance(term, s)["entries"].get(x)

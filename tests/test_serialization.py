@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import celab  # noqa: F401
 from celab.programs import Combinator, Evaluator, FullColumnOf, script
 from celab.reductions import gen_pair_columns, random_ep_descriptor
-from celab.serialization import (ParseError, desc_from_sexpr, desc_to_sexpr,
+from celab.serialization import (ParseError, _build, _build_desc,
+                                 _tokenize, desc_from_sexpr, desc_to_sexpr,
                                  term_from_sexpr, term_to_sexpr)
 
 
@@ -79,3 +80,61 @@ def test_readers_raise_only_parse_errors(tokens, opened, closed):
             read(text)
         except ParseError:
             pass
+
+
+# The recursive reader the one-pass reader replaced, kept as a reference.
+
+
+def _ref_read(tokens: list, pos: int):
+    if pos >= len(tokens):
+        raise ParseError("unexpected end of input")
+    tok = tokens[pos]
+    if tok == "(":
+        out = []
+        pos += 1
+        while pos < len(tokens) and tokens[pos] != ")":
+            node, pos = _ref_read(tokens, pos)
+            out.append(node)
+        if pos >= len(tokens):
+            raise ParseError("unbalanced parentheses")
+        return out, pos + 1
+    if tok == ")":
+        raise ParseError("unexpected ')'")
+    return tok, pos + 1
+
+
+def _ref_parse(text: str, build, what: str):
+    tokens = _tokenize(text)
+    try:
+        node, pos = _ref_read(tokens, 0)
+        if pos != len(tokens):
+            raise ParseError(f"trailing input after {what}")
+        return build(node)
+    except RecursionError:
+        raise ParseError(f"{what} nested too deeply") from None
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return ParseError, str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_TOKENS, max_size=24), st.integers(0, 3), st.integers(0, 4))
+def test_the_one_pass_reader_agrees_with_the_recursive_one(tokens, opened,
+                                                            closed):
+    """Equal values, or ParseError with the same message, at any depth
+    the recursive reader could read."""
+    text = "(" * opened + " ".join(tokens) + ")" * closed
+    for read, build, what in ((term_from_sexpr, _build, "term"),
+                              (desc_from_sexpr, _build_desc, "descriptor")):
+        assert _outcome(read, text) == \
+            _outcome(lambda t: _ref_parse(t, build, what), text)
+
+
+@pytest.mark.parametrize("read", [term_from_sexpr, desc_from_sexpr])
+def test_deeply_unbalanced_input_is_a_parse_error(read):
+    with pytest.raises(ParseError, match="unbalanced parentheses"):
+        read("(" * 10 ** 5)
