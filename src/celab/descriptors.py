@@ -197,7 +197,7 @@ class EP:
         # the least period is the least divisor q of period under which
         # every residue r < period - q agrees with r + q
         for q in range(1, period // 2 + 1):
-            if not period % q and residues >> q == residues & full >> q:
+            if not period % q and residues >> q == residues & (full >> q):
                 residues &= (1 << q) - 1
                 period = q
                 break
