@@ -1,7 +1,9 @@
 """Descriptor analysis agrees with brute-force membership, and compiled
 programs enumerate exactly the described sets."""
 
+import json
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -19,8 +21,10 @@ from celab.descriptors import (EMPTY, EP, FULL, Cofinite, Columns,
                                WeightBlocks, analyze, block_of,
                                compile_descriptor, decode_descriptor,
                                dyadic_block, member, members, weight_block)
+from celab.harness import corpus_from_json, corpus_to_json, gen_corpus
 from celab.programs import Evaluator
 from celab.reductions import gen_pair_columns, random_ep_descriptor
+from celab.serialization import desc_from_sexpr, desc_to_sexpr
 
 WINDOW = 200
 
@@ -220,8 +224,6 @@ def test_a_second_analysis_reads_what_the_object_keeps(monkeypatch, d):
 
 
 def test_equal_objects_read_back_from_json_share_one_analysis(monkeypatch):
-    import json
-    from celab.harness import corpus_from_json, corpus_to_json, gen_corpus
     monkeypatch.setattr(D, "_ANALYSIS_CACHE", {})
     cases = gen_corpus("e0_to_e3", seed=4, size=12)
     back = corpus_from_json(json.loads(json.dumps(
@@ -235,8 +237,6 @@ def test_equal_objects_read_back_from_json_share_one_analysis(monkeypatch):
 @pytest.mark.parametrize("d", descriptors(19)[:20] + [
     DyadicBlocks(Progression(1, 2)), WeightBlocks(Finite({0, 2}))])
 def test_a_kept_analysis_is_invisible(d):
-    import pickle
-    from celab.serialization import desc_from_sexpr, desc_to_sexpr
     twin = desc_from_sexpr(desc_to_sexpr(d))
     assert twin == d and twin is not d
     analyze(d)
