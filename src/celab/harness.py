@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .descriptors import member as desc_member, members as desc_members
-from .orders import rational_from_code
+from .orders import code_below
 from .programs import BudgetExceeded, Evaluator
 from .reductions import REDUCTIONS, Reduction
 from .relations import ClassKey, NceTuple, QCut, decide
@@ -213,7 +213,8 @@ def predicted_member(pred) -> Optional[object]:
             return lambda x: False
         if pred.bound == math.inf:
             return lambda x: True
-        return lambda x: rational_from_code(x) < pred.bound
+        num, den = pred.bound.numerator, pred.bound.denominator
+        return lambda x: code_below(x, num, den)
     return lambda x: desc_member(pred, x)
 
 

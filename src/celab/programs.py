@@ -282,10 +282,16 @@ class _Cell:
             return True
         if below is None:
             return False
-        floor = self.state.get("floor")
-        if floor is None or floor(len(self.ends) - 1) <= below:
+        floor = self.floor()
+        if floor is None or floor <= below:
             return False
         return all(x > below for x in self.order[self.end(s):])
+
+    def floor(self) -> Optional[int]:
+        """The least element a stage past the last one the cell reached
+        can add, or None when its step reports no floor."""
+        floor = self.state.get("floor")
+        return None if floor is None else floor(len(self.ends) - 1)
 
 
 class Evaluator:

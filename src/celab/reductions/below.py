@@ -23,7 +23,7 @@ from ..programs import arg_closed, close, register_combinator, arg, param
 from ..descriptors import (
     Descriptor, Finite, Progression, EMPTY, FULL, analyze,
 )
-from ..orders import rational_from_code
+from ..orders import CodeKey, code_below, rational_parts
 from ..relations import ClassKey, QCut, max_key
 from . import (
     Reduction, register_reduction, register_mutant,
@@ -241,24 +241,32 @@ def _step_median_multiples(ev, args, params, s, state, bound=None):
     return out
 
 
-def _codes_below(ev, a, s, state, cut, bound):
-    """Rational codes <= s (and <= bound) whose rational lies below
-    ``cut``, each emitted at the first stage it qualifies; ``cut`` None
-    emits none.
+def _codes_below(ev, a, s, state, cut, bound, unreachable=None):
+    """Rational codes <= s (and <= bound) whose rational lies below the
+    fraction ``cut = (num, den)``, den > 0, each emitted at the first
+    stage it qualifies; ``cut`` None emits none.
 
     The cut only rises, so the codes still waiting are kept in a heap
-    by their rational and leave it from the small end: each code is
-    decoded once instead of being rescanned at every stage.  Once every
-    code <= bound has been pushed, the cell closes when none waits or
-    the argument, and with it the cut, can change no more."""
-    waiting = state.setdefault("pend", [])  # heap of (rational, code)
+    of ``CodeKey``s, ordered by their rationals, and leave it from the
+    small end: each code is looked up once, in the code-to-rational
+    table, instead of being rescanned at every stage, and every test is
+    an exact integer one.  Once every code <= bound has been pushed, the
+    cell closes when none waits or the argument, and with it the cut,
+    can change no more; or when ``unreachable(ev, a, s, state, least)``
+    shows that the cut can never pass ``least``, the least waiting
+    code, and so none of them."""
+    waiting = state.setdefault("pend", [])  # heap of CodeKey
     if bound is None or s <= bound:
-        heapq.heappush(waiting, (rational_from_code(s), s))
+        heapq.heappush(waiting, CodeKey(s))
     out = []
-    while cut is not None and waiting and waiting[0][0] < cut:
-        out.append(heapq.heappop(waiting)[1])
+    if cut is not None:
+        num, den = cut
+        while waiting and code_below(waiting[0].code, num, den):
+            out.append(heapq.heappop(waiting).code)
     if (bound is not None and s >= bound
-            and (not waiting or arg_closed(ev, state, a, s))):
+            and (not waiting or arg_closed(ev, state, a, s)
+                 or (unreachable is not None
+                     and unreachable(ev, a, s, state, waiting[0])))):
         close(state)
     return out
 
@@ -271,20 +279,56 @@ def _step_rational_cut(ev, args, params, s, state, bound=None):
     if bounds is not None:
         ev.tick()
         if bounds[1] > 0:  # the cut of {0} is empty; until then codes wait
-            cut = bounds[1] - 1
+            cut = bounds[1] - 1, 1
     return _codes_below(ev, a, s, state, cut, bound)
 
 
 def _step_triadic_cut(ev, args, params, s, state, bound=None):
     """Enumerate rational codes q with q < sum of 3^-(n+1) over the
-    stage approximation."""
+    stage approximation.
+
+    The sum is kept exactly as an integer numerator over 3^e, e one
+    past the largest element so far.  The argument is read whole, and
+    an unbounded cell never closes on an infinite argument, since its
+    sum never stops changing.  A bounded one also closes once its least
+    waiting rational is >= sum + 3^-f / 2, where f is the argument's
+    floor and no element below f can still enter it: the elements still
+    to come are all >= f and add at most sum over n >= f of 3^-(n+1)
+    = 3^-f / 2, so the limit of the sum stays at or below that rational
+    and no waiting code can ever enter."""
     ev.tick()
     a = arg(args, 0)
-    total = state.get("total", Fraction(0))
+    num, e, den = state.get("total", (0, 0, 1))  # the sum is num / den
     for n in ev.fresh(a, s):
-        total += Fraction(1, 3 ** (n + 1))
-    state["total"] = total
-    return _codes_below(ev, a, s, state, total, bound)
+        if n >= e:
+            scale = 3 ** (n + 1 - e)
+            num, e, den = num * scale, n + 1, den * scale
+        num += 3 ** (e - n - 1)
+    state["total"] = num, e, den
+    return _codes_below(ev, a, s, state, (num, den), bound,
+                        _sum_cannot_reach)
+
+
+def _sum_cannot_reach(ev, a, s, state, least):
+    """Whether the limit of the triadic sum stays <= the rational of the
+    CodeKey ``least``: the argument reports a floor f, nothing below f
+    can enter it after stage s, and least >= sum + 3^-f / 2."""
+    cell = ev.cell_of(a)
+    f = cell.floor() if cell is not None else None
+    if f is None:
+        return False
+    f = max(f, 0)  # elements are naturals
+    if not arg_closed(ev, state, a, s, None, f - 1):
+        return False
+    num, e, den = state["total"]
+    # past e + the bit length of least.den the answer no longer changes
+    # (least > sum by at least 1 / (least.den * 3^e), or least == sum),
+    # so the power of 3 below stays small
+    f = min(f, e + least.den.bit_length())
+    if f >= e:
+        t = 3 ** (f - e)
+        return not code_below(least.code, 2 * num * t + 1, 2 * den * t)
+    return not code_below(least.code, 2 * num + 3 ** (e - f), 2 * den)
 
 
 register_combinator("saturate_up", _step_saturate_up)
@@ -492,9 +536,9 @@ def _rational_cut_settle(payload, sa, M):
     if key[0] == "max":
         return sa(key[1]) + M + 2
     # a witness above every rational with code <= M
-    top = max((rational_from_code(c) for c in range(M + 1)),
-              default=Fraction(0))
-    return sa(analyze(payload).min(at_least=math.ceil(top) + 2)) + M + 2
+    top = max((-(-n // d) for n, d in map(rational_parts, range(M + 1))),
+              default=0)
+    return sa(analyze(payload).min(at_least=top + 2)) + M + 2
 
 
 def _gen_pair_small(rng):
@@ -522,11 +566,13 @@ def _triadic_sum(payload) -> Fraction:
 
 def _triadic_cut_settle(payload, sa, M):
     total = _triadic_sum(payload)
-    gaps = [total - rational_from_code(c) for c in range(M + 1)
-            if rational_from_code(c) < total]
-    if not gaps:
+    num, den = total.numerator, total.denominator
+    # the largest rational with code <= M below the sum, if any
+    nearest = max((CodeKey(c) for c in range(M + 1)
+                   if code_below(c, num, den)), default=None)
+    if nearest is None:
         return M + 2
-    need = min(gaps)
+    need = total - Fraction(nearest.num, nearest.den)
     n = 0
     while Fraction(3, 2) * Fraction(1, 3 ** (n + 2)) >= need:
         n += 1

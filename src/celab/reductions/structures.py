@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 
 from ..pairing import pair, unpair, seq_decode, set_decode
-from ..programs import Combinator, arg_closed, close, register_combinator, arg
+from ..programs import (Combinator, arg_closed, close, register_combinator, arg,
+                        columns_of)
 from ..descriptors import (
     Finite, Cofinite, Union, Difference,
     EMPTY, FULL, analyze, member,
@@ -491,16 +492,18 @@ def _validate_level_columns(ev, built, payload, window):
     s1 = built.settle(window)
     span = 20
     first = ev.approx(built.term, s1)
-    second = ev.approx(built.term, s1 + span)
+    # approximations only grow, so a column changed between s1 and
+    # s1 + span exactly when one of its rows <= s1 + span entered then:
+    # the columns of those new elements, read in one pass
+    grown = columns_of(ev.approx(built.term, s1 + span) - first)
     for k in range(window + 1):
-        col1 = {t for t in range(s1 + span + 1) if pair(k, t) in first}
-        col2 = {t for t in range(s1 + span + 1) if pair(k, t) in second}
+        grew = any(t <= s1 + span for t in grown.get(k, ()))
         if limit.member(k):
-            if len(col2) <= len(col1):
+            if not grew:
                 issues.append(f"column {k} stopped growing despite limit"
                               " membership")
         else:
-            if col2 != col1:
+            if grew:
                 issues.append(f"column {k} kept growing after its level"
                               " left the fold")
         if len(issues) >= 3:

@@ -1,6 +1,7 @@
 """Corpus generation and the settlement-aware verifier."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +71,23 @@ def test_budget_starvation_reports_unknown_not_disagreement():
     assert not rep.disagreements
     assert rep.unknowns == 5
     assert exit_code(rep) == 3
+
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+@pytest.mark.parametrize("name,mname", [
+    ("omega_into_rationals", "adds-seven"),
+    ("eqce_to_eQ", "adds-zero"),
+])
+def test_rational_cut_mutant_reports_match_their_goldens(name, mname):
+    """The seed-1 reports of the mutants of the two rational-cut
+    reductions, every disagreement trace included, byte for byte."""
+    mbuild = dict(MUTANTS[name])[mname]
+    report = verify_reduction(mutated(REDUCTIONS[name], mbuild), seed=1,
+                              size=50)
+    golden = (GOLDENS / f"mutant_{name}_{mname}.json").read_bytes()
+    assert report.to_bytes() == golden
 
 
 def test_mutants_disagree_with_traces():

@@ -1,5 +1,7 @@
 """Evaluator semantics: stage monotonicity, determinism, budgets."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ import celab  # noqa: F401  (registers combinators)
 from celab.descriptors import Cofinite, Finite, Progression, compile_descriptor
 from celab.pairing import pair
 from celab.numbering import decode as program_from_code, encode as program_code
+from celab.orders import rational_from_code
 from celab.programs import (COMBINATORS, BudgetExceeded, Combinator,
                             Evaluator, FullColumnOf, Indexed, arg_closed,
                             columns_of, script)
@@ -182,6 +185,9 @@ CLOSING_ARGUMENTS = {
     "progression": compile_descriptor(Progression(3, 4)).term,
     "cofinite": compile_descriptor(Cofinite(frozenset({0, 2, 3})),
                                    delay=2).term,
+    # every natural: its triadic sum is exactly 1/2, the rational of
+    # code 3, so that code waits at the sum's limit
+    "cofinite-from-0": compile_descriptor(Cofinite(frozenset())).term,
 }
 
 
@@ -189,10 +195,8 @@ def _closing_terms():
     for cid in sorted(CLOSING):
         for name, a in CLOSING_ARGUMENTS.items():
             # past the bound only a bounded construction can close on
-            # an infinite argument, and triadic_cut's codes wait on a
-            # sum that never stops changing
-            if name not in ("script", "finite") and (
-                    cid not in TAKE_BOUND or cid == "triadic_cut"):
+            # an infinite argument
+            if name not in ("script", "finite") and cid not in TAKE_BOUND:
                 continue
             params = (1, 2) if cid == "from_descriptor" else ()
             yield pytest.param(Combinator(cid, (a,), params),
@@ -210,6 +214,17 @@ def test_closed_cells_cost_nothing(term):
         # a closed cell stores nothing per later stage
         assert ev.upto(t, 10 ** 12, 21) == window and ev._steps == 0
         assert ev.fresh(t, 10 ** 12, 21) == [] and ev._steps == 0
+
+
+def test_a_triadic_cut_closes_at_its_limit_without_entering_it():
+    """Over every natural the triadic sum stays below its limit 1/2,
+    the rational of code 3: the bounded cell still closes, as the sum
+    can no longer pass that code, and code 3 never enters."""
+    assert rational_from_code(3) == Fraction(1, 2)
+    term = Combinator("triadic_cut", (CLOSING_ARGUMENTS["cofinite-from-0"],))
+    ev = Evaluator()
+    assert 3 not in ev.upto(term, 300, 21) | ev.approx(term, 300)
+    assert arg_closed(ev, {}, term, 300, 21)
 
 
 @pytest.mark.parametrize("cid", sorted(CLOSING))

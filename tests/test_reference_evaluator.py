@@ -1,10 +1,10 @@
 """The incremental evaluator against a naive reference evaluator.
 
 ``ReferenceEvaluator`` is the evaluator as it was before ``fresh``: one
-dict per term from element to first stage, every approximation the
-prefix of that dict entered by its stage, ``fresh`` and ``Indexed``
-computed as the difference of two full approximations, and a bound
-applied by filtering them.  Both
+dict per term from element to first stage, with its elements listed in
+entry order, every approximation the prefix of that list entered by its
+stage, ``fresh`` and ``Indexed`` the elements entered at the stage, and
+a bound applied by filtering them.  Both
 evaluators run the same registered steps, so they must agree on every
 approximation and entry stage, and the incremental one may never charge
 more steps.  Under a bound the incremental evaluator hands the bound to
@@ -14,8 +14,6 @@ cell, so it steps every cell at every stage: a cell the incremental
 evaluator closes too early shows as a missing element.  A state machine
 at the end asks one long-lived evaluator everything in any order.
 """
-
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,30 +63,35 @@ class ReferenceEvaluator:
         return self.fresh(cell["state"]["inner"], s)
 
     def _advance(self, term, s):
-        # entries keeps its elements in the order they entered, so the
+        # order lists the elements in the order they entered, so the
         # elements entered by stage t are its first ends[t]
         cell = self._cells.setdefault(
-            term, {"state": {}, "entries": {}, "ends": []})
+            term, {"state": {}, "entries": {}, "order": [], "ends": []})
         while len(cell["ends"]) <= s:
             t = len(cell["ends"])
             self.tick()
             for x in self._stage_elements(term, t, cell):
                 self.tick()
-                cell["entries"].setdefault(x, t)
-            cell["ends"].append(len(cell["entries"]))
+                if x not in cell["entries"]:
+                    cell["entries"][x] = t
+                    cell["order"].append(x)
+            cell["ends"].append(len(cell["order"]))
         return cell
 
-    def approx(self, term, s):
-        if s < 0:
-            return frozenset()
+    def _run(self, term, s):
         if self._depth == 0:
             self._steps = 0
         self._depth += 1
         try:
-            cell = self._advance(term, s)
+            return self._advance(term, s)
         finally:
             self._depth -= 1
-        return frozenset(islice(cell["entries"], cell["ends"][s]))
+
+    def approx(self, term, s):
+        if s < 0:
+            return frozenset()
+        cell = self._run(term, s)
+        return frozenset(cell["order"][:cell["ends"][s]])
 
     def entry_stage(self, term, x, s):
         t = self._advance(term, s)["entries"].get(x)
@@ -98,9 +101,13 @@ class ReferenceEvaluator:
         return frozenset(x for x in self.approx(term, s) if x <= bound)
 
     def fresh(self, term, s, bound=None):
-        new = self.approx(term, s) - self.approx(term, s - 1)
+        if s < 0:
+            return frozenset()
+        cell = self._run(term, s)
+        ends = cell["ends"]
+        new = cell["order"][ends[s - 1] if s else 0:ends[s]]
         if bound is None:
-            return new
+            return frozenset(new)
         return frozenset(x for x in new if x <= bound)
 
     def cell_of(self, term, bound=None):
