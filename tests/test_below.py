@@ -21,8 +21,8 @@ from celab.programs import Combinator, Evaluator, script
 from celab.reductions import REDUCTIONS, gen_pair_1d
 from celab.reductions.below import (check_el_from_embedding,
                                     cut_downward_issues, el_from_embedding)
-from test_programs import CLOSING_ARGUMENTS
 from celab.relations import decide
+from test_programs import CLOSING_ARGUMENTS
 
 SELECTORS = ["saturate_up", "saturate_down", "hull_omega"]
 
