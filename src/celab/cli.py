@@ -106,6 +106,11 @@ def _read_corpus(path: str) -> list:
     except (OSError, ValueError, KeyError, TypeError, ParseError,
             UnsupportedDescriptor) as exc:
         raise InputError(f"bad corpus file: {exc}")
+    except RecursionError:
+        # the reader takes nesting its builders can recurse through, but
+        # re-deciding a verdict recurses deeper, once per level
+        raise InputError("bad corpus file: descriptor nested too deeply"
+                         " to decide")
 
 
 def cmd_verify(args) -> int:

@@ -362,10 +362,6 @@ def ep_intersection(a, b):
     return ep_combine(a, b, operator.and_)
 
 
-def ep_symdiff(a, b):
-    return ep_combine(a, b, operator.xor)
-
-
 # ---------------------------------------------------------------------------
 # block images
 
@@ -440,24 +436,36 @@ Analysis = TUnion[EP, BlockImage]
 # analysis of 1-D descriptors
 
 
+def kept(obj, name: str, compute):
+    """``compute(obj)``, kept on obj itself as the attribute ``name``
+    after the first call, so that later calls on the same object cost
+    one lookup.  Payloads are frozen, so a kept value never goes stale.
+    The attribute is no dataclass field: ``==``, ``hash`` and ``repr``
+    do not see it."""
+    out = getattr(obj, name, None)
+    if out is None:
+        out = compute(obj)
+        object.__setattr__(obj, name, out)
+    return out
+
+
 def analyze(d: Descriptor) -> Analysis:
     """The analysis of d, kept on d itself after its first lookup.
 
     A cache hit hashes and compares the whole nested descriptor, so
     only an object's first lookup goes through the shared cache, which
     hands equal objects (a payload read back from JSON, say) one
-    analysis.  The kept attribute is no dataclass field: ``==``,
-    ``hash`` and ``repr`` do not see it."""
-    out = getattr(d, "_analysis", None)
-    if out is not None:
-        return out
+    analysis."""
+    return kept(d, "_analysis", _shared_analysis)
+
+
+def _shared_analysis(d: Descriptor) -> Analysis:
     out = _ANALYSIS_CACHE.get(d)
     if out is None:
         out = _analyze(d)
         if len(_ANALYSIS_CACHE) >= ANALYSIS_CACHE_CAP:
             _ANALYSIS_CACHE.clear()
         _ANALYSIS_CACHE[d] = out
-    object.__setattr__(d, "_analysis", out)
     return out
 
 
@@ -756,6 +764,11 @@ class ColumnsView:
 
 
 def columns_view(d: Descriptor) -> ColumnsView:
+    """The column view of d, kept on d itself like its analysis."""
+    return kept(d, "_columns_view", _columns_view)
+
+
+def _columns_view(d: Descriptor) -> ColumnsView:
     if isinstance(d, Columns):
         regions = []
         taken = set()
@@ -789,12 +802,34 @@ def columns_view(d: Descriptor) -> ColumnsView:
     )
 
 
+def _single_column(region: EP) -> Optional[int]:
+    """The one column of a singleton region, else None."""
+    head = region.head
+    if region.residues or head & (head - 1):
+        return None
+    return head.bit_length() - 1 if head else None
+
+
 def region_pairs(va: ColumnsView, vb: ColumnsView):
-    """All (region, colA, colB) with nonempty region intersection."""
+    """All (region, colA, colB) with nonempty region intersection.
+
+    A singleton region (each explicit column is one) meets another
+    region exactly when that region holds its column, and the meet is
+    the singleton itself: canonical EPs are equal exactly when their
+    sets are."""
+    singles = [_single_column(rb) for rb, _ in vb.regions]
     for ra, ca in va.regions:
-        for rb, cb in vb.regions:
-            meet = ep_intersection(ra, rb)
-            if not meet.is_empty:
+        c = _single_column(ra)
+        for (rb, cb), d in zip(vb.regions, singles):
+            if c is not None:
+                meet = ra if rb.member(c) else None
+            elif d is not None:
+                meet = rb if ra.member(d) else None
+            else:
+                meet = ep_intersection(ra, rb)
+                if meet.is_empty:
+                    meet = None
+            if meet is not None:
                 yield meet, ca, cb
 
 

@@ -19,7 +19,7 @@ from ..descriptors import (
 )
 from ..relations import (
     ClassKey, NceTuple, column_family_key, digraph_canonical, many_one_key,
-    one_equivalence_key, nce_value,
+    one_equivalence_key,
 )
 from ..nce import fold_point, nce_stage_value
 from .benchmark import _column_reach, _row_reach, eqce_to_e0
@@ -217,12 +217,8 @@ def _step_level_columns(ev, args, params, s, state, bound=None):
             cur.add(x)
         else:
             cur.discard(x)
-    out = []
-    for k in cur:
-        ev.tick()
-        if k <= s:
-            out.append(pair(k, s))
-    return out
+    ev.tick(len(cur))
+    return [pair(k, s) for k in cur if k <= s]
 
 
 register_combinator("star_edges", _step_star_edges)
@@ -447,7 +443,8 @@ def gen_pair_nce(rng, hi: int = 25):
 
 def _validate_nce_embed(ev, built, payload, window):
     issues = []
-    limit = nce_value(payload.parts + (EMPTY,))
+    # the empty last slot of the image never changes the fold's value
+    limit = payload.value()
     s1 = built.settle(window)
     got = nce_stage_value(ev, built.parts, s1, window)
     want = {x for x in range(window + 1) if limit.member(x)}
@@ -488,7 +485,7 @@ register_mutant("nce_embed", "full-filler", perturbed(
 
 def _validate_level_columns(ev, built, payload, window):
     issues = []
-    limit = nce_value(payload.parts)
+    limit = payload.value()
     s1 = built.settle(window)
     span = 20
     first = ev.approx(built.term, s1)
@@ -522,7 +519,7 @@ ltomega_to_e3 = register_reduction(Reduction(
     name="ltomega_to_e3", source="eq_ltomega", target="e3",
     build=_build_level_columns,
     predict=lambda payload: ClassKey(
-        "e3", ("level-set", nce_value(payload.parts))),
+        "e3", ("level-set", payload.value())),
     gen_case=gen_pair_nce,
     window=24,
     validator=_validate_level_columns,

@@ -20,7 +20,7 @@ from .pairing import unpair
 from .descriptors import (
     EP, BlockImage, Descriptor, Finite, Columns, ColumnsBySet,
     TailColumns, OverrideColumns, UnsupportedDescriptor, analyze,
-    block_bounds, columns_view, ep_difference, ep_symdiff, ep_union,
+    block_bounds, columns_view, ep_difference, ep_union, kept,
     region_pairs,
 )
 
@@ -63,6 +63,11 @@ class NceTuple:
     """
 
     parts: tuple  # tuple of Descriptor
+
+    def value(self) -> EP:
+        """``nce_value`` of the parts, kept on the tuple like an
+        analysis on its descriptor."""
+        return kept(self, "_value", _fold_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +119,17 @@ def ana_almost_eq(a, b) -> bool:
     block-level difference contributes a fixed positive weight and a
     fixed positive density per differing block, and any infinite EP
     difference is an arithmetic progression.
+
+    Two EPs differ finitely exactly when they agree from some point on.
+    The least period of an eventually periodic set divides all its
+    periods, so canonical EPs agree from some point on exactly when
+    their ``e0_key``s (least period and residues) are equal.
     """
     if isinstance(a, EP) and isinstance(b, EP):
-        return ep_symdiff(a, b).is_finite
+        return a.e0_key() == b.e0_key()
     if isinstance(a, BlockImage) and isinstance(b, BlockImage):
         if a.kind == b.kind:
-            return ep_symdiff(a.index, b.index).is_finite
+            return a.index.e0_key() == b.index.e0_key()
         sa, sb = _size_class(a), _size_class(b)
         if sa == sb == "sym":
             raise UnsupportedDescriptor("cross-kind block image comparison")
@@ -369,7 +379,12 @@ def columnwise_key(d, colkey) -> frozenset:
 
 
 def column_family_key(a) -> frozenset:
-    """The set of distinct columns occurring in a column payload."""
+    """The set of distinct columns occurring in a column payload, kept
+    on the payload like its analysis."""
+    return kept(a, "_column_family_key", _column_family_key)
+
+
+def _column_family_key(a) -> frozenset:
     view = columns_view(a)
     keys = set()
     for region, col in view.regions:
@@ -425,6 +440,10 @@ def nce_value(parts) -> EP:
         else:
             acc = ep_union(acc, ana)
     return acc
+
+
+def _fold_parts(t: NceTuple) -> EP:
+    return nce_value(t.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +523,9 @@ def _decide_uce(a, b):
 
 
 def _decide_tuple_eq(a, b):
-    pa = a.parts if isinstance(a, NceTuple) else a
-    pb = b.parts if isinstance(b, NceTuple) else b
-    return nce_value(pa) == nce_value(pb)
+    if not (isinstance(a, NceTuple) and isinstance(b, NceTuple)):
+        raise UnsupportedDescriptor("expected difference/union tuples")
+    return a.value() == b.value()
 
 
 register_relation(

@@ -221,3 +221,29 @@ def test_an_element_too_large_to_print_exits_four(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def _nested_union(depth):
+    desc = "(finite 2)"
+    for _ in range(depth):
+        desc = f"(union {desc})"
+    return desc
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--reduction", "e0_to_e1", "--corpus"),
+    ("corpus", "--in"),
+])
+def test_a_corpus_too_deep_to_decide_exits_four(capsys, tmp_path, argv):
+    # readable at this depth, but deciding its verdict recurses through
+    # the analysis once per level
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(
+        {"version": 1, "relation": "e0", "seed": 1, "cases": [
+            {"descA": _nested_union(400), "descB": "(finite)",
+             "expected": True}]}))
+    assert main([*argv, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bad corpus file: descriptor nested too"
+                            " deeply to decide\n")

@@ -8,15 +8,15 @@ Both must agree on the canonical form and on every query.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from hypothesis import given, settings, strategies as st
 
-from celab.descriptors import (EP, UnsupportedDescriptor, _tile,
-                               ep_difference, ep_intersection, ep_symdiff,
-                               ep_union)
+from celab.descriptors import (EP, UnsupportedDescriptor, _tile, ep_combine,
+                               ep_difference, ep_intersection, ep_union)
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ COMBINES = [
     (ep_union, lambda x, y: x or y),
     (ep_intersection, lambda x, y: x and y),
     (ep_difference, lambda x, y: x and not y),
-    (ep_symdiff, lambda x, y: x != y),
+    (lambda a, b: ep_combine(a, b, operator.xor), lambda x, y: x != y),
 ]
 
 
