@@ -19,8 +19,10 @@ from celab.descriptors import (EMPTY, EP, FULL, Cofinite, Columns,
                                Finite, OverrideColumns, Progression,
                                TailColumns, Union, UnsupportedDescriptor,
                                WeightBlocks, analyze, block_of,
-                               compile_descriptor, decode_descriptor,
-                               dyadic_block, member, members, weight_block)
+                               columns_view, compile_descriptor,
+                               decode_descriptor, dyadic_block,
+                               ep_intersection, member, members,
+                               region_pairs, weight_block)
 from celab.harness import corpus_from_json, corpus_to_json, gen_corpus
 from celab.programs import Evaluator
 from celab.reductions import gen_pair_columns, random_ep_descriptor
@@ -248,6 +250,46 @@ def test_a_kept_analysis_is_invisible(d):
     assert back == twin and hash(back) == hash(twin)
     assert repr(back) == repr(twin)
     assert analyze(back) == analyze(twin) == analyze(d)
+
+
+# ---------------------------------------------------------------------------
+# region pairs of column views
+
+
+_INDEX_SETS = st.one_of(
+    st.builds(Finite, st.frozensets(st.integers(0, 9), max_size=3)),
+    st.builds(Cofinite, st.frozensets(st.integers(0, 9), max_size=3)),
+    st.builds(Progression, st.integers(0, 6), st.integers(1, 4)),
+)
+# explicit columns in any order, a column named twice now and then
+_EXPLICIT = st.lists(st.tuples(st.integers(0, 8), _INDEX_SETS),
+                     max_size=4).map(tuple)
+_PLAIN_COLUMNS = st.one_of(
+    st.builds(Columns, _EXPLICIT, _INDEX_SETS),
+    st.builds(Finite, st.frozensets(st.integers(0, 80), max_size=8)),
+    st.builds(ColumnsBySet, _INDEX_SETS, _INDEX_SETS, _INDEX_SETS),
+)
+_COLUMN_PAYLOADS = _PLAIN_COLUMNS | st.builds(OverrideColumns, _EXPLICIT,
+                                              _PLAIN_COLUMNS)
+
+
+def _singleton(region):
+    return region.is_finite and region.cardinality() == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COLUMN_PAYLOADS, _COLUMN_PAYLOADS)
+def test_region_pairs_match_the_intersection_of_all_pairs(a, b):
+    va, vb = columns_view(a), columns_view(b)
+    want = [(meet, ca, cb) for ra, ca in va.regions for rb, cb in vb.regions
+            for meet in [ep_intersection(ra, rb)] if not meet.is_empty]
+
+    def larger_only(ra, rb):
+        assert not (_singleton(ra) or _singleton(rb))
+        return ep_intersection(ra, rb)
+
+    with mock.patch.object(D, "ep_intersection", larger_only):
+        assert list(region_pairs(va, vb)) == want
 
 
 # ---------------------------------------------------------------------------

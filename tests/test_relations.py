@@ -1,14 +1,26 @@
 """Oracle relations: equivalence laws and cross-relation implications."""
 
+import collections
+import operator
+import pickle
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401
-from celab.descriptors import Difference, Finite, Union, member
-from celab.relations import RELATIONS, decide, digraph_canonical, nce_value
+from celab import descriptors as D, relations as R
+from celab.descriptors import (EP, BlockImage, Difference, Finite, Union,
+                               _tile, columns_view, ep_combine, member)
+from celab.pairing import pair
+from celab.relations import (RELATIONS, NceTuple, ana_almost_eq,
+                             column_family_key, decide, digraph_canonical,
+                             nce_value)
 from celab.reductions import (gen_pair_1d, gen_pair_columns, perturb_finitely,
                               random_ep_descriptor, repackage)
+from celab.reductions.structures import gen_pair_nce
+from celab.serialization import desc_from_sexpr, desc_to_sexpr
 
 ONE_D = ["eq_ce", "e0", "z0", "e_min", "e_max", "e_med", "e_gcd", "e_lcm",
          "el_omega", "h_omega", "eq_1", "eq_m", "e2"]
@@ -121,3 +133,94 @@ def test_nce_value_folds_differences_and_unions():
 def test_every_relation_has_a_registered_doc():
     for rid, rel in RELATIONS.items():
         assert rel.doc, rid
+
+
+# ---------------------------------------------------------------------------
+# almost-equality on canonical forms; values kept on payload objects
+
+
+@st.composite
+def ep_pairs(draw):
+    """Two EPs made through ``EP.make`` at a multiple of their period,
+    sharing their periodic tail about half the time."""
+    def tail():
+        p = draw(st.integers(1, 8))
+        return p, draw(st.integers(0, (1 << p) - 1))
+
+    def make(p, pattern):
+        k = draw(st.integers(1, 4))
+        t = draw(st.integers(0, 30))
+        return EP.make(t, p * k, draw(st.integers(0, (1 << t) - 1)),
+                       _tile(pattern, p, p * k))
+
+    p, pattern = tail()
+    a = make(p, pattern)
+    b = make(p, pattern) if draw(st.booleans()) else make(*tail())
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(ep_pairs(), st.sampled_from(["dyadic", "weight"]))
+def test_almost_equality_matches_a_finite_symmetric_difference(eps, kind):
+    a, b = eps
+    want = ep_combine(a, b, operator.xor).is_finite
+    with mock.patch.object(D, "ep_combine", side_effect=AssertionError):
+        assert ana_almost_eq(a, b) == want
+        assert ana_almost_eq(BlockImage(kind, a), BlockImage(kind, b)) == want
+
+
+def _pairs_reaching_decide(seed):
+    rng = random.Random(seed)
+    cases = [(rid, *gen_pair_columns(rng)) for _ in range(8)
+             for rid in ("eq_ce", "e0", "e1", "e3", "eset")]
+    cases += [(rid, *gen_pair_nce(rng)) for _ in range(8)
+              for rid in ("eq_nce", "eq_ltomega")]
+    return cases
+
+
+def test_a_second_decide_builds_no_view_fold_or_family_key(monkeypatch):
+    built = collections.Counter()
+    for module, name in ((D, "_columns_view"), (R, "_fold_parts"),
+                         (R, "_column_family_key")):
+        def counting(x, _compute=getattr(module, name), _name=name):
+            built[_name, id(x)] += 1
+            return _compute(x)
+        monkeypatch.setattr(module, name, counting)
+    cases = _pairs_reaching_decide(31)
+    first = [decide(rid, a, b) for rid, a, b in cases]
+    once = dict(built)
+    # every kind was built, and each object built each at most once
+    assert {name for name, _ in once} == {
+        "_columns_view", "_fold_parts", "_column_family_key"}
+    assert set(once.values()) == {1}
+    assert [decide(rid, a, b) for rid, a, b in cases] == first
+    assert [decide(rid, b, a) for rid, a, b in cases] == first
+    assert built == once
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kept_views_folds_and_family_keys_are_invisible(seed):
+    rng = random.Random(seed)
+    payloads = list(gen_pair_columns(rng)) + [
+        Finite(frozenset({pair(1, 2), pair(3, 0), pair(3, 4)}))]
+    for d in payloads:
+        twin = desc_from_sexpr(desc_to_sexpr(d))
+        assert twin == d and twin is not d
+        shown, hashed, text = repr(d), hash(d), desc_to_sexpr(d)
+        view, family = columns_view(d), column_family_key(d)
+        assert columns_view(d) is view and column_family_key(d) is family
+        assert d == twin and twin == d
+        assert hash(twin) == hash(d) == hashed
+        assert repr(d) == shown and desc_to_sexpr(d) == text
+        back = pickle.loads(pickle.dumps(d))
+        assert back == twin and hash(back) == hashed
+        assert column_family_key(back) == column_family_key(twin) == family
+    t = gen_pair_nce(rng)[0]
+    twin = NceTuple(tuple(desc_from_sexpr(desc_to_sexpr(p))
+                          for p in t.parts))
+    shown, hashed = repr(t), hash(t)
+    value = t.value()
+    assert t.value() is value and twin.value() == value
+    assert t == twin and twin == t and hash(twin) == hash(t) == hashed
+    assert repr(t) == shown
+    assert value == nce_value(t.parts)
