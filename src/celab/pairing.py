@@ -7,6 +7,7 @@ serialized program index and corpus file depends on it.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 
 def pair(c: int, k: int) -> int:
@@ -20,6 +21,18 @@ def pairs(cs, ks) -> list:
     out so that a construction emitting a whole row or column of codes
     makes no call per code; hold one side fixed with itertools.repeat."""
     return [(c + k) * (c + k + 1) // 2 + k for c, k in zip(cs, ks)]
+
+
+def row(x: int, n: int) -> list:
+    """[<c, x> for c < n], by <c+1, x> = <c, x> + c + x + 1."""
+    first = x * (x + 3) // 2
+    return [*accumulate(range(x + 1, x + n), initial=first)] if n else []
+
+
+def column(c: int, n: int) -> list:
+    """[<c, k> for k < n], by <c, k+1> = <c, k> + c + k + 2."""
+    first = c * (c + 1) // 2
+    return [*accumulate(range(c + 2, c + n + 1), initial=first)] if n else []
 
 
 def unpair(z: int) -> tuple[int, int]:

@@ -35,9 +35,10 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
+from operator import add, lt, mul
 
-from ..pairing import pair, pairs, unpair
+from ..pairing import column, pair, pairs, row, unpair
 from ..programs import arg_closed, close, register_combinator, arg, param
 from ..descriptors import (
     ColumnsBySet, Columns, Difference, Finite, EMPTY, FULL,
@@ -74,11 +75,25 @@ def _pair_width(m: int) -> int:
 # combinator steps
 
 
-def _entered(ev, a, s, state, bound):
-    """Every (element, entry stage) of the argument up to stage s."""
-    entered = state.setdefault("entered", [])
-    entered.extend((x, s) for x in ev.fresh(a, s, bound))
-    return entered
+def _run_lines(ev, a, s, state, bound, reach, new, heads, lag) -> list:
+    """Emit every line's stage-s code in start order: last stage's plus
+    its lag plus s, then start a line at each new element x, at code
+    heads(new) with lag x + lag - s.  Drop the lines past the bound;
+    close once none is left and the argument can start no more."""
+    cur, kept = state.get("lines") or ((), [])
+    ev.tick(len(cur) + len(new))
+    out = cur = [*map(add, cur, map(add, kept, repeat(s)))]
+    if new:
+        out += heads(new)
+        kept += map(add, new, repeat(lag - s))
+    # a C-level max spares the filter on the stages where no code passed
+    if bound is not None and out and max(out) > bound:
+        keep = [*map(bound.__ge__, out)]
+        cur, kept = [*compress(out, keep)], [*compress(kept, keep)]
+    state["lines"] = cur, kept
+    if not cur and arg_closed(ev, state, a, s, reach):
+        close(state)
+    return out
 
 
 def _step_expand_columns(ev, args, params, s, state, bound=None):
@@ -89,15 +104,10 @@ def _step_expand_columns(ev, args, params, s, state, bound=None):
     # bound is done
     a = arg(args, 0)
     reach = None if bound is None else _column_reach(bound)
-    entered = _entered(ev, a, s, state, reach)
-    ev.tick(len(entered))
-    out = [pair(c, s - t) for c, t in entered]
-    if bound is not None:
-        state["entered"] = entered = [
-            e for e, x in zip(entered, out) if x <= bound]
-    if not entered and arg_closed(ev, state, a, s, reach):
-        close(state)
-    return out
+    # <c, k+1> = <c, k> + c + k + 2: entered at stage t, column c starts
+    # at <c, 0> and rises by c + 1 - t + s at stage s
+    return _run_lines(ev, a, s, state, bound, reach, ev.fresh(a, s, reach),
+                      lambda cs: pairs(cs, repeat(0)), 1)
 
 
 def _step_tail_columns(ev, args, params, s, state, bound=None):
@@ -113,7 +123,7 @@ def _step_tail_columns(ev, args, params, s, state, bound=None):
         n = x + 1 if bound is None else min(
             x + 1, _column_reach(bound - x) - x + 2)
         ev.tick(n)
-        out += pairs(range(n), repeat(x))
+        out += row(x, n)
     if arg_closed(ev, state, a, s, reach):
         close(state)
     return out
@@ -126,34 +136,36 @@ def _step_replicate_columns(ev, args, params, s, state, bound=None):
     # bound is done
     a = arg(args, 0)
     reach = None if bound is None else _row_reach(bound)
-    entered = _entered(ev, a, s, state, reach)
-    ev.tick(len(entered))
-    out = [pair(s - t, k) for k, t in entered]
-    if bound is not None:
-        state["entered"] = entered = [
-            e for e, x in zip(entered, out) if x <= bound]
-    if not entered and arg_closed(ev, state, a, s, reach):
+    # <c+1, k> = <c, k> + c + k + 1: entered at stage t, row k starts at
+    # <0, k> and rises by k - t + s at stage s
+    return _run_lines(ev, a, s, state, bound, reach, ev.fresh(a, s, reach),
+                      lambda ks: pairs(repeat(0), ks), 0)
+
+
+def _run_progressions(ev, a, s, state, bound, starts: list) -> list:
+    """Emit every progression's stage-s value in start order: last
+    stage's plus its step, or the first of a new (first, end, step) in
+    starts.  Each stops at the stage its rising value reaches its end;
+    close once none is left and the argument can start no more."""
+    cur, steps, stops, due = state.get("gens") or ((), [], [], math.inf)
+    ev.tick(len(cur) + len(starts))
+    cur = [*map(add, cur, steps)]
+    for first, end, step in starts:
+        stop = s - (first - end) // step  # the stage it reaches its end
+        if stop > s:
+            cur.append(first)
+            steps.append(step)
+            stops.append(stop)
+            due = min(due, stop)
+    # the stage the first one stops spares a check on every other stage
+    while due <= s:
+        i = stops.index(due)
+        del cur[i], steps[i], stops[i]
+        due = min(stops, default=math.inf)
+    state["gens"] = cur, steps, stops, due
+    if not cur and arg_closed(ev, state, a, s, bound):
         close(state)
-    return out
-
-
-def _block_kind(params) -> str:
-    return "weight" if param(params, 0) == 1 else "dyadic"
-
-
-def _run_progressions(ev, a, s, state, bound, gens: list) -> list:
-    """Emit the stage-s value lo + (s - s0) * step of every progression
-    (s0, lo, end, step) started at stage s0, drop those that are done,
-    and close once they are all dropped and the argument can start no
-    more."""
-    ev.tick(len(gens))
-    out = [x for s0, lo, end, step in gens
-           if (x := lo + (s - s0) * step) < end]
-    if len(out) < len(gens):
-        gens[:] = [g for g in gens if g[1] + (s - g[0]) * g[3] < g[2]]
-    if not gens and arg_closed(ev, state, a, s, bound):
-        close(state)
-    return out
+    return cur
 
 
 def _step_block_union(ev, args, params, s, state, bound=None):
@@ -162,12 +174,12 @@ def _step_block_union(ev, args, params, s, state, bound=None):
     # block n starts at or past n and its values rise: a block stops
     # at the bound
     a = arg(args, 0)
-    kind = _block_kind(params)
-    gens = state.setdefault("gens", [])
+    kind = "weight" if param(params, 0) == 1 else "dyadic"
+    starts = []
     for n in ev.fresh(a, s, bound):
         lo, hi = block_bounds(kind, n)
-        gens.append((s, lo, hi if bound is None else min(hi, bound + 1), 1))
-    return _run_progressions(ev, a, s, state, bound, gens)
+        starts.append((lo, hi if bound is None else min(hi, bound + 1), 1))
+    return _run_progressions(ev, a, s, state, bound, starts)
 
 
 def _step_scaled_blocks(ev, args, params, s, state, bound=None):
@@ -181,15 +193,33 @@ def _step_scaled_blocks(ev, args, params, s, state, bound=None):
     # the image of <c, k> starts at 2^c - 1 + 2^(c+k+1) >= <c, k> and
     # rises: an image stops at the bound
     a = arg(args, 0)
-    gens = state.setdefault("gens", [])
+    starts = []
     for z in ev.fresh(a, s, bound):
         c, k = unpair(z)
         step = 1 << (c + 1)
         lo = (1 << c) - 1
         hi = lo + (step << (k + 1))
-        gens.append((s, lo + (step << k), hi if bound is None
-                     else min(hi, bound + 1), step))
-    return _run_progressions(ev, a, s, state, bound, gens)
+        starts.append((lo + (step << k), hi if bound is None
+                       else min(hi, bound + 1), step))
+    return _run_progressions(ev, a, s, state, bound, starts)
+
+
+def _open_column(lens, ys, codes, s, d, y0, size):
+    """Open column s, d past the last of its family: advance the codes
+    of rows ys by d y + (s-d+1) + ... + s, from <m, x> = <m-1, x> + m + x,
+    start the rows that came since, and drop the rows y < y0 + size; a
+    later string, as long or longer, skips them too."""
+    if codes:
+        dys = ys if d == 1 else map(mul, ys, repeat(d))
+        sums = repeat(d * (2 * s + 1 - d) // 2)
+        codes[:] = map(add, codes, map(add, dys, sums))
+    if len(ys) > len(codes):
+        codes += pairs(repeat(s), ys[len(codes):])
+    if lens and size > lens[-1]:
+        keep = [*map((y0 + size).__le__, ys)]
+        ys[:] = compress(ys, keep)
+        codes[:] = compress(codes, keep)
+    lens.append(size)
 
 
 def _step_prefixed_columns(ev, args, params, s, state, bound=None):
@@ -200,19 +230,23 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
     emitted at once, its tail follows the argument's column n.
     """
     a = arg(args, 0)
-    active = state.setdefault("active", {})   # n -> [(<n, m>, |s_m|)]
-    rows = state.setdefault("rows", {})       # n -> known rows
+    # n -> (the columns <n, m> of its active generators and their |s_m|,
+    # the first ones take row k; the rows n + 1 + k past the last string
+    # and their codes there)
+    family = state.setdefault("family", {})
     out = []
     # route new argument elements to active generators; the row
     # <<n, m>, n + 1 + k> it gives <n, k> is >= <n, k>
     for z in ev.fresh(a, s, bound):
         n, k = unpair(z)
-        rows.setdefault(n, []).append(k)
-        gens = active.get(n)
-        if gens:
-            cols = [col for col, slen in gens if k >= slen]
-            ev.tick(len(cols))
-            out += pairs(cols, repeat(n + 1 + k))
+        cols, lens, ys, _ = family.get(n) or family.setdefault(
+            n, ([], [], [], []))
+        j = bisect_right(lens, k)
+        if j:
+            ev.tick(j)
+            out += pairs(cols[:j], repeat(n + 1 + k))
+        if j == len(lens):
+            ys.append(n + 1 + k)
     # every output of generator <n, m> = s is a pair <s, y> >= <s, 0>,
     # so past the bound only the argument can add outputs
     if (bound is not None and pair(s + 1, 0) > bound
@@ -220,16 +254,19 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
         close(state)
     if bound is not None and pair(s, 0) > bound:
         return out
-    # activate the next generator, whose column <n, m> is s
+    # activate the next generator, whose column <n, m> is s; the last
+    # one, <n, m-1>, lies n + m + 1 columns back
     n, m = unpair(s)
     word = string_of(m)
-    active.setdefault(n, []).append((s, len(word)))
+    cols, lens, ys, tail = family.get(n) or family.setdefault(
+        n, ([], [], [], []))
+    cols.append(s)
+    _open_column(lens, ys, tail, s, n + m + 1, n + 1, len(word))
     # rows 0..n-1, then n + 1 + i for each 1 at position i of the
     # string, then the known rows of argument column n past it
-    ys = [*range(n), *compress(range(n + 1, n + 1 + len(word)), word),
-          *[n + 1 + k for k in rows.get(n, ()) if k >= len(word)]]
-    ev.tick(len(ys))
-    out += pairs(repeat(s), ys)
+    ev.tick(n + sum(word) + len(tail))
+    codes = column(s, n + 1 + len(word))
+    out += chain(codes[:n], compress(codes[n + 1:], word), tail)
     return out
 
 
@@ -237,19 +274,20 @@ def _step_prefix_family(ev, args, params, s, state, bound=None):
     """Output column m holds the m-th binary string, then the argument
     set beyond the string's length."""
     a = arg(args, 0)
-    # |s_m| of every open column m; strings come in length order, so
-    # the columns whose string is at most x long are the first ones
-    lens = state.setdefault("lens", [])
-    known = state.setdefault("known", [])
+    # |s_m| of every open column m, which are the first ones to take
+    # x, the known x past the last string, and their codes there
+    lens, known, cur = state.get("family") or state.setdefault(
+        "family", ([], [], []))
     out = []
     # <m, x> >= <0, x>, so only x <= _row_reach(b) can give an output <= b
     reach = None if bound is None else _row_reach(bound)
     for x in ev.fresh(a, s, reach):
-        known.append(x)
         n = bisect_right(lens, x)
         if n:
             ev.tick(n)
-            out += pairs(range(n), repeat(x))
+            out += row(x, n)
+        if n == len(lens):
+            known.append(x)
     # column m = s opens now, and <m, y> >= <m, 0>: past the bound only
     # the argument can add outputs
     if (bound is not None and pair(s + 1, 0) > bound
@@ -257,13 +295,12 @@ def _step_prefix_family(ev, args, params, s, state, bound=None):
         close(state)
     if bound is not None and pair(s, 0) > bound:
         return out
-    m = s
-    word = string_of(m)
-    lens.append(len(word))
-    ys = [*compress(range(len(word)), word),
-          *[x for x in known if x >= len(word)]]
-    ev.tick(len(ys))
-    out += pairs(repeat(m), ys)
+    word = string_of(s)
+    _open_column(lens, known, cur, s, 1, 0, len(word))
+    ev.tick(sum(word) + len(cur))
+    if any(word):
+        out += compress(column(s, len(word)), word)
+    out += cur
     return out
 
 

@@ -1,0 +1,245 @@
+"""The column constructions against their per-element formulas.
+
+The seven steps of ``reductions.benchmark`` keep last stage's codes and
+advance them by the pairing identities.  Each reference below computes
+every code of every stage from scratch, one ``pair`` per element, as the
+steps did before.  Both run on their own evaluator over the same drawn
+argument and bound; at every stage they must return the same list, in
+the same order, charge the same ticks and close at the same stage.
+"""
+
+from contextlib import contextmanager
+from bisect import bisect_right
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import celab  # noqa: F401  (registers combinators)
+from celab.descriptors import (Cofinite, ColumnsBySet, Finite, Progression,
+                               block_bounds, compile_descriptor)
+from celab.enumerable import string_of
+from celab.pairing import pair, unpair
+from celab.programs import (COMBINATORS, CombinatorDef, Combinator,
+                            Evaluator, FullColumnOf, arg, arg_closed, close,
+                            param, script)
+from celab.reductions.benchmark import _column_reach, _row_reach
+
+S = 40
+
+
+def _ref_expand_columns(ev, args, params, s, state, bound=None):
+    a = arg(args, 0)
+    reach = None if bound is None else _column_reach(bound)
+    entered = state.setdefault("entered", [])
+    entered.extend((c, s) for c in ev.fresh(a, s, reach))
+    ev.tick(len(entered))
+    out = [pair(c, s - t) for c, t in entered]
+    if bound is not None:
+        state["entered"] = entered = [
+            e for e, x in zip(entered, out) if x <= bound]
+    if not entered and arg_closed(ev, state, a, s, reach):
+        close(state)
+    return out
+
+
+def _ref_replicate_columns(ev, args, params, s, state, bound=None):
+    a = arg(args, 0)
+    reach = None if bound is None else _row_reach(bound)
+    entered = state.setdefault("entered", [])
+    entered.extend((k, s) for k in ev.fresh(a, s, reach))
+    ev.tick(len(entered))
+    out = [pair(s - t, k) for k, t in entered]
+    if bound is not None:
+        state["entered"] = entered = [
+            e for e, x in zip(entered, out) if x <= bound]
+    if not entered and arg_closed(ev, state, a, s, reach):
+        close(state)
+    return out
+
+
+def _ref_tail_columns(ev, args, params, s, state, bound=None):
+    a = arg(args, 0)
+    reach = None if bound is None else _row_reach(bound)
+    out = []
+    for x in ev.fresh(a, s, reach):
+        n = x + 1 if bound is None else min(
+            x + 1, _column_reach(bound - x) - x + 2)
+        ev.tick(n)
+        out += [pair(c, x) for c in range(n)]
+    if arg_closed(ev, state, a, s, reach):
+        close(state)
+    return out
+
+
+def _ref_progressions(ev, a, s, state, bound, gens):
+    ev.tick(len(gens))
+    out = [x for s0, lo, end, step in gens
+           if (x := lo + (s - s0) * step) < end]
+    gens[:] = [g for g in gens if g[1] + (s - g[0]) * g[3] < g[2]]
+    if not gens and arg_closed(ev, state, a, s, bound):
+        close(state)
+    return out
+
+
+def _ref_block_union(ev, args, params, s, state, bound=None):
+    a = arg(args, 0)
+    kind = "weight" if param(params, 0) == 1 else "dyadic"
+    gens = state.setdefault("gens", [])
+    for n in ev.fresh(a, s, bound):
+        lo, hi = block_bounds(kind, n)
+        gens.append((s, lo, hi if bound is None else min(hi, bound + 1), 1))
+    return _ref_progressions(ev, a, s, state, bound, gens)
+
+
+def _ref_scaled_blocks(ev, args, params, s, state, bound=None):
+    a = arg(args, 0)
+    gens = state.setdefault("gens", [])
+    for z in ev.fresh(a, s, bound):
+        c, k = unpair(z)
+        step = 1 << (c + 1)
+        lo = (1 << c) - 1
+        hi = lo + (step << (k + 1))
+        gens.append((s, lo + (step << k), hi if bound is None
+                     else min(hi, bound + 1), step))
+    return _ref_progressions(ev, a, s, state, bound, gens)
+
+
+def _ref_prefixed_columns(ev, args, params, s, state, bound=None):
+    a = arg(args, 0)
+    active = state.setdefault("active", {})
+    rows = state.setdefault("rows", {})
+    out = []
+    for z in ev.fresh(a, s, bound):
+        n, k = unpair(z)
+        rows.setdefault(n, []).append(k)
+        gens = active.get(n)
+        if gens:
+            cols = [col for col, slen in gens if k >= slen]
+            ev.tick(len(cols))
+            out += [pair(col, n + 1 + k) for col in cols]
+    if (bound is not None and pair(s + 1, 0) > bound
+            and arg_closed(ev, state, a, s, bound)):
+        close(state)
+    if bound is not None and pair(s, 0) > bound:
+        return out
+    n, m = unpair(s)
+    word = string_of(m)
+    active.setdefault(n, []).append((s, len(word)))
+    ys = [*range(n), *(n + 1 + i for i, b in enumerate(word) if b),
+          *[n + 1 + k for k in rows.get(n, ()) if k >= len(word)]]
+    ev.tick(len(ys))
+    out += [pair(s, y) for y in ys]
+    return out
+
+
+def _ref_prefix_family(ev, args, params, s, state, bound=None):
+    a = arg(args, 0)
+    lens = state.setdefault("lens", [])
+    known = state.setdefault("known", [])
+    out = []
+    reach = None if bound is None else _row_reach(bound)
+    for x in ev.fresh(a, s, reach):
+        known.append(x)
+        n = bisect_right(lens, x)
+        if n:
+            ev.tick(n)
+            out += [pair(c, x) for c in range(n)]
+    if (bound is not None and pair(s + 1, 0) > bound
+            and arg_closed(ev, state, a, s, reach)):
+        close(state)
+    if bound is not None and pair(s, 0) > bound:
+        return out
+    word = string_of(s)
+    lens.append(len(word))
+    ys = [*(i for i, b in enumerate(word) if b),
+          *[x for x in known if x >= len(word)]]
+    ev.tick(len(ys))
+    out += [pair(s, y) for y in ys]
+    return out
+
+
+REFERENCES = {
+    "block_union": _ref_block_union,
+    "expand_columns": _ref_expand_columns,
+    "prefix_family": _ref_prefix_family,
+    "prefixed_columns": _ref_prefixed_columns,
+    "replicate_columns": _ref_replicate_columns,
+    "scaled_blocks": _ref_scaled_blocks,
+    "tail_columns": _ref_tail_columns,
+}
+
+# the largest script element per construction: a row of tail_columns
+# holds x + 1 codes, and weight block n spans 3^n values
+TOP = {"tail_columns": 3000, "block_union": 400}
+
+
+def _recorded(step, log):
+    """The step, logging what it returns and whether it closed."""
+    def rec(ev, args, params, s, state, bound=None):
+        out = step(ev, args, params, s, state, bound)
+        log.append((s, list(out), "closed" in state))
+        return out
+    return rec
+
+
+@contextmanager
+def _registered(steps):
+    """Register test-only combinators for the duration of a test."""
+    COMBINATORS.update((cid, CombinatorDef(cid, step))
+                       for cid, step in steps.items())
+    try:
+        yield
+    finally:
+        for cid in steps:
+            del COMBINATORS[cid]
+
+
+def _run(cid, step, a, params, bound):
+    """Per stage: what the step returned, whether it closed, and the
+    ticks of the call that advanced its cell to that stage."""
+    log, ticks = [], []
+    ev = Evaluator()
+    term = Combinator(cid, (a,), params)
+    with _registered({cid: _recorded(step, log)}):
+        for s in range(S + 1):
+            if bound is None:
+                ev.approx(term, s)
+            else:
+                ev.upto(term, s, bound)
+            ticks.append(ev._steps)
+    return log, ticks
+
+
+def _scripts(top):
+    elems = st.integers(0, 40) | st.integers(0, top)
+    # several elements a stage, and entries up to the last stage
+    return st.lists(st.tuples(st.integers(0, S), st.sets(elems, max_size=5)),
+                    max_size=8).map(script)
+
+
+_DESCRIPTORS = [
+    Progression(0, 1), Progression(2, 3), Finite(frozenset({0, 4, 21})),
+    Cofinite(frozenset({1, 2, 5})),
+    ColumnsBySet(Progression(0, 2), Progression(1, 3), Finite({0, 4})),
+]
+
+
+def _arguments(top):
+    return (_scripts(top)
+            | st.builds(FullColumnOf, st.integers(0, 6))
+            | st.builds(lambda d, delay: compile_descriptor(d, delay).term,
+                        st.sampled_from(_DESCRIPTORS), st.integers(0, 3)))
+
+
+@pytest.mark.parametrize("cid", sorted(REFERENCES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_step_matches_its_per_element_formula(cid, data):
+    params = data.draw(st.sampled_from([(0,), (1,)])) \
+        if cid == "block_union" else ()
+    top = 10 ** 6 if params == (0,) else TOP.get(cid, 10 ** 6)
+    a = data.draw(_arguments(top))
+    bound = data.draw(st.none() | st.integers(0, 300))
+    want = _run("ref", REFERENCES[cid], a, params, bound)
+    got = _run("real", COMBINATORS[cid].step, a, params, bound)
+    assert got == want

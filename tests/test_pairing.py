@@ -4,8 +4,9 @@ from itertools import repeat
 
 from hypothesis import example, given, strategies as st
 
-from celab.pairing import (pair, pairs, unpair, triple, untriple,
-                           seq_encode, seq_decode, set_encode, set_decode)
+from celab.pairing import (column, pair, pairs, row, unpair, triple,
+                           untriple, seq_encode, seq_decode, set_encode,
+                           set_decode)
 
 nats = st.integers(min_value=0, max_value=10 ** 6)
 small = st.integers(min_value=0, max_value=2000)
@@ -68,3 +69,12 @@ def test_batch_pairs_are_pairs(c, ks, cs):
     assert pairs(ks, repeat(c)) == [pair(k, c) for k in ks]
     assert pairs(range(len(ks)), repeat(c)) == [pair(a, c)
                                                 for a in range(len(ks))]
+
+
+@given(huge, st.integers(min_value=0, max_value=60))
+@example(0, 0)
+@example(0, 1)
+@example(2 ** 64 + 1, 5)
+def test_a_row_and_a_column_are_pairs(x, n):
+    assert row(x, n) == [pair(c, x) for c in range(n)]
+    assert column(x, n) == [pair(x, k) for k in range(n)]

@@ -29,6 +29,7 @@ from celab.pairing import pair
 from celab.programs import (COMBINATORS, DEFAULT_BUDGET, BudgetExceeded,
                             Combinator, CombinatorDef, Evaluator,
                             FullColumnOf, Indexed, Script, arg_closed, script)
+from test_programs import CLOSING_ARGUMENTS
 
 S = 24
 
@@ -294,6 +295,14 @@ _POOL = [
     Combinator("translate_mod", (_cofinite,), (3, 7)),
 ]
 _POOL += [Indexed(encode(t)) for t in _POOL[3:9]]
+# the column constructions over the closing script, so that their
+# bounded paths close on the shared evaluator too
+_POOL += [Combinator(cid, (CLOSING_ARGUMENTS["script"],), params)
+          for cid, params in [("block_union", (0,)), ("block_union", (1,)),
+                              ("expand_columns", ()), ("prefix_family", ()),
+                              ("prefixed_columns", ()),
+                              ("replicate_columns", ()),
+                              ("scaled_blocks", ()), ("tail_columns", ())]]
 _HORIZON = 30
 
 
@@ -360,4 +369,4 @@ class SharedEvaluatorMachine(RuleBasedStateMachine):
 
 TestSharedEvaluator = SharedEvaluatorMachine.TestCase
 TestSharedEvaluator.settings = settings(
-    max_examples=25, stateful_step_count=20, deadline=None)
+    max_examples=50, stateful_step_count=20, deadline=None)
