@@ -36,7 +36,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
-from operator import add, lt, mul
+from operator import add, mul
 
 from ..pairing import column, pair, pairs, row, unpair
 from ..programs import arg_closed, close, register_combinator, arg, param
