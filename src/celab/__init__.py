@@ -5,7 +5,7 @@ shipped reduction, so ``celab.reductions.REDUCTIONS`` is fully
 populated after ``import celab``.
 """
 
-from . import descriptors, enumerable  # noqa: F401
+from . import descriptors  # noqa: F401
 from .reductions import basic, below, benchmark, structures  # noqa: F401
 
 __version__ = "0.1.0"

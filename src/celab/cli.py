@@ -113,10 +113,18 @@ def _read_corpus(path: str) -> list:
                          " to decide")
 
 
+def _check_size(size: int) -> None:
+    if size < 1:
+        raise InputError(f"corpus size must be at least 1, not {size}")
+
+
 def cmd_verify(args) -> int:
     red = REDUCTIONS.get(args.reduction)
     if red is None:
         raise InputError(f"no reduction named {args.reduction!r}")
+    # a negative window certifies nothing: the report would read clean
+    if args.window is not None and args.window < 0:
+        raise InputError(f"window must be at least 0, not {args.window}")
     corpus = None
     if args.corpus:
         corpus = _read_corpus(args.corpus)
@@ -126,6 +134,8 @@ def cmd_verify(args) -> int:
             raise InputError(
                 f"corpus relation {corpus[0].source!r} is not the source"
                 f" {red.source!r} of {red.name}")
+    else:
+        _check_size(args.size)
     report = verify_reduction(
         args.reduction, corpus=corpus, seed=args.seed, size=args.size,
         budget=args.budget, window=args.window)
@@ -153,6 +163,7 @@ def cmd_corpus(args) -> int:
         return EXIT_OK
     if not args.reduction or args.reduction not in REDUCTIONS:
         raise InputError(f"no reduction named {args.reduction!r}")
+    _check_size(args.size)
     cases = gen_corpus(args.reduction, args.seed, args.size)
     data = corpus_to_json(args.reduction, args.seed, cases)
     _write(json.dumps(data, sort_keys=True, indent=2) + "\n", args.out)

@@ -1,16 +1,16 @@
 """Iterated difference/union combinations of enumerable sets.
 
-A combination is a nonempty tuple of programs (or descriptors)
-``(A1, ..., An)`` denoting ``((A1 - A2) | A3) - A4 ...`` folded left to
-right: even positions subtract, odd positions (from the third on) add
-back.  Membership of a point can therefore change at most ``n`` times
-along the stages, once per alternation level.
+A combination is a nonempty tuple of programs ``(A1, ..., An)``
+denoting ``((A1 - A2) | A3) - A4 ...`` folded left to right: even
+positions subtract, odd positions (from the third on) add back.
+Membership of a point can therefore change at most ``n`` times along
+the stages, once per alternation level.  ``ltomega_encode`` codes
+nonempty tuples of naturals bijectively.
 """
 
 from __future__ import annotations
 
-from .pairing import seq_encode, seq_decode, pair, unpair
-from .descriptors import encode_descriptor, decode_descriptor
+from .pairing import pair, unpair
 
 
 def fold_point(slots) -> bool:
@@ -51,17 +51,6 @@ def toggle_count(ev, terms, x: int, last_stage: int) -> int:
 def toggle_bound(terms) -> int:
     """Monotone inputs flip the fold at most once per tuple slot."""
     return len(terms)
-
-
-def tuple_encode(parts) -> int:
-    """Bijection between nonempty descriptor tuples and naturals."""
-    if not parts:
-        raise ValueError("combination tuples are nonempty")
-    return seq_encode(tuple(encode_descriptor(d) for d in parts)) - 1
-
-
-def tuple_decode(code: int) -> tuple:
-    return tuple(decode_descriptor(c) for c in seq_decode(code + 1))
 
 
 def ltomega_encode(t) -> int:

@@ -34,7 +34,7 @@ COMBINATOR_CODES = (
     "expand_columns",
     "expand_columns_swapped",     # retired: replicate_columns
     "from_descriptor",
-    "group_columns",
+    "group_columns",              # retired
     "interval_hull",
     "level_columns",
     "max_factorials",
@@ -42,9 +42,9 @@ COMBINATOR_CODES = (
     "membership_tree",
     "min_factorials",
     "perm_copies",
-    "permute_columns_mod",
+    "permute_columns_mod",        # retired
     "prefix_family",
-    "prefix_substitution",
+    "prefix_substitution",        # retired
     "prefixed_columns",
     "rational_cut",
     "replicate_columns",
@@ -57,7 +57,7 @@ COMBINATOR_CODES = (
     "star_edges",
     "tail_columns",
     "tail_columns_short",         # retired
-    "translate_mod",
+    "translate_mod",              # retired
     "triadic_cut",
 )
 _CODE_OF = {cid: i for i, cid in enumerate(COMBINATOR_CODES)}

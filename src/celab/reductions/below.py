@@ -844,62 +844,3 @@ emed_to_e0 = register_reduction(Reduction(
 ))
 register_mutant("emed_to_e0", "adds-hundred",
                 perturbed(emed_to_e0.build, adding(100)))
-
-
-# ---------------------------------------------------------------------------
-# cut reductions lifted from order embeddings
-
-
-def el_from_embedding(point_cut):
-    """Lift a point embedding between coded orders to a map on sets.
-
-    ``point_cut(n)`` decides which target-order codes lie strictly below
-    the embedded image of n; the lifted map sends a (finite) set to the
-    target cut below its embedded points.  Returns a payload transform
-    producing the cut's membership predicate.
-    """
-
-    def image(payload):
-        ana = analyze(payload)
-        if not ana.is_finite:
-            raise ValueError("embedding images are computed on finite sets")
-        below = [point_cut(n) for n in sorted(ana.elements())]
-        return lambda l: any(b(l) for b in below)
-
-    return image
-
-
-def check_el_from_embedding(point_cut, source_rid: str, pairs,
-                            window: int = 128) -> list:
-    """Issues with the lifted map as a reduction on the given pairs.
-
-    The source verdict must match extensional equality of the image
-    cuts on [0, window]; a mismatch means the embedding fails to be cut
-    order preserving or cut-injective on this corpus and is reported as
-    such.
-    """
-    from ..relations import decide
-    image = el_from_embedding(point_cut)
-    issues = []
-    for a, b in pairs:
-        want = decide(source_rid, a, b)
-        fa, fb = image(a), image(b)
-        got = all(fa(l) == fb(l) for l in range(window + 1))
-        if want != got:
-            issues.append(
-                f"embedding violation on {a!r} / {b!r}: source verdict"
-                f" {want}, image-cut equality {got}")
-    return issues
-
-
-def cut_downward_issues(elems, less, window: int) -> list:
-    """A settled cut truncation must be downward closed on its window."""
-    inside = [l for l in elems if l <= window]
-    issues = []
-    for l in inside:
-        for lp in range(window + 1):
-            if less(lp, l) and lp not in elems:
-                issues.append(f"{lp} precedes enumerated {l} but is missing")
-                if len(issues) >= 3:
-                    return issues
-    return issues

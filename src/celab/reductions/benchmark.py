@@ -45,7 +45,6 @@ from ..descriptors import (
     Descriptor, analyze, block_bounds, block_of, column_descriptor, member,
     DyadicBlocks, WeightBlocks, TailColumns,
 )
-from ..enumerable import string_of
 from ..relations import ClassKey, columnwise_key, decide
 from . import (
     Reduction, register_reduction, register_mutant,
@@ -202,6 +201,12 @@ def _step_scaled_blocks(ev, args, params, s, state, bound=None):
         starts.append((lo + (step << k), hi if bound is None
                        else min(hi, bound + 1), step))
     return _run_progressions(ev, a, s, state, bound, starts)
+
+
+def string_of(m: int) -> tuple:
+    """The m-th binary string in length-then-value order (m=0: empty)."""
+    bits = bin(m + 1)[3:]
+    return tuple(1 if b == "1" else 0 for b in bits)
 
 
 def _open_column(lens, ys, codes, s, d, y0, size):

@@ -276,22 +276,6 @@ register_mutant("eqm_to_eq1", "adds-zero",
                 perturbed(eqce_to_e0.build, adding(0)))
 
 
-def one_one_from_many_one(phi):
-    """Turn a many-one reduction into an injective one, targeting the
-    cylinder {<b, n> : b in B}: x -> <phi(x), x>."""
-    return lambda x: pair(phi(x), x)
-
-
-def many_one_from_one_one(psi):
-    """An injective reduction is in particular a many-one reduction."""
-    return psi
-
-
-def cylinder_member(in_b):
-    """Membership in the cylinder of B, the canonical one-one target."""
-    return lambda z: in_b(unpair(z)[0])
-
-
 # ---------------------------------------------------------------------------
 # eq1_to_compiso: star graphs
 
@@ -560,35 +544,3 @@ eqnat_to_emin = register_reduction(Reduction(
 ))
 register_mutant("eqnat_to_emin", "shifted-point",
                 perturbed(_build_singleton, lambda a: a + 1))
-
-
-# ---------------------------------------------------------------------------
-# families mirrored through a selector program
-
-
-def family_columns(ev, family_terms, selector_term, stages: int):
-    """Mirror selected family members into output columns.
-
-    The k-th element to enter the selector (ordered by entry stage, then
-    value) names the member mirrored in column k.  Returns the selection
-    order and the mirrored columns at the final stage.
-    """
-    order = []
-    for t in range(stages + 1):
-        order.extend(sorted(ev.fresh(selector_term, t)))
-    columns = {}
-    for k, n in enumerate(order):
-        if n < len(family_terms):
-            columns[k] = set(ev.approx(family_terms[n], stages))
-        else:
-            columns[k] = set()
-    return order, columns
-
-
-def family_columns_permutation(order_a, order_b):
-    """The column permutation aligning two runs over the same selector
-    set, or None when the selections differ as sets."""
-    if sorted(order_a) != sorted(order_b):
-        return None
-    pos_b = {n: j for j, n in enumerate(order_b)}
-    return {k: pos_b[n] for k, n in enumerate(order_a)}

@@ -1,79 +1,15 @@
-"""Ground-floor constructions: finite-class maps, deciders, the
-injective repair, the universal enumerated relation, and orbit actions."""
+"""Ground-floor constructions: the universal enumerated relation and
+orbit actions."""
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401
-from celab.descriptors import Finite, Progression
 from celab.pairing import pair, triple
-from celab.programs import BudgetExceeded, Evaluator, FullColumnOf, script
-from celab.reductions.basic import (CeAction, Uce, UnionFind, WitnessViolation,
-                                    check_two_class, finite_class_decider,
-                                    one_reduction_repair, orbit_from_ce,
-                                    reduce_eqN_to_pi01, reduce_to_min_n,
+from celab.programs import Evaluator, script
+from celab.reductions.basic import (CeAction, Uce, UnionFind, orbit_from_ce,
                                     uce_embed)
-
-
-def test_reduce_to_min_n_clamps_and_validates():
-    f = reduce_to_min_n([Finite(frozenset({0})), Finite(frozenset({1}))],
-                        rid="eq_ce")
-    assert f(0) == Finite(frozenset({0}))
-    assert f(5) == Finite(frozenset({1}))  # clamped to the last class
-    with pytest.raises(WitnessViolation):
-        reduce_to_min_n([Progression(0, 2), Progression(0, 2)], rid="eq_ce")
-
-
-def test_reduce_eqN_to_pi01_builds_a_system():
-    # inequality pairs of naturals under literal equality: everything
-    # distinct, enumerated lazily
-    def diseq():
-        k = 0
-        while True:
-            for a in range(k):
-                yield (a, k)
-            k += 1
-
-    f = reduce_eqN_to_pi01(diseq())
-    values = [f(n) for n in range(6)]
-    assert len(set(values)) == 6
-
-    starved = reduce_eqN_to_pi01(iter([(0, 1)]), budget=10)
-    assert starved(0) is not None
-    with pytest.raises(BudgetExceeded):
-        starved(2)
-
-
-def test_finite_class_decider_sigma_and_pi():
-    # two classes: evens and odds
-    sigma_pairs = ((x, x + 2) for x in range(0, 500))
-    dec = finite_class_decider("sigma", sigma_pairs, [0, 1])
-    assert dec(4, 10) and dec(3, 7) and not dec(2, 5)
-
-    pi_pairs = ((x, (x + 1) % 2) for x in range(2, 300))
-    dec = finite_class_decider("pi", pi_pairs, [0, 1])
-    assert dec(4, 10) and not dec(2, 5)
-
-    with pytest.raises(ValueError):
-        finite_class_decider("delta", iter(()), [0])
-
-
-def test_check_two_class_accepts_and_rejects():
-    evens = lambda x: x % 2 == 0
-    assert check_two_class(lambda n: n + 1, evens, lambda x: x % 2 == 1) == []
-    # mapping everything into one class is not a two-class reduction
-    assert check_two_class(lambda n: 2 * n, evens, evens) != []
-
-
-def test_one_reduction_repair_is_injective_and_faithful():
-    f = lambda n: n // 2  # heavily colliding
-    g = one_reduction_repair(f, FullColumnOf(0), budget=400)
-    values = [g(n) for n in range(40)]
-    assert len(set(values)) == 40
-    # first use of each target value is kept
-    assert values[0] == 0 and values[2] == 1
 
 
 def test_union_find_least_representatives():

@@ -13,14 +13,11 @@ import celab  # noqa: F401
 from celab.descriptors import (EMPTY, Cofinite, Finite, analyze,
                                compile_descriptor)
 from celab.harness import TestCase, default_budget, verify_case
-from celab.orders import (OMEGA, OMEGA_STAR, RATIONALS, CodeKey, code_below,
-                          order_from_spec, order_reverse, order_sum,
-                          rational_from_code, rational_parts,
-                          rational_to_code)
+from celab.orders import (OMEGA, CodeKey, code_below, order_from_spec,
+                          order_reverse, order_sum, rational_from_code,
+                          rational_parts, rational_to_code)
 from celab.programs import Combinator, Evaluator, script
 from celab.reductions import REDUCTIONS, gen_pair_1d
-from celab.reductions.below import (check_el_from_embedding,
-                                    cut_downward_issues, el_from_embedding)
 from celab.relations import decide
 from test_programs import CLOSING_ARGUMENTS
 
@@ -58,26 +55,6 @@ def test_stage_gcd_chain_is_divisibility_decreasing():
             chain.append(g)
         for earlier, later in zip(chain, chain[1:]):
             assert earlier % later == 0
-
-
-@pytest.mark.parametrize("order", [OMEGA, OMEGA_STAR, RATIONALS,
-                                   order_sum(OMEGA, OMEGA_STAR),
-                                   order_reverse(RATIONALS)])
-def test_cut_downward_closure(order):
-    rng = random.Random(order.name)
-    for _ in range(20):
-        seeds = {rng.randrange(40) for _ in range(rng.randrange(1, 5))}
-        cut = {l for l in range(80)
-               if any(order.less(l, w) for w in seeds)}
-        assert cut_downward_issues(cut, order.less, 60) == []
-    # a poked hole is reported
-    full = {l for l in range(40) if order.less(l, 39) or l == 39}
-    hole = sorted(full)[:1]
-    if hole and len(full) > 2:
-        broken = full - set(hole)
-        victims = [l for l in broken if order.less(hole[0], l)]
-        if victims:
-            assert cut_downward_issues(broken, order.less, 39) != []
 
 
 def test_rational_coding_is_a_bijection():
@@ -229,33 +206,6 @@ def test_order_constructors_and_parser():
     assert order_from_spec("rationals").name == "rationals"
     with pytest.raises(ValueError):
         order_from_spec("lexicographic(omega)")
-
-
-def test_el_from_embedding_into_rationals():
-    # embed omega into the rationals at the integer points
-    def point_cut(n):
-        return lambda l: rational_from_code(l) < n
-
-    rng = random.Random(31)
-    pairs = []
-    while len(pairs) < 30:
-        a = Finite(frozenset(rng.randrange(8) for _ in range(rng.randrange(1, 4))))
-        b = Finite(frozenset(rng.randrange(8) for _ in range(rng.randrange(1, 4))))
-        if analyze(a).is_empty or analyze(b).is_empty:
-            continue
-        pairs.append((a, b))
-    assert check_el_from_embedding(point_cut, "el_omega", pairs) == []
-    # a collapsing point map (every image cut empty) is flagged
-    def bad_cut(n):
-        return lambda l: False
-    diff = [(Finite(frozenset({1})), Finite(frozenset({2})))]
-    assert check_el_from_embedding(bad_cut, "el_omega", diff) != []
-
-    # infinite payloads are rejected: the lift needs an element list
-    from celab.descriptors import FULL
-    image = el_from_embedding(point_cut)
-    with pytest.raises(ValueError):
-        image(FULL)
 
 
 def test_triadic_cut_separates_subsets_of_seven():

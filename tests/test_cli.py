@@ -104,6 +104,13 @@ def test_bad_inputs_exit_four(capsys):
     assert run(capsys, "enumerate", "--term", "(oops")[0] == 4
     assert run(capsys, "hierarchy", "--figure", "99")[0] == 4
     assert run(capsys, "corpus", "--in", "/nonexistent.json")[0] == 4
+    for argv in (["verify", "--reduction", "e0_to_e1", "--size", "0"],
+                 ["verify", "--reduction", "e0_to_e1", "--size", "-3"],
+                 ["verify", "--reduction", "e0_to_e1", "--size", "3",
+                  "--window", "-1"],
+                 ["corpus", "--reduction", "e0_to_e1", "--size", "0"]):
+        assert main(argv) == 4
+        assert capsys.readouterr().err.startswith("error: ")
     assert main(["frobnicate"]) == 4
 
 

@@ -6,6 +6,8 @@ every code of every stage from scratch, one ``pair`` per element, as the
 steps did before.  Both run on their own evaluator over the same drawn
 argument and bound; at every stage they must return the same list, in
 the same order, charge the same ticks and close at the same stage.
+The last test checks the order of the binary strings that
+``prefixed_columns`` and ``prefix_family`` read.
 """
 
 from contextlib import contextmanager
@@ -17,12 +19,11 @@ from hypothesis import given, settings, strategies as st
 import celab  # noqa: F401  (registers combinators)
 from celab.descriptors import (Cofinite, ColumnsBySet, Finite, Progression,
                                block_bounds, compile_descriptor)
-from celab.enumerable import string_of
 from celab.pairing import pair, unpair
 from celab.programs import (COMBINATORS, CombinatorDef, Combinator,
                             Evaluator, FullColumnOf, arg, arg_closed, close,
                             param, script)
-from celab.reductions.benchmark import _column_reach, _row_reach
+from celab.reductions.benchmark import _column_reach, _row_reach, string_of
 
 S = 40
 
@@ -243,3 +244,11 @@ def test_a_step_matches_its_per_element_formula(cid, data):
     want = _run("ref", REFERENCES[cid], a, params, bound)
     got = _run("real", COMBINATORS[cid].step, a, params, bound)
     assert got == want
+
+
+def test_strings_are_ordered_by_length_then_value():
+    words = [string_of(m) for m in range(15)]
+    assert words[0] == ()
+    for a, b in zip(words, words[1:]):
+        assert (len(a), a) < (len(b), b)
+    assert len(set(words)) == 15

@@ -292,7 +292,7 @@ _POOL = [
     Combinator("max_factorials", (ARGUMENTS["late"],)),
     Combinator("expand_columns", (_gcds,)),
     Combinator("rational_cut", (_cofinite,)),
-    Combinator("translate_mod", (_cofinite,), (3, 7)),
+    Combinator("stage_lcms", (ARGUMENTS["script"],)),
 ]
 _POOL += [Indexed(encode(t)) for t in _POOL[3:9]]
 # the column constructions over the closing script, so that their

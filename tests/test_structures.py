@@ -1,5 +1,5 @@
 """Structure codings and the degree-theoretic plumbing: star graphs,
-membership trees, permuted copies, difference tuples, family mirrors."""
+membership trees, permuted copies and difference tuples."""
 
 import random
 
@@ -10,17 +10,12 @@ import celab  # noqa: F401
 from celab.descriptors import compile_descriptor
 from celab.harness import verify_reduction
 from celab.nce import (ltomega_decode, ltomega_encode, nce_stage_value,
-                       toggle_bound, toggle_count, tuple_decode, tuple_encode)
+                       toggle_bound, toggle_count)
 from celab.pairing import pair
 from celab.programs import Evaluator, script
 from celab.reductions import REDUCTIONS, random_ep_descriptor
 from celab.reductions.structures import (_copies_point, _copies_reach,
-                                         _tree_edge, _tree_reach,
-                                         cylinder_member,
-                                         family_columns,
-                                         family_columns_permutation,
-                                         many_one_from_one_one,
-                                         one_one_from_many_one)
+                                         _tree_edge, _tree_reach)
 
 STRUCTURE_REDUCTIONS = ["eqm_to_eq1", "eq1_to_compiso", "eset_to_isobin",
                         "compiso_to_eset", "nce_embed", "ltomega_to_e3",
@@ -31,19 +26,6 @@ STRUCTURE_REDUCTIONS = ["eqm_to_eq1", "eq1_to_compiso", "eset_to_isobin",
 def test_small_corpus_is_clean(name):
     rep = verify_reduction(name, seed=4, size=8)
     assert rep.agreements == rep.cases == 8, rep.disagreements[:2]
-
-
-def test_one_one_from_many_one_round_trip():
-    phi = lambda x: x % 7
-    psi = one_one_from_many_one(phi)
-    values = [psi(x) for x in range(101)]
-    assert len(set(values)) == 101  # injective
-    assert many_one_from_one_one(psi) is psi
-    # the cylinder membership matches the original target through psi
-    in_b = lambda y: y % 2 == 0
-    cyl = cylinder_member(in_b)
-    for x in range(101):
-        assert cyl(psi(x)) == in_b(phi(x))
 
 
 def test_toggle_counts_respect_the_ladder_bound():
@@ -80,31 +62,6 @@ def test_ltomega_codes_are_a_bijection(code):
                 max_size=5))
 def test_ltomega_encodes_every_tuple(t):
     assert ltomega_decode(ltomega_encode(tuple(t))) == tuple(t)
-
-
-def test_tuple_codec_round_trips_descriptor_tuples():
-    rng = random.Random(23)
-    for _ in range(30):
-        parts = tuple(random_ep_descriptor(rng, hi=15)
-                      for _ in range(rng.randrange(1, 4)))
-        assert tuple_decode(tuple_encode(parts)) == parts
-
-
-def test_family_columns_align_up_to_permutation():
-    family = [script([(0, {10 + n})]) for n in range(4)]
-    sel_a = script([(0, {0, 2}), (3, {1})])
-    sel_b = script([(1, {1}), (2, {2}), (4, {0})])
-    ev = Evaluator()
-    order_a, cols_a = family_columns(ev, family, sel_a, 8)
-    order_b, cols_b = family_columns(ev, family, sel_b, 8)
-    sigma = family_columns_permutation(order_a, order_b)
-    assert sigma is not None
-    for k, j in sigma.items():
-        assert cols_a[k] == cols_b[j]
-    # different selections admit no alignment
-    sel_c = script([(0, {0, 3})])
-    order_c, _ = family_columns(ev, family, sel_c, 8)
-    assert family_columns_permutation(order_a, order_c) is None
 
 
 def _largest_wait(point, top):
