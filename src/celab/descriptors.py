@@ -956,18 +956,18 @@ CHUNK = 256
 
 
 def _step_from_descriptor(ev, args, params, s, state, bound=None):
-    delay = param(params, 1)
     d = state.get("descriptor")
     if d is None:
         d = decode_descriptor(param(params, 0))
         state["descriptor"] = d
+        delay = state["delay"] = param(params, 1)
         top = _finite_top(d)
         state["last"] = min(math.inf if bound is None else bound,
                             math.inf if top is None else top)
         # stage t tests t - delay, and later stages larger candidates
         state["floor"] = lambda t: t - delay + 1
         state["chunk"] = (0, 0, 0)
-    x = s - delay
+    x = s - state["delay"]
     # candidates rise with the stage: past the largest element none
     # would pass, and past the bound (at or past last) none is tested
     if x >= state["last"]:

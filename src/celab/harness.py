@@ -19,6 +19,7 @@ import math
 import os
 import random
 import time
+from itertools import compress
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -241,6 +242,17 @@ def _certified_window(ev, built, window: int, budget: int) -> frozenset:
     raise _Unknown("window content still changing after escalation")
 
 
+# binary digits as compress selectors: b"0" -> 0, b"1" -> 1
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def bits_below(bits: int, n: int) -> frozenset:
+    """The positions below n of the set bits of bits (bits >= 0), read
+    in one pass over its binary digits, lowest first."""
+    return frozenset(compress(range(n),
+                              bin(bits)[:1:-1].encode().translate(_BIT)))
+
+
 def check_built(red: Reduction, payload, pred, rng, window: int,
                 budget: int) -> list:
     """Issues with the built program for one payload ([] when clean);
@@ -255,8 +267,7 @@ def check_built(red: Reduction, payload, pred, rng, window: int,
         want = frozenset(x for x in range(window + 1) if mem(x))
     else:
         # a descriptor: its members on the window in one walk
-        bits = desc_members(pred, 0, window + 1)
-        want = frozenset(x for x in range(window + 1) if bits >> x & 1)
+        want = bits_below(desc_members(pred, 0, window + 1), window + 1)
     if got != want:
         return [f"window diff: spurious {sorted(got - want)[:6]},"
                 f" missing {sorted(want - got)[:6]}"]
@@ -308,7 +319,7 @@ def verify_reduction(red, corpus: Optional[list] = None, seed: int = 1,
     report = VerificationReport(
         reduction=red.name, seed=seed, cases=len(corpus), agreements=0,
         budget=budget, window=window)
-    for case in corpus:
+    for pos, case in enumerate(corpus):
         try:
             trace = verify_case(red, case, rng, window, budget)
         except (_Unknown, BudgetExceeded):
@@ -319,8 +330,9 @@ def verify_reduction(red, corpus: Optional[list] = None, seed: int = 1,
         else:
             report.disagreements.append(trace)
             if stop_on_disagreement:
-                remaining = len(corpus) - case.index - 1
-                report.cases -= remaining
+                # the cases run, counted by position: a corpus's case
+                # indices need not be its positions
+                report.cases = pos + 1
                 break
     report.elapsed = time.monotonic() - started
     return report

@@ -22,14 +22,21 @@ simulations into a ``BudgetExceeded`` error instead of a hang.
 
 The evaluator keeps one cell per (term, bound), the bound None for an
 unbounded one, and an ``(indexed n)`` reads the cell of the term that n
-decodes to.  A caller that reads a program only on ``[0, bound]`` asks
-``upto(P, s, bound)``, and a step asks ``fresh(arg, s, bound)`` of its
-arguments: the bound is pushed down through the term (the demand, or
-"magic sets", transformation of Datalog), so constructions stop
-computing what the caller cannot see.  Every step is handed the bound of
-its cell and may ignore it, because the evaluator drops what a step
-returns above it; a step must never miss an element ``<= bound``.  A
-construction that needs all of its argument reads it unbounded.
+decodes to.  Every term kind has a step of one signature (a ``Script``
+and ``FullColumnOf`` too), and a cell resolves its term's step when it
+is made, so advancing a cell a stage is one call of its step.  A step
+reads its argument through ``arg_fresh``, which keeps the argument's
+cell in the step's state after the first stage and advances that cell
+in place: past its first stage a query makes no lookup of a term.  A
+caller that reads a program only on ``[0, bound]`` asks
+``upto(P, s, bound)``, and a step reads its argument under a bound
+(``arg_fresh(ev, state, arg, s, bound)``): the bound is pushed down
+through the term (the demand, or "magic sets", transformation of
+Datalog), so constructions stop computing what the caller cannot see.
+Every step is handed the bound of its cell and may ignore it, because
+the evaluator drops what a step returns above it; a step must never
+miss an element ``<= bound``.  A construction that needs all of its
+argument reads it unbounded.
 
 A cell that can gain nothing more is *closed*: from the stage it closes
 at, no later stage can give it an element that is new and ``<= bound``
@@ -160,24 +167,27 @@ class CombinatorDef:
     stage, in order, for the cell of its term under bound (None:
     unbounded), and returns the elements entering that cell at stage
     ``s`` as a list, tuple or set.  It may query argument programs only
-    at stages <= s.
+    at stages <= s.  The cell looks the step up in ``COMBINATORS`` once,
+    when it is made, and the evaluator's stage loop then calls it
+    directly.
+
+    A step reads its argument's new elements at stage s through
+    ``arg_fresh(ev, state, arg, s, bound)``, which answers as
+    ``ev.fresh(arg, s, bound)`` does but keeps the argument's cell in
+    ``state`` and advances it in place.  It keeps what it needs of
+    earlier elements in ``state``, rather than rescan
+    ``ev.approx(arg, s)`` at every stage.  The evaluator charges one
+    step per stage and one per element returned; a step charges
+    ``ev.tick()`` for its own further work, once per stage or once per
+    new element it handles, never per element rescanned.
 
     A step may ignore the bound, because the evaluator drops what it
     returns above the bound: under a bound b it must return every
     element <= b that the unbounded step returns, in the same order, and
-    may return more.  A step that uses the bound passes one to
-    ``ev.fresh(arg, s, bound)`` that keeps every argument element an
-    output <= b can come from, and stops generators whose next output
-    lies past b.  A step that needs all of its argument reads it
-    unbounded.
-
-    A step should react to ``ev.fresh(arg, s)``, the argument's new
-    elements, and keep what it needs of earlier ones in ``state``,
-    rather than rescan ``ev.approx(arg, s)`` at every stage.  The
-    evaluator charges one step per stage and one per element returned;
-    a step charges ``ev.tick()`` for its own further work, once per
-    stage or once per new element it handles, never per element
-    rescanned.
+    may return more.  A step that uses the bound reads its argument
+    under one that keeps every argument element an output <= b can come
+    from, and stops generators whose next output lies past b.  A step
+    that needs all of its argument reads it unbounded.
 
     A step that knows no later stage can give a new element ``<= b``
     (any new element, unbounded) calls ``close(state)``, which sets the
@@ -185,7 +195,7 @@ class CombinatorDef:
     more.  It may close only after it has advanced every argument it
     reads to stage s, and it learns that an argument can give nothing
     more from ``arg_closed(ev, state, arg, s, bound)``, asked with the
-    bound it passes to ``fresh``, or nothing more ``<= below`` from
+    bound it reads the argument under, or nothing more ``<= below`` from
     ``arg_closed(ev, state, arg, s, bound, below)``.
 
     A step whose elements rise with the stage may set, once, the
@@ -222,8 +232,9 @@ def arg_closed(ev: Evaluator, state: dict, term: Term, s: int,
     under bound; with ``below``, nothing new ``<= below``.
 
     A step asks at every stage, and most arguments never close, so the
-    argument's cell is looked up once, after the step's first ``fresh``
-    of it, and kept in the reserved state key ``"arg_cell"``."""
+    argument's cell is looked up once, after the step's first read of
+    it, and kept in the reserved state key ``"arg_cell"``, where
+    ``arg_fresh`` keeps it too."""
     cell = state.get("arg_cell")
     if cell is None:
         cell = ev.cell_of(term, bound)
@@ -235,6 +246,33 @@ def arg_closed(ev: Evaluator, state: dict, term: Term, s: int,
     if below is None:
         return cell.settled <= s  # without a call: most readers ask this
     return cell.closed(s, below)
+
+
+def arg_fresh(ev: Evaluator, state: dict, term: Term, s: int,
+              bound: Optional[int] = None) -> list:
+    """``ev.fresh(term, s, bound)``, for the argument a step reads.
+
+    The first call inside a query asks ``ev.fresh`` and keeps the
+    argument's cell in the reserved state key ``"arg_cell"``, the key
+    ``arg_closed`` keeps it in; later calls advance that cell in place,
+    with no lookup of the term.  A step that reads several arguments
+    hands each one its own dict as ``state``.  Outside a query (a step
+    called directly) or on an evaluator that shows no cells, every call
+    asks ``ev.fresh``."""
+    cell = state.get("arg_cell")
+    if cell is None or not ev._depth:
+        new = ev.fresh(term, s, bound)
+        if cell is None and ev._depth:
+            cell = ev.cell_of(term, bound)
+            if cell is not None:
+                state["arg_cell"] = cell
+        return new
+    ev._advance_cell(cell, s)
+    ends = cell.ends
+    try:
+        return cell.order[ends[s - 1] if s else 0:ends[s]]
+    except IndexError:
+        return []  # the cell closed before stage s
 
 
 def arg(args: tuple, i: int) -> Term:
@@ -250,8 +288,40 @@ def param(params: tuple, i: int, default: int = 0) -> int:
     return params[i] if 0 <= i < len(params) else default
 
 
+def _step_script(ev, entries: dict, last: int, s: int, state: dict,
+                 bound: Optional[int] = None):
+    """A ``Script``'s step: ``entries`` maps each entry stage to its
+    elements, and ``last`` is the last entry stage (-1: none)."""
+    if s >= last:
+        close(state)
+    return entries.get(s, ())
+
+
+def _step_full_column(ev, c: int, params, s: int, state: dict,
+                      bound: Optional[int] = None):
+    """``FullColumnOf(c)``'s step: row s of column c."""
+    x = pair(c, s)
+    # rows rise with the stage: once one reaches the bound, no later
+    # one is <= it
+    if bound is not None and x >= bound:
+        close(state)
+    return (x,)
+
+
+def _step_nothing(ev, args, params, s, state, bound=None):
+    """The step of a combinator id that names no construction, such as
+    a retired one."""
+    return ()
+
+
 @dataclass
 class _Cell:
+    # the term's step and what it is called with, resolved when the
+    # cell is made: step(ev, args, params, t, state, bound)
+    step: Callable
+    args: object
+    params: object
+    bound: Optional[int]
     state: dict = field(default_factory=dict)
     seen: set = field(default_factory=set)     # the elements of order
     order: list = field(default_factory=list)  # elements in entry order
@@ -294,6 +364,27 @@ class _Cell:
         return None if floor is None else floor(len(self.ends) - 1)
 
 
+def _new_cell(term: Term, bound: Optional[int]) -> _Cell:
+    """An empty cell for term under bound, its step resolved.  A
+    combinator's step is looked up in ``COMBINATORS`` now, not at
+    import, so a step registered or wrapped later is the one called."""
+    if isinstance(term, Combinator):
+        cdef = COMBINATORS.get(term.cid)
+        return _Cell(_step_nothing if cdef is None else cdef.step,
+                     term.args, term.params, bound)
+    if isinstance(term, Script):
+        entries = term.entries
+        return _Cell(_step_script, dict(entries),
+                     entries[-1][0] if entries else -1, bound)
+    if isinstance(term, FullColumnOf):
+        cell = _Cell(_step_full_column, term.c, (), bound)
+        # row t + 1 is the least a stage after t adds
+        c = term.c
+        cell.state["floor"] = lambda t: pair(c, t + 1)
+        return cell
+    raise TypeError(f"not a program term: {term!r}")
+
+
 class Evaluator:
     """Caching, budgeted evaluator for program terms.
 
@@ -330,30 +421,6 @@ class Evaluator:
                 f"exceeded {self.budget} primitive steps"
             )
 
-    def _stage_elements(self, term: Term, s: int, cell: _Cell,
-                        bound: Optional[int]) -> Iterable:
-        if isinstance(term, Combinator):
-            cdef = COMBINATORS.get(term.cid)
-            if cdef is None:
-                return ()
-            return cdef.step(self, term.args, term.params, s, cell.state,
-                             bound)
-        if isinstance(term, Script):
-            if not term.entries or s >= term.entries[-1][0]:
-                close(cell.state)
-            for stage, elems in term.entries:
-                if stage == s:
-                    return elems
-            return ()
-        if isinstance(term, FullColumnOf):
-            x = pair(term.c, s)
-            # rows rise with the stage: once one reaches the bound, no
-            # later one is <= it
-            if bound is not None and x >= bound:
-                close(cell.state)
-            return (x,)
-        raise TypeError(f"not a program term: {term!r}")
-
     def _decoded_term(self, term: Term) -> Term:
         """The term an ``(indexed n)`` stands for, through any chain of
         them; each code is decoded once, since decoding a big code is
@@ -371,20 +438,23 @@ class Evaluator:
         if cell is None:
             if isinstance(term, Indexed):
                 return self._advance(self._decoded_term(term), s, bound)
-            cell = self._cells[term, bound] = _Cell()
-            if isinstance(term, FullColumnOf):
-                # row t + 1 is the least a stage after t adds
-                c = term.c
-                cell.state["floor"] = lambda t: pair(c, t + 1)
-        seen, order, ends = cell.seen, cell.order, cell.ends
+            cell = self._cells[term, bound] = _new_cell(term, bound)
+        self._advance_cell(cell, s)
+        return cell
+
+    def _advance_cell(self, cell: _Cell, s: int) -> None:
+        """Step the cell through stage s: one call of its step a stage."""
+        state, seen, order, ends = cell.state, cell.seen, cell.order, cell.ends
+        step, args, params = cell.step, cell.args, cell.params
+        bound = cell.bound
         while len(ends) <= s:
-            if "closed" in cell.state:
+            if "closed" in state:
                 # its step closed the cell at its last stage: the ends
                 # stop there, and nothing enters from its last entry on
                 cell.settled = bisect_left(ends, len(order))
                 break
             t = len(ends)
-            elems = self._stage_elements(term, t, cell, bound)
+            elems = step(self, args, params, t, state, bound)
             # one step for the stage, one per element emitted
             self._steps += 1 + len(elems)
             if self._steps > self.budget:
@@ -400,7 +470,6 @@ class Evaluator:
                         seen.add(x)
                         order.append(x)
             ends.append(len(order))
-        return cell
 
     def _run(self, term: Term, s: int,
              bound: Optional[int] = None) -> _Cell:
@@ -445,7 +514,9 @@ class Evaluator:
         those <= bound when a bound is given."""
         if s < 0:
             return []
-        cell = self._run(term, s, bound)
+        # asked by a step, inside a query: no top-level bookkeeping
+        cell = (self._advance(term, s, bound) if self._depth
+                else self._run(term, s, bound))
         ends = cell.ends
         try:
             return cell.order[ends[s - 1] if s else 0:ends[s]]

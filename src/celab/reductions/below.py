@@ -19,7 +19,8 @@ import heapq
 import math
 from fractions import Fraction
 
-from ..programs import arg_closed, close, register_combinator, arg, param
+from ..programs import (arg_closed, arg_fresh, close, register_combinator,
+                        arg, param)
 from ..descriptors import (
     Descriptor, Finite, Progression, EMPTY, FULL, analyze,
 )
@@ -43,7 +44,7 @@ def _running_bounds(ev, a, s, state):
     """(least, largest) element of the argument at stage s, or None
     while it is empty."""
     bounds = state.get("bounds")
-    new = ev.fresh(a, s)
+    new = arg_fresh(ev, state, a, s)
     if new:
         lo, hi = min(new), max(new)
         if bounds is not None:
@@ -171,7 +172,7 @@ def _step_stage_gcds(ev, args, params, s, state, bound=None):
     ev.tick()
     a = arg(args, 0)
     g = state.get("gcd", 0)
-    for x in ev.fresh(a, s):
+    for x in arg_fresh(ev, state, a, s):
         g = math.gcd(g, x)
     state["gcd"] = g
     if arg_closed(ev, state, a, s):
@@ -187,7 +188,7 @@ def _step_stage_lcms(ev, args, params, s, state, bound=None):
     ev.tick()
     a = arg(args, 0)
     l = state.get("lcm", 1)
-    for x in ev.fresh(a, s):
+    for x in arg_fresh(ev, state, a, s):
         if x > 0:
             l = l * x // math.gcd(l, x)
     state["lcm"] = l
@@ -212,7 +213,7 @@ def _step_median_multiples(ev, args, params, s, state, bound=None):
     only from there.
     """
     elems = state.setdefault("sorted", [])
-    for x in ev.fresh(arg(args, 0), s):
+    for x in arg_fresh(ev, state, arg(args, 0), s):
         bisect.insort(elems, x)
     if not elems:
         return ()
@@ -299,7 +300,7 @@ def _step_triadic_cut(ev, args, params, s, state, bound=None):
     ev.tick()
     a = arg(args, 0)
     num, e, den = state.get("total", (0, 0, 1))  # the sum is num / den
-    for n in ev.fresh(a, s):
+    for n in arg_fresh(ev, state, a, s):
         if n >= e:
             scale = 3 ** (n + 1 - e)
             num, e, den = num * scale, n + 1, den * scale

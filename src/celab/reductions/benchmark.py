@@ -39,7 +39,8 @@ from itertools import chain, compress, repeat
 from operator import add, mul
 
 from ..pairing import column, pair, pairs, row, unpair
-from ..programs import arg_closed, close, register_combinator, arg, param
+from ..programs import (arg_closed, arg_fresh, close, register_combinator,
+                        arg, param)
 from ..descriptors import (
     ColumnsBySet, Columns, Difference, Finite, EMPTY, FULL,
     Descriptor, analyze, block_bounds, block_of, column_descriptor, member,
@@ -105,7 +106,8 @@ def _step_expand_columns(ev, args, params, s, state, bound=None):
     reach = None if bound is None else _column_reach(bound)
     # <c, k+1> = <c, k> + c + k + 2: entered at stage t, column c starts
     # at <c, 0> and rises by c + 1 - t + s at stage s
-    return _run_lines(ev, a, s, state, bound, reach, ev.fresh(a, s, reach),
+    return _run_lines(ev, a, s, state, bound, reach,
+                      arg_fresh(ev, state, a, s, reach),
                       lambda cs: pairs(cs, repeat(0)), 1)
 
 
@@ -116,7 +118,7 @@ def _step_tail_columns(ev, args, params, s, state, bound=None):
     a = arg(args, 0)
     reach = None if bound is None else _row_reach(bound)
     out = []
-    for x in ev.fresh(a, s, reach):
+    for x in arg_fresh(ev, state, a, s, reach):
         # under a bound, the row runs to its first column past the
         # bound: <c, x> <= b exactly when c + x <= _column_reach(b - x)
         n = x + 1 if bound is None else min(
@@ -137,7 +139,8 @@ def _step_replicate_columns(ev, args, params, s, state, bound=None):
     reach = None if bound is None else _row_reach(bound)
     # <c+1, k> = <c, k> + c + k + 1: entered at stage t, row k starts at
     # <0, k> and rises by k - t + s at stage s
-    return _run_lines(ev, a, s, state, bound, reach, ev.fresh(a, s, reach),
+    return _run_lines(ev, a, s, state, bound, reach,
+                      arg_fresh(ev, state, a, s, reach),
                       lambda ks: pairs(repeat(0), ks), 0)
 
 
@@ -175,7 +178,7 @@ def _step_block_union(ev, args, params, s, state, bound=None):
     a = arg(args, 0)
     kind = "weight" if param(params, 0) == 1 else "dyadic"
     starts = []
-    for n in ev.fresh(a, s, bound):
+    for n in arg_fresh(ev, state, a, s, bound):
         lo, hi = block_bounds(kind, n)
         starts.append((lo, hi if bound is None else min(hi, bound + 1), 1))
     return _run_progressions(ev, a, s, state, bound, starts)
@@ -193,7 +196,7 @@ def _step_scaled_blocks(ev, args, params, s, state, bound=None):
     # rises: an image stops at the bound
     a = arg(args, 0)
     starts = []
-    for z in ev.fresh(a, s, bound):
+    for z in arg_fresh(ev, state, a, s, bound):
         c, k = unpair(z)
         step = 1 << (c + 1)
         lo = (1 << c) - 1
@@ -242,7 +245,7 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
     out = []
     # route new argument elements to active generators; the row
     # <<n, m>, n + 1 + k> it gives <n, k> is >= <n, k>
-    for z in ev.fresh(a, s, bound):
+    for z in arg_fresh(ev, state, a, s, bound):
         n, k = unpair(z)
         cols, lens, ys, _ = family.get(n) or family.setdefault(
             n, ([], [], [], []))
@@ -286,7 +289,7 @@ def _step_prefix_family(ev, args, params, s, state, bound=None):
     out = []
     # <m, x> >= <0, x>, so only x <= _row_reach(b) can give an output <= b
     reach = None if bound is None else _row_reach(bound)
-    for x in ev.fresh(a, s, reach):
+    for x in arg_fresh(ev, state, a, s, reach):
         n = bisect_right(lens, x)
         if n:
             ev.tick(n)

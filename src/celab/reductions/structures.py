@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 
 from ..pairing import pair, unpair, seq_decode, set_decode
-from ..programs import (Combinator, arg_closed, close, register_combinator, arg,
-                        columns_of)
+from ..programs import (Combinator, arg_closed, arg_fresh, close,
+                        register_combinator, arg, columns_of)
 from ..descriptors import (
     Finite, Cofinite, Union, Difference,
     EMPTY, FULL, analyze, member,
@@ -40,7 +40,7 @@ def _step_star_edges(ev, args, params, s, state, bound=None):
     a = arg(args, 0)
     reach = None if bound is None else _row_reach(bound) - 1
     out = []
-    for n in ev.fresh(a, s, reach):
+    for n in arg_fresh(ev, state, a, s, reach):
         ev.tick()
         out.append(pair(0, n + 1))
     if arg_closed(ev, state, a, s, reach):
@@ -61,7 +61,7 @@ def _react_by_code(ev, a, s, state, point, bound=None, reach=None):
     have = state.setdefault("have", set())
     parked = state.setdefault("parked", {})  # element -> codes waiting
     out = []
-    for e in ev.fresh(a, s, reach):
+    for e in arg_fresh(ev, state, a, s, reach):
         ev.tick()
         have.add(e)
         out.extend(parked.pop(e, ()))
@@ -204,12 +204,18 @@ def _step_perm_copies(ev, args, params, s, state, bound=None):
 def _step_level_columns(ev, args, params, s, state, bound=None):
     """Column k of the output grows at exactly the stages where k lies
     in the running difference/union fold of the arguments."""
-    seen = state.setdefault("seen", [set() for _ in args])
-    cur = state.setdefault("fold", set())
+    seen = state.get("seen")
+    if seen is None:
+        # per argument, its elements so far, and a state of its own
+        # for arg_fresh to keep its cell in
+        seen = state["seen"] = [set() for _ in args]
+        state["reads"] = [{} for _ in args]
+        state["fold"] = set()
+    cur = state["fold"]
     # only the points new in some argument can change their fold value
     new = set()
-    for a, have in zip(args, seen):
-        for x in ev.fresh(a, s):
+    for a, have, read in zip(args, seen, state["reads"]):
+        for x in arg_fresh(ev, read, a, s):
             have.add(x)
             new.add(x)
     for x in new:

@@ -4,11 +4,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import celab  # noqa: F401
-from celab.harness import (TestCase, VerificationReport, corpus_from_json,
-                           corpus_to_json, exit_code, gen_corpus,
-                           verify_reduction)
+from celab.harness import (TestCase, VerificationReport, bits_below,
+                           corpus_from_json, corpus_to_json, exit_code,
+                           gen_corpus, verify_reduction)
 from celab.reductions import MUTANTS, REDUCTIONS, mutated
 
 
@@ -98,3 +99,23 @@ def test_mutants_disagree_with_traces():
     assert exit_code(rep) == 2
     trace = rep.disagreements[0]
     assert {"index", "expected", "got", "detail"} <= set(trace)
+
+
+def test_stopping_at_a_disagreement_counts_the_cases_run_by_position():
+    """A corpus slice keeps the indices its cases had in the whole
+    corpus: the count of cases run goes by their position."""
+    corpus = gen_corpus("e0_to_e3", seed=1)[-5:]
+    assert [c.index for c in corpus] == [45, 46, 47, 48, 49]
+    mbuild = dict(MUTANTS["e0_to_e3"])["adds-zero"]
+    rep = verify_reduction(mutated(REDUCTIONS["e0_to_e3"], mbuild),
+                           corpus=corpus, stop_on_disagreement=True)
+    assert [t["index"] for t in rep.disagreements] == [47]
+    assert rep.cases == 3
+    assert rep.agreements + len(rep.disagreements) + rep.unknowns == rep.cases
+
+
+@given(st.integers(min_value=0, max_value=2 ** 300),
+       st.integers(min_value=0, max_value=320))
+def test_bits_below_reads_every_set_bit_below_n(bits, n):
+    assert bits_below(bits, n) == frozenset(
+        x for x in range(n) if bits >> x & 1)

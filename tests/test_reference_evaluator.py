@@ -295,14 +295,21 @@ _POOL = [
     Combinator("stage_lcms", (ARGUMENTS["script"],)),
 ]
 _POOL += [Indexed(encode(t)) for t in _POOL[3:9]]
-# the column constructions over the closing script, so that their
-# bounded paths close on the shared evaluator too
+# every other closing construction over the closing script, so that
+# their bounded paths close on the shared evaluator too, and their kept
+# argument cells meet shared cells, closings and budget retries
 _POOL += [Combinator(cid, (CLOSING_ARGUMENTS["script"],), params)
           for cid, params in [("block_union", (0,)), ("block_union", (1,)),
                               ("expand_columns", ()), ("prefix_family", ()),
                               ("prefixed_columns", ()),
                               ("replicate_columns", ()),
-                              ("scaled_blocks", ()), ("tail_columns", ())]]
+                              ("scaled_blocks", ()), ("tail_columns", ()),
+                              ("interval_hull", ()), ("min_factorials", ()),
+                              ("max_factorials", ()),
+                              ("membership_tree", ()), ("perm_copies", ()),
+                              ("rational_cut", ()), ("saturate_down", ()),
+                              ("saturate_up", ()), ("star_edges", ()),
+                              ("triadic_cut", ())]]
 _HORIZON = 30
 
 
