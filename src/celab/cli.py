@@ -11,11 +11,11 @@ import json
 import sys
 from dataclasses import replace
 
-from .harness import (DEFAULT_WINDOW, corpus_from_json, corpus_to_json,
-                      default_budget, exit_code, gen_corpus, verify_reduction)
+from .harness import (DEFAULT_BUDGET, DEFAULT_WINDOW, corpus_from_json,
+                      corpus_to_json, exit_code, gen_corpus, verify_reduction)
 from .descriptors import EMPTY, UnsupportedDescriptor
 from .hierarchy import BY_NUMBER, render, render_all
-from .programs import BudgetExceeded, Evaluator
+from .programs import BudgetExceeded, Evaluator, step_budget
 from .reductions import REDUCTIONS
 from .relations import RELATIONS, NceTuple
 from .serialization import ParseError, term_from_sexpr, term_to_sexpr
@@ -32,10 +32,20 @@ class InputError(Exception):
 
 def _write(text: str, out: str) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
+
+
+def _step_budget() -> int:
+    try:
+        return step_budget()
+    except ValueError as exc:
+        raise InputError(f"CELAB_STEP_BUDGET must be an integer ({exc})")
 
 
 def cmd_list(args) -> int:
@@ -57,7 +67,7 @@ def cmd_enumerate(args) -> int:
         term = term_from_sexpr(args.term)
     except ParseError as exc:
         raise InputError(str(exc))
-    ev = Evaluator()
+    ev = Evaluator(_step_budget())
     try:
         elems = sorted(ev.approx(term, args.stage))
     except BudgetExceeded as exc:
@@ -125,6 +135,7 @@ def cmd_verify(args) -> int:
     # a negative window certifies nothing: the report would read clean
     if args.window is not None and args.window < 0:
         raise InputError(f"window must be at least 0, not {args.window}")
+    _step_budget()  # the harness's evaluators read it
     corpus = None
     if args.corpus:
         corpus = _read_corpus(args.corpus)
@@ -191,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default="", help="corpus JSON file")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--size", type=int, default=50)
-    p.add_argument("--budget", type=int, default=default_budget())
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--window", type=int, default=None,
                    help=f"observation window (reduction default,"
                         f" up to {DEFAULT_WINDOW})")

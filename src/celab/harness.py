@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import time
 from itertools import compress
@@ -33,10 +32,6 @@ from .serialization import desc_from_sexpr, desc_to_sexpr
 CORPUS_VERSION = 1
 DEFAULT_WINDOW = 256   # observation window: naturals [0, M]
 DEFAULT_BUDGET = 2000  # stage budget per program
-
-
-def default_budget() -> int:
-    return int(os.environ.get("CELAB_BUDGET", DEFAULT_BUDGET))
 
 
 @dataclass(frozen=True)
@@ -80,10 +75,6 @@ class VerificationReport:
     budget: int = DEFAULT_BUDGET
     window: int = DEFAULT_WINDOW
     elapsed: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements and self.unknowns == 0
 
     def to_dict(self) -> dict:
         """Serializable form; excludes wall-clock so that identical
@@ -303,14 +294,10 @@ def verify_case(red: Reduction, case: TestCase, rng, window: int,
 
 
 def verify_reduction(red, corpus: Optional[list] = None, seed: int = 1,
-                     size: int = 50, budget: Optional[int] = None,
-                     window: Optional[int] = None,
-                     stop_on_disagreement: bool = False
-                     ) -> VerificationReport:
+                     size: int = 50, budget: int = DEFAULT_BUDGET,
+                     window: Optional[int] = None) -> VerificationReport:
     """Run the reduction contract over a corpus and report the tally."""
     red = _resolve(red)
-    if budget is None:
-        budget = default_budget()
     window = red.window if window is None else window
     started = time.monotonic()
     if corpus is None:
@@ -319,7 +306,7 @@ def verify_reduction(red, corpus: Optional[list] = None, seed: int = 1,
     report = VerificationReport(
         reduction=red.name, seed=seed, cases=len(corpus), agreements=0,
         budget=budget, window=window)
-    for pos, case in enumerate(corpus):
+    for case in corpus:
         try:
             trace = verify_case(red, case, rng, window, budget)
         except (_Unknown, BudgetExceeded):
@@ -329,11 +316,6 @@ def verify_reduction(red, corpus: Optional[list] = None, seed: int = 1,
             report.agreements += 1
         else:
             report.disagreements.append(trace)
-            if stop_on_disagreement:
-                # the cases run, counted by position: a corpus's case
-                # indices need not be its positions
-                report.cases = pos + 1
-                break
     report.elapsed = time.monotonic() - started
     return report
 

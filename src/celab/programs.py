@@ -385,6 +385,11 @@ def _new_cell(term: Term, bound: Optional[int]) -> _Cell:
     raise TypeError(f"not a program term: {term!r}")
 
 
+def step_budget() -> int:
+    """``CELAB_STEP_BUDGET`` when set, else DEFAULT_BUDGET."""
+    return int(os.environ.get("CELAB_STEP_BUDGET", DEFAULT_BUDGET))
+
+
 class Evaluator:
     """Caching, budgeted evaluator for program terms.
 
@@ -404,7 +409,7 @@ class Evaluator:
 
     def __init__(self, budget: Optional[int] = None):
         if budget is None:
-            budget = int(os.environ.get("CELAB_STEP_BUDGET", DEFAULT_BUDGET))
+            budget = step_budget()
         self.budget = budget
         # (term, bound) -> the cell of its elements <= bound (all of
         # them, bound None); never keyed by an Indexed term

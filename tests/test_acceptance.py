@@ -2,12 +2,16 @@
 
 Every check is discrete (no tolerances).  Each test prints a single
 PASS line on success; a failure carries the offending detail in the
-assertion message.
+assertion message.  Criteria 1 and 10 pin the seed-1 report of every
+shipped reduction and of every registered mutant byte for byte against
+``tests/goldens/``; ``PYTHONPATH=src python tests/test_acceptance.py``
+rewrites those goldens.
 """
 
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import celab  # noqa: F401
 from celab.descriptors import (ColumnsBySet, Finite, Progression, Union,
@@ -27,13 +31,30 @@ from celab.reductions.benchmark import (check_pairwise, gen_family,
 from celab.relations import NceTuple, nce_value
 
 
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+def _report_golden(name):
+    return GOLDENS / f"report_{name}.json"
+
+
+def _mutant_golden(name, mname):
+    return GOLDENS / f"mutant_{name}_{mname}.json"
+
+
+def _mutant_report(name, mbuild):
+    return verify_reduction(mutated(REDUCTIONS[name], mbuild), seed=1,
+                            size=50)
+
+
 def _ok(label):
     print(f"PASS {label}")
 
 
 def test_criterion_01_biconditional_suites():
     """Seed-1 corpora of 50 pairs per shipped reduction: balanced,
-    0 disagreements, 0 unknowns, under five minutes in total."""
+    0 disagreements, 0 unknowns, reports byte-identical to their
+    goldens, under five minutes in total."""
     assert len(REDUCTIONS) >= 20
     started = time.monotonic()
     for name in sorted(REDUCTIONS):
@@ -44,6 +65,7 @@ def test_criterion_01_biconditional_suites():
         report = verify_reduction(name, corpus=corpus, seed=1)
         assert not report.disagreements, (name, report.disagreements[:2])
         assert report.unknowns == 0, name
+        assert report.to_bytes() == _report_golden(name).read_bytes(), name
     elapsed = time.monotonic() - started
     assert elapsed < 300, f"suite took {elapsed:.0f}s"
     _ok(f"criterion 1: {len(REDUCTIONS)} reductions x 50 cases clean"
@@ -226,23 +248,48 @@ def test_criterion_09_hierarchy_goldens():
     """DOT and JSON outputs match the checked-in goldens byte-for-byte."""
     for d in DIAGRAMS:
         for fmt in ("dot", "json"):
-            with open(f"tests/goldens/fig{d.number}.{fmt}", "rb") as fh:
-                golden = fh.read()
+            golden = (GOLDENS / f"fig{d.number}.{fmt}").read_bytes()
             assert render(d.number, fmt).encode() == golden, (d.number, fmt)
     _ok("criterion 9: 7 diagrams x 2 formats byte-identical to goldens")
 
 
 def test_criterion_10_mutation_suite():
     """Every shipped reduction has a registered mutant that its default
-    corpus catches with a disagreement exit."""
+    corpus catches with a disagreement exit; each mutant's full report,
+    every disagreement trace included, is byte-identical to its
+    golden."""
     caught = 0
     for name in sorted(REDUCTIONS):
         mutants = MUTANTS.get(name, [])
         assert mutants, f"{name} has no registered mutant"
         for mname, mbuild in mutants:
-            report = verify_reduction(mutated(REDUCTIONS[name], mbuild),
-                                      seed=1, size=50,
-                                      stop_on_disagreement=True)
+            report = _mutant_report(name, mbuild)
             assert exit_code(report) == 2, (name, mname)
+            golden = _mutant_golden(name, mname).read_bytes()
+            assert report.to_bytes() == golden, (name, mname)
             caught += 1
     _ok(f"criterion 10: {caught} mutants all caught (exit code 2)")
+
+
+def test_report_goldens_are_one_per_reduction_and_mutant():
+    """A renamed, added or removed reduction or mutant leaves no report
+    golden stale or missing."""
+    want = {_report_golden(name).name for name in REDUCTIONS}
+    want |= {_mutant_golden(name, mname).name
+             for name, mutants in MUTANTS.items() for mname, _ in mutants}
+    assert len(want) == len(REDUCTIONS) + sum(map(len, MUTANTS.values()))
+    have = {path.name for pattern in ("report_*.json", "mutant_*.json")
+            for path in GOLDENS.glob(pattern)}
+    assert have == want
+
+
+if __name__ == "__main__":
+    for pattern in ("report_*.json", "mutant_*.json"):
+        for path in GOLDENS.glob(pattern):
+            path.unlink()
+    for name in sorted(REDUCTIONS):
+        _report_golden(name).write_bytes(
+            verify_reduction(name, seed=1, size=50).to_bytes())
+        for mname, mbuild in MUTANTS[name]:
+            _mutant_golden(name, mname).write_bytes(
+                _mutant_report(name, mbuild).to_bytes())

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import celab  # noqa: F401
 from celab.descriptors import (EMPTY, Cofinite, Finite, analyze,
                                compile_descriptor)
-from celab.harness import TestCase, default_budget, verify_case
+from celab.harness import DEFAULT_BUDGET, TestCase, verify_case
 from celab.orders import (OMEGA, CodeKey, code_below, order_from_spec,
                           order_reverse, order_sum, rational_from_code,
                           rational_parts, rational_to_code)
@@ -231,4 +231,4 @@ def test_rational_cut_of_zero_is_empty():
     red = REDUCTIONS["omega_into_rationals"]
     case = TestCase(0, red.source, Finite(frozenset({0})), EMPTY, True)
     assert verify_case(red, case, random.Random(1), red.window,
-                       default_budget()) is None
+                       DEFAULT_BUDGET) is None

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -83,8 +84,7 @@ def test_verify_unknown_budget_exits_three(capsys):
 def test_hierarchy_matches_figure_two_golden(capsys, tmp_path):
     code, out = run(capsys, "hierarchy", "--format", "dot", "--figure", "2")
     assert code == 0
-    with open("tests/goldens/fig2.dot") as fh:
-        assert out == fh.read()
+    assert out == (Path(__file__).parent / "goldens" / "fig2.dot").read_text()
 
 
 def test_corpus_write_and_recheck(capsys, tmp_path):
@@ -112,6 +112,29 @@ def test_bad_inputs_exit_four(capsys):
         assert main(argv) == 4
         assert capsys.readouterr().err.startswith("error: ")
     assert main(["frobnicate"]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["hierarchy"],
+    ["verify", "--reduction", "emed_to_e0", "--size", "2"],
+    ["corpus", "--reduction", "cut_omega", "--size", "2"],
+], ids=["hierarchy", "verify", "corpus"])
+@pytest.mark.parametrize("out", ["missing/report.json", "."])
+def test_out_that_cannot_be_written_exits_four(capsys, tmp_path, argv, out):
+    """A missing directory or a directory itself as --out."""
+    assert main(argv + ["--out", str(tmp_path / out)]) == 4
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--term", "(script (0 (5)))"],
+    ["verify", "--reduction", "emed_to_e0", "--size", "2"],
+], ids=["enumerate", "verify"])
+def test_malformed_step_budget_exits_four(capsys, monkeypatch, argv):
+    monkeypatch.setenv("CELAB_STEP_BUDGET", "abc")
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: CELAB_STEP_BUDGET must be an integer")
 
 
 def test_enumerate_past_the_step_budget_exits_three(capsys, monkeypatch):
