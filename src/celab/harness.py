@@ -214,6 +214,12 @@ class _Unknown(Exception):
     """A case whose programs cannot be certified within budget."""
 
 
+def _within_budget(stage: int, budget: int) -> int:
+    if stage > budget:
+        raise _Unknown(f"settle stage {stage} exceeds budget {budget}")
+    return stage
+
+
 def _certified_window(ev, built, window: int, budget: int) -> frozenset:
     """The program's settled content on [0, window].
 
@@ -223,8 +229,7 @@ def _certified_window(ev, built, window: int, budget: int) -> frozenset:
     """
     stage = built.settle(window)
     for _ in range(2):
-        if stage > budget:
-            raise _Unknown(f"settle stage {stage} exceeds budget {budget}")
+        _within_budget(stage, budget)
         got = ev.upto(built.term, stage, window)
         later = ev.upto(built.term, stage + window, window)
         if later == got:
@@ -251,7 +256,8 @@ def check_built(red: Reduction, payload, pred, rng, window: int,
     built = red.build(payload, rng)
     ev = Evaluator()
     if red.validator is not None:
-        return list(red.validator(ev, built, payload, window))
+        stage = _within_budget(built.settle(window), budget)
+        return list(red.validator(ev, built, payload, window, stage))
     got = _certified_window(ev, built, window, budget)
     if isinstance(pred, (ClassKey, QCut)):
         mem = predicted_member(pred) or built.member

@@ -13,12 +13,12 @@ A program is a closed term built from four constructors:
 Evaluation is stage-by-stage and incremental.  For every term the
 evaluator keeps its elements in the order they first appeared, with the
 end of each stage in that order, so ``approx(P, s)`` is monotone in
-``s`` by construction and re-evaluation is cheap.  A set of the same
-elements answers membership.  ``fresh(P, s)`` gives the elements that
-first appear at stage ``s``; constructions react to those instead of
-rescanning their whole argument at every stage (semi-naive evaluation:
-fire only on new facts).  A budget on primitive steps turns runaway
-simulations into a ``BudgetExceeded`` error instead of a hang.
+``s`` by construction and re-evaluation is cheap.  A cell appends what
+its step returns, only elements new to it.  ``fresh(P, s)`` gives the
+elements that first appear at stage ``s``; constructions react to those
+instead of rescanning their whole argument at every stage (semi-naive
+evaluation: fire only on new facts).  A budget on primitive steps turns
+runaway simulations into a ``BudgetExceeded`` error instead of a hang.
 
 The evaluator keeps one cell per (term, bound), the bound None for an
 unbounded one, and an ``(indexed n)`` reads the cell of the term that n
@@ -166,8 +166,10 @@ class CombinatorDef:
     ``step(ev, args, params, s, state, bound=None)`` is called once per
     stage, in order, for the cell of its term under bound (None:
     unbounded), and returns the elements entering that cell at stage
-    ``s`` as a list, tuple or set.  It may query argument programs only
-    at stages <= s.  The cell looks the step up in ``COMBINATORS`` once,
+    ``s`` as a list, tuple or set: distinct elements, none returned at an
+    earlier stage, with or without a bound, which the evaluator appends
+    to the cell unchecked.  It may query argument programs only at
+    stages <= s.  The cell looks the step up in ``COMBINATORS`` once,
     when it is made, and the evaluator's stage loop then calls it
     directly.
 
@@ -184,10 +186,11 @@ class CombinatorDef:
     A step may ignore the bound, because the evaluator drops what it
     returns above the bound: under a bound b it must return every
     element <= b that the unbounded step returns, in the same order, and
-    may return more.  A step that uses the bound reads its argument
-    under one that keeps every argument element an output <= b can come
-    from, and stops generators whose next output lies past b.  A step
-    that needs all of its argument reads it unbounded.
+    may return more above b, each new too.  A step that uses the bound
+    reads its argument under one that keeps every argument element an
+    output <= b can come from, and stops generators whose next output
+    lies past b.  A step that needs all of its argument reads it
+    unbounded.
 
     A step that knows no later stage can give a new element ``<= b``
     (any new element, unbounded) calls ``close(state)``, which sets the
@@ -323,7 +326,6 @@ class _Cell:
     params: object
     bound: Optional[int]
     state: dict = field(default_factory=dict)
-    seen: set = field(default_factory=set)     # the elements of order
     order: list = field(default_factory=list)  # elements in entry order
     ends: list = field(default_factory=list)   # order[:ends[t]]: stage t
     # no element enters from this stage on: the last entry stage once
@@ -449,7 +451,7 @@ class Evaluator:
 
     def _advance_cell(self, cell: _Cell, s: int) -> None:
         """Step the cell through stage s: one call of its step a stage."""
-        state, seen, order, ends = cell.state, cell.seen, cell.order, cell.ends
+        state, order, ends = cell.state, cell.order, cell.ends
         step, args, params = cell.step, cell.args, cell.params
         bound = cell.bound
         while len(ends) <= s:
@@ -465,14 +467,10 @@ class Evaluator:
             if self._steps > self.budget:
                 self.tick(0)  # raises BudgetExceeded
             if bound is None:
-                for x in elems:
-                    if x not in seen:
-                        seen.add(x)
-                        order.append(x)
+                order.extend(elems)
             else:
                 for x in elems:
-                    if x <= bound and x not in seen:
-                        seen.add(x)
+                    if x <= bound:
                         order.append(x)
             ends.append(len(order))
 
@@ -494,23 +492,22 @@ class Evaluator:
         finally:
             self._depth -= 1
 
-    def approx(self, term: Term, s: int) -> frozenset:
-        """The stage-s approximation of the set enumerated by term."""
+    def _window(self, term: Term, s: int, bound: Optional[int]) -> frozenset:
         if s < 0:
             return frozenset()
-        cell = self._run(term, s)
+        cell = self._run(term, s, bound)
         # no copy of the order when the answer is all of it
         order, end = cell.order, cell.end(s)
         return frozenset(order if end == len(order) else order[:end])
 
+    def approx(self, term: Term, s: int) -> frozenset:
+        """The stage-s approximation of the set enumerated by term."""
+        return self._window(term, s, None)
+
     def upto(self, term: Term, s: int, bound: int) -> frozenset:
         """``{x in approx(term, s) : x <= bound}``, computed only as far
         as the bound lets the term's constructions stop."""
-        if s < 0:
-            return frozenset()
-        cell = self._run(term, s, bound)
-        order, end = cell.order, cell.end(s)
-        return frozenset(order if end == len(order) else order[:end])
+        return self._window(term, s, bound)
 
     def fresh(self, term: Term, s: int,
               bound: Optional[int] = None) -> list:
@@ -539,9 +536,10 @@ class Evaluator:
         It finds x's place in the cell's entry order by a scan, so it
         costs O(len(order)); nothing in the library calls it."""
         cell = self._run(term, s)
-        if x not in cell.seen:
+        try:
+            t = bisect_right(cell.ends, cell.order.index(x))
+        except ValueError:  # x is not in the cell
             return None
-        t = bisect_right(cell.ends, cell.order.index(x))
         return t if t <= s else None
 
 

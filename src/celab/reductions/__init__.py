@@ -57,7 +57,7 @@ class Reduction:
     predict: Callable          # payload -> target-relation payload
     gen_case: Callable         # rng -> (payloadA, payloadB)
     window: int = 256
-    validator: Optional[Callable] = None  # (ev, built, payload) -> [issues]
+    validator: Optional[Callable] = None  # (ev, built, payload, window, stage)
     payload_kind: str = "descriptor"
     combinator: str = ""       # cid applicable to raw argument programs
     doc: str = ""

@@ -168,33 +168,32 @@ def _step_factorials(side: int):
 
 
 def _step_stage_gcds(ev, args, params, s, state, bound=None):
-    """Emit the gcd of the stage approximation whenever it is finite."""
+    """Emit the gcd of the stage approximation when it changes to a
+    finite value: to a proper divisor, so a new value."""
     ev.tick()
     a = arg(args, 0)
-    g = state.get("gcd", 0)
+    g = was = state.get("gcd", 0)
     for x in arg_fresh(ev, state, a, s):
         g = math.gcd(g, x)
     state["gcd"] = g
     if arg_closed(ev, state, a, s):
         close(state)
-    if g == 0:
-        return ()  # empty, or a subset of {0}: gcd is infinite
-    return (g,)
+    return () if g == was else (g,)  # g is 0 while the gcd is infinite
 
 
 def _step_stage_lcms(ev, args, params, s, state, bound=None):
-    """Emit the lcm of the positive stage elements (1 when there are
-    none), every stage."""
+    """Emit the lcm of the positive stage elements (1 when none) at
+    stage 0 and on a change: to a proper multiple, so a new value."""
     ev.tick()
     a = arg(args, 0)
-    l = state.get("lcm", 1)
+    l = was = state.get("lcm", 1)
     for x in arg_fresh(ev, state, a, s):
         if x > 0:
             l = l * x // math.gcd(l, x)
     state["lcm"] = l
     if arg_closed(ev, state, a, s):
         close(state)
-    return (l,)
+    return (l,) if s == 0 or l != was else ()
 
 
 def _two_middle(sorted_elems):
@@ -604,10 +603,10 @@ def _min_settle(payload, sa, M):
     return M + 2 if m is None else sa(m) + 2
 
 
-def _validate_min_factorials(ev, built, payload, window):
+def _validate_min_factorials(ev, built, payload, window, stage):
     issues = []
     m = _min_of(payload)
-    got = ev.approx(built.term, built.settle(window))
+    got = ev.approx(built.term, stage)
     if m is None:
         if got:
             issues.append("image of the empty set is nonempty")
@@ -648,10 +647,10 @@ def _stage_gcds_settle(payload, sa, M):
     return sa(ana.gcd_witness()) + 2
 
 
-def _validate_stage_gcds(ev, built, payload, window):
+def _validate_stage_gcds(ev, built, payload, window, stage):
     issues = []
     g = analyze(payload).gcd_value()
-    got = ev.approx(built.term, built.settle(window))
+    got = ev.approx(built.term, stage)
     if g is math.inf:
         if got:
             issues.append("image of an infinite-gcd set is nonempty")
@@ -683,10 +682,10 @@ register_mutant("gcd_to_min", "adds-one",
                 perturbed(gcd_to_min.build, adding(1)))
 
 
-def _validate_max_factorials(ev, built, payload, window):
+def _validate_max_factorials(ev, built, payload, window, stage):
     issues = []
     key = max_key(analyze(payload))
-    got = ev.approx(built.term, built.settle(window))
+    got = ev.approx(built.term, stage)
     if key[0] == "empty":
         if got:
             issues.append("image of the empty set is nonempty")
@@ -733,10 +732,10 @@ def _stage_lcms_settle(payload, sa, M):
     return sa(0 if ana.is_empty else ana.max()) + 2
 
 
-def _validate_stage_lcms(ev, built, payload, window):
+def _validate_stage_lcms(ev, built, payload, window, stage):
     issues = []
     l = analyze(payload).lcm_value()
-    got = ev.approx(built.term, built.settle(window))
+    got = ev.approx(built.term, stage)
     if l is math.inf:
         if max(got, default=0) <= window:
             issues.append("image of an unbounded-lcm set grows too slowly")
@@ -795,18 +794,17 @@ def _median_settle(payload, sa, M):
     return sa(ana.max() if ana.is_finite else M) + 2
 
 
-def _validate_median_multiples(ev, built, payload, window):
+def _validate_median_multiples(ev, built, payload, window, stage):
     issues = []
     key = analyze(payload).median_key()
-    s1 = built.settle(window)
     span = 50
-    first = ev.approx(built.term, s1)
+    first = ev.approx(built.term, stage)
     state = ev.cell_of(built.term).state
     mult1 = state.get("mult", 0)
     fills1 = state.get("fills", 0)
     top1 = state.get("top", -1)
     done1 = set(state.get("done", ()))
-    second = ev.approx(built.term, s1 + span)
+    second = ev.approx(built.term, stage + span)
     fresh = second - first
     if key[0] == "empty":
         if second:

@@ -431,17 +431,16 @@ def gen_pair_nce(rng, hi: int = 25):
     return a, tup()
 
 
-def _validate_nce_embed(ev, built, payload, window):
+def _validate_nce_embed(ev, built, payload, window, stage):
     issues = []
     # the empty last slot of the image never changes the fold's value
     limit = payload.value()
-    s1 = built.settle(window)
-    got = nce_stage_value(ev, built.parts, s1, window)
+    got = nce_stage_value(ev, built.parts, stage, window)
     want = {x for x in range(window + 1) if limit.member(x)}
     if got != want:
         issues.append(f"fold window diff +{sorted(got - want)[:5]}"
                       f" -{sorted(want - got)[:5]}")
-    later = nce_stage_value(ev, built.parts, s1 + 20, window)
+    later = nce_stage_value(ev, built.parts, stage + 20, window)
     if later != got:
         issues.append("fold value still moving after the settle bound")
     return issues
@@ -473,18 +472,17 @@ register_mutant("nce_embed", "full-filler", perturbed(
     _build_nce_embed, lambda t: NceTuple(t.parts + (FULL,))))
 
 
-def _validate_level_columns(ev, built, payload, window):
+def _validate_level_columns(ev, built, payload, window, stage):
     issues = []
     limit = payload.value()
-    s1 = built.settle(window)
     span = 20
-    first = ev.approx(built.term, s1)
-    # approximations only grow, so a column changed between s1 and
-    # s1 + span exactly when one of its rows <= s1 + span entered then:
+    first = ev.approx(built.term, stage)
+    # approximations only grow, so a column changed between the stages
+    # exactly when one of its rows <= stage + span entered then:
     # the columns of those new elements, read in one pass
-    grown = columns_of(ev.approx(built.term, s1 + span) - first)
+    grown = columns_of(ev.approx(built.term, stage + span) - first)
     for k in range(window + 1):
-        grew = any(t <= s1 + span for t in grown.get(k, ()))
+        grew = any(t <= stage + span for t in grown.get(k, ()))
         if limit.member(k):
             if not grew:
                 issues.append(f"column {k} stopped growing despite limit"

@@ -235,7 +235,8 @@ def test_criterion_08_nce_ladder():
         payload = NceTuple(tuple(random_ep_descriptor(rng, hi=25)
                                  for _ in range(rng.randrange(1, 4))))
         built = red.build(payload, rng)
-        issues = red.validator(Evaluator(), built, payload, red.window)
+        issues = red.validator(Evaluator(), built, payload, red.window,
+                               built.settle(red.window))
         assert issues == [], (run, issues[:2])
 
     for code in range(1000):

@@ -16,7 +16,7 @@ import pytest
 import celab  # noqa: F401  (registers combinators)
 from celab import programs
 from celab.programs import COMBINATORS, Combinator, Evaluator, arg_closed
-from test_programs import CLOSING_ARGUMENTS
+from test_programs import CLOSING_ARGUMENTS, assert_cells_distinct
 
 S = 40
 BOUNDS = (None, 20)
@@ -62,6 +62,7 @@ def _stages(term, bound, ahead):
         new = ev.fresh(term, s, bound)
         got.append((new, ev._steps, ev.cell_of(term, bound).settled,
                     arg_closed(ev, {}, term, s, bound)))
+    assert_cells_distinct(ev)
     return got
 
 

@@ -75,8 +75,10 @@ def test_verify_clean_run_exits_zero(capsys):
     assert "elapsed" not in report
 
 
-def test_verify_unknown_budget_exits_three(capsys):
-    code, _ = run(capsys, "verify", "--reduction", "eqce_to_e0",
+# min_to_gcd is checked by a validator, eqce_to_e0 by its window
+@pytest.mark.parametrize("name", ["eqce_to_e0", "min_to_gcd"])
+def test_verify_unknown_budget_exits_three(capsys, name):
+    code, _ = run(capsys, "verify", "--reduction", name,
                   "--size", "3", "--budget", "1")
     assert code == 3
 

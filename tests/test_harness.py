@@ -66,8 +66,9 @@ def test_empty_corpus_gives_an_empty_report():
     assert exit_code(rep) == 0
 
 
-def test_budget_starvation_reports_unknown_not_disagreement():
-    rep = verify_reduction("eqce_to_e0", seed=1, size=5, budget=1)
+@pytest.mark.parametrize("name", sorted(REDUCTIONS))
+def test_budget_starvation_reports_unknown_not_disagreement(name):
+    rep = verify_reduction(name, seed=1, size=5, budget=1)
     assert not rep.disagreements
     assert rep.unknowns == 5
     assert exit_code(rep) == 3

@@ -169,6 +169,14 @@ def test_bounded_steps_grow_linearly_with_the_stage(cid):
     assert _upto_ticks(term, 400, 64) / _upto_ticks(term, 200, 64) <= 2.3
 
 
+def assert_cells_distinct(ev):
+    """Every cell of ev holds each element once: a step returns only
+    elements it has not returned before, and the evaluator appends them
+    unchecked."""
+    for key, cell in ev._cells.items():
+        assert len(set(cell.order)) == len(cell.order), key
+
+
 # Constructions that close: once their argument has and, under a bound,
 # once what they still have to emit lies past it.
 CLOSING = {"block_union", "expand_columns", "from_descriptor",

@@ -4,7 +4,9 @@
 dict per term from element to first stage, with its elements listed in
 entry order, every approximation the prefix of that list entered by its
 stage, ``fresh`` and ``Indexed`` the elements entered at the stage, and
-a bound applied by filtering them.  Both
+a bound applied by filtering them.  It fails on an element a step
+returns twice, within a stage or at a later one, and every cell of the
+incremental evaluator must hold each element once.  Both
 evaluators run the same registered steps, so they must agree on every
 approximation and entry stage, and the incremental one may never charge
 more steps.  Under a bound the incremental evaluator hands the bound to
@@ -17,7 +19,7 @@ at the end asks one long-lived evaluator everything in any order.
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import celab  # noqa: F401  (registers combinators)
 from celab.descriptors import (CHUNK, Cofinite, ColumnsBySet, DyadicBlocks,
@@ -29,7 +31,7 @@ from celab.pairing import pair
 from celab.programs import (COMBINATORS, DEFAULT_BUDGET, BudgetExceeded,
                             Combinator, CombinatorDef, Evaluator,
                             FullColumnOf, Indexed, Script, arg_closed, script)
-from test_programs import CLOSING_ARGUMENTS
+from test_programs import CLOSING_ARGUMENTS, assert_cells_distinct
 
 S = 24
 
@@ -73,9 +75,10 @@ class ReferenceEvaluator:
             self.tick()
             for x in self._stage_elements(term, t, cell):
                 self.tick()
-                if x not in cell["entries"]:
-                    cell["entries"][x] = t
-                    cell["order"].append(x)
+                assert x not in cell["entries"], (
+                    f"{term}: {x} returned again at stage {t}")
+                cell["entries"][x] = t
+                cell["order"].append(x)
             cell["ends"].append(len(cell["order"]))
         return cell
 
@@ -134,6 +137,7 @@ def assert_agree(term, stages=S):
             assert new.entry_stage(term, x, s) == ref.entry_stage(
                 term, x, s) == s
         prev = got
+    assert_cells_distinct(new)
 
 
 def assert_bound_agrees(term, bound, stages=S):
@@ -148,6 +152,8 @@ def assert_bound_agrees(term, bound, stages=S):
         new = cut.fresh(term, s, bound)
         assert new == [x for x in full.fresh(term, s) if x <= bound]
         assert set(new) == ref.fresh(term, s, bound), f"stage {s}"
+    assert_cells_distinct(full)
+    assert_cells_distinct(cut)
 
 
 ARGUMENTS = {
@@ -237,21 +243,21 @@ def test_from_descriptor_agrees_across_chunk_edges(name, delay):
 
 
 def _step_uneven(ev, args, params, s, state, bound=None):
-    """Stages of many and of few elements, repeating elements within a
-    stage and from the stage before, ignoring the bound."""
+    """Stages of many and of few elements, every one new, ignoring the
+    bound."""
     base = 20 * s
-    if s % 4 == 0:  # many new ones, three repeated within the stage
-        return [base + i for i in range(12)] + [base + 3, base, base + 11]
-    if s % 4 == 1:  # many, three of them from the stage before
-        return [base + 9 - i for i in range(10)] + [base - 20, base - 19,
-                                                    base - 18]
-    if s % 4 == 2:  # a few, repeated within and from before
-        return [base, base + 1, base, base - 20, base - 19]
-    return [base + 15 - i for i in range(16)]  # many new ones, descending
+    if s % 4 == 0:  # many, ascending
+        return [base + i for i in range(15)]
+    if s % 4 == 1:  # many, out of order
+        return [base + 9 - i for i in range(10)] + [base + 13, base + 11,
+                                                    base + 17]
+    if s % 4 == 2:  # a few
+        return [base + 1, base]
+    return [base + 15 - i for i in range(16)]  # many, descending
 
 
 @pytest.mark.parametrize("bound", [None, 45, 65, 90])
-def test_uneven_stages_join_their_cells_as_the_reference_does(
+def test_uneven_stages_of_new_elements_join_as_the_reference_does(
         monkeypatch, bound):
     monkeypatch.setitem(COMBINATORS, "uneven",
                         CombinatorDef("uneven", _step_uneven))
@@ -265,7 +271,7 @@ def test_uneven_stages_join_their_cells_as_the_reference_does(
         if bound is not None:
             want = {x for x in want if x <= bound}
             assert new.upto(term, s, bound) == want, f"stage {s}"
-        # fresh keeps each element once, in the order it first appeared
+        # fresh keeps the elements in the order the step returned them
         entered = ref._cells[term]["entries"].items()
         assert new.fresh(term, s, bound) == [
             x for x, t in entered
@@ -321,6 +327,10 @@ class SharedEvaluatorMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.ev, self.ref = Evaluator(), ReferenceEvaluator()
+
+    @invariant()
+    def cells_are_distinct(self):
+        assert_cells_distinct(self.ev)
 
     terms = st.sampled_from(_POOL)
     stages = st.integers(min_value=0, max_value=40)
