@@ -116,6 +116,11 @@ def _read_corpus(path: str) -> list:
     except (OSError, ValueError, KeyError, TypeError, ParseError,
             UnsupportedDescriptor) as exc:
         raise InputError(f"bad corpus file: {exc}")
+    except OverflowError:
+        # deciding a verdict analyses each element, and one can be too
+        # large to analyse
+        raise InputError("bad corpus file: an element too large to"
+                         " analyse")
     except RecursionError:
         # the reader takes nesting its builders can recurse through, but
         # re-deciding a verdict recurses deeper, once per level

@@ -986,7 +986,7 @@ def _step_from_descriptor(ev, args, params, s, state, bound=None):
     return (x,) if bits >> x - lo & 1 else ()
 
 
-register_combinator("from_descriptor", _step_from_descriptor)
+register_combinator("from_descriptor", _step_from_descriptor, reads=0)
 
 
 def compile_descriptor(d: Descriptor, delay: int = 0,

@@ -147,11 +147,16 @@ def _payload_to_json(kind: str, payload):
 
 
 def _payload_from_json(raw):
-    if isinstance(raw, int):
+    """A natural from an int >= 0 (not a bool), a descriptor from its
+    s-expression string, a difference/union tuple from a list of them."""
+    if type(raw) is int and raw >= 0:
         return raw
-    if isinstance(raw, list):
-        return NceTuple(tuple(desc_from_sexpr(d) for d in raw))
-    return desc_from_sexpr(raw)
+    if isinstance(raw, str):
+        return desc_from_sexpr(raw)
+    if isinstance(raw, list) and all(isinstance(d, str) for d in raw):
+        return NceTuple(tuple(map(desc_from_sexpr, raw)))
+    raise ValueError(f"a payload is a natural, a descriptor string or a"
+                     f" list of them, not {json.dumps(raw)[:40]}")
 
 
 def corpus_to_json(red, seed: int, cases: list) -> dict:
@@ -178,14 +183,16 @@ def corpus_from_json(data: dict) -> list:
     if data.get("version") != CORPUS_VERSION:
         raise ValueError(f"unsupported corpus version {data.get('version')!r}")
     relation = data["relation"]
-    if not isinstance(data["cases"], list):
-        raise ValueError("corpus cases must be a list")
+    if not isinstance(data["cases"], list) or not data["cases"]:
+        raise ValueError("corpus cases must be a nonempty list")
     out = []
     for i, raw in enumerate(data["cases"]):
+        if not isinstance(raw["expected"], bool):
+            raise ValueError(f"case {i}: expected must be true or false")
         out.append(TestCase(i, relation,
                             _payload_from_json(raw["descA"]),
                             _payload_from_json(raw["descB"]),
-                            bool(raw["expected"])))
+                            raw["expected"]))
     return out
 
 

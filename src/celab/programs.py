@@ -24,19 +24,21 @@ The evaluator keeps one cell per (term, bound), the bound None for an
 unbounded one, and an ``(indexed n)`` reads the cell of the term that n
 decodes to.  Every term kind has a step of one signature (a ``Script``
 and ``FullColumnOf`` too), and a cell resolves its term's step when it
-is made, so advancing a cell a stage is one call of its step.  A step
-reads its argument through ``arg_fresh``, which keeps the argument's
-cell in the step's state after the first stage and advances that cell
-in place: past its first stage a query makes no lookup of a term.  A
-caller that reads a program only on ``[0, bound]`` asks
-``upto(P, s, bound)``, and a step reads its argument under a bound
-(``arg_fresh(ev, state, arg, s, bound)``): the bound is pushed down
-through the term (the demand, or "magic sets", transformation of
-Datalog), so constructions stop computing what the caller cannot see.
-Every step is handed the bound of its cell and may ignore it, because
-the evaluator drops what a step returns above it; a step must never
-miss an element ``<= bound``.  A construction that needs all of its
-argument reads it unbounded.
+is made, so advancing a cell a stage is one call of its step.  A
+combinator's cell is made with the cells of the arguments its step
+reads, each under the bound its construction declares, and its step is
+handed those cells: it reads an argument's new elements with
+``ev.read(cell, s)``, which advances that cell in place, so no query
+looks a term up past the cell it asks for.  A caller that reads a
+program only on ``[0, bound]`` asks ``upto(P, s, bound)``, and the
+bound is pushed down through the term (the demand, or "magic sets",
+transformation of Datalog), once, when the cells are made: a
+construction declares the bound under which it reads its arguments, so
+constructions stop computing what the caller cannot see.  Every step is
+handed the bound of its cell and may ignore it, because the evaluator
+drops what a step returns above it; a step must never miss an element
+``<= bound``.  A construction that needs all of its argument reads it
+unbounded.
 
 A cell that can gain nothing more is *closed*: from the stage it closes
 at, no later stage can give it an element that is new and ``<= bound``
@@ -168,38 +170,39 @@ class CombinatorDef:
     unbounded), and returns the elements entering that cell at stage
     ``s`` as a list, tuple or set: distinct elements, none returned at an
     earlier stage, with or without a bound, which the evaluator appends
-    to the cell unchecked.  It may query argument programs only at
-    stages <= s.  The cell looks the step up in ``COMBINATORS`` once,
-    when it is made, and the evaluator's stage loop then calls it
-    directly.
+    to the cell unchecked.  The cell looks the step up in
+    ``COMBINATORS`` once, when it is made, and the evaluator's stage
+    loop then calls it directly.
 
-    A step reads its argument's new elements at stage s through
-    ``arg_fresh(ev, state, arg, s, bound)``, which answers as
-    ``ev.fresh(arg, s, bound)`` does but keeps the argument's cell in
-    ``state`` and advances it in place.  It keeps what it needs of
-    earlier elements in ``state``, rather than rescan
-    ``ev.approx(arg, s)`` at every stage.  The evaluator charges one
-    step per stage and one per element returned; a step charges
-    ``ev.tick()`` for its own further work, once per stage or once per
-    new element it handles, never per element rescanned.
+    ``args`` are the cells of the first ``reads`` arguments of the term
+    (all of them, ``reads`` None), a missing one the cell of ``EMPTY``,
+    bound when the step's cell is made: under ``reach(b)`` for a cell
+    with bound b, and whole for an unbounded cell or ``reach`` None.  A
+    term's further arguments get no cell.  A step reads argument cell
+    ``a``'s new elements at stage s with ``ev.read(a, s)``, and may read
+    it only at stages <= s.  It keeps what it needs of earlier elements
+    in ``state``, rather than rescan the argument at every stage.  The
+    evaluator charges one step per stage and one per element returned; a
+    step charges ``ev.tick()`` for its own further work, once per stage
+    or once per new element it handles, never per element rescanned.
 
     A step may ignore the bound, because the evaluator drops what it
     returns above the bound: under a bound b it must return every
     element <= b that the unbounded step returns, in the same order, and
-    may return more above b, each new too.  A step that uses the bound
-    reads its argument under one that keeps every argument element an
-    output <= b can come from, and stops generators whose next output
-    lies past b.  A step that needs all of its argument reads it
-    unbounded.
+    may return more above b, each new too.  A construction whose step
+    uses the bound declares a ``reach`` that keeps every argument
+    element an output <= b can come from, and its step stops generators
+    whose next output lies past b.  One that needs all of its argument
+    declares none.
 
     A step that knows no later stage can give a new element ``<= b``
     (any new element, unbounded) calls ``close(state)``, which sets the
     reserved state key ``"closed"``; the evaluator then calls it no
-    more.  It may close only after it has advanced every argument it
-    reads to stage s, and it learns that an argument can give nothing
-    more from ``arg_closed(ev, state, arg, s, bound)``, asked with the
-    bound it reads the argument under, or nothing more ``<= below`` from
-    ``arg_closed(ev, state, arg, s, bound, below)``.
+    more.  It may close only after it has read every argument to stage
+    s, and it learns that argument cell ``a`` can give nothing new after
+    stage s and ``<=`` its bound (nothing new, unbounded) from
+    ``a.closed(s)``, or nothing new ``<= below`` from
+    ``a.closed(s, below)``.
 
     A step whose elements rise with the stage may set, once, the
     reserved state key ``"floor"`` to a function of the stage t: the
@@ -209,82 +212,25 @@ class CombinatorDef:
 
     cid: str
     step: Callable
+    reads: Optional[int] = 1  # None: all of the term's arguments
+    reach: Optional[Callable] = None  # cell bound -> argument bound
 
 
 COMBINATORS: dict = {}
 
 
-def register_combinator(cid: str, step: Callable) -> None:
+def register_combinator(cid: str, step: Callable, reads: Optional[int] = 1,
+                        reach: Optional[Callable] = None) -> None:
     if cid in COMBINATORS:
         if COMBINATORS[cid].step is step:
             return  # idempotent re-registration
         raise ValueError(f"combinator {cid!r} already registered")
-    COMBINATORS[cid] = CombinatorDef(cid, step)
+    COMBINATORS[cid] = CombinatorDef(cid, step, reads, reach)
 
 
 def close(state: dict) -> None:
     """Declare, from a step, that its cell is closed after this stage."""
     state["closed"] = True
-
-
-def arg_closed(ev: Evaluator, state: dict, term: Term, s: int,
-               bound: Optional[int] = None,
-               below: Optional[int] = None) -> bool:
-    """Whether nothing new after stage s and ``<= bound`` (any new
-    element, without a bound) can enter the cell a step reads of term
-    under bound; with ``below``, nothing new ``<= below``.
-
-    A step asks at every stage, and most arguments never close, so the
-    argument's cell is looked up once, after the step's first read of
-    it, and kept in the reserved state key ``"arg_cell"``, where
-    ``arg_fresh`` keeps it too."""
-    cell = state.get("arg_cell")
-    if cell is None:
-        cell = ev.cell_of(term, bound)
-        if cell is None:
-            return False
-        state["arg_cell"] = cell
-    if below is None:
-        below = bound
-    if below is None:
-        return cell.settled <= s  # without a call: most readers ask this
-    return cell.closed(s, below)
-
-
-def arg_fresh(ev: Evaluator, state: dict, term: Term, s: int,
-              bound: Optional[int] = None) -> list:
-    """``ev.fresh(term, s, bound)``, for the argument a step reads.
-
-    The first call inside a query asks ``ev.fresh`` and keeps the
-    argument's cell in the reserved state key ``"arg_cell"``, the key
-    ``arg_closed`` keeps it in; later calls advance that cell in place,
-    with no lookup of the term.  A step that reads several arguments
-    hands each one its own dict as ``state``.  Outside a query (a step
-    called directly) or on an evaluator that shows no cells, every call
-    asks ``ev.fresh``."""
-    cell = state.get("arg_cell")
-    if cell is None or not ev._depth:
-        new = ev.fresh(term, s, bound)
-        if cell is None and ev._depth:
-            cell = ev.cell_of(term, bound)
-            if cell is not None:
-                state["arg_cell"] = cell
-        return new
-    ev._advance_cell(cell, s)
-    ends = cell.ends
-    try:
-        return cell.order[ends[s - 1] if s else 0:ends[s]]
-    except IndexError:
-        return []  # the cell closed before stage s
-
-
-def arg(args: tuple, i: int) -> Term:
-    """The i-th argument of a combinator, defaulting to the empty program.
-
-    Decoded combinator terms can carry any number of arguments, so the
-    constructions index their arguments through this total accessor.
-    """
-    return args[i] if 0 <= i < len(args) else EMPTY
 
 
 def param(params: tuple, i: int, default: int = 0) -> int:
@@ -339,10 +285,11 @@ class _Cell:
         return ends[s] if s < len(ends) else len(self.order)
 
     def closed(self, s: int, below: Optional[int] = None) -> bool:
-        """Whether no element new after stage s and <= below (any new
-        element, without one) can enter the cell: it has closed, or its
-        floor past the last stage it reached lies above below and
-        nothing <= below entered it after stage s.
+        """Whether no element new after stage s and <= below can enter
+        the cell, below the cell's own bound when not given (any new
+        element, when neither is): it has closed, or its floor past the
+        last stage it reached lies above below and nothing <= below
+        entered it after stage s.
 
         The stage matters because cells are shared: another query may
         have advanced the cell past s, and what it gained there is still
@@ -353,7 +300,9 @@ class _Cell:
         if self.settled <= s:
             return True
         if below is None:
-            return False
+            below = self.bound
+            if below is None:
+                return False
         floor = self.floor()
         if floor is None or floor <= below:
             return False
@@ -364,27 +313,6 @@ class _Cell:
         can add, or None when its step reports no floor."""
         floor = self.state.get("floor")
         return None if floor is None else floor(len(self.ends) - 1)
-
-
-def _new_cell(term: Term, bound: Optional[int]) -> _Cell:
-    """An empty cell for term under bound, its step resolved.  A
-    combinator's step is looked up in ``COMBINATORS`` now, not at
-    import, so a step registered or wrapped later is the one called."""
-    if isinstance(term, Combinator):
-        cdef = COMBINATORS.get(term.cid)
-        return _Cell(_step_nothing if cdef is None else cdef.step,
-                     term.args, term.params, bound)
-    if isinstance(term, Script):
-        entries = term.entries
-        return _Cell(_step_script, dict(entries),
-                     entries[-1][0] if entries else -1, bound)
-    if isinstance(term, FullColumnOf):
-        cell = _Cell(_step_full_column, term.c, (), bound)
-        # row t + 1 is the least a stage after t adds
-        c = term.c
-        cell.state["floor"] = lambda t: pair(c, t + 1)
-        return cell
-    raise TypeError(f"not a program term: {term!r}")
 
 
 def step_budget() -> int:
@@ -440,14 +368,44 @@ class Evaluator:
             term = inner
         return term
 
-    def _advance(self, term: Term, s: int, bound: Optional[int]) -> _Cell:
+    def _cell(self, term: Term, bound: Optional[int]) -> _Cell:
+        """The cell of term under bound, made on first use."""
         cell = self._cells.get((term, bound))
         if cell is None:
             if isinstance(term, Indexed):
-                return self._advance(self._decoded_term(term), s, bound)
-            cell = self._cells[term, bound] = _new_cell(term, bound)
-        self._advance_cell(cell, s)
+                return self._cell(self._decoded_term(term), bound)
+            cell = self._cells[term, bound] = self._new_cell(term, bound)
         return cell
+
+    def _new_cell(self, term: Term, bound: Optional[int]) -> _Cell:
+        """An empty cell for term under bound, its step resolved and a
+        combinator's argument cells bound.  A combinator's step is looked
+        up in ``COMBINATORS`` now, not at import, so a step registered or
+        wrapped later is the one called."""
+        if isinstance(term, Combinator):
+            cdef = COMBINATORS.get(term.cid)
+            if cdef is None:
+                return _Cell(_step_nothing, (), term.params, bound)
+            reads = len(term.args) if cdef.reads is None else cdef.reads
+            reach = (None if bound is None or cdef.reach is None
+                     else cdef.reach(bound))
+            # a missing argument reads as the empty program
+            args = (*term.args[:reads],
+                    *(EMPTY,) * (reads - len(term.args)))
+            return _Cell(cdef.step,
+                         tuple(self._cell(a, reach) for a in args),
+                         term.params, bound)
+        if isinstance(term, Script):
+            entries = term.entries
+            return _Cell(_step_script, dict(entries),
+                         entries[-1][0] if entries else -1, bound)
+        if isinstance(term, FullColumnOf):
+            cell = _Cell(_step_full_column, term.c, (), bound)
+            # row t + 1 is the least a stage after t adds
+            c = term.c
+            cell.state["floor"] = lambda t: pair(c, t + 1)
+            return cell
+        raise TypeError(f"not a program term: {term!r}")
 
     def _advance_cell(self, cell: _Cell, s: int) -> None:
         """Step the cell through stage s: one call of its step a stage."""
@@ -484,7 +442,9 @@ class Evaluator:
             self._steps = 0
         self._depth += 1
         try:
-            return self._advance(term, s, bound)
+            cell = self._cell(term, bound)
+            self._advance_cell(cell, s)
+            return cell
         except BaseException:
             if top:
                 self._cells.clear()
@@ -516,9 +476,13 @@ class Evaluator:
         those <= bound when a bound is given."""
         if s < 0:
             return []
-        # asked by a step, inside a query: no top-level bookkeeping
-        cell = (self._advance(term, s, bound) if self._depth
-                else self._run(term, s, bound))
+        return self.read(self._run(term, s, bound), s)
+
+    def read(self, cell: _Cell, s: int) -> list:
+        """The elements that entered cell at stage s, in entry order, as
+        a new list: how a step reads an argument cell it was handed.
+        It advances the cell through s in place."""
+        self._advance_cell(cell, s)
         ends = cell.ends
         try:
             return cell.order[ends[s - 1] if s else 0:ends[s]]

@@ -19,8 +19,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from ..programs import (arg_closed, arg_fresh, close, register_combinator,
-                        arg, param)
+from ..programs import close, register_combinator, param
 from ..descriptors import (
     Descriptor, Finite, Progression, EMPTY, FULL, analyze,
 )
@@ -44,7 +43,7 @@ def _running_bounds(ev, a, s, state):
     """(least, largest) element of the argument at stage s, or None
     while it is empty."""
     bounds = state.get("bounds")
-    new = arg_fresh(ev, state, a, s)
+    new = ev.read(a, s)
     if new:
         lo, hi = min(new), max(new)
         if bounds is not None:
@@ -59,10 +58,10 @@ def _step_saturate_up(ev, args, params, s, state, bound=None):
     # high counts stages from the argument's first minimum, which can
     # lie past the bound, so the argument is read whole
     off = param(params, 0)
-    a = arg(args, 0)
+    a = args[0]
     bounds = _running_bounds(ev, a, s, state)
     if bounds is None:
-        if arg_closed(ev, state, a, s):
+        if a.closed(s):
             close(state)
         return ()
     ev.tick()
@@ -81,7 +80,7 @@ def _step_saturate_up(ev, args, params, s, state, bound=None):
     # [low, high] is out; past the bound only a new minimum below
     # low - off extends it downward
     if (bound is not None and high >= bound
-            and arg_closed(ev, state, a, s, below=low - off - 1)):
+            and a.closed(s, low - off - 1)):
         close(state)
     return out
 
@@ -91,10 +90,10 @@ def _step_saturate_down(ev, args, params, s, state, bound=None):
     maximum grows."""
     # the maximum needs all of the argument; the output stops at the
     # bound
-    a = arg(args, 0)
+    a = args[0]
     trim = param(params, 0)
     bounds = _running_bounds(ev, a, s, state)
-    if arg_closed(ev, state, a, s):
+    if a.closed(s):
         close(state)
     if bounds is None:
         return ()
@@ -118,9 +117,9 @@ def _step_interval_hull(ev, args, params, s, state, bound=None):
     The minimum only falls and the maximum only rises, so each stage's
     interval contains the last one and only its new ends are emitted."""
     # the maximum needs all of the argument
-    a = arg(args, 0)
+    a = args[0]
     bounds = _running_bounds(ev, a, s, state)
-    if arg_closed(ev, state, a, s):
+    if a.closed(s):
         close(state)
     if bounds is None:
         return ()
@@ -129,7 +128,7 @@ def _step_interval_hull(ev, args, params, s, state, bound=None):
     # once hi reaches the bound, only a new minimum below lo can add an
     # output <= b
     if (bound is not None and hi >= bound
-            and arg_closed(ev, state, a, s, below=lo - 1)):
+            and a.closed(s, lo - 1)):
         close(state)
     done = state.get("done")  # the interval emitted so far
     state["done"] = (lo, hi)
@@ -146,9 +145,9 @@ def _step_factorials(side: int):
     or dividing by the factors in between, charging one step per
     factor before it computes."""
     def step(ev, args, params, s, state, bound=None):
-        a = arg(args, 0)
+        a = args[0]
         bounds = _running_bounds(ev, a, s, state)
-        if arg_closed(ev, state, a, s):
+        if a.closed(s):
             close(state)
         if bounds is None:
             return ()
@@ -171,12 +170,12 @@ def _step_stage_gcds(ev, args, params, s, state, bound=None):
     """Emit the gcd of the stage approximation when it changes to a
     finite value: to a proper divisor, so a new value."""
     ev.tick()
-    a = arg(args, 0)
+    a = args[0]
     g = was = state.get("gcd", 0)
-    for x in arg_fresh(ev, state, a, s):
+    for x in ev.read(a, s):
         g = math.gcd(g, x)
     state["gcd"] = g
-    if arg_closed(ev, state, a, s):
+    if a.closed(s):
         close(state)
     return () if g == was else (g,)  # g is 0 while the gcd is infinite
 
@@ -185,13 +184,13 @@ def _step_stage_lcms(ev, args, params, s, state, bound=None):
     """Emit the lcm of the positive stage elements (1 when none) at
     stage 0 and on a change: to a proper multiple, so a new value."""
     ev.tick()
-    a = arg(args, 0)
+    a = args[0]
     l = was = state.get("lcm", 1)
-    for x in arg_fresh(ev, state, a, s):
+    for x in ev.read(a, s):
         if x > 0:
             l = l * x // math.gcd(l, x)
     state["lcm"] = l
-    if arg_closed(ev, state, a, s):
+    if a.closed(s):
         close(state)
     return (l,) if s == 0 or l != was else ()
 
@@ -212,7 +211,7 @@ def _step_median_multiples(ev, args, params, s, state, bound=None):
     only from there.
     """
     elems = state.setdefault("sorted", [])
-    for x in arg_fresh(ev, state, arg(args, 0), s):
+    for x in ev.read(args[0], s):
         bisect.insort(elems, x)
     if not elems:
         return ()
@@ -241,7 +240,7 @@ def _step_median_multiples(ev, args, params, s, state, bound=None):
     return out
 
 
-def _codes_below(ev, a, s, state, cut, bound, unreachable=None):
+def _codes_below(a, s, state, cut, bound, unreachable=None):
     """Rational codes <= s (and <= bound) whose rational lies below the
     fraction ``cut = (num, den)``, den > 0, each emitted at the first
     stage it qualifies; ``cut`` None emits none.
@@ -252,7 +251,7 @@ def _codes_below(ev, a, s, state, cut, bound, unreachable=None):
     table, instead of being rescanned at every stage, and every test is
     an exact integer one.  Once every code <= bound has been pushed, the
     cell closes when none waits or the argument, and with it the cut,
-    can change no more; or when ``unreachable(ev, a, s, state, least)``
+    can change no more; or when ``unreachable(a, s, state, least)``
     shows that the cut can never pass ``least``, the least waiting
     code, and so none of them."""
     waiting = state.setdefault("pend", [])  # heap of CodeKey
@@ -264,23 +263,23 @@ def _codes_below(ev, a, s, state, cut, bound, unreachable=None):
         while waiting and code_below(waiting[0].code, num, den):
             out.append(heapq.heappop(waiting).code)
     if (bound is not None and s >= bound
-            and (not waiting or arg_closed(ev, state, a, s)
+            and (not waiting or a.closed(s)
                  or (unreachable is not None
-                     and unreachable(ev, a, s, state, waiting[0])))):
+                     and unreachable(a, s, state, waiting[0])))):
         close(state)
     return out
 
 
 def _step_rational_cut(ev, args, params, s, state, bound=None):
     """Enumerate rational codes q with q < (current maximum) - 1."""
-    a = arg(args, 0)
+    a = args[0]
     bounds = _running_bounds(ev, a, s, state)
     cut = None
     if bounds is not None:
         ev.tick()
         if bounds[1] > 0:  # the cut of {0} is empty; until then codes wait
             cut = bounds[1] - 1, 1
-    return _codes_below(ev, a, s, state, cut, bound)
+    return _codes_below(a, s, state, cut, bound)
 
 
 def _step_triadic_cut(ev, args, params, s, state, bound=None):
@@ -297,28 +296,26 @@ def _step_triadic_cut(ev, args, params, s, state, bound=None):
     = 3^-f / 2, so the limit of the sum stays at or below that rational
     and no waiting code can ever enter."""
     ev.tick()
-    a = arg(args, 0)
+    a = args[0]
     num, e, den = state.get("total", (0, 0, 1))  # the sum is num / den
-    for n in arg_fresh(ev, state, a, s):
+    for n in ev.read(a, s):
         if n >= e:
             scale = 3 ** (n + 1 - e)
             num, e, den = num * scale, n + 1, den * scale
         num += 3 ** (e - n - 1)
     state["total"] = num, e, den
-    return _codes_below(ev, a, s, state, (num, den), bound,
-                        _sum_cannot_reach)
+    return _codes_below(a, s, state, (num, den), bound, _sum_cannot_reach)
 
 
-def _sum_cannot_reach(ev, a, s, state, least):
+def _sum_cannot_reach(a, s, state, least):
     """Whether the limit of the triadic sum stays <= the rational of the
-    CodeKey ``least``: the argument reports a floor f, nothing below f
-    can enter it after stage s, and least >= sum + 3^-f / 2."""
-    cell = ev.cell_of(a)
-    f = cell.floor() if cell is not None else None
+    CodeKey ``least``: the argument cell a reports a floor f, nothing
+    below f can enter it after stage s, and least >= sum + 3^-f / 2."""
+    f = a.floor()
     if f is None:
         return False
     f = max(f, 0)  # elements are naturals
-    if not arg_closed(ev, state, a, s, None, f - 1):
+    if not a.closed(s, f - 1):
         return False
     num, e, den = state["total"]
     # past e + the bit length of least.den the answer no longer changes

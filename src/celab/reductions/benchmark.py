@@ -39,8 +39,7 @@ from itertools import chain, compress, repeat
 from operator import add, mul
 
 from ..pairing import column, pair, pairs, row, unpair
-from ..programs import (arg_closed, arg_fresh, close, register_combinator,
-                        arg, param)
+from ..programs import close, register_combinator, param
 from ..descriptors import (
     ColumnsBySet, Columns, Difference, Finite, EMPTY, FULL,
     Descriptor, analyze, block_bounds, block_of, column_descriptor, member,
@@ -75,11 +74,13 @@ def _pair_width(m: int) -> int:
 # combinator steps
 
 
-def _run_lines(ev, a, s, state, bound, reach, new, heads, lag) -> list:
+def _run_lines(ev, a, s, state, bound, heads, lag) -> list:
     """Emit every line's stage-s code in start order: last stage's plus
-    its lag plus s, then start a line at each new element x, at code
-    heads(new) with lag x + lag - s.  Drop the lines past the bound;
-    close once none is left and the argument can start no more."""
+    its lag plus s, then start a line at each element x new in argument
+    cell a, at code heads(new) with lag x + lag - s.  Drop the lines
+    past the bound; close once none is left and the argument can start
+    no more."""
+    new = ev.read(a, s)
     cur, kept = state.get("lines") or ((), [])
     ev.tick(len(cur) + len(new))
     out = cur = [*map(add, cur, map(add, kept, repeat(s)))]
@@ -91,7 +92,7 @@ def _run_lines(ev, a, s, state, bound, reach, new, heads, lag) -> list:
         keep = [*map(bound.__ge__, out)]
         cur, kept = [*compress(out, keep)], [*compress(kept, keep)]
     state["lines"] = cur, kept
-    if not cur and arg_closed(ev, state, a, s, reach):
+    if not cur and a.closed(s):
         close(state)
     return out
 
@@ -99,52 +100,40 @@ def _run_lines(ev, a, s, state, bound, reach, new, heads, lag) -> list:
 def _step_expand_columns(ev, args, params, s, state, bound=None):
     """Element c of the argument grows the full column c, one row per
     stage from the stage c appeared."""
-    # <c, k> >= <c, 0>, so only c <= _column_reach(b) can give an output
-    # <= b; column c's next row rises with the stage: a column past the
-    # bound is done
-    a = arg(args, 0)
-    reach = None if bound is None else _column_reach(bound)
-    # <c, k+1> = <c, k> + c + k + 2: entered at stage t, column c starts
-    # at <c, 0> and rises by c + 1 - t + s at stage s
-    return _run_lines(ev, a, s, state, bound, reach,
-                      arg_fresh(ev, state, a, s, reach),
+    # column c's next row rises with the stage: a column past the bound
+    # is done.  <c, k+1> = <c, k> + c + k + 2: entered at stage t,
+    # column c starts at <c, 0> and rises by c + 1 - t + s at stage s
+    return _run_lines(ev, args[0], s, state, bound,
                       lambda cs: pairs(cs, repeat(0)), 1)
 
 
 def _step_tail_columns(ev, args, params, s, state, bound=None):
     """New element x contributes <c, x> for every column c <= x."""
-    # <c, x> >= <0, x>, so only x <= _row_reach(b) can give an output
-    # <= b; <c, x> rises with c: the row stops at the bound
-    a = arg(args, 0)
-    reach = None if bound is None else _row_reach(bound)
+    # <c, x> rises with c: the row stops at the bound
+    a = args[0]
     out = []
-    for x in arg_fresh(ev, state, a, s, reach):
+    for x in ev.read(a, s):
         # under a bound, the row runs to its first column past the
         # bound: <c, x> <= b exactly when c + x <= _column_reach(b - x)
         n = x + 1 if bound is None else min(
             x + 1, _column_reach(bound - x) - x + 2)
         ev.tick(n)
         out += row(x, n)
-    if arg_closed(ev, state, a, s, reach):
+    if a.closed(s):
         close(state)
     return out
 
 
 def _step_replicate_columns(ev, args, params, s, state, bound=None):
     """Every column of the output converges to the argument set."""
-    # <c, k> >= <0, k>, so only k <= _row_reach(b) can give an output
-    # <= b; row k's next column rises with the stage: a row past the
-    # bound is done
-    a = arg(args, 0)
-    reach = None if bound is None else _row_reach(bound)
-    # <c+1, k> = <c, k> + c + k + 1: entered at stage t, row k starts at
-    # <0, k> and rises by k - t + s at stage s
-    return _run_lines(ev, a, s, state, bound, reach,
-                      arg_fresh(ev, state, a, s, reach),
+    # row k's next column rises with the stage: a row past the bound is
+    # done.  <c+1, k> = <c, k> + c + k + 1: entered at stage t, row k
+    # starts at <0, k> and rises by k - t + s at stage s
+    return _run_lines(ev, args[0], s, state, bound,
                       lambda ks: pairs(repeat(0), ks), 0)
 
 
-def _run_progressions(ev, a, s, state, bound, starts: list) -> list:
+def _run_progressions(ev, a, s, state, starts: list) -> list:
     """Emit every progression's stage-s value in start order: last
     stage's plus its step, or the first of a new (first, end, step) in
     starts.  Each stops at the stage its rising value reaches its end;
@@ -165,7 +154,7 @@ def _run_progressions(ev, a, s, state, bound, starts: list) -> list:
         del cur[i], steps[i], stops[i]
         due = min(stops, default=math.inf)
     state["gens"] = cur, steps, stops, due
-    if not cur and arg_closed(ev, state, a, s, bound):
+    if not cur and a.closed(s):
         close(state)
     return cur
 
@@ -175,13 +164,13 @@ def _step_block_union(ev, args, params, s, state, bound=None):
     stage, in increasing order."""
     # block n starts at or past n and its values rise: a block stops
     # at the bound
-    a = arg(args, 0)
+    a = args[0]
     kind = "weight" if param(params, 0) == 1 else "dyadic"
     starts = []
-    for n in arg_fresh(ev, state, a, s, bound):
+    for n in ev.read(a, s):
         lo, hi = block_bounds(kind, n)
         starts.append((lo, hi if bound is None else min(hi, bound + 1), 1))
-    return _run_progressions(ev, a, s, state, bound, starts)
+    return _run_progressions(ev, a, s, state, starts)
 
 
 def _step_scaled_blocks(ev, args, params, s, state, bound=None):
@@ -194,16 +183,16 @@ def _step_scaled_blocks(ev, args, params, s, state, bound=None):
     """
     # the image of <c, k> starts at 2^c - 1 + 2^(c+k+1) >= <c, k> and
     # rises: an image stops at the bound
-    a = arg(args, 0)
+    a = args[0]
     starts = []
-    for z in arg_fresh(ev, state, a, s, bound):
+    for z in ev.read(a, s):
         c, k = unpair(z)
         step = 1 << (c + 1)
         lo = (1 << c) - 1
         hi = lo + (step << (k + 1))
         starts.append((lo + (step << k), hi if bound is None
                        else min(hi, bound + 1), step))
-    return _run_progressions(ev, a, s, state, bound, starts)
+    return _run_progressions(ev, a, s, state, starts)
 
 
 def string_of(m: int) -> tuple:
@@ -237,7 +226,7 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
     Generator <n, m> activates at stage <n, m>; its static part is
     emitted at once, its tail follows the argument's column n.
     """
-    a = arg(args, 0)
+    a = args[0]
     # n -> (the columns <n, m> of its active generators and their |s_m|,
     # the first ones take row k; the rows n + 1 + k past the last string
     # and their codes there)
@@ -245,7 +234,7 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
     out = []
     # route new argument elements to active generators; the row
     # <<n, m>, n + 1 + k> it gives <n, k> is >= <n, k>
-    for z in arg_fresh(ev, state, a, s, bound):
+    for z in ev.read(a, s):
         n, k = unpair(z)
         cols, lens, ys, _ = family.get(n) or family.setdefault(
             n, ([], [], [], []))
@@ -258,7 +247,7 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
     # every output of generator <n, m> = s is a pair <s, y> >= <s, 0>,
     # so past the bound only the argument can add outputs
     if (bound is not None and pair(s + 1, 0) > bound
-            and arg_closed(ev, state, a, s, bound)):
+            and a.closed(s)):
         close(state)
     if bound is not None and pair(s, 0) > bound:
         return out
@@ -281,15 +270,13 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
 def _step_prefix_family(ev, args, params, s, state, bound=None):
     """Output column m holds the m-th binary string, then the argument
     set beyond the string's length."""
-    a = arg(args, 0)
+    a = args[0]
     # |s_m| of every open column m, which are the first ones to take
     # x, the known x past the last string, and their codes there
     lens, known, cur = state.get("family") or state.setdefault(
         "family", ([], [], []))
     out = []
-    # <m, x> >= <0, x>, so only x <= _row_reach(b) can give an output <= b
-    reach = None if bound is None else _row_reach(bound)
-    for x in arg_fresh(ev, state, a, s, reach):
+    for x in ev.read(a, s):
         n = bisect_right(lens, x)
         if n:
             ev.tick(n)
@@ -299,7 +286,7 @@ def _step_prefix_family(ev, args, params, s, state, bound=None):
     # column m = s opens now, and <m, y> >= <m, 0>: past the bound only
     # the argument can add outputs
     if (bound is not None and pair(s + 1, 0) > bound
-            and arg_closed(ev, state, a, s, reach)):
+            and a.closed(s)):
         close(state)
     if bound is not None and pair(s, 0) > bound:
         return out
@@ -312,13 +299,25 @@ def _step_prefix_family(ev, args, params, s, state, bound=None):
     return out
 
 
-register_combinator("expand_columns", _step_expand_columns)
-register_combinator("tail_columns", _step_tail_columns)
-register_combinator("replicate_columns", _step_replicate_columns)
-register_combinator("block_union", _step_block_union)
-register_combinator("scaled_blocks", _step_scaled_blocks)
-register_combinator("prefixed_columns", _step_prefixed_columns)
-register_combinator("prefix_family", _step_prefix_family)
+def _same(b: int) -> int:
+    return b
+
+
+# Each construction reads its argument under the bound that keeps every
+# element an output <= b can come from: <c, k> >= <c, 0>, so only
+# c <= _column_reach(b) can start a column of expand_columns; <c, x> >=
+# <0, x>, so only x <= _row_reach(b) can give a row of tail_columns,
+# replicate_columns or prefix_family; and an output of block_union,
+# scaled_blocks or prefixed_columns is >= the element it comes from.
+register_combinator("expand_columns", _step_expand_columns,
+                    reach=_column_reach)
+register_combinator("tail_columns", _step_tail_columns, reach=_row_reach)
+register_combinator("replicate_columns", _step_replicate_columns,
+                    reach=_row_reach)
+register_combinator("block_union", _step_block_union, reach=_same)
+register_combinator("scaled_blocks", _step_scaled_blocks, reach=_same)
+register_combinator("prefixed_columns", _step_prefixed_columns, reach=_same)
+register_combinator("prefix_family", _step_prefix_family, reach=_row_reach)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 
 from ..pairing import pair, unpair, seq_decode, set_decode
-from ..programs import (Combinator, arg_closed, arg_fresh, close,
-                        register_combinator, arg, columns_of)
+from ..programs import Combinator, close, register_combinator, columns_of
 from ..descriptors import (
     Finite, Cofinite, Union, Difference,
     EMPTY, FULL, analyze, member,
@@ -36,32 +35,31 @@ from . import (
 
 def _step_star_edges(ev, args, params, s, state, bound=None):
     """Element n of the argument adds the edge root -> leaf n+1."""
-    # <0, n + 1> <= b needs n + 1 <= _row_reach(b)
-    a = arg(args, 0)
-    reach = None if bound is None else _row_reach(bound) - 1
+    a = args[0]
     out = []
-    for n in arg_fresh(ev, state, a, s, reach):
+    for n in ev.read(a, s):
         ev.tick()
         out.append(pair(0, n + 1))
-    if arg_closed(ev, state, a, s, reach):
+    if a.closed(s):
         close(state)
     return out
 
 
-def _react_by_code(ev, a, s, state, point, bound=None, reach=None):
+def _react_by_code(ev, a, s, state, point, bound=None):
     """Emit each code x at the first stage >= x at which it is a point.
 
     ``point(x, has)`` decides x and calls ``has(e)``, a test of the
     argument's membership, at most once and as its last test.  So code
     s is decided once, at stage s; when it waits on an element e not
     yet present, it is parked under e and released at the stage e
-    enters.  Under a bound b only the codes <= b are decided, and
-    ``reach`` bounds every element they can wait on.
+    enters.  Under a bound b only the codes <= b are decided, and the
+    argument cell a is read under a bound on every element they can wait
+    on.
     """
     have = state.setdefault("have", set())
     parked = state.setdefault("parked", {})  # element -> codes waiting
     out = []
-    for e in arg_fresh(ev, state, a, s, reach):
+    for e in ev.read(a, s):
         ev.tick()
         have.add(e)
         out.extend(parked.pop(e, ()))
@@ -81,7 +79,7 @@ def _react_by_code(ev, a, s, state, point, bound=None, reach=None):
     # from stage b on every code <= b is decided, and what is parked
     # waits on the argument
     if (bound is not None and s >= bound
-            and (not parked or arg_closed(ev, state, a, s, reach))):
+            and (not parked or a.closed(s))):
         close(state)
     return out
 
@@ -118,9 +116,8 @@ def _step_membership_tree(ev, args, params, s, state, bound=None):
     An edge needs one column membership, and the argument only grows,
     so each code is decided once and waits for its membership."""
     return _react_by_code(
-        ev, arg(args, 0), s, state,
-        lambda x, has: _tree_edge(x, lambda n, k: has(pair(n, k))),
-        bound, None if bound is None else _tree_reach(bound))
+        ev, args[0], s, state,
+        lambda x, has: _tree_edge(x, lambda n, k: has(pair(n, k))), bound)
 
 
 def _tree_reach(b: int) -> int:
@@ -196,9 +193,7 @@ def _copies_reach(b: int) -> int:
 
 
 def _step_perm_copies(ev, args, params, s, state, bound=None):
-    return _react_by_code(ev, arg(args, 0), s, state, _copies_point,
-                          bound, None if bound is None
-                          else _copies_reach(bound))
+    return _react_by_code(ev, args[0], s, state, _copies_point, bound)
 
 
 def _step_level_columns(ev, args, params, s, state, bound=None):
@@ -206,16 +201,14 @@ def _step_level_columns(ev, args, params, s, state, bound=None):
     in the running difference/union fold of the arguments."""
     seen = state.get("seen")
     if seen is None:
-        # per argument, its elements so far, and a state of its own
-        # for arg_fresh to keep its cell in
+        # per argument, its elements so far
         seen = state["seen"] = [set() for _ in args]
-        state["reads"] = [{} for _ in args]
         state["fold"] = set()
     cur = state["fold"]
     # only the points new in some argument can change their fold value
     new = set()
-    for a, have, read in zip(args, seen, state["reads"]):
-        for x in arg_fresh(ev, read, a, s):
+    for a, have in zip(args, seen):
+        for x in ev.read(a, s):
             have.add(x)
             new.add(x)
     for x in new:
@@ -227,10 +220,16 @@ def _step_level_columns(ev, args, params, s, state, bound=None):
     return [pair(k, s) for k in cur if k <= s]
 
 
-register_combinator("star_edges", _step_star_edges)
-register_combinator("membership_tree", _step_membership_tree)
-register_combinator("perm_copies", _step_perm_copies)
-register_combinator("level_columns", _step_level_columns)
+def _leaf_reach(b: int) -> int:
+    """The largest n with <0, n + 1> <= b."""
+    return _row_reach(b) - 1
+
+
+register_combinator("star_edges", _step_star_edges, reach=_leaf_reach)
+register_combinator("membership_tree", _step_membership_tree,
+                    reach=_tree_reach)
+register_combinator("perm_copies", _step_perm_copies, reach=_copies_reach)
+register_combinator("level_columns", _step_level_columns, reads=None)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +409,8 @@ def _compile_tuple(payload: NceTuple, rng):
         term, settle = compile_arg(d, rng)
         terms.append(term)
         settles.append(settle)
-    return tuple(terms), lambda M: max(s(M) for s in settles) + 1
+    return tuple(terms), lambda M: max((s(M) for s in settles),
+                                       default=0) + 1
 
 
 def gen_pair_nce(rng, hi: int = 25):

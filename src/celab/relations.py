@@ -44,18 +44,6 @@ class QCut:
 
 
 @dataclass(frozen=True)
-class UcePoint:
-    """A point of the domain of a scripted equivalence relation.
-
-    ``pairs`` is the finite generating set of related pairs; the relation
-    is its reflexive-symmetric-transitive closure.
-    """
-
-    pairs: frozenset  # frozenset of (a, b)
-    point: int
-
-
-@dataclass(frozen=True)
 class NceTuple:
     """An alternating difference/union combination of descriptors.
 
@@ -501,25 +489,10 @@ def _decide_iso(a, b):
     return digraph_canonical(_edges_of(a)) == digraph_canonical(_edges_of(b))
 
 
-def _decide_uce(a, b):
-    if not (isinstance(a, UcePoint) and isinstance(b, UcePoint)):
-        raise UnsupportedDescriptor("expected scripted-relation points")
-    if a.pairs != b.pairs:
-        raise UnsupportedDescriptor("points of different scripted relations")
-    if a.point == b.point:
-        return True
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in a.pairs:
-        parent[find(u)] = find(v)
-    return find(a.point) == find(b.point)
+def _decide_eq_nat(a, b):
+    if not all(type(x) is int and x >= 0 for x in (a, b)):
+        raise UnsupportedDescriptor("expected naturals")
+    return a == b
 
 
 def _decide_tuple_eq(a, b):
@@ -570,9 +543,7 @@ register_relation("el_omega", _keyed(sup_key),
                   doc="equal cuts induced in the order omega")
 register_relation("h_omega", _keyed(hull_key),
                   doc="equal convex hulls in the order omega")
-register_relation("eq_nat", lambda a, b: a == b, doc="equality of naturals")
-register_relation("uce", _decide_uce,
-                  doc="closure of a scripted relation on naturals")
+register_relation("eq_nat", _decide_eq_nat, doc="equality of naturals")
 register_relation("eq_1", _keyed(one_equivalence_key),
                   level="Sigma-0-3-complete",
                   doc="matching cardinality and co-cardinality")

@@ -219,6 +219,74 @@ def test_corpus_case_the_oracle_refuses_exits_four(capsys, tmp_path):
                "--corpus", str(path))[0] == 4
 
 
+_D = "(finite 1 2)"
+# one-case corpora, as (relation, a reduction from it, descA, descB,
+# expected), whose payload or verdict is not of the JSON type it must be
+MALFORMED_CASES = {
+    "float": ("eq_ce", "eqce_to_e0", 1.5, _D, True),
+    "null": ("eq_ce", "eqce_to_e0", None, _D, True),
+    "object": ("eq_ce", "eqce_to_e0", {"a": 1}, _D, True),
+    "list-holding-a-float": ("eq_nce", "nce_embed", [1.5], [_D], True),
+    "list-holding-null": ("eq_nce", "nce_embed", [None], [_D], True),
+    "list-holding-an-object": ("eq_nce", "nce_embed", [{}], [_D], True),
+    "negative-natural": ("eq_nat", "eqnat_to_emin", -3, -3, True),
+    "bool-natural": ("eq_nat", "eqnat_to_emin", True, 1, True),
+    "descriptor-for-a-natural": ("eq_nat", "eqnat_to_emin", _D, _D, True),
+    "list-for-a-natural": ("eq_nat", "eqnat_to_emin", [_D], [_D], True),
+    "too-large-to-analyse": ("eq_ce", "eqce_to_e0",
+                             "(finite 99999999999999999999999)", _D, False),
+    "expected-no": ("eq_ce", "eqce_to_e0", _D, _D, "no"),
+    "expected-one": ("eq_ce", "eqce_to_e0", _D, _D, 1),
+}
+
+
+def _write_corpus(path, relation, cases):
+    path.write_text(json.dumps({"version": 1, "relation": relation,
+                                "seed": 1, "cases": cases}))
+
+
+@pytest.mark.parametrize("verb", ["corpus", "verify"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_CASES))
+def test_a_malformed_corpus_case_exits_four(capsys, tmp_path, name, verb):
+    relation, reduction, a, b, expected = MALFORMED_CASES[name]
+    path = tmp_path / "corpus.json"
+    _write_corpus(path, relation,
+                  [{"descA": a, "descB": b, "expected": expected}])
+    argv = (["corpus", "--in"] if verb == "corpus"
+            else ["verify", "--reduction", reduction, "--corpus"])
+    assert main([*argv, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad corpus file: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("corpus", "--in"),
+    ("verify", "--reduction", "eqce_to_e0", "--corpus"),
+    # saturate_up verifies e_min corpora: an empty one of eq_ce must not
+    # pass its relation check by having no case to check
+    ("verify", "--reduction", "saturate_up", "--corpus"),
+])
+def test_an_empty_corpus_exits_four(capsys, tmp_path, argv):
+    path = tmp_path / "corpus.json"
+    _write_corpus(path, "eq_ce", [])
+    assert main([*argv, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bad corpus file: corpus cases must be"
+                            " a nonempty list\n")
+
+
+def test_a_corpus_of_empty_tuples_verifies(capsys, tmp_path):
+    # the fold of no parts is the empty set
+    path = tmp_path / "corpus.json"
+    _write_corpus(path, "eq_nce", [{"descA": [], "descB": [],
+                                    "expected": True}])
+    assert run(capsys, "verify", "--reduction", "nce_embed",
+               "--corpus", str(path))[0] == 0
+
+
 def _nested(depth):
     term = "(fullcolumn 0)"
     for _ in range(depth):

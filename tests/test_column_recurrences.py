@@ -12,6 +12,7 @@ The last test checks the order of the binary strings that
 
 from contextlib import contextmanager
 from bisect import bisect_right
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,97 +21,93 @@ import celab  # noqa: F401  (registers combinators)
 from celab.descriptors import (Cofinite, ColumnsBySet, Finite, Progression,
                                block_bounds, compile_descriptor)
 from celab.pairing import pair, unpair
-from celab.programs import (COMBINATORS, CombinatorDef, Combinator,
-                            Evaluator, FullColumnOf, arg, arg_closed, close,
-                            param, script)
-from celab.reductions.benchmark import _column_reach, _row_reach, string_of
+from celab.programs import (COMBINATORS, Combinator, Evaluator,
+                            FullColumnOf, close, param, script)
+from celab.reductions.benchmark import _column_reach, string_of
 
 S = 40
 
 
 def _ref_expand_columns(ev, args, params, s, state, bound=None):
-    a = arg(args, 0)
-    reach = None if bound is None else _column_reach(bound)
+    a = args[0]
     entered = state.setdefault("entered", [])
-    entered.extend((c, s) for c in ev.fresh(a, s, reach))
+    entered.extend((c, s) for c in ev.read(a, s))
     ev.tick(len(entered))
     out = [pair(c, s - t) for c, t in entered]
     if bound is not None:
         state["entered"] = entered = [
             e for e, x in zip(entered, out) if x <= bound]
-    if not entered and arg_closed(ev, state, a, s, reach):
+    if not entered and a.closed(s):
         close(state)
     return out
 
 
 def _ref_replicate_columns(ev, args, params, s, state, bound=None):
-    a = arg(args, 0)
-    reach = None if bound is None else _row_reach(bound)
+    a = args[0]
     entered = state.setdefault("entered", [])
-    entered.extend((k, s) for k in ev.fresh(a, s, reach))
+    entered.extend((k, s) for k in ev.read(a, s))
     ev.tick(len(entered))
     out = [pair(s - t, k) for k, t in entered]
     if bound is not None:
         state["entered"] = entered = [
             e for e, x in zip(entered, out) if x <= bound]
-    if not entered and arg_closed(ev, state, a, s, reach):
+    if not entered and a.closed(s):
         close(state)
     return out
 
 
 def _ref_tail_columns(ev, args, params, s, state, bound=None):
-    a = arg(args, 0)
-    reach = None if bound is None else _row_reach(bound)
+    a = args[0]
     out = []
-    for x in ev.fresh(a, s, reach):
+    for x in ev.read(a, s):
         n = x + 1 if bound is None else min(
             x + 1, _column_reach(bound - x) - x + 2)
         ev.tick(n)
         out += [pair(c, x) for c in range(n)]
-    if arg_closed(ev, state, a, s, reach):
+    if a.closed(s):
         close(state)
     return out
 
 
-def _ref_progressions(ev, a, s, state, bound, gens):
+def _ref_progressions(ev, a, s, state, gens):
     ev.tick(len(gens))
     out = [x for s0, lo, end, step in gens
            if (x := lo + (s - s0) * step) < end]
     gens[:] = [g for g in gens if g[1] + (s - g[0]) * g[3] < g[2]]
-    if not gens and arg_closed(ev, state, a, s, bound):
+    if not gens and a.closed(s):
         close(state)
     return out
 
 
 def _ref_block_union(ev, args, params, s, state, bound=None):
-    a = arg(args, 0)
+    a = args[0]
     kind = "weight" if param(params, 0) == 1 else "dyadic"
     gens = state.setdefault("gens", [])
-    for n in ev.fresh(a, s, bound):
+    for n in ev.read(a, s):
         lo, hi = block_bounds(kind, n)
         gens.append((s, lo, hi if bound is None else min(hi, bound + 1), 1))
-    return _ref_progressions(ev, a, s, state, bound, gens)
+    return _ref_progressions(ev, a, s, state, gens)
 
 
 def _ref_scaled_blocks(ev, args, params, s, state, bound=None):
-    a = arg(args, 0)
+    a = args[0]
     gens = state.setdefault("gens", [])
-    for z in ev.fresh(a, s, bound):
+    for z in ev.read(a, s):
         c, k = unpair(z)
         step = 1 << (c + 1)
         lo = (1 << c) - 1
         hi = lo + (step << (k + 1))
         gens.append((s, lo + (step << k), hi if bound is None
                      else min(hi, bound + 1), step))
-    return _ref_progressions(ev, a, s, state, bound, gens)
+    return _ref_progressions(ev, a, s, state, gens)
 
 
 def _ref_prefixed_columns(ev, args, params, s, state, bound=None):
-    a = arg(args, 0)
+    a = args[0]
     active = state.setdefault("active", {})
     rows = state.setdefault("rows", {})
     out = []
-    for z in ev.fresh(a, s, bound):
+    for z in ev.read(a, s):
         n, k = unpair(z)
         rows.setdefault(n, []).append(k)
         gens = active.get(n)
@@ -119,7 +116,7 @@ def _ref_prefixed_columns(ev, args, params, s, state, bound=None):
             ev.tick(len(cols))
             out += [pair(col, n + 1 + k) for col in cols]
     if (bound is not None and pair(s + 1, 0) > bound
-            and arg_closed(ev, state, a, s, bound)):
+            and a.closed(s)):
         close(state)
     if bound is not None and pair(s, 0) > bound:
         return out
@@ -134,19 +131,18 @@ def _ref_prefixed_columns(ev, args, params, s, state, bound=None):
 
 
 def _ref_prefix_family(ev, args, params, s, state, bound=None):
-    a = arg(args, 0)
+    a = args[0]
     lens = state.setdefault("lens", [])
     known = state.setdefault("known", [])
     out = []
-    reach = None if bound is None else _row_reach(bound)
-    for x in ev.fresh(a, s, reach):
+    for x in ev.read(a, s):
         known.append(x)
         n = bisect_right(lens, x)
         if n:
             ev.tick(n)
             out += [pair(c, x) for c in range(n)]
     if (bound is not None and pair(s + 1, 0) > bound
-            and arg_closed(ev, state, a, s, reach)):
+            and a.closed(s)):
         close(state)
     if bound is not None and pair(s, 0) > bound:
         return out
@@ -184,24 +180,23 @@ def _recorded(step, log):
 
 
 @contextmanager
-def _registered(steps):
-    """Register test-only combinators for the duration of a test."""
-    COMBINATORS.update((cid, CombinatorDef(cid, step))
-                       for cid, step in steps.items())
+def _registered(cid, step, like):
+    """Register a test-only combinator for the duration of a test, its
+    arguments read as the production combinator ``like`` reads them."""
+    COMBINATORS[cid] = replace(COMBINATORS[like], cid=cid, step=step)
     try:
         yield
     finally:
-        for cid in steps:
-            del COMBINATORS[cid]
+        del COMBINATORS[cid]
 
 
-def _run(cid, step, a, params, bound):
+def _run(cid, step, like, a, params, bound):
     """Per stage: what the step returned, whether it closed, and the
     ticks of the call that advanced its cell to that stage."""
     log, ticks = [], []
     ev = Evaluator()
     term = Combinator(cid, (a,), params)
-    with _registered({cid: _recorded(step, log)}):
+    with _registered(cid, _recorded(step, log), like):
         for s in range(S + 1):
             if bound is None:
                 ev.approx(term, s)
@@ -241,8 +236,8 @@ def test_a_step_matches_its_per_element_formula(cid, data):
     top = 10 ** 6 if params == (0,) else TOP.get(cid, 10 ** 6)
     a = data.draw(_arguments(top))
     bound = data.draw(st.none() | st.integers(0, 300))
-    want = _run("ref", REFERENCES[cid], a, params, bound)
-    got = _run("real", COMBINATORS[cid].step, a, params, bound)
+    want = _run("ref", REFERENCES[cid], cid, a, params, bound)
+    got = _run("real", COMBINATORS[cid].step, cid, a, params, bound)
     assert got == want
 
 

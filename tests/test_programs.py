@@ -11,8 +11,8 @@ from celab.pairing import pair
 from celab.numbering import decode as program_from_code, encode as program_code
 from celab.orders import rational_from_code
 from celab.programs import (COMBINATORS, BudgetExceeded, Combinator,
-                            Evaluator, FullColumnOf, Indexed, arg_closed,
-                            columns_of, script)
+                            Evaluator, FullColumnOf, Indexed, columns_of,
+                            script)
 
 entries = st.lists(
     st.tuples(st.integers(min_value=0, max_value=8),
@@ -106,9 +106,11 @@ def test_the_budget_stops_a_median_fill_before_it_is_built():
     a = script([(0, {0}), (1, {10 ** 5}), (2, {1})])
     step, state = COMBINATORS["median_multiples"].step, {}
     ev = Evaluator(budget=1000)
+    ev.approx(a, 0)  # makes the argument's cell, for the step to read
+    args = (ev.cell_of(a),)
     with pytest.raises(BudgetExceeded):
         for s in range(3):
-            step(ev, (a,), (), s, state)
+            step(ev, args, (), s, state)
     assert state["filled"] == 3
 
 
@@ -169,6 +171,14 @@ def test_bounded_steps_grow_linearly_with_the_stage(cid):
     assert _upto_ticks(term, 400, 64) / _upto_ticks(term, 200, 64) <= 2.3
 
 
+def cell_closed(ev, term, s, bound=None, below=None):
+    """Whether ev's cell of term under bound reads as closed at stage s,
+    below its bound or below ``below``; False while ev has no such
+    cell."""
+    cell = ev.cell_of(term, bound)
+    return cell is not None and cell.closed(s, below)
+
+
 def assert_cells_distinct(ev):
     """Every cell of ev holds each element once: a step returns only
     elements it has not returned before, and the evaluator appends them
@@ -216,7 +226,7 @@ def test_closed_cells_cost_nothing(term):
     for t in (term, Indexed(program_code(term))):
         ev = Evaluator()
         ev.upto(t, 200, 21)
-        assert arg_closed(ev, {}, t, 200, 21)
+        assert cell_closed(ev, t, 200, 21)
         window = ev.upto(t, 2000, 21)
         assert ev._steps == 0
         # a closed cell stores nothing per later stage
@@ -232,7 +242,7 @@ def test_a_triadic_cut_closes_at_its_limit_without_entering_it():
     term = Combinator("triadic_cut", (CLOSING_ARGUMENTS["cofinite-from-0"],))
     ev = Evaluator()
     assert 3 not in ev.upto(term, 300, 21) | ev.approx(term, 300)
-    assert arg_closed(ev, {}, term, 300, 21)
+    assert cell_closed(ev, term, 300, 21)
 
 
 @pytest.mark.parametrize("cid", sorted(CLOSING))
@@ -285,11 +295,11 @@ def test_a_floor_tells_what_can_still_enter(name):
         # next candidate the descriptor is tested on
         floor = pair(1, s + 1) if name == "fullcolumn" else \
             s - a.params[1] + 1
-        assert arg_closed(lockstep, {}, a, s, below=floor - 1)
-        assert not arg_closed(lockstep, {}, a, s, below=floor)
+        assert cell_closed(lockstep, a, s, below=floor - 1)
+        assert not cell_closed(lockstep, a, s, below=floor)
         nxt = min(ahead.approx(a, 200) - ahead.approx(a, s))
-        assert arg_closed(ahead, {}, a, s, below=nxt - 1)
-        assert not arg_closed(ahead, {}, a, s, below=nxt)
+        assert cell_closed(ahead, a, s, below=nxt - 1)
+        assert not cell_closed(ahead, a, s, below=nxt)
 
 
 @pytest.mark.parametrize("name", ["fullcolumn", "cofinite"])

@@ -4,7 +4,10 @@
 dict per term from element to first stage, with its elements listed in
 entry order, every approximation the prefix of that list entered by its
 stage, ``fresh`` and ``Indexed`` the elements entered at the stage, and
-a bound applied by filtering them.  It fails on an element a step
+a bound applied by filtering them.  It hands each step one handle per
+argument the step reads, made once per cell: a handle reads its term
+whole through the reference's ``fresh``, never reads as closed and has
+no floor.  It fails on an element a step
 returns twice, within a stage or at a later one, and every cell of the
 incremental evaluator must hold each element once.  Both
 evaluators run the same registered steps, so they must agree on every
@@ -17,6 +20,8 @@ evaluator closes too early shows as a missing element.  A state machine
 at the end asks one long-lived evaluator everything in any order.
 """
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -28,12 +33,37 @@ from celab.descriptors import (CHUNK, Cofinite, ColumnsBySet, DyadicBlocks,
 from celab.nce import nce_stage_value
 from celab.numbering import decode, encode
 from celab.pairing import pair
-from celab.programs import (COMBINATORS, DEFAULT_BUDGET, BudgetExceeded,
-                            Combinator, CombinatorDef, Evaluator,
-                            FullColumnOf, Indexed, Script, arg_closed, script)
-from test_programs import CLOSING_ARGUMENTS, assert_cells_distinct
+from celab.programs import (COMBINATORS, DEFAULT_BUDGET, EMPTY,
+                            BudgetExceeded, Combinator, CombinatorDef,
+                            Evaluator, FullColumnOf, Indexed, Script, script)
+from test_programs import (CLOSING_ARGUMENTS, assert_cells_distinct,
+                           cell_closed)
 
 S = 24
+
+
+@dataclass(frozen=True)
+class Handle:
+    """An argument as the reference hands it to a step."""
+
+    term: object
+
+    def closed(self, s, below=None):
+        return False
+
+    def floor(self):
+        return None
+
+
+def _handles(term):
+    """One handle per argument the term's step reads: the first
+    ``reads`` of them (all, reads None), a missing one ``EMPTY``."""
+    cdef = COMBINATORS.get(term.cid)
+    if cdef is None:
+        return ()
+    n = len(term.args) if cdef.reads is None else cdef.reads
+    return tuple(map(Handle, (*term.args, *(EMPTY,) * n)[:n]))
+
 
 
 class ReferenceEvaluator:
@@ -60,7 +90,10 @@ class ReferenceEvaluator:
             cdef = COMBINATORS.get(term.cid)
             if cdef is None:
                 return ()
-            return cdef.step(self, term.args, term.params, s, cell["state"])
+            if "args" not in cell:
+                cell["args"] = _handles(term)
+            return cdef.step(self, cell["args"], term.params, s,
+                             cell["state"])
         if "inner" not in cell["state"]:
             cell["state"]["inner"] = decode(term.code)
         return self.fresh(cell["state"]["inner"], s)
@@ -114,10 +147,8 @@ class ReferenceEvaluator:
             return frozenset(new)
         return frozenset(x for x in new if x <= bound)
 
-    def cell_of(self, term, bound=None):
-        # no cell a step could find closed: the reference steps every
-        # cell at every stage
-        return None
+    def read(self, handle, s):
+        return self.fresh(handle.term, s)
 
 
 def assert_agree(term, stages=S):
@@ -260,7 +291,7 @@ def _step_uneven(ev, args, params, s, state, bound=None):
 def test_uneven_stages_of_new_elements_join_as_the_reference_does(
         monkeypatch, bound):
     monkeypatch.setitem(COMBINATORS, "uneven",
-                        CombinatorDef("uneven", _step_uneven))
+                        CombinatorDef("uneven", _step_uneven, reads=0))
     term = Combinator("uneven")
     assert_agree(term)
     if bound is not None:
@@ -360,7 +391,7 @@ class SharedEvaluatorMachine(RuleBasedStateMachine):
     @rule(term=terms, s=stages, bound=st.none() | bounds,
           below=st.none() | bounds)
     def closed(self, term, s, bound, below):
-        if not arg_closed(self.ev, {}, term, s, bound, below):
+        if not cell_closed(self.ev, term, s, bound, below):
             return
         # nothing new after s, or nothing new <= every limit given
         limits = [b for b in (bound, below) if b is not None]
