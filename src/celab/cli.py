@@ -152,9 +152,15 @@ def cmd_verify(args) -> int:
                 f" {red.source!r} of {red.name}")
     else:
         _check_size(args.size)
-    report = verify_reduction(
-        args.reduction, corpus=corpus, seed=args.seed, size=args.size,
-        budget=args.budget, window=args.window)
+    try:
+        report = verify_reduction(
+            args.reduction, corpus=corpus, seed=args.seed, size=args.size,
+            budget=args.budget, window=args.window)
+    except OverflowError:
+        # an element can pass the source relation's check and still be
+        # too large for the target's analysis
+        raise InputError("bad corpus file: an element too large to"
+                         " analyse")
     _write(report.to_bytes().decode() + "\n", args.out)
     return exit_code(report)
 

@@ -22,11 +22,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import count
 from typing import Optional, Tuple, Union as TUnion
 
 from .pairing import pair, unpair, seq_encode, seq_decode
 from .programs import (
-    Combinator, close, columns_of, param, register_combinator, script,
+    Combinator, columns_of, param, register_combinator, script,
 )
 
 # Block shapes whose total extent exceeds this are kept symbolic.
@@ -955,38 +956,43 @@ def _finite_top(d: Descriptor) -> Optional[int]:
 CHUNK = 256
 
 
-def _step_from_descriptor(ev, args, params, s, state, bound=None):
-    d = state.get("descriptor")
-    if d is None:
-        d = decode_descriptor(param(params, 0))
-        state["descriptor"] = d
-        delay = state["delay"] = param(params, 1)
-        top = _finite_top(d)
-        state["last"] = min(math.inf if bound is None else bound,
-                            math.inf if top is None else top)
-        # stage t tests t - delay, and later stages larger candidates
-        state["floor"] = lambda t: t - delay + 1
-        state["chunk"] = (0, 0, 0)
-    x = s - state["delay"]
+def _stages_from_descriptor(ev, args, params, bound=None):
+    """Stage s tests the candidate s - delay, the descriptor and the
+    delay being the term's two parameters."""
+    d = decode_descriptor(param(params, 0))
+    top = _finite_top(d)
     # candidates rise with the stage: past the largest element none
     # would pass, and past the bound (at or past last) none is tested
-    if x >= state["last"]:
-        close(state)
-        if bound is not None and x > bound:
+    last = min(math.inf if bound is None else bound,
+               math.inf if top is None else top)
+    for x in range(-param(params, 1), 0):
+        if x >= last:
             return ()
-    if x < 0:
+        yield ()
+    if bound is not None and bound < 0:
         return ()
-    ev.tick()
+    tick = ev.tick
     # bit i of bits answers candidate lo + i, for lo <= x < hi
-    lo, bits, hi = state["chunk"]
-    if x >= hi:
-        lo, hi = x, min(x + CHUNK, state["last"] + 1)
-        bits = members(d, lo, hi)
-        state["chunk"] = (lo, bits, hi)
-    return (x,) if bits >> x - lo & 1 else ()
+    lo = bits = hi = 0
+    for x in count():
+        tick()
+        if x >= hi:
+            lo, hi = x, min(x + CHUNK, last + 1)
+            bits = members(d, lo, hi)
+        new = (x,) if bits >> x - lo & 1 else ()
+        if x >= last:
+            return new
+        yield new
 
 
-register_combinator("from_descriptor", _step_from_descriptor, reads=0)
+def _descriptor_floor(params):
+    """Stage t tests t - delay, and later stages larger candidates."""
+    delay = param(params, 1)
+    return lambda t: t - delay + 1
+
+
+register_combinator("from_descriptor", _stages_from_descriptor, reads=0,
+                    floor=_descriptor_floor)
 
 
 def compile_descriptor(d: Descriptor, delay: int = 0,

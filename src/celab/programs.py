@@ -14,7 +14,7 @@ Evaluation is stage-by-stage and incremental.  For every term the
 evaluator keeps its elements in the order they first appeared, with the
 end of each stage in that order, so ``approx(P, s)`` is monotone in
 ``s`` by construction and re-evaluation is cheap.  A cell appends what
-its step returns, only elements new to it.  ``fresh(P, s)`` gives the
+its step gives at each stage, only elements new to it.  ``fresh(P, s)`` gives the
 elements that first appear at stage ``s``; constructions react to those
 instead of rescanning their whole argument at every stage (semi-naive
 evaluation: fire only on new facts).  A budget on primitive steps turns
@@ -22,21 +22,25 @@ runaway simulations into a ``BudgetExceeded`` error instead of a hang.
 
 The evaluator keeps one cell per (term, bound), the bound None for an
 unbounded one, and an ``(indexed n)`` reads the cell of the term that n
-decodes to.  Every term kind has a step of one signature (a ``Script``
-and ``FullColumnOf`` too), and a cell resolves its term's step when it
-is made, so advancing a cell a stage is one call of its step.  A
-combinator's cell is made with the cells of the arguments its step
-reads, each under the bound its construction declares, and its step is
-handed those cells: it reads an argument's new elements with
-``ev.read(cell, s)``, which advances that cell in place, so no query
-looks a term up past the cell it asks for.  A caller that reads a
-program only on ``[0, bound]`` asks ``upto(P, s, bound)``, and the
-bound is pushed down through the term (the demand, or "magic sets",
-transformation of Datalog), once, when the cells are made: a
+decodes to.  A cell holds a generator of its term's stages, made when
+the cell is made (a ``Script``'s, a ``FullColumnOf``'s and a
+construction's alike), and advancing a cell a stage resumes it once:
+the generator yields the elements new at each stage and keeps its
+running state in its own local variables.  A combinator's cell is made
+with the cells of the arguments its step reads, each under the bound
+its construction declares, and its generator is handed those cells: it
+reads an argument's new elements with ``ev.read(cell, s)``, which
+advances that cell in place, so no query looks a term up past the cell
+it asks for.  What a generator is handed as ``ev`` is the evaluator's
+budget meter, never the evaluator itself, so no evaluator lies on a
+reference cycle and each is freed as soon as it is dropped.  A caller
+that reads a program only on ``[0, bound]`` asks ``upto(P, s, bound)``,
+and the bound is pushed down through the term (the demand, or "magic
+sets", transformation of Datalog), once, when the cells are made: a
 construction declares the bound under which it reads its arguments, so
 constructions stop computing what the caller cannot see.  Every step is
 handed the bound of its cell and may ignore it, because the evaluator
-drops what a step returns above it; a step must never miss an element
+drops what a step gives above it; a step must never miss an element
 ``<= bound``.  A construction that needs all of its argument reads it
 unbounded.
 
@@ -44,19 +48,21 @@ A cell that can gain nothing more is *closed*: from the stage it closes
 at, no later stage can give it an element that is new and ``<= bound``
 (any new element, for an unbounded cell).  The evaluator answers for a
 closed cell at any later stage from what it holds at the stage it
-closed at: it calls no step, charges no step and stores nothing per
-later stage, so a query past the point where its demand is met, such
-as the harness's stability re-check, costs the same at stage 10^10 as
-at the next stage.  Once the demanded part of a fixpoint is complete,
-evaluation stops.  A ``Script`` closes at its last entry stage,
-``FullColumnOf`` once its rows reach the bound, and a construction when
-its step calls ``close(state)``.
+closed at: it resumes no generator, charges no step and stores nothing
+per later stage, so a query past the point where its demand is met,
+such as the harness's stability re-check, costs the same at stage
+10^10 as at the next stage.  Once the demanded part of a fixpoint is
+complete, evaluation stops.  A generator closes its cell by returning,
+instead of yielding, the elements of its last stage: a ``Script``'s at
+its last entry stage, ``FullColumnOf``'s once its rows reach the bound,
+and a construction's when its step knows no later stage can add one.
 
 A term whose elements rise with the stage also reports a *floor*: the
-least element a stage after a given one can still add.  A reader that
-needs only the elements below some threshold, such as a saturation
-past its bound, then learns that the unbounded cell it reads can give
-it nothing more, though that cell never closes.
+least element a stage after a given one can still add, declared when
+its cell is made (``FullColumnOf`` and the constructions that register
+one).  A reader that needs only the elements below some threshold, such
+as a saturation past its bound, then learns that the unbounded cell it
+reads can give it nothing more, though that cell never closes.
 """
 
 from __future__ import annotations
@@ -65,7 +71,8 @@ import math
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from itertools import count
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .pairing import pair, unpair
 
@@ -165,14 +172,16 @@ EMPTY = Script(())
 class CombinatorDef:
     """A registered construction.
 
-    ``step(ev, args, params, s, state, bound=None)`` is called once per
-    stage, in order, for the cell of its term under bound (None:
-    unbounded), and returns the elements entering that cell at stage
-    ``s`` as a list, tuple or set: distinct elements, none returned at an
-    earlier stage, with or without a bound, which the evaluator appends
-    to the cell unchecked.  The cell looks the step up in
-    ``COMBINATORS`` once, when it is made, and the evaluator's stage
-    loop then calls it directly.
+    ``step(ev, args, params, bound=None)`` is called once, when the
+    cell of its term under bound (None: unbounded) is made, and returns
+    a generator of that cell's stages: its n-th value holds the elements
+    entering the cell at stage n, as a list, tuple, range or set of
+    distinct elements, none given at an earlier stage, with or without
+    a bound, which the evaluator appends to the cell unchecked.  The
+    evaluator resumes it once per stage, in order, so it keeps its
+    running state, the stage included, in local variables.  ``ev`` is
+    the evaluator's budget meter, not the evaluator: a step reads and
+    ticks through it.
 
     ``args`` are the cells of the first ``reads`` arguments of the term
     (all of them, ``reads`` None), a missing one the cell of ``EMPTY``,
@@ -181,97 +190,99 @@ class CombinatorDef:
     term's further arguments get no cell.  A step reads argument cell
     ``a``'s new elements at stage s with ``ev.read(a, s)``, and may read
     it only at stages <= s.  It keeps what it needs of earlier elements
-    in ``state``, rather than rescan the argument at every stage.  The
-    evaluator charges one step per stage and one per element returned; a
-    step charges ``ev.tick()`` for its own further work, once per stage
-    or once per new element it handles, never per element rescanned.
+    rather than rescan the argument at every stage.  The evaluator
+    charges one step per stage and one per element given; a step charges
+    ``ev.tick()`` for its own further work, once per stage or once per
+    new element it handles, never per element rescanned.
 
     A step may ignore the bound, because the evaluator drops what it
-    returns above the bound: under a bound b it must return every
-    element <= b that the unbounded step returns, in the same order, and
-    may return more above b, each new too.  A construction whose step
-    uses the bound declares a ``reach`` that keeps every argument
-    element an output <= b can come from, and its step stops generators
-    whose next output lies past b.  One that needs all of its argument
-    declares none.
+    gives above the bound: under a bound b it must give every element
+    <= b that the unbounded step gives, in the same order, and may give
+    more above b, each new too.  A construction whose step uses the
+    bound declares a ``reach`` that keeps every argument element an
+    output <= b can come from, and its step stops generators whose next
+    output lies past b.  One that needs all of its argument declares
+    none.
 
     A step that knows no later stage can give a new element ``<= b``
-    (any new element, unbounded) calls ``close(state)``, which sets the
-    reserved state key ``"closed"``; the evaluator then calls it no
-    more.  It may close only after it has read every argument to stage
-    s, and it learns that argument cell ``a`` can give nothing new after
-    stage s and ``<=`` its bound (nothing new, unbounded) from
-    ``a.closed(s)``, or nothing new ``<= below`` from
-    ``a.closed(s, below)``.
+    (any new element, unbounded) closes its cell by returning its last
+    stage's elements instead of yielding them; the evaluator stores
+    them and resumes it no more.  It may close only after it has read
+    every argument to that stage s, and it learns that argument cell
+    ``a`` can give nothing new after stage s and ``<=`` its bound
+    (nothing new, unbounded) from ``a.closed(s)``, or nothing new
+    ``<= below`` from ``a.closed(s, below)``.
 
-    A step whose elements rise with the stage may set, once, the
-    reserved state key ``"floor"`` to a function of the stage t: the
-    least element that a stage after t can still add.  A cell without
-    one never closes for a reader before its step closes it.
+    A construction whose elements rise with the stage may declare a
+    ``floor``: given the term's parameters, when its cell is made, it
+    gives a function of the stage t, the least element that a stage
+    after t can still add.  A cell without one never closes for a reader
+    before its step closes it.
     """
 
     cid: str
     step: Callable
     reads: Optional[int] = 1  # None: all of the term's arguments
     reach: Optional[Callable] = None  # cell bound -> argument bound
+    floor: Optional[Callable] = None  # params -> (stage -> least element)
 
 
 COMBINATORS: dict = {}
 
 
 def register_combinator(cid: str, step: Callable, reads: Optional[int] = 1,
-                        reach: Optional[Callable] = None) -> None:
+                        reach: Optional[Callable] = None,
+                        floor: Optional[Callable] = None) -> None:
     if cid in COMBINATORS:
         if COMBINATORS[cid].step is step:
             return  # idempotent re-registration
         raise ValueError(f"combinator {cid!r} already registered")
-    COMBINATORS[cid] = CombinatorDef(cid, step, reads, reach)
-
-
-def close(state: dict) -> None:
-    """Declare, from a step, that its cell is closed after this stage."""
-    state["closed"] = True
+    COMBINATORS[cid] = CombinatorDef(cid, step, reads, reach, floor)
 
 
 def param(params: tuple, i: int, default: int = 0) -> int:
     return params[i] if 0 <= i < len(params) else default
 
 
-def _step_script(ev, entries: dict, last: int, s: int, state: dict,
-                 bound: Optional[int] = None):
-    """A ``Script``'s step: ``entries`` maps each entry stage to its
-    elements, and ``last`` is the last entry stage (-1: none)."""
-    if s >= last:
-        close(state)
-    return entries.get(s, ())
+def _script_stages(entries: tuple):
+    """A ``Script``'s stages: the elements of each entry stage, closing
+    at the last one (at stage 0, with none, for no entries)."""
+    at = dict(entries)
+    last = entries[-1][0] if entries else 0
+    for s in range(last):
+        yield at.get(s, ())
+    return at.get(last, ())
 
 
-def _step_full_column(ev, c: int, params, s: int, state: dict,
-                      bound: Optional[int] = None):
-    """``FullColumnOf(c)``'s step: row s of column c."""
-    x = pair(c, s)
-    # rows rise with the stage: once one reaches the bound, no later
-    # one is <= it
-    if bound is not None and x >= bound:
-        close(state)
-    return (x,)
+def _column_stages(c: int, bound: Optional[int]):
+    """``FullColumnOf(c)``'s stages: row s of column c at stage s."""
+    for s in count():
+        x = pair(c, s)
+        # rows rise with the stage: once one reaches the bound, no later
+        # one is <= it
+        if bound is not None and x >= bound:
+            return (x,)
+        yield (x,)
 
 
-def _step_nothing(ev, args, params, s, state, bound=None):
-    """The step of a combinator id that names no construction, such as
-    a retired one."""
-    return ()
+def _no_stages():
+    """The stages of a combinator id that names no construction, such
+    as a retired one: nothing, at every stage."""
+    while True:
+        yield ()
+
+
+# the stages of a closed cell: resuming it stops at once
+_CLOSED = iter(())
 
 
 @dataclass
 class _Cell:
-    # the term's step and what it is called with, resolved when the
-    # cell is made: step(ev, args, params, t, state, bound)
-    step: Callable
-    args: object
-    params: object
+    stages: Iterator  # the generator of its term's stages
     bound: Optional[int]
-    state: dict = field(default_factory=dict)
+    # t -> the least element a stage after t can add, for a term whose
+    # elements rise with the stage
+    floor_at: Optional[Callable] = None
     order: list = field(default_factory=list)  # elements in entry order
     ends: list = field(default_factory=list)   # order[:ends[t]]: stage t
     # no element enters from this stage on: the last entry stage once
@@ -310,14 +321,75 @@ class _Cell:
 
     def floor(self) -> Optional[int]:
         """The least element a stage past the last one the cell reached
-        can add, or None when its step reports no floor."""
-        floor = self.state.get("floor")
-        return None if floor is None else floor(len(self.ends) - 1)
+        can add, or None when its term declares no floor."""
+        floor_at = self.floor_at
+        return None if floor_at is None else floor_at(len(self.ends) - 1)
 
 
 def step_budget() -> int:
     """``CELAB_STEP_BUDGET`` when set, else DEFAULT_BUDGET."""
     return int(os.environ.get("CELAB_STEP_BUDGET", DEFAULT_BUDGET))
+
+
+class _Meter:
+    """An evaluator's step count against its budget, and the stage loop
+    that advances its cells: all that the generators of its cells hold
+    of it, so that no evaluator is part of a reference cycle."""
+
+    __slots__ = ("steps", "budget")
+
+    def __init__(self, budget: int):
+        self.steps = 0
+        self.budget = budget
+
+    def tick(self, n: int = 1) -> None:
+        """Charge n primitive steps against the current top-level call."""
+        self.steps += n
+        if self.steps > self.budget:
+            raise BudgetExceeded(
+                f"exceeded {self.budget} primitive steps"
+            )
+
+    def advance(self, cell: _Cell, s: int) -> None:
+        """Step the cell through stage s: one resumption of its
+        generator a stage."""
+        order, ends, stages = cell.order, cell.ends, cell.stages
+        bound = cell.bound
+        while len(ends) <= s:
+            try:
+                elems = next(stages)
+            except StopIteration as stop:
+                if stages is _CLOSED:
+                    # its step closed the cell at its last stage: the
+                    # ends stop there, and nothing enters from its last
+                    # entry on
+                    cell.settled = bisect_left(ends, len(order))
+                    break
+                # the step closed the cell with this stage's elements
+                stages = cell.stages = _CLOSED
+                elems = stop.value
+            # one step for the stage, one per element given
+            self.steps += 1 + len(elems)
+            if self.steps > self.budget:
+                self.tick(0)  # raises BudgetExceeded
+            if bound is None:
+                order.extend(elems)
+            else:
+                for x in elems:
+                    if x <= bound:
+                        order.append(x)
+            ends.append(len(order))
+
+    def read(self, cell: _Cell, s: int) -> list:
+        """The elements that entered cell at stage s, in entry order, as
+        a new list: how a step reads an argument cell it was handed.
+        It advances the cell through s in place."""
+        self.advance(cell, s)
+        ends = cell.ends
+        try:
+            return cell.order[ends[s - 1] if s else 0:ends[s]]
+        except IndexError:
+            return []  # the cell closed before stage s
 
 
 class Evaluator:
@@ -328,33 +400,39 @@ class Evaluator:
     threads.  The budget bounds the steps of each top-level call of
     ``approx``, ``upto``, ``fresh`` or ``entry_stage``, nested calls
     included.  A tick counts one stage of a cell, one element a step
-    returns, and whatever further work its step charges.
+    gives, and whatever further work its step charges.
 
     A top-level call that raises, as when the budget runs out, leaves no
-    cell behind: a step may have taken its arguments' new elements into
-    its state and raised before its own were stored, so the call drops
-    every cell and the next one starts from an empty cache.  Only the
-    terms decoded from program codes stay.
+    cell behind: a generator that raised can never be resumed, and one
+    may have taken its arguments' new elements into its state before its
+    own were stored, so the call drops every cell and the next one
+    starts from an empty cache.  Only the terms decoded from program
+    codes stay.
     """
 
     def __init__(self, budget: Optional[int] = None):
         if budget is None:
             budget = step_budget()
-        self.budget = budget
+        self._meter = _Meter(budget)
         # (term, bound) -> the cell of its elements <= bound (all of
         # them, bound None); never keyed by an Indexed term
         self._cells: dict = {}
         self._decoded: dict = {}  # program code -> the term it decodes to
-        self._steps = 0
         self._depth = 0
 
-    def tick(self, n: int = 1) -> None:
-        """Charge n primitive steps against the current top-level call."""
-        self._steps += n
-        if self._steps > self.budget:
-            raise BudgetExceeded(
-                f"exceeded {self.budget} primitive steps"
-            )
+    @property
+    def budget(self) -> int:
+        return self._meter.budget
+
+    @budget.setter
+    def budget(self, budget: int) -> None:
+        self._meter.budget = budget
+
+    @property
+    def _steps(self) -> int:
+        """The steps charged so far by the current top-level call, or by
+        the last one once it has returned."""
+        return self._meter.steps
 
     def _decoded_term(self, term: Term) -> Term:
         """The term an ``(indexed n)`` stands for, through any chain of
@@ -378,59 +456,34 @@ class Evaluator:
         return cell
 
     def _new_cell(self, term: Term, bound: Optional[int]) -> _Cell:
-        """An empty cell for term under bound, its step resolved and a
-        combinator's argument cells bound.  A combinator's step is looked
-        up in ``COMBINATORS`` now, not at import, so a step registered or
-        wrapped later is the one called."""
+        """An empty cell for term under bound, the generator of its
+        stages made and a combinator's argument cells bound.  A
+        combinator's step is looked up in ``COMBINATORS`` now, not at
+        import, so a step registered or wrapped later is the one
+        called."""
         if isinstance(term, Combinator):
             cdef = COMBINATORS.get(term.cid)
             if cdef is None:
-                return _Cell(_step_nothing, (), term.params, bound)
+                return _Cell(_no_stages(), bound)
             reads = len(term.args) if cdef.reads is None else cdef.reads
             reach = (None if bound is None or cdef.reach is None
                      else cdef.reach(bound))
             # a missing argument reads as the empty program
             args = (*term.args[:reads],
                     *(EMPTY,) * (reads - len(term.args)))
-            return _Cell(cdef.step,
-                         tuple(self._cell(a, reach) for a in args),
-                         term.params, bound)
+            args = tuple(self._cell(a, reach) for a in args)
+            return _Cell(cdef.step(self._meter, args, term.params, bound),
+                         bound,
+                         None if cdef.floor is None
+                         else cdef.floor(term.params))
         if isinstance(term, Script):
-            entries = term.entries
-            return _Cell(_step_script, dict(entries),
-                         entries[-1][0] if entries else -1, bound)
+            return _Cell(_script_stages(term.entries), bound)
         if isinstance(term, FullColumnOf):
-            cell = _Cell(_step_full_column, term.c, (), bound)
-            # row t + 1 is the least a stage after t adds
             c = term.c
-            cell.state["floor"] = lambda t: pair(c, t + 1)
-            return cell
+            # row t + 1 is the least a stage after t adds
+            return _Cell(_column_stages(c, bound), bound,
+                         lambda t: pair(c, t + 1))
         raise TypeError(f"not a program term: {term!r}")
-
-    def _advance_cell(self, cell: _Cell, s: int) -> None:
-        """Step the cell through stage s: one call of its step a stage."""
-        state, order, ends = cell.state, cell.order, cell.ends
-        step, args, params = cell.step, cell.args, cell.params
-        bound = cell.bound
-        while len(ends) <= s:
-            if "closed" in state:
-                # its step closed the cell at its last stage: the ends
-                # stop there, and nothing enters from its last entry on
-                cell.settled = bisect_left(ends, len(order))
-                break
-            t = len(ends)
-            elems = step(self, args, params, t, state, bound)
-            # one step for the stage, one per element emitted
-            self._steps += 1 + len(elems)
-            if self._steps > self.budget:
-                self.tick(0)  # raises BudgetExceeded
-            if bound is None:
-                order.extend(elems)
-            else:
-                for x in elems:
-                    if x <= bound:
-                        order.append(x)
-            ends.append(len(order))
 
     def _run(self, term: Term, s: int,
              bound: Optional[int] = None) -> _Cell:
@@ -439,11 +492,11 @@ class Evaluator:
         fresh step count, and one that raises drops every cell."""
         top = self._depth == 0
         if top:
-            self._steps = 0
+            self._meter.steps = 0
         self._depth += 1
         try:
             cell = self._cell(term, bound)
-            self._advance_cell(cell, s)
+            self._meter.advance(cell, s)
             return cell
         except BaseException:
             if top:
@@ -476,18 +529,7 @@ class Evaluator:
         those <= bound when a bound is given."""
         if s < 0:
             return []
-        return self.read(self._run(term, s, bound), s)
-
-    def read(self, cell: _Cell, s: int) -> list:
-        """The elements that entered cell at stage s, in entry order, as
-        a new list: how a step reads an argument cell it was handed.
-        It advances the cell through s in place."""
-        self._advance_cell(cell, s)
-        ends = cell.ends
-        try:
-            return cell.order[ends[s - 1] if s else 0:ends[s]]
-        except IndexError:
-            return []  # the cell closed before stage s
+        return self._meter.read(self._run(term, s, bound), s)
 
     def cell_of(self, term: Term,
                 bound: Optional[int] = None) -> Optional[_Cell]:

@@ -18,8 +18,9 @@ import bisect
 import heapq
 import math
 from fractions import Fraction
+from itertools import count
 
-from ..programs import close, register_combinator, param
+from ..programs import register_combinator, param
 from ..descriptors import (
     Descriptor, Finite, Progression, EMPTY, FULL, analyze,
 )
@@ -39,160 +40,179 @@ def _fact(n: int) -> int:
 # combinator steps
 
 
-def _running_bounds(ev, a, s, state):
-    """(least, largest) element of the argument at stage s, or None
-    while it is empty."""
-    bounds = state.get("bounds")
-    new = ev.read(a, s)
-    if new:
-        lo, hi = min(new), max(new)
-        if bounds is not None:
-            lo, hi = min(lo, bounds[0]), max(hi, bounds[1])
-        bounds = state["bounds"] = (lo, hi)
-    return bounds
+def _widen(bounds, new):
+    """The (least, largest) element so far, given last stage's (None
+    while the argument was empty) and the argument's new elements."""
+    if not new:
+        return bounds
+    lo, hi = min(new), max(new)
+    if bounds is None:
+        return lo, hi
+    return min(lo, bounds[0]), max(hi, bounds[1])
 
 
-def _step_saturate_up(ev, args, params, s, state, bound=None):
+def _stages_saturate_up(ev, args, params, bound=None):
     """Enumerate [current minimum + offset, infinity), one new value per
     stage, extending downward whenever the minimum drops."""
     # high counts stages from the argument's first minimum, which can
     # lie past the bound, so the argument is read whole
     off = param(params, 0)
     a = args[0]
-    bounds = _running_bounds(ev, a, s, state)
-    if bounds is None:
-        if a.closed(s):
-            close(state)
-        return ()
-    ev.tick()
-    m = bounds[0] + off
-    out = []
-    low = state.get("low")
-    high = state.get("high")
-    if low is None:
-        low, high = m, m - 1
-    if m < low:
-        out.extend(range(m, low))
-        low = m
-    high += 1
-    out.append(high)
-    state["low"], state["high"] = low, high
-    # [low, high] is out; past the bound only a new minimum below
-    # low - off extends it downward
-    if (bound is not None and high >= bound
-            and a.closed(s, low - off - 1)):
-        close(state)
-    return out
+    read, tick = ev.read, ev.tick
+    least = low = high = None
+    for s in count():
+        new = read(a, s)
+        if new:
+            least = min(new) if least is None else min(least, min(new))
+        elif least is None:
+            if a.closed(s):
+                return ()
+            yield ()
+            continue
+        tick()
+        m = least + off
+        if low is None:
+            low, high = m, m - 1
+        if m < low:
+            out = [*range(m, low), high + 1]
+            low = m
+        else:
+            out = [high + 1]
+        high += 1
+        # [low, high] is out; past the bound only a new minimum below
+        # low - off extends it downward
+        if (bound is not None and high >= bound
+                and a.closed(s, low - off - 1)):
+            return out
+        yield out
 
 
-def _step_saturate_down(ev, args, params, s, state, bound=None):
+def _stages_saturate_down(ev, args, params, bound=None):
     """Enumerate [0, current maximum - trim], extending upward as the
     maximum grows."""
     # the maximum needs all of the argument; the output stops at the
     # bound
     a = args[0]
     trim = param(params, 0)
-    bounds = _running_bounds(ev, a, s, state)
-    if a.closed(s):
-        close(state)
-    if bounds is None:
-        return ()
-    ev.tick()
-    mx = bounds[1] - trim
-    if bound is not None:
-        mx = min(mx, bound)
-        if mx >= bound:
-            close(state)
-    filled = state.get("filled", -1)
-    if mx <= filled:
-        return ()
-    out = list(range(filled + 1, mx + 1))
-    state["filled"] = mx
-    return out
+    read, tick = ev.read, ev.tick
+    top, filled = None, -1
+    for s in count():
+        new = read(a, s)
+        if new:
+            top = max(new) if top is None else max(top, max(new))
+        done = a.closed(s)
+        out = ()
+        if top is not None:
+            tick()
+            mx = top - trim
+            if bound is not None:
+                mx = min(mx, bound)
+                if mx >= bound:
+                    done = True
+            if mx > filled:
+                out = range(filled + 1, mx + 1)
+                filled = mx
+        if done:
+            return out
+        yield out
 
 
-def _step_interval_hull(ev, args, params, s, state, bound=None):
+def _stages_interval_hull(ev, args, params, bound=None):
     """Enumerate [current minimum, current maximum].
 
     The minimum only falls and the maximum only rises, so each stage's
     interval contains the last one and only its new ends are emitted."""
     # the maximum needs all of the argument
     a = args[0]
-    bounds = _running_bounds(ev, a, s, state)
-    if a.closed(s):
-        close(state)
-    if bounds is None:
-        return ()
-    ev.tick()
-    lo, hi = bounds
-    # once hi reaches the bound, only a new minimum below lo can add an
-    # output <= b
-    if (bound is not None and hi >= bound
-            and a.closed(s, lo - 1)):
-        close(state)
-    done = state.get("done")  # the interval emitted so far
-    state["done"] = (lo, hi)
-    if done is None:
-        return list(range(lo, hi + 1))
-    return [*range(lo, done[0]), *range(done[1] + 1, hi + 1)]
+    read, tick = ev.read, ev.tick
+    bounds = done = None  # done: the interval emitted so far
+    for s in count():
+        bounds = _widen(bounds, read(a, s))
+        closed = a.closed(s)
+        out = ()
+        if bounds is not None:
+            tick()
+            lo, hi = bounds
+            # once hi reaches the bound, only a new minimum below lo can
+            # add an output <= b
+            if (bound is not None and hi >= bound
+                    and a.closed(s, lo - 1)):
+                closed = True
+            if done is None:
+                out = range(lo, hi + 1)
+            else:
+                out = [*range(lo, done[0]), *range(done[1] + 1, hi + 1)]
+            done = bounds
+        if closed:
+            return out
+        yield out
 
 
-def _step_factorials(side: int):
-    """A step that emits (m + 2)! whenever the running bound m changes:
-    the minimum for side 0, the maximum for side 1.
+def _factorial_stages(side: int):
+    """A step whose generator emits (m + 2)! whenever the running bound
+    m changes: the minimum for side 0, the maximum for side 1.
 
     It keeps its last factorial and reaches the next one by multiplying
     or dividing by the factors in between, charging one step per
     factor before it computes."""
-    def step(ev, args, params, s, state, bound=None):
+    def stages(ev, args, params, bound=None):
         a = args[0]
-        bounds = _running_bounds(ev, a, s, state)
-        if a.closed(s):
-            close(state)
-        if bounds is None:
-            return ()
-        ev.tick()
-        m = bounds[side]
-        last, fact = state.get("last", (-1, 1))  # (-1 + 2)! = 1
-        if last == m:
-            return ()
-        ev.tick(abs(m - last))
-        if m > last:
-            fact *= math.prod(range(last + 3, m + 3))
-        else:
-            fact //= math.prod(range(m + 3, last + 3))
-        state["last"] = m, fact
-        return (fact,)
-    return step
+        read, tick = ev.read, ev.tick
+        bounds, last, fact = None, -1, 1  # (-1 + 2)! = 1
+        for s in count():
+            bounds = _widen(bounds, read(a, s))
+            closed = a.closed(s)
+            out = ()
+            if bounds is not None:
+                tick()
+                m = bounds[side]
+                if last != m:
+                    tick(abs(m - last))
+                    if m > last:
+                        fact *= math.prod(range(last + 3, m + 3))
+                    else:
+                        fact //= math.prod(range(m + 3, last + 3))
+                    last = m
+                    out = (fact,)
+            if closed:
+                return out
+            yield out
+    return stages
 
 
-def _step_stage_gcds(ev, args, params, s, state, bound=None):
+def _stages_stage_gcds(ev, args, params, bound=None):
     """Emit the gcd of the stage approximation when it changes to a
     finite value: to a proper divisor, so a new value."""
-    ev.tick()
     a = args[0]
-    g = was = state.get("gcd", 0)
-    for x in ev.read(a, s):
-        g = math.gcd(g, x)
-    state["gcd"] = g
-    if a.closed(s):
-        close(state)
-    return () if g == was else (g,)  # g is 0 while the gcd is infinite
+    read, tick = ev.read, ev.tick
+    g = 0  # 0 while the gcd is infinite
+    for s in count():
+        tick()
+        was = g
+        for x in read(a, s):
+            g = math.gcd(g, x)
+        out = () if g == was else (g,)
+        if a.closed(s):
+            return out
+        yield out
 
 
-def _step_stage_lcms(ev, args, params, s, state, bound=None):
+def _stages_stage_lcms(ev, args, params, bound=None):
     """Emit the lcm of the positive stage elements (1 when none) at
     stage 0 and on a change: to a proper multiple, so a new value."""
-    ev.tick()
     a = args[0]
-    l = was = state.get("lcm", 1)
-    for x in ev.read(a, s):
-        if x > 0:
-            l = l * x // math.gcd(l, x)
-    state["lcm"] = l
-    if a.closed(s):
-        close(state)
-    return (l,) if s == 0 or l != was else ()
+    read, tick = ev.read, ev.tick
+    l = 1
+    for s in count():
+        tick()
+        was = l
+        for x in read(a, s):
+            if x > 0:
+                l = l * x // math.gcd(l, x)
+        out = (l,) if s == 0 or l != was else ()
+        if a.closed(s):
+            return out
+        yield out
 
 
 def _two_middle(sorted_elems):
@@ -200,7 +220,7 @@ def _two_middle(sorted_elems):
     return sorted_elems[(n - 1) // 2], sorted_elems[n // 2]
 
 
-def _step_median_multiples(ev, args, params, s, state, bound=None):
+def _stages_median_multiples(ev, args, params, bound=None):
     """Emit positive multiples of a step size derived from the current
     median; on every median change, fill everything up to the largest
     value emitted so far.
@@ -210,51 +230,49 @@ def _step_median_multiples(ev, args, params, s, state, bound=None):
     every value up to the old top is emitted, so the next fill scans
     only from there.
     """
-    elems = state.setdefault("sorted", [])
-    for x in ev.read(args[0], s):
-        bisect.insort(elems, x)
-    if not elems:
-        return ()
-    ev.tick()
-    mid = _two_middle(elems)
-    out = []
-    if state.get("mid") != mid:
-        state["mid"] = mid
-        state["fills"] = state.get("fills", 0) + 1
-        top = state.get("top", -1)
-        filled = state.get("filled", 0)
-        ev.tick(max(top + 1 - filled, 0))
-        done = state.setdefault("done", set())
-        out.extend(x for x in range(filled, top + 1) if x not in done)
-        done.update(out)
-        state["filled"] = top + 1
-        state["mult"] = 0
-    d = mid[0] + mid[1] + 2
-    state["mult"] = state.get("mult", 0) + 1
-    v = d * state["mult"]
-    done = state.setdefault("done", set())
-    if v not in done:
-        out.append(v)
-        done.add(v)
-    state["top"] = max(state.get("top", -1), max(out, default=-1))
-    return out
+    a = args[0]
+    read, tick = ev.read, ev.tick
+    elems, done = [], set()  # done: every value emitted
+    mid, top, filled, mult = None, -1, 0, 0
+    for s in count():
+        for x in read(a, s):
+            bisect.insort(elems, x)
+        out = []
+        if elems:
+            tick()
+            now = _two_middle(elems)
+            if now != mid:
+                mid = now
+                tick(max(top + 1 - filled, 0))
+                out.extend(x for x in range(filled, top + 1)
+                           if x not in done)
+                done.update(out)
+                filled = top + 1
+                mult = 0
+            mult += 1
+            v = (mid[0] + mid[1] + 2) * mult
+            if v not in done:
+                out.append(v)
+                done.add(v)
+            top = max(top, max(out, default=-1))
+        yield out
 
 
-def _codes_below(a, s, state, cut, bound, unreachable=None):
+def _codes_below(a, s, waiting, cut, bound, unreachable=None):
     """Rational codes <= s (and <= bound) whose rational lies below the
     fraction ``cut = (num, den)``, den > 0, each emitted at the first
-    stage it qualifies; ``cut`` None emits none.
+    stage it qualifies; ``cut`` None emits none.  Returns them, and
+    whether the cell closes at stage s.
 
-    The cut only rises, so the codes still waiting are kept in a heap
-    of ``CodeKey``s, ordered by their rationals, and leave it from the
-    small end: each code is looked up once, in the code-to-rational
-    table, instead of being rescanned at every stage, and every test is
-    an exact integer one.  Once every code <= bound has been pushed, the
-    cell closes when none waits or the argument, and with it the cut,
-    can change no more; or when ``unreachable(a, s, state, least)``
-    shows that the cut can never pass ``least``, the least waiting
-    code, and so none of them."""
-    waiting = state.setdefault("pend", [])  # heap of CodeKey
+    The cut only rises, so the codes still waiting are kept in the heap
+    ``waiting`` of ``CodeKey``s, ordered by their rationals, and leave
+    it from the small end: each code is looked up once, in the
+    code-to-rational table, instead of being rescanned at every stage,
+    and every test is an exact integer one.  Once every code <= bound
+    has been pushed, the cell closes when none waits or the argument,
+    and with it the cut, can change no more; or when
+    ``unreachable(least)`` shows that the cut can never pass ``least``,
+    the least waiting code, and so none of them."""
     if bound is None or s <= bound:
         heapq.heappush(waiting, CodeKey(s))
     out = []
@@ -262,27 +280,30 @@ def _codes_below(a, s, state, cut, bound, unreachable=None):
         num, den = cut
         while waiting and code_below(waiting[0].code, num, den):
             out.append(heapq.heappop(waiting).code)
-    if (bound is not None and s >= bound
-            and (not waiting or a.closed(s)
-                 or (unreachable is not None
-                     and unreachable(a, s, state, waiting[0])))):
-        close(state)
-    return out
+    return out, (bound is not None and s >= bound
+                 and (not waiting or a.closed(s)
+                      or (unreachable is not None
+                          and unreachable(waiting[0]))))
 
 
-def _step_rational_cut(ev, args, params, s, state, bound=None):
+def _stages_rational_cut(ev, args, params, bound=None):
     """Enumerate rational codes q with q < (current maximum) - 1."""
     a = args[0]
-    bounds = _running_bounds(ev, a, s, state)
-    cut = None
-    if bounds is not None:
-        ev.tick()
-        if bounds[1] > 0:  # the cut of {0} is empty; until then codes wait
-            cut = bounds[1] - 1, 1
-    return _codes_below(a, s, state, cut, bound)
+    read, tick = ev.read, ev.tick
+    bounds, waiting, cut = None, [], None
+    for s in count():
+        bounds = _widen(bounds, read(a, s))
+        if bounds is not None:
+            tick()
+            if bounds[1] > 0:  # the cut of {0} is empty; until then codes wait
+                cut = bounds[1] - 1, 1
+        out, closed = _codes_below(a, s, waiting, cut, bound)
+        if closed:
+            return out
+        yield out
 
 
-def _step_triadic_cut(ev, args, params, s, state, bound=None):
+def _stages_triadic_cut(ev, args, params, bound=None):
     """Enumerate rational codes q with q < sum of 3^-(n+1) over the
     stage approximation.
 
@@ -295,29 +316,39 @@ def _step_triadic_cut(ev, args, params, s, state, bound=None):
     to come are all >= f and add at most sum over n >= f of 3^-(n+1)
     = 3^-f / 2, so the limit of the sum stays at or below that rational
     and no waiting code can ever enter."""
-    ev.tick()
     a = args[0]
-    num, e, den = state.get("total", (0, 0, 1))  # the sum is num / den
-    for n in ev.read(a, s):
-        if n >= e:
-            scale = 3 ** (n + 1 - e)
-            num, e, den = num * scale, n + 1, den * scale
-        num += 3 ** (e - n - 1)
-    state["total"] = num, e, den
-    return _codes_below(a, s, state, (num, den), bound, _sum_cannot_reach)
+    read, tick = ev.read, ev.tick
+    waiting = []
+    num, e, den = 0, 0, 1  # the sum is num / den
+
+    def unreachable(least):
+        return _sum_cannot_reach(a, s, num, e, den, least)
+
+    for s in count():
+        tick()
+        for n in read(a, s):
+            if n >= e:
+                scale = 3 ** (n + 1 - e)
+                num, e, den = num * scale, n + 1, den * scale
+            num += 3 ** (e - n - 1)
+        out, closed = _codes_below(a, s, waiting, (num, den), bound,
+                                   unreachable)
+        if closed:
+            return out
+        yield out
 
 
-def _sum_cannot_reach(a, s, state, least):
-    """Whether the limit of the triadic sum stays <= the rational of the
-    CodeKey ``least``: the argument cell a reports a floor f, nothing
-    below f can enter it after stage s, and least >= sum + 3^-f / 2."""
+def _sum_cannot_reach(a, s, num, e, den, least):
+    """Whether the limit of the triadic sum num / den, den = 3^e, stays
+    <= the rational of the CodeKey ``least``: the argument cell a
+    reports a floor f, nothing below f can enter it after stage s, and
+    least >= sum + 3^-f / 2."""
     f = a.floor()
     if f is None:
         return False
     f = max(f, 0)  # elements are naturals
     if not a.closed(s, f - 1):
         return False
-    num, e, den = state["total"]
     # past e + the bit length of least.den the answer no longer changes
     # (least > sum by at least 1 / (least.den * 3^e), or least == sum),
     # so the power of 3 below stays small
@@ -328,16 +359,16 @@ def _sum_cannot_reach(a, s, state, least):
     return not code_below(least.code, 2 * num + 3 ** (e - f), 2 * den)
 
 
-register_combinator("saturate_up", _step_saturate_up)
-register_combinator("saturate_down", _step_saturate_down)
-register_combinator("interval_hull", _step_interval_hull)
-register_combinator("min_factorials", _step_factorials(0))
-register_combinator("max_factorials", _step_factorials(1))
-register_combinator("stage_gcds", _step_stage_gcds)
-register_combinator("stage_lcms", _step_stage_lcms)
-register_combinator("median_multiples", _step_median_multiples)
-register_combinator("rational_cut", _step_rational_cut)
-register_combinator("triadic_cut", _step_triadic_cut)
+register_combinator("saturate_up", _stages_saturate_up)
+register_combinator("saturate_down", _stages_saturate_down)
+register_combinator("interval_hull", _stages_interval_hull)
+register_combinator("min_factorials", _factorial_stages(0))
+register_combinator("max_factorials", _factorial_stages(1))
+register_combinator("stage_gcds", _stages_stage_gcds)
+register_combinator("stage_lcms", _stages_stage_lcms)
+register_combinator("median_multiples", _stages_median_multiples)
+register_combinator("rational_cut", _stages_rational_cut)
+register_combinator("triadic_cut", _stages_triadic_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -791,36 +822,53 @@ def _median_settle(payload, sa, M):
     return sa(ana.max() if ana.is_finite else M) + 2
 
 
+def _median_changes(ev, term, s):
+    """The stages <= s at which the two middle elements of term's
+    approximation change (from none, at the first nonempty one), and
+    their value at stage s: what ``median_multiples`` over term reacts
+    to, replayed from term's new elements."""
+    elems, changes, mid = [], [], None
+    for t in range(s + 1):
+        for x in ev.fresh(term, t):
+            bisect.insort(elems, x)
+        if elems and _two_middle(elems) != mid:
+            mid = _two_middle(elems)
+            changes.append(t)
+    return changes, mid
+
+
 def _validate_median_multiples(ev, built, payload, window, stage):
     issues = []
     key = analyze(payload).median_key()
     span = 50
     first = ev.approx(built.term, stage)
-    state = ev.cell_of(built.term).state
-    mult1 = state.get("mult", 0)
-    fills1 = state.get("fills", 0)
-    top1 = state.get("top", -1)
-    done1 = set(state.get("done", ()))
     second = ev.approx(built.term, stage + span)
     fresh = second - first
     if key[0] == "empty":
         if second:
             issues.append("image of the empty set is nonempty")
         return issues
+    # a median change starts a fill and the multiples afresh; every
+    # value emitted so far is in first
+    changes, mid = _median_changes(ev, built.term.args[0], stage + span)
+    fills1 = bisect.bisect_right(changes, stage)
     if key[0] == "inf":
-        if state.get("fills", 0) <= max(fills1, 1):
+        if len(changes) <= max(fills1, 1):
             issues.append("median of an infinite set stopped moving")
+        top1 = max(first, default=-1)
         if any(x not in second for x in range(top1 + 1)):
             issues.append("fills of an infinite-median image left gaps"
                           " below the running top")
         return issues
     xs = sorted(analyze(payload).elements())
-    if state.get("mid") != _two_middle(xs):
+    if mid != _two_middle(xs):
         issues.append("running median differs from the settled median")
-    if state.get("fills", 0) != fills1:
+    if len(changes) != fills1:
         issues.append("median changed after the settlement stage")
+    # the multiples emitted since the last change up to stage
+    mult1 = stage - changes[fills1 - 1] + 1 if fills1 else 0
     d = _med_step(key)
-    expected = {d * k for k in range(mult1 + 1, mult1 + span + 1)} - done1
+    expected = {d * k for k in range(mult1 + 1, mult1 + span + 1)} - first
     if fresh != expected:
         issues.append("settled image does not continue with consecutive"
                       " multiples of the median step")

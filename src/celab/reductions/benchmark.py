@@ -35,11 +35,11 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, mul
 
 from ..pairing import column, pair, pairs, row, unpair
-from ..programs import close, register_combinator, param
+from ..programs import register_combinator, param
 from ..descriptors import (
     ColumnsBySet, Columns, Difference, Finite, EMPTY, FULL,
     Descriptor, analyze, block_bounds, block_of, column_descriptor, member,
@@ -74,106 +74,123 @@ def _pair_width(m: int) -> int:
 # combinator steps
 
 
-def _run_lines(ev, a, s, state, bound, heads, lag) -> list:
+def _line_stages(ev, a, bound, heads, lag):
     """Emit every line's stage-s code in start order: last stage's plus
     its lag plus s, then start a line at each element x new in argument
     cell a, at code heads(new) with lag x + lag - s.  Drop the lines
     past the bound; close once none is left and the argument can start
     no more."""
-    new = ev.read(a, s)
-    cur, kept = state.get("lines") or ((), [])
-    ev.tick(len(cur) + len(new))
-    out = cur = [*map(add, cur, map(add, kept, repeat(s)))]
-    if new:
-        out += heads(new)
-        kept += map(add, new, repeat(lag - s))
-    # a C-level max spares the filter on the stages where no code passed
-    if bound is not None and out and max(out) > bound:
-        keep = [*map(bound.__ge__, out)]
-        cur, kept = [*compress(out, keep)], [*compress(kept, keep)]
-    state["lines"] = cur, kept
-    if not cur and a.closed(s):
-        close(state)
-    return out
+    read, tick = ev.read, ev.tick
+    cur, kept = (), []
+    for s in count():
+        new = read(a, s)
+        tick(len(cur) + len(new))
+        out = cur = [*map(add, cur, map(add, kept, repeat(s)))]
+        if new:
+            out += heads(new)
+            kept += map(add, new, repeat(lag - s))
+        # a C-level max spares the filter on the stages where no code
+        # passed
+        if bound is not None and out and max(out) > bound:
+            keep = [*map(bound.__ge__, out)]
+            cur, kept = [*compress(out, keep)], [*compress(kept, keep)]
+        if not cur and a.closed(s):
+            return out
+        yield out
 
 
-def _step_expand_columns(ev, args, params, s, state, bound=None):
+def _column_heads(cs):
+    return pairs(cs, repeat(0))
+
+
+def _row_heads(ks):
+    return pairs(repeat(0), ks)
+
+
+def _stages_expand_columns(ev, args, params, bound=None):
     """Element c of the argument grows the full column c, one row per
     stage from the stage c appeared."""
     # column c's next row rises with the stage: a column past the bound
     # is done.  <c, k+1> = <c, k> + c + k + 2: entered at stage t,
     # column c starts at <c, 0> and rises by c + 1 - t + s at stage s
-    return _run_lines(ev, args[0], s, state, bound,
-                      lambda cs: pairs(cs, repeat(0)), 1)
+    return _line_stages(ev, args[0], bound, _column_heads, 1)
 
 
-def _step_tail_columns(ev, args, params, s, state, bound=None):
+def _stages_tail_columns(ev, args, params, bound=None):
     """New element x contributes <c, x> for every column c <= x."""
     # <c, x> rises with c: the row stops at the bound
     a = args[0]
-    out = []
-    for x in ev.read(a, s):
-        # under a bound, the row runs to its first column past the
-        # bound: <c, x> <= b exactly when c + x <= _column_reach(b - x)
-        n = x + 1 if bound is None else min(
-            x + 1, _column_reach(bound - x) - x + 2)
-        ev.tick(n)
-        out += row(x, n)
-    if a.closed(s):
-        close(state)
-    return out
+    read, tick = ev.read, ev.tick
+    for s in count():
+        out = []
+        for x in read(a, s):
+            # under a bound, the row runs to its first column past the
+            # bound: <c, x> <= b exactly when c + x <= _column_reach(b - x)
+            n = x + 1 if bound is None else min(
+                x + 1, _column_reach(bound - x) - x + 2)
+            tick(n)
+            out += row(x, n)
+        if a.closed(s):
+            return out
+        yield out
 
 
-def _step_replicate_columns(ev, args, params, s, state, bound=None):
+def _stages_replicate_columns(ev, args, params, bound=None):
     """Every column of the output converges to the argument set."""
     # row k's next column rises with the stage: a row past the bound is
     # done.  <c+1, k> = <c, k> + c + k + 1: entered at stage t, row k
     # starts at <0, k> and rises by k - t + s at stage s
-    return _run_lines(ev, args[0], s, state, bound,
-                      lambda ks: pairs(repeat(0), ks), 0)
+    return _line_stages(ev, args[0], bound, _row_heads, 0)
 
 
-def _run_progressions(ev, a, s, state, starts: list) -> list:
+def _progression_stages(ev, a, starts_of):
     """Emit every progression's stage-s value in start order: last
-    stage's plus its step, or the first of a new (first, end, step) in
-    starts.  Each stops at the stage its rising value reaches its end;
-    close once none is left and the argument can start no more."""
-    cur, steps, stops, due = state.get("gens") or ((), [], [], math.inf)
-    ev.tick(len(cur) + len(starts))
-    cur = [*map(add, cur, steps)]
-    for first, end, step in starts:
-        stop = s - (first - end) // step  # the stage it reaches its end
-        if stop > s:
-            cur.append(first)
-            steps.append(step)
-            stops.append(stop)
-            due = min(due, stop)
-    # the stage the first one stops spares a check on every other stage
-    while due <= s:
-        i = stops.index(due)
-        del cur[i], steps[i], stops[i]
-        due = min(stops, default=math.inf)
-    state["gens"] = cur, steps, stops, due
-    if not cur and a.closed(s):
-        close(state)
-    return cur
+    stage's plus its step, or the first of each new (first, end, step)
+    that ``starts_of`` gives for the argument's new elements.  Each
+    stops at the stage its rising value reaches its end; close once
+    none is left and the argument can start no more."""
+    read, tick = ev.read, ev.tick
+    cur, steps, stops, due = (), [], [], math.inf
+    for s in count():
+        starts = starts_of(read(a, s))
+        tick(len(cur) + len(starts))
+        cur = [*map(add, cur, steps)]
+        for first, end, step in starts:
+            stop = s - (first - end) // step  # the stage it reaches its end
+            if stop > s:
+                cur.append(first)
+                steps.append(step)
+                stops.append(stop)
+                due = min(due, stop)
+        # the stage the first one stops spares a check on every other
+        # stage
+        while due <= s:
+            i = stops.index(due)
+            del cur[i], steps[i], stops[i]
+            due = min(stops, default=math.inf)
+        if not cur and a.closed(s):
+            return cur
+        yield cur
 
 
-def _step_block_union(ev, args, params, s, state, bound=None):
+def _stages_block_union(ev, args, params, bound=None):
     """Element n of the argument grows the n-th block, one value per
     stage, in increasing order."""
     # block n starts at or past n and its values rise: a block stops
     # at the bound
-    a = args[0]
     kind = "weight" if param(params, 0) == 1 else "dyadic"
-    starts = []
-    for n in ev.read(a, s):
-        lo, hi = block_bounds(kind, n)
-        starts.append((lo, hi if bound is None else min(hi, bound + 1), 1))
-    return _run_progressions(ev, a, s, state, starts)
+
+    def starts_of(new):
+        starts = []
+        for n in new:
+            lo, hi = block_bounds(kind, n)
+            starts.append((lo, hi if bound is None else min(hi, bound + 1),
+                           1))
+        return starts
+    return _progression_stages(ev, args[0], starts_of)
 
 
-def _step_scaled_blocks(ev, args, params, s, state, bound=None):
+def _stages_scaled_blocks(ev, args, params, bound=None):
     """Interleave the dyadic-block images of the argument's columns
     into geometrically thinning residue classes.
 
@@ -183,16 +200,17 @@ def _step_scaled_blocks(ev, args, params, s, state, bound=None):
     """
     # the image of <c, k> starts at 2^c - 1 + 2^(c+k+1) >= <c, k> and
     # rises: an image stops at the bound
-    a = args[0]
-    starts = []
-    for z in ev.read(a, s):
-        c, k = unpair(z)
-        step = 1 << (c + 1)
-        lo = (1 << c) - 1
-        hi = lo + (step << (k + 1))
-        starts.append((lo + (step << k), hi if bound is None
-                       else min(hi, bound + 1), step))
-    return _run_progressions(ev, a, s, state, starts)
+    def starts_of(new):
+        starts = []
+        for z in new:
+            c, k = unpair(z)
+            step = 1 << (c + 1)
+            lo = (1 << c) - 1
+            hi = lo + (step << (k + 1))
+            starts.append((lo + (step << k), hi if bound is None
+                           else min(hi, bound + 1), step))
+        return starts
+    return _progression_stages(ev, args[0], starts_of)
 
 
 def string_of(m: int) -> tuple:
@@ -219,7 +237,7 @@ def _open_column(lens, ys, codes, s, d, y0, size):
     lens.append(size)
 
 
-def _step_prefixed_columns(ev, args, params, s, state, bound=None):
+def _stages_prefixed_columns(ev, args, params, bound=None):
     """Output column <n, m> holds n ones, a zero, the m-th binary
     string, then column n of the argument beyond the string's length.
 
@@ -227,76 +245,79 @@ def _step_prefixed_columns(ev, args, params, s, state, bound=None):
     emitted at once, its tail follows the argument's column n.
     """
     a = args[0]
+    read, tick = ev.read, ev.tick
     # n -> (the columns <n, m> of its active generators and their |s_m|,
     # the first ones take row k; the rows n + 1 + k past the last string
     # and their codes there)
-    family = state.setdefault("family", {})
-    out = []
-    # route new argument elements to active generators; the row
-    # <<n, m>, n + 1 + k> it gives <n, k> is >= <n, k>
-    for z in ev.read(a, s):
-        n, k = unpair(z)
-        cols, lens, ys, _ = family.get(n) or family.setdefault(
-            n, ([], [], [], []))
-        j = bisect_right(lens, k)
-        if j:
-            ev.tick(j)
-            out += pairs(cols[:j], repeat(n + 1 + k))
-        if j == len(lens):
-            ys.append(n + 1 + k)
-    # every output of generator <n, m> = s is a pair <s, y> >= <s, 0>,
-    # so past the bound only the argument can add outputs
-    if (bound is not None and pair(s + 1, 0) > bound
-            and a.closed(s)):
-        close(state)
-    if bound is not None and pair(s, 0) > bound:
-        return out
-    # activate the next generator, whose column <n, m> is s; the last
-    # one, <n, m-1>, lies n + m + 1 columns back
-    n, m = unpair(s)
-    word = string_of(m)
-    cols, lens, ys, tail = family.get(n) or family.setdefault(
-        n, ([], [], [], []))
-    cols.append(s)
-    _open_column(lens, ys, tail, s, n + m + 1, n + 1, len(word))
-    # rows 0..n-1, then n + 1 + i for each 1 at position i of the
-    # string, then the known rows of argument column n past it
-    ev.tick(n + sum(word) + len(tail))
-    codes = column(s, n + 1 + len(word))
-    out += chain(codes[:n], compress(codes[n + 1:], word), tail)
-    return out
+    family = {}
+    for s in count():
+        out = []
+        # route new argument elements to active generators; the row
+        # <<n, m>, n + 1 + k> it gives <n, k> is >= <n, k>
+        for z in read(a, s):
+            n, k = unpair(z)
+            cols, lens, ys, _ = family.get(n) or family.setdefault(
+                n, ([], [], [], []))
+            j = bisect_right(lens, k)
+            if j:
+                tick(j)
+                out += pairs(cols[:j], repeat(n + 1 + k))
+            if j == len(lens):
+                ys.append(n + 1 + k)
+        # every output of generator <n, m> = s is a pair <s, y> >= <s, 0>,
+        # so past the bound only the argument can add outputs
+        closed = (bound is not None and pair(s + 1, 0) > bound
+                  and a.closed(s))
+        if bound is None or pair(s, 0) <= bound:
+            # activate the next generator, whose column <n, m> is s; the
+            # last one, <n, m-1>, lies n + m + 1 columns back
+            n, m = unpair(s)
+            word = string_of(m)
+            cols, lens, ys, tail = family.get(n) or family.setdefault(
+                n, ([], [], [], []))
+            cols.append(s)
+            _open_column(lens, ys, tail, s, n + m + 1, n + 1, len(word))
+            # rows 0..n-1, then n + 1 + i for each 1 at position i of the
+            # string, then the known rows of argument column n past it
+            tick(n + sum(word) + len(tail))
+            codes = column(s, n + 1 + len(word))
+            out += chain(codes[:n], compress(codes[n + 1:], word), tail)
+        if closed:
+            return out
+        yield out
 
 
-def _step_prefix_family(ev, args, params, s, state, bound=None):
+def _stages_prefix_family(ev, args, params, bound=None):
     """Output column m holds the m-th binary string, then the argument
     set beyond the string's length."""
     a = args[0]
+    read, tick = ev.read, ev.tick
     # |s_m| of every open column m, which are the first ones to take
     # x, the known x past the last string, and their codes there
-    lens, known, cur = state.get("family") or state.setdefault(
-        "family", ([], [], []))
-    out = []
-    for x in ev.read(a, s):
-        n = bisect_right(lens, x)
-        if n:
-            ev.tick(n)
-            out += row(x, n)
-        if n == len(lens):
-            known.append(x)
-    # column m = s opens now, and <m, y> >= <m, 0>: past the bound only
-    # the argument can add outputs
-    if (bound is not None and pair(s + 1, 0) > bound
-            and a.closed(s)):
-        close(state)
-    if bound is not None and pair(s, 0) > bound:
-        return out
-    word = string_of(s)
-    _open_column(lens, known, cur, s, 1, 0, len(word))
-    ev.tick(sum(word) + len(cur))
-    if any(word):
-        out += compress(column(s, len(word)), word)
-    out += cur
-    return out
+    lens, known, cur = [], [], []
+    for s in count():
+        out = []
+        for x in read(a, s):
+            n = bisect_right(lens, x)
+            if n:
+                tick(n)
+                out += row(x, n)
+            if n == len(lens):
+                known.append(x)
+        # column m = s opens now, and <m, y> >= <m, 0>: past the bound
+        # only the argument can add outputs
+        closed = (bound is not None and pair(s + 1, 0) > bound
+                  and a.closed(s))
+        if bound is None or pair(s, 0) <= bound:
+            word = string_of(s)
+            _open_column(lens, known, cur, s, 1, 0, len(word))
+            tick(sum(word) + len(cur))
+            if any(word):
+                out += compress(column(s, len(word)), word)
+            out += cur
+        if closed:
+            return out
+        yield out
 
 
 def _same(b: int) -> int:
@@ -309,15 +330,17 @@ def _same(b: int) -> int:
 # <0, x>, so only x <= _row_reach(b) can give a row of tail_columns,
 # replicate_columns or prefix_family; and an output of block_union,
 # scaled_blocks or prefixed_columns is >= the element it comes from.
-register_combinator("expand_columns", _step_expand_columns,
+register_combinator("expand_columns", _stages_expand_columns,
                     reach=_column_reach)
-register_combinator("tail_columns", _step_tail_columns, reach=_row_reach)
-register_combinator("replicate_columns", _step_replicate_columns,
+register_combinator("tail_columns", _stages_tail_columns, reach=_row_reach)
+register_combinator("replicate_columns", _stages_replicate_columns,
                     reach=_row_reach)
-register_combinator("block_union", _step_block_union, reach=_same)
-register_combinator("scaled_blocks", _step_scaled_blocks, reach=_same)
-register_combinator("prefixed_columns", _step_prefixed_columns, reach=_same)
-register_combinator("prefix_family", _step_prefix_family, reach=_row_reach)
+register_combinator("block_union", _stages_block_union, reach=_same)
+register_combinator("scaled_blocks", _stages_scaled_blocks, reach=_same)
+register_combinator("prefixed_columns", _stages_prefixed_columns,
+                    reach=_same)
+register_combinator("prefix_family", _stages_prefix_family,
+                    reach=_row_reach)
 
 
 # ---------------------------------------------------------------------------

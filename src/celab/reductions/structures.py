@@ -9,9 +9,10 @@ interreducibility) and the iterated difference/union hierarchy.
 from __future__ import annotations
 
 import math
+from itertools import count
 
 from ..pairing import pair, unpair, seq_decode, set_decode
-from ..programs import Combinator, close, register_combinator, columns_of
+from ..programs import Combinator, register_combinator, columns_of
 from ..descriptors import (
     Finite, Cofinite, Union, Difference,
     EMPTY, FULL, analyze, member,
@@ -33,19 +34,21 @@ from . import (
 # combinator steps
 
 
-def _step_star_edges(ev, args, params, s, state, bound=None):
+def _stages_star_edges(ev, args, params, bound=None):
     """Element n of the argument adds the edge root -> leaf n+1."""
     a = args[0]
-    out = []
-    for n in ev.read(a, s):
-        ev.tick()
-        out.append(pair(0, n + 1))
-    if a.closed(s):
-        close(state)
-    return out
+    read, tick = ev.read, ev.tick
+    for s in count():
+        out = []
+        for n in read(a, s):
+            tick()
+            out.append(pair(0, n + 1))
+        if a.closed(s):
+            return out
+        yield out
 
 
-def _react_by_code(ev, a, s, state, point, bound=None):
+def _react_by_code(ev, a, point, bound=None):
     """Emit each code x at the first stage >= x at which it is a point.
 
     ``point(x, has)`` decides x and calls ``has(e)``, a test of the
@@ -56,32 +59,34 @@ def _react_by_code(ev, a, s, state, point, bound=None):
     argument cell a is read under a bound on every element they can wait
     on.
     """
-    have = state.setdefault("have", set())
-    parked = state.setdefault("parked", {})  # element -> codes waiting
-    out = []
-    for e in ev.read(a, s):
-        ev.tick()
-        have.add(e)
-        out.extend(parked.pop(e, ()))
-    if bound is None or s <= bound:
-        ev.tick()
-        wanted = []
+    read, tick = ev.read, ev.tick
+    have, parked = set(), {}  # parked: element -> codes waiting on it
+    wanted = []
 
-        def has(e):
-            wanted.append(e)
-            return True
+    def has(e):
+        wanted.append(e)
+        return True
 
-        if point(s, has):
-            if not wanted or wanted[0] in have:
-                out.append(s)
-            else:
-                parked.setdefault(wanted[0], []).append(s)
-    # from stage b on every code <= b is decided, and what is parked
-    # waits on the argument
-    if (bound is not None and s >= bound
-            and (not parked or a.closed(s))):
-        close(state)
-    return out
+    for s in count():
+        out = []
+        for e in read(a, s):
+            tick()
+            have.add(e)
+            out.extend(parked.pop(e, ()))
+        if bound is None or s <= bound:
+            tick()
+            wanted.clear()
+            if point(s, has):
+                if not wanted or wanted[0] in have:
+                    out.append(s)
+                else:
+                    parked.setdefault(wanted[0], []).append(s)
+        # from stage b on every code <= b is decided, and what is parked
+        # waits on the argument
+        if (bound is not None and s >= bound
+                and (not parked or a.closed(s))):
+            return out
+        yield out
 
 
 def _tree_edge(x: int, has) -> bool:
@@ -110,13 +115,13 @@ def _tree_edge(x: int, has) -> bool:
     return bu == bv and k2 == k and t2 + 1 == t and has(n, k)
 
 
-def _step_membership_tree(ev, args, params, s, state, bound=None):
+def _stages_membership_tree(ev, args, params, bound=None):
     """Emit the tree's edges among the codes <= s.
 
     An edge needs one column membership, and the argument only grows,
     so each code is decided once and waits for its membership."""
     return _react_by_code(
-        ev, args[0], s, state,
+        ev, args[0],
         lambda x, has: _tree_edge(x, lambda n, k: has(pair(n, k))), bound)
 
 
@@ -192,32 +197,32 @@ def _copies_reach(b: int) -> int:
     return pair(k, k)
 
 
-def _step_perm_copies(ev, args, params, s, state, bound=None):
-    return _react_by_code(ev, args[0], s, state, _copies_point, bound)
+def _stages_perm_copies(ev, args, params, bound=None):
+    return _react_by_code(ev, args[0], _copies_point, bound)
 
 
-def _step_level_columns(ev, args, params, s, state, bound=None):
+def _stages_level_columns(ev, args, params, bound=None):
     """Column k of the output grows at exactly the stages where k lies
     in the running difference/union fold of the arguments."""
-    seen = state.get("seen")
-    if seen is None:
-        # per argument, its elements so far
-        seen = state["seen"] = [set() for _ in args]
-        state["fold"] = set()
-    cur = state["fold"]
-    # only the points new in some argument can change their fold value
-    new = set()
-    for a, have in zip(args, seen):
-        for x in ev.read(a, s):
-            have.add(x)
-            new.add(x)
-    for x in new:
-        if fold_point(x in have for have in seen):
-            cur.add(x)
-        else:
-            cur.discard(x)
-    ev.tick(len(cur))
-    return [pair(k, s) for k in cur if k <= s]
+    read, tick = ev.read, ev.tick
+    # per argument, its elements so far, and the fold of them
+    seen = [set() for _ in args]
+    cur = set()
+    for s in count():
+        # only the points new in some argument can change their fold
+        # value
+        new = set()
+        for a, have in zip(args, seen):
+            for x in read(a, s):
+                have.add(x)
+                new.add(x)
+        for x in new:
+            if fold_point(x in have for have in seen):
+                cur.add(x)
+            else:
+                cur.discard(x)
+        tick(len(cur))
+        yield [pair(k, s) for k in cur if k <= s]
 
 
 def _leaf_reach(b: int) -> int:
@@ -225,11 +230,12 @@ def _leaf_reach(b: int) -> int:
     return _row_reach(b) - 1
 
 
-register_combinator("star_edges", _step_star_edges, reach=_leaf_reach)
-register_combinator("membership_tree", _step_membership_tree,
+register_combinator("star_edges", _stages_star_edges, reach=_leaf_reach)
+register_combinator("membership_tree", _stages_membership_tree,
                     reach=_tree_reach)
-register_combinator("perm_copies", _step_perm_copies, reach=_copies_reach)
-register_combinator("level_columns", _step_level_columns, reads=None)
+register_combinator("perm_copies", _stages_perm_copies,
+                    reach=_copies_reach)
+register_combinator("level_columns", _stages_level_columns, reads=None)
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,21 @@ def test_a_malformed_corpus_case_exits_four(capsys, tmp_path, name, verb):
     assert captured.err.count("\n") == 1
 
 
+def test_a_natural_too_large_for_the_target_exits_four(capsys, tmp_path):
+    # 10^30 is a natural, so the corpus reads; the e_min side of
+    # eqnat_to_emin then analyses the singleton {10^30}
+    path = tmp_path / "corpus.json"
+    _write_corpus(path, "eq_nat", [{"descA": 10 ** 30, "descB": 10 ** 30,
+                                    "expected": True}])
+    assert run(capsys, "corpus", "--in", str(path))[0] == 0
+    assert main(["verify", "--reduction", "eqnat_to_emin", "--corpus",
+                 str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bad corpus file: an element too large"
+                            " to analyse\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("corpus", "--in"),
     ("verify", "--reduction", "eqce_to_e0", "--corpus"),
@@ -306,8 +321,10 @@ def test_too_deep_a_term_exits_four(capsys, argv):
 
 
 def test_too_deep_an_evaluation_exits_four(capsys):
-    # readable, but evaluating it recurses several frames per level
-    assert main(["enumerate", "--term", _nested(300), "--stage", "3"]) == 4
+    # readable, but evaluating it recurses several frames per level;
+    # 328 is the least depth at which `celab enumerate` run from a shell
+    # exits 4
+    assert main(["enumerate", "--term", _nested(328), "--stage", "3"]) == 4
     assert capsys.readouterr().err == \
         "error: term nested too deeply to evaluate\n"
 

@@ -3,15 +3,17 @@
 The seven steps of ``reductions.benchmark`` keep last stage's codes and
 advance them by the pairing identities.  Each reference below computes
 every code of every stage from scratch, one ``pair`` per element, as the
-steps did before.  Both run on their own evaluator over the same drawn
+steps did before.  Like the steps, each is a generator of its cell's
+stages, closing by returning its last stage.  Both run on their own evaluator over the same drawn
 argument and bound; at every stage they must return the same list, in
 the same order, charge the same ticks and close at the same stage.
 The last test checks the order of the binary strings that
 ``prefixed_columns`` and ``prefix_family`` read.
 """
 
-from contextlib import contextmanager
 from bisect import bisect_right
+from contextlib import contextmanager
+from itertools import count
 from dataclasses import replace
 
 import pytest
@@ -22,137 +24,135 @@ from celab.descriptors import (Cofinite, ColumnsBySet, Finite, Progression,
                                block_bounds, compile_descriptor)
 from celab.pairing import pair, unpair
 from celab.programs import (COMBINATORS, Combinator, Evaluator,
-                            FullColumnOf, close, param, script)
+                            FullColumnOf, param, script)
 from celab.reductions.benchmark import _column_reach, string_of
 
 S = 40
 
 
-def _ref_expand_columns(ev, args, params, s, state, bound=None):
+def _ref_lines(ev, a, bound, code):
+    """Lines started at each new element x of a, the stage-s code of the
+    line of x entered at stage t being code(x, s - t)."""
+    entered = []
+    for s in count():
+        entered.extend((x, s) for x in ev.read(a, s))
+        ev.tick(len(entered))
+        out = [code(x, s - t) for x, t in entered]
+        if bound is not None:
+            entered = [e for e, x in zip(entered, out) if x <= bound]
+        if not entered and a.closed(s):
+            return out
+        yield out
+
+
+def _ref_expand_columns(ev, args, params, bound=None):
+    return _ref_lines(ev, args[0], bound, pair)
+
+
+def _ref_replicate_columns(ev, args, params, bound=None):
+    return _ref_lines(ev, args[0], bound, lambda k, c: pair(c, k))
+
+
+def _ref_tail_columns(ev, args, params, bound=None):
     a = args[0]
-    entered = state.setdefault("entered", [])
-    entered.extend((c, s) for c in ev.read(a, s))
-    ev.tick(len(entered))
-    out = [pair(c, s - t) for c, t in entered]
-    if bound is not None:
-        state["entered"] = entered = [
-            e for e, x in zip(entered, out) if x <= bound]
-    if not entered and a.closed(s):
-        close(state)
-    return out
-
-
-def _ref_replicate_columns(ev, args, params, s, state, bound=None):
-    a = args[0]
-    entered = state.setdefault("entered", [])
-    entered.extend((k, s) for k in ev.read(a, s))
-    ev.tick(len(entered))
-    out = [pair(s - t, k) for k, t in entered]
-    if bound is not None:
-        state["entered"] = entered = [
-            e for e, x in zip(entered, out) if x <= bound]
-    if not entered and a.closed(s):
-        close(state)
-    return out
-
-
-def _ref_tail_columns(ev, args, params, s, state, bound=None):
-    a = args[0]
-    out = []
-    for x in ev.read(a, s):
-        n = x + 1 if bound is None else min(
-            x + 1, _column_reach(bound - x) - x + 2)
-        ev.tick(n)
-        out += [pair(c, x) for c in range(n)]
-    if a.closed(s):
-        close(state)
-    return out
-
-
-def _ref_progressions(ev, a, s, state, gens):
-    ev.tick(len(gens))
-    out = [x for s0, lo, end, step in gens
-           if (x := lo + (s - s0) * step) < end]
-    gens[:] = [g for g in gens if g[1] + (s - g[0]) * g[3] < g[2]]
-    if not gens and a.closed(s):
-        close(state)
-    return out
-
-
-def _ref_block_union(ev, args, params, s, state, bound=None):
-    a = args[0]
-    kind = "weight" if param(params, 0) == 1 else "dyadic"
-    gens = state.setdefault("gens", [])
-    for n in ev.read(a, s):
-        lo, hi = block_bounds(kind, n)
-        gens.append((s, lo, hi if bound is None else min(hi, bound + 1), 1))
-    return _ref_progressions(ev, a, s, state, gens)
-
-
-def _ref_scaled_blocks(ev, args, params, s, state, bound=None):
-    a = args[0]
-    gens = state.setdefault("gens", [])
-    for z in ev.read(a, s):
-        c, k = unpair(z)
-        step = 1 << (c + 1)
-        lo = (1 << c) - 1
-        hi = lo + (step << (k + 1))
-        gens.append((s, lo + (step << k), hi if bound is None
-                     else min(hi, bound + 1), step))
-    return _ref_progressions(ev, a, s, state, gens)
-
-
-def _ref_prefixed_columns(ev, args, params, s, state, bound=None):
-    a = args[0]
-    active = state.setdefault("active", {})
-    rows = state.setdefault("rows", {})
-    out = []
-    for z in ev.read(a, s):
-        n, k = unpair(z)
-        rows.setdefault(n, []).append(k)
-        gens = active.get(n)
-        if gens:
-            cols = [col for col, slen in gens if k >= slen]
-            ev.tick(len(cols))
-            out += [pair(col, n + 1 + k) for col in cols]
-    if (bound is not None and pair(s + 1, 0) > bound
-            and a.closed(s)):
-        close(state)
-    if bound is not None and pair(s, 0) > bound:
-        return out
-    n, m = unpair(s)
-    word = string_of(m)
-    active.setdefault(n, []).append((s, len(word)))
-    ys = [*range(n), *(n + 1 + i for i, b in enumerate(word) if b),
-          *[n + 1 + k for k in rows.get(n, ()) if k >= len(word)]]
-    ev.tick(len(ys))
-    out += [pair(s, y) for y in ys]
-    return out
-
-
-def _ref_prefix_family(ev, args, params, s, state, bound=None):
-    a = args[0]
-    lens = state.setdefault("lens", [])
-    known = state.setdefault("known", [])
-    out = []
-    for x in ev.read(a, s):
-        known.append(x)
-        n = bisect_right(lens, x)
-        if n:
+    for s in count():
+        out = []
+        for x in ev.read(a, s):
+            n = x + 1 if bound is None else min(
+                x + 1, _column_reach(bound - x) - x + 2)
             ev.tick(n)
             out += [pair(c, x) for c in range(n)]
-    if (bound is not None and pair(s + 1, 0) > bound
-            and a.closed(s)):
-        close(state)
-    if bound is not None and pair(s, 0) > bound:
-        return out
-    word = string_of(s)
-    lens.append(len(word))
-    ys = [*(i for i, b in enumerate(word) if b),
-          *[x for x in known if x >= len(word)]]
-    ev.tick(len(ys))
-    out += [pair(s, y) for y in ys]
-    return out
+        if a.closed(s):
+            return out
+        yield out
+
+
+def _ref_progressions(ev, a, starts_of):
+    gens = []
+    for s in count():
+        gens += [(s, *g) for g in starts_of(ev.read(a, s))]
+        ev.tick(len(gens))
+        out = [x for s0, lo, end, step in gens
+               if (x := lo + (s - s0) * step) < end]
+        gens = [g for g in gens if g[1] + (s - g[0]) * g[3] < g[2]]
+        if not gens and a.closed(s):
+            return out
+        yield out
+
+
+def _ref_block_union(ev, args, params, bound=None):
+    kind = "weight" if param(params, 0) == 1 else "dyadic"
+
+    def starts_of(new):
+        for n in new:
+            lo, hi = block_bounds(kind, n)
+            yield lo, hi if bound is None else min(hi, bound + 1), 1
+    return _ref_progressions(ev, args[0], starts_of)
+
+
+def _ref_scaled_blocks(ev, args, params, bound=None):
+    def starts_of(new):
+        for z in new:
+            c, k = unpair(z)
+            step = 1 << (c + 1)
+            lo = (1 << c) - 1
+            hi = lo + (step << (k + 1))
+            yield (lo + (step << k),
+                   hi if bound is None else min(hi, bound + 1), step)
+    return _ref_progressions(ev, args[0], starts_of)
+
+
+def _ref_prefixed_columns(ev, args, params, bound=None):
+    a = args[0]
+    active, rows = {}, {}
+    for s in count():
+        out = []
+        for z in ev.read(a, s):
+            n, k = unpair(z)
+            rows.setdefault(n, []).append(k)
+            gens = active.get(n)
+            if gens:
+                cols = [col for col, slen in gens if k >= slen]
+                ev.tick(len(cols))
+                out += [pair(col, n + 1 + k) for col in cols]
+        closed = (bound is not None and pair(s + 1, 0) > bound
+                  and a.closed(s))
+        if bound is None or pair(s, 0) <= bound:
+            n, m = unpair(s)
+            word = string_of(m)
+            active.setdefault(n, []).append((s, len(word)))
+            ys = [*range(n), *(n + 1 + i for i, b in enumerate(word) if b),
+                  *[n + 1 + k for k in rows.get(n, ()) if k >= len(word)]]
+            ev.tick(len(ys))
+            out += [pair(s, y) for y in ys]
+        if closed:
+            return out
+        yield out
+
+
+def _ref_prefix_family(ev, args, params, bound=None):
+    a = args[0]
+    lens, known = [], []
+    for s in count():
+        out = []
+        for x in ev.read(a, s):
+            known.append(x)
+            n = bisect_right(lens, x)
+            if n:
+                ev.tick(n)
+                out += [pair(c, x) for c in range(n)]
+        closed = (bound is not None and pair(s + 1, 0) > bound
+                  and a.closed(s))
+        if bound is None or pair(s, 0) <= bound:
+            word = string_of(s)
+            lens.append(len(word))
+            ys = [*(i for i, b in enumerate(word) if b),
+                  *[x for x in known if x >= len(word)]]
+            ev.tick(len(ys))
+            out += [pair(s, y) for y in ys]
+        if closed:
+            return out
+        yield out
 
 
 REFERENCES = {
@@ -171,11 +171,18 @@ TOP = {"tail_columns": 3000, "block_union": 400}
 
 
 def _recorded(step, log):
-    """The step, logging what it returns and whether it closed."""
-    def rec(ev, args, params, s, state, bound=None):
-        out = step(ev, args, params, s, state, bound)
-        log.append((s, list(out), "closed" in state))
-        return out
+    """The step, logging what each stage gives and whether it closed
+    there."""
+    def rec(ev, args, params, bound=None):
+        stages = step(ev, args, params, bound)
+        for s in count():
+            try:
+                out = next(stages)
+            except StopIteration as stop:
+                log.append((s, list(stop.value), True))
+                return stop.value
+            log.append((s, list(out), False))
+            yield out
     return rec
 
 

@@ -1,5 +1,8 @@
 """Evaluator semantics: stage monotonicity, determinism, budgets."""
 
+import gc
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -104,14 +107,22 @@ def test_the_budget_bounds_a_factorial(cid):
 def test_the_budget_stops_a_median_fill_before_it_is_built():
     # the median moves at stage 2, when the running top is 10^5 + 2
     a = script([(0, {0}), (1, {10 ** 5}), (2, {1})])
-    step, state = COMBINATORS["median_multiples"].step, {}
     ev = Evaluator(budget=1000)
     ev.approx(a, 0)  # makes the argument's cell, for the step to read
-    args = (ev.cell_of(a),)
-    with pytest.raises(BudgetExceeded):
-        for s in range(3):
-            step(ev, args, (), s, state)
-    assert state["filled"] == 3
+    stages = COMBINATORS["median_multiples"].step(
+        ev._meter, (ev.cell_of(a),), ())
+    given = []
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            for _ in range(3):
+                given.append(list(next(stages)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert given == [[2], [0, 1, 10 ** 5 + 2]]
+    # the fill of stage 2 would hold 10^5 values
+    assert peak < 10 ** 5
 
 
 # Combinators whose output grows faster than the stage count on an
@@ -180,8 +191,8 @@ def cell_closed(ev, term, s, bound=None, below=None):
 
 
 def assert_cells_distinct(ev):
-    """Every cell of ev holds each element once: a step returns only
-    elements it has not returned before, and the evaluator appends them
+    """Every cell of ev holds each element once: a step gives only
+    elements it has not given before, and the evaluator appends them
     unchecked."""
     for key, cell in ev._cells.items():
         assert len(set(cell.order)) == len(cell.order), key
@@ -320,3 +331,23 @@ def test_a_retry_after_the_budget_runs_out_gives_the_true_set(cid, name):
             pass
         ev.budget = 10 ** 8
         assert ev.approx(term, 120) == want, f"budget {budget}"
+
+
+@pytest.mark.parametrize("cid", sorted(COMBINATORS))
+def test_an_evaluator_is_freed_by_reference_counting(cid):
+    """The generators of an evaluator's cells hold its budget meter,
+    never the evaluator: dropping an evaluator frees it, and with it
+    every cell, without the cycle collector."""
+    ev = Evaluator()
+    for a in CLOSING_ARGUMENTS.values():
+        term = Combinator(cid, (a,), (1, 2) if cid == "from_descriptor"
+                          else ())
+        ev.approx(term, 40)
+        ev.upto(term, 40, 21)
+    alive = weakref.ref(ev)
+    gc.disable()
+    try:
+        del ev
+        assert alive() is None
+    finally:
+        gc.enable()

@@ -4,10 +4,10 @@
 dict per term from element to first stage, with its elements listed in
 entry order, every approximation the prefix of that list entered by its
 stage, ``fresh`` and ``Indexed`` the elements entered at the stage, and
-a bound applied by filtering them.  It hands each step one handle per
-argument the step reads, made once per cell: a handle reads its term
-whole through the reference's ``fresh``, never reads as closed and has
-no floor.  It fails on an element a step
+a bound applied by filtering them.  It makes each combinator's
+generator once per cell, handing it one handle per argument the step
+reads: a handle reads its term whole through the reference's
+``fresh``, never reads as closed and has no floor.  It fails on an element a step
 returns twice, within a stage or at a later one, and every cell of the
 incremental evaluator must hold each element once.  Both
 evaluators run the same registered steps, so they must agree on every
@@ -15,8 +15,10 @@ approximation and entry stage, and the incremental one may never charge
 more steps.  Under a bound the incremental evaluator hands the bound to
 every construction; it must still give exactly the filtered sets, in the
 unbounded entry order, at no more steps.  The reference never closes a
-cell, so it steps every cell at every stage: a cell the incremental
-evaluator closes too early shows as a missing element.  A state machine
+cell, so it asks every cell for every stage, and as no handle reads as
+closed, only a step that can gain nothing more whatever its arguments
+do returns: a cell the incremental evaluator closes too early shows as
+a missing element.  A state machine
 at the end asks one long-lived evaluator everything in any order.
 """
 
@@ -90,19 +92,23 @@ class ReferenceEvaluator:
             cdef = COMBINATORS.get(term.cid)
             if cdef is None:
                 return ()
-            if "args" not in cell:
-                cell["args"] = _handles(term)
-            return cdef.step(self, cell["args"], term.params, s,
-                             cell["state"])
-        if "inner" not in cell["state"]:
-            cell["state"]["inner"] = decode(term.code)
-        return self.fresh(cell["state"]["inner"], s)
+            if "stages" not in cell:
+                cell["stages"] = cdef.step(self, _handles(term),
+                                           term.params)
+            try:
+                return next(cell["stages"])
+            except StopIteration as stop:
+                # a step that closed its cell gives nothing more
+                return stop.value or ()
+        if "inner" not in cell:
+            cell["inner"] = decode(term.code)
+        return self.fresh(cell["inner"], s)
 
     def _advance(self, term, s):
         # order lists the elements in the order they entered, so the
         # elements entered by stage t are its first ends[t]
         cell = self._cells.setdefault(
-            term, {"state": {}, "entries": {}, "order": [], "ends": []})
+            term, {"entries": {}, "order": [], "ends": []})
         while len(cell["ends"]) <= s:
             t = len(cell["ends"])
             self.tick()
@@ -273,25 +279,29 @@ def test_from_descriptor_agrees_across_chunk_edges(name, delay):
         assert_bound_agrees(term, bound, stages)
 
 
-def _step_uneven(ev, args, params, s, state, bound=None):
+def _stages_uneven(ev, args, params, bound=None):
     """Stages of many and of few elements, every one new, ignoring the
     bound."""
-    base = 20 * s
-    if s % 4 == 0:  # many, ascending
-        return [base + i for i in range(15)]
-    if s % 4 == 1:  # many, out of order
-        return [base + 9 - i for i in range(10)] + [base + 13, base + 11,
-                                                    base + 17]
-    if s % 4 == 2:  # a few
-        return [base + 1, base]
-    return [base + 15 - i for i in range(16)]  # many, descending
+    s = 0
+    while True:
+        base = 20 * s
+        if s % 4 == 0:  # many, ascending
+            yield [base + i for i in range(15)]
+        elif s % 4 == 1:  # many, out of order
+            yield [base + 9 - i for i in range(10)] + [base + 13, base + 11,
+                                                       base + 17]
+        elif s % 4 == 2:  # a few
+            yield [base + 1, base]
+        else:  # many, descending
+            yield [base + 15 - i for i in range(16)]
+        s += 1
 
 
 @pytest.mark.parametrize("bound", [None, 45, 65, 90])
 def test_uneven_stages_of_new_elements_join_as_the_reference_does(
         monkeypatch, bound):
     monkeypatch.setitem(COMBINATORS, "uneven",
-                        CombinatorDef("uneven", _step_uneven, reads=0))
+                        CombinatorDef("uneven", _stages_uneven, reads=0))
     term = Combinator("uneven")
     assert_agree(term)
     if bound is not None:

@@ -1,5 +1,6 @@
 """The combinator registry and the program numbering built on it."""
 
+import inspect
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import celab  # noqa: F401  (registers combinators)
 from celab.numbering import COMBINATOR_CODES, decode, encode
 from celab.harness import predicted_member
-from celab.programs import COMBINATORS, Combinator, Evaluator, FullColumnOf
+from celab.programs import (COMBINATORS, EMPTY, Combinator, Evaluator,
+                            FullColumnOf, script)
 from celab.reductions import MUTANTS, REDUCTIONS
 
 # encode(Combinator(cid, (FullColumnOf(1),), (2,))) for every live
@@ -74,6 +76,19 @@ def test_retired_code_slots_enumerate_nothing():
         term = Combinator(cid, (FullColumnOf(1),), (2,))
         assert encode(term) == code
         assert decode(code) == term
+
+
+def test_every_cell_holds_a_generator():
+    """One step path: the cell of every term kind, a live or retired
+    combinator, a ``Script`` and a ``FullColumnOf``, is advanced by
+    resuming the generator it holds."""
+    terms = [Combinator(cid, (FullColumnOf(1),), (2,))
+             for cid in sorted(COMBINATOR_CODES)]
+    terms += [EMPTY, script([(0, {1}), (3, {2})]), FullColumnOf(1)]
+    ev = Evaluator()
+    for term in terms:
+        for bound in (None, 21):
+            assert inspect.isgenerator(ev._cell(term, bound).stages), term
 
 
 def test_encode_rejects_negative_parameters():

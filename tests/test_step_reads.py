@@ -14,7 +14,7 @@ closings.  ``PYTHONPATH=src python tests/test_step_reads.py`` rewrites
 them.
 
 Once a cell is made, a query looks up only its own cell: the stage loop
-runs one call of the step a stage.
+resumes the cell's generator once a stage.
 """
 
 import hashlib
@@ -105,7 +105,7 @@ class CountingEvaluator(Evaluator):
 @pytest.mark.parametrize("name", sorted(CLOSING_ARGUMENTS))
 @pytest.mark.parametrize("cid", PRODUCTION)
 def test_each_query_after_the_first_makes_one_lookup(cid, name):
-    """The property the one-call-a-stage loop rests on: the first query
+    """The property the stage loop rests on: the first query
     makes the cell and the cells of the arguments its step reads, and
     every later query looks up its own cell only."""
     term = _term(cid, CLOSING_ARGUMENTS[name])
