@@ -14,11 +14,12 @@ Evaluation is stage-by-stage and incremental.  For every term the
 evaluator keeps its elements in the order they first appeared, with the
 end of each stage in that order, so ``approx(P, s)`` is monotone in
 ``s`` by construction and re-evaluation is cheap.  A cell appends what
-its step gives at each stage, only elements new to it.  ``fresh(P, s)`` gives the
-elements that first appear at stage ``s``; constructions react to those
-instead of rescanning their whole argument at every stage (semi-naive
-evaluation: fire only on new facts).  A budget on primitive steps turns
-runaway simulations into a ``BudgetExceeded`` error instead of a hang.
+its step gives at each stage, only elements new to it.  ``fresh(P, s)``
+gives the elements that first appear at stage ``s``; constructions
+react to those instead of rescanning their whole argument at every
+stage (semi-naive evaluation: fire only on new facts).  A budget on
+primitive steps turns runaway simulations into a ``BudgetExceeded``
+error instead of a hang.
 
 The evaluator keeps one cell per (term, bound), the bound None for an
 unbounded one, and an ``(indexed n)`` reads the cell of the term that n
@@ -278,7 +279,8 @@ _CLOSED = iter(())
 
 @dataclass
 class _Cell:
-    stages: Iterator  # the generator of its term's stages
+    # the generator of its term's stages; _CLOSED once its step closed
+    stages: Iterator
     bound: Optional[int]
     # t -> the least element a stage after t can add, for a term whose
     # elements rise with the stage

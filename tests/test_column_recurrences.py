@@ -4,9 +4,10 @@ The seven steps of ``reductions.benchmark`` keep last stage's codes and
 advance them by the pairing identities.  Each reference below computes
 every code of every stage from scratch, one ``pair`` per element, as the
 steps did before.  Like the steps, each is a generator of its cell's
-stages, closing by returning its last stage.  Both run on their own evaluator over the same drawn
-argument and bound; at every stage they must return the same list, in
-the same order, charge the same ticks and close at the same stage.
+stages, closing by returning its last stage.  Both run on their own
+evaluator over the same drawn argument and bound; at every stage they
+must give the same list, in the same order, charge the same ticks and
+close at the same stage.
 The last test checks the order of the binary strings that
 ``prefixed_columns`` and ``prefix_family`` read.
 """

@@ -7,9 +7,9 @@ stage, ``fresh`` and ``Indexed`` the elements entered at the stage, and
 a bound applied by filtering them.  It makes each combinator's
 generator once per cell, handing it one handle per argument the step
 reads: a handle reads its term whole through the reference's
-``fresh``, never reads as closed and has no floor.  It fails on an element a step
-returns twice, within a stage or at a later one, and every cell of the
-incremental evaluator must hold each element once.  Both
+``fresh``, never reads as closed and has no floor.  It fails on an
+element a step gives twice, within a stage or at a later one, and every
+cell of the incremental evaluator must hold each element once.  Both
 evaluators run the same registered steps, so they must agree on every
 approximation and entry stage, and the incremental one may never charge
 more steps.  Under a bound the incremental evaluator hands the bound to
@@ -18,11 +18,12 @@ unbounded entry order, at no more steps.  The reference never closes a
 cell, so it asks every cell for every stage, and as no handle reads as
 closed, only a step that can gain nothing more whatever its arguments
 do returns: a cell the incremental evaluator closes too early shows as
-a missing element.  A state machine
-at the end asks one long-lived evaluator everything in any order.
+a missing element.  A state machine at the end asks one long-lived
+evaluator everything in any order.
 """
 
 from dataclasses import dataclass
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,8 +283,7 @@ def test_from_descriptor_agrees_across_chunk_edges(name, delay):
 def _stages_uneven(ev, args, params, bound=None):
     """Stages of many and of few elements, every one new, ignoring the
     bound."""
-    s = 0
-    while True:
+    for s in count():
         base = 20 * s
         if s % 4 == 0:  # many, ascending
             yield [base + i for i in range(15)]
@@ -294,7 +294,6 @@ def _stages_uneven(ev, args, params, bound=None):
             yield [base + 1, base]
         else:  # many, descending
             yield [base + 15 - i for i in range(16)]
-        s += 1
 
 
 @pytest.mark.parametrize("bound", [None, 45, 65, 90])
