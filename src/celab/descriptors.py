@@ -559,39 +559,105 @@ def _binary_difference(a: Analysis, b: Analysis) -> Analysis:
 
 
 def member(d: Descriptor, x: int) -> bool:
-    if isinstance(d, Finite):
-        return x in d.elems
-    if isinstance(d, Cofinite):
-        return x not in d.excluded
-    if isinstance(d, Progression):
-        return x >= d.start and (x - d.start) % d.step == 0
-    if isinstance(d, Union):
-        return any(member(p, x) for p in d.parts)
-    if isinstance(d, Difference):
-        return member(d.left, x) and not member(d.right, x)
-    if isinstance(d, (DyadicBlocks, WeightBlocks)):
-        kind = "dyadic" if isinstance(d, DyadicBlocks) else "weight"
-        n = block_of(kind, x)
-        return n is not None and member(d.index, n)
-    if isinstance(d, Columns):
-        c, k = unpair(x)
-        for cc, cd in d.cols:
-            if cc == c:
-                return member(cd, k)
-        return member(d.default, k)
-    if isinstance(d, ColumnsBySet):
-        c, k = unpair(x)
-        return member(d.incol if member(d.index, c) else d.outcol, k)
-    if isinstance(d, TailColumns):
-        c, k = unpair(x)
-        return k >= c and member(d.base, k)
-    if isinstance(d, OverrideColumns):
-        c, k = unpair(x)
-        for cc, cd in d.cols:
-            if cc == c:
-                return member(cd, k)
-        return member(d.base, x)
+    """Whether x lies in d.  Each node costs one dict lookup on its
+    class, in ``_MEMBER``, and a call of the membership function found
+    there, which tests the nested nodes it needs the same way.
+
+    Like ``members``, it raises ``UnsupportedDescriptor`` on a
+    progression whose step is not positive and on a part that is no
+    descriptor (an ``EP`` or a number, say), wherever the walk meets
+    them.  A union stops at its first part that holds x, a difference
+    whose left side lacks x never reads its right side."""
+    return _MEMBER.get(type(d), _not_a_descriptor)(d, x)
+
+
+def _not_a_descriptor(d, x: int) -> bool:
     raise UnsupportedDescriptor(f"not a descriptor: {d!r}")
+
+
+def _finite_member(d: Finite, x: int) -> bool:
+    return x in d.elems
+
+
+def _cofinite_member(d: Cofinite, x: int) -> bool:
+    return x not in d.excluded
+
+
+def _progression_member(d: Progression, x: int) -> bool:
+    if d.step < 1:
+        raise UnsupportedDescriptor("progression step must be >= 1")
+    return x >= d.start and (x - d.start) % d.step == 0
+
+
+def _union_member(d: Union, x: int) -> bool:
+    for p in d.parts:
+        if _MEMBER.get(type(p), _not_a_descriptor)(p, x):
+            return True
+    return False
+
+
+def _difference_member(d: Difference, x: int) -> bool:
+    left, right = d.left, d.right
+    return (_MEMBER.get(type(left), _not_a_descriptor)(left, x)
+            and not _MEMBER.get(type(right), _not_a_descriptor)(right, x))
+
+
+def _dyadic_member(d: DyadicBlocks, x: int) -> bool:
+    n = block_of("dyadic", x)
+    if n is None:
+        return False
+    index = d.index
+    return _MEMBER.get(type(index), _not_a_descriptor)(index, n)
+
+
+def _weight_member(d: WeightBlocks, x: int) -> bool:
+    index = d.index
+    return _MEMBER.get(type(index), _not_a_descriptor)(
+        index, block_of("weight", x))
+
+
+def _columns_member(d: Columns, x: int) -> bool:
+    c, k = unpair(x)
+    col = d.default
+    for cc, cd in d.cols:
+        if cc == c:
+            col = cd
+            break
+    return _MEMBER.get(type(col), _not_a_descriptor)(col, k)
+
+
+def _columns_by_set_member(d: ColumnsBySet, x: int) -> bool:
+    c, k = unpair(x)
+    index = d.index
+    col = (d.incol if _MEMBER.get(type(index), _not_a_descriptor)(index, c)
+           else d.outcol)
+    return _MEMBER.get(type(col), _not_a_descriptor)(col, k)
+
+
+def _tail_columns_member(d: TailColumns, x: int) -> bool:
+    c, k = unpair(x)
+    base = d.base
+    return k >= c and _MEMBER.get(type(base), _not_a_descriptor)(base, k)
+
+
+def _override_columns_member(d: OverrideColumns, x: int) -> bool:
+    c, k = unpair(x)
+    for cc, cd in d.cols:
+        if cc == c:
+            return _MEMBER.get(type(cd), _not_a_descriptor)(cd, k)
+    base = d.base
+    return _MEMBER.get(type(base), _not_a_descriptor)(base, x)
+
+
+# the membership function of each descriptor class (the keys of _TAGS)
+_MEMBER = {
+    Finite: _finite_member, Cofinite: _cofinite_member,
+    Progression: _progression_member, Union: _union_member,
+    Difference: _difference_member, DyadicBlocks: _dyadic_member,
+    WeightBlocks: _weight_member, Columns: _columns_member,
+    ColumnsBySet: _columns_by_set_member, TailColumns: _tail_columns_member,
+    OverrideColumns: _override_columns_member,
+}
 
 
 def members(d: Descriptor, lo: int, hi: int) -> int:

@@ -1,6 +1,7 @@
 """Descriptor analysis agrees with brute-force membership, and compiled
 programs enumerate exactly the described sets."""
 
+import contextlib
 import json
 import math
 import pickle
@@ -14,18 +15,20 @@ from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401
 from celab import descriptors as D
-from celab.descriptors import (EMPTY, EP, FULL, Cofinite, Columns,
-                               ColumnsBySet, Difference, DyadicBlocks,
-                               Finite, OverrideColumns, Progression,
-                               TailColumns, Union, UnsupportedDescriptor,
-                               WeightBlocks, analyze, block_of,
-                               columns_view, compile_descriptor,
+from celab.descriptors import (EMPTY, EP, FULL, BlockImage, Cofinite,
+                               Columns, ColumnsBySet, Difference,
+                               DyadicBlocks, Finite, OverrideColumns,
+                               Progression, TailColumns, Union,
+                               UnsupportedDescriptor, WeightBlocks, analyze,
+                               block_of, columns_view, compile_descriptor,
                                decode_descriptor, dyadic_block,
                                ep_intersection, member, members,
                                region_pairs, weight_block)
 from celab.harness import corpus_from_json, corpus_to_json, gen_corpus
+from celab.pairing import unpair
 from celab.programs import Evaluator
 from celab.reductions import gen_pair_columns, random_ep_descriptor
+from celab.relations import NceTuple
 from celab.serialization import desc_from_sexpr, desc_to_sexpr
 
 WINDOW = 200
@@ -324,20 +327,38 @@ def _drawn(kind, seed):
     return decode_descriptor(rng.getrandbits(rng.choice([8, 32, 96, 200])))
 
 
-# no decoded code or parsed s-expression makes these: member answers
-# some (a negative step), raises ZeroDivisionError on others, or stops
-# before the part that is no descriptor
-_MALFORMED = [
-    Progression(5, 0),
-    Progression(3, -2),
-    Union((FULL, Progression(0, 0))),
-    Union((EMPTY, Progression(20, 0))),
-    Difference(EMPTY, "junk"),
-    Difference(Progression(1, 3), Union((Finite({4}), "junk"))),
-    Columns(((3, "junk"),), FULL),
-    DyadicBlocks(Progression(2, 0)),
-    "junk",
-]
+# no decoded code or parsed s-expression makes these: each maps to the
+# points of range(30) that member answers, as its walk stops before the
+# step < 1 or the part that is no descriptor (a union at a part that
+# holds x, a difference at a left side that lacks it); every other
+# point meets it and raises UnsupportedDescriptor
+_MEMBER_ANSWERS = {
+    Progression(5, 0): set(),
+    Progression(3, -2): set(),
+    Union((FULL, Progression(0, 0))): set(range(30)),
+    Union((EMPTY, Progression(20, 0))): set(),
+    Difference(EMPTY, "junk"): set(range(30)),
+    Difference(Progression(1, 3), Union((Finite({4}), "junk"))):
+        {x for x in range(30) if x % 3 != 1} | {4},
+    Columns(((3, "junk"),), FULL): {x for x in range(30) if unpair(x)[0] != 3},
+    DyadicBlocks(Progression(2, 0)): {0},
+    "junk": set(),
+}
+_MALFORMED = list(_MEMBER_ANSWERS)
+
+
+@contextlib.contextmanager
+def _no_point_tests():
+    """Fail on any call of member or of a membership function in its
+    dispatch table, whether through the table or by its name."""
+    fail = mock.Mock(side_effect=AssertionError)
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(D, "member", fail))
+        for fn in D._MEMBER.values():
+            stack.enter_context(mock.patch.object(D, fn.__name__, fail))
+        stack.enter_context(
+            mock.patch.dict(D._MEMBER, dict.fromkeys(D._MEMBER, fail)))
+        yield
 
 
 @settings(max_examples=300, deadline=None)
@@ -345,8 +366,8 @@ _MALFORMED = [
        st.integers(0, 2 ** 32), st.integers(1, 5000), st.integers(1, 600))
 def test_members_are_the_bits_of_member(kind, seed, lo, width):
     d = _drawn(kind, seed)
-    # a well-formed descriptor is answered in one walk, with no member call
-    with mock.patch.object(D, "member", side_effect=AssertionError):
+    # a well-formed descriptor is answered in one walk, with no point test
+    with _no_point_tests():
         got = members(d, lo, lo + width)
     assert got == member_bits(d, lo, lo + width)
 
@@ -372,6 +393,33 @@ def test_members_rejects_malformed_descriptors(d, lo, hi):
         members(d, lo, hi)
 
 
+@pytest.mark.parametrize("d", _MALFORMED, ids=repr)
+def test_member_rejects_malformed_descriptors(d):
+    """member raises UnsupportedDescriptor wherever its walk meets a
+    step < 1 or a part that is no descriptor, and answers elsewhere."""
+    answered = set()
+    for x in range(30):
+        try:
+            member(d, x)
+        except UnsupportedDescriptor:
+            continue
+        answered.add(x)
+    assert answered == _MEMBER_ANSWERS[d]
+
+
+def test_every_descriptor_class_has_a_membership_function():
+    assert D._MEMBER.keys() == D._TAGS.keys()
+
+
+@pytest.mark.parametrize("d", [
+    EP.from_finite((1, 2)), BlockImage("dyadic", EP.from_finite((1,))),
+    NceTuple((FULL, EMPTY)), 3, "junk",
+], ids=repr)
+def test_member_rejects_what_is_no_descriptor(d):
+    with pytest.raises(UnsupportedDescriptor, match="not a descriptor"):
+        member(d, 1)
+
+
 COPRIME = (999_983, 1_000_003, 999_979)  # three primes near 10^6
 
 CRAFTED = [
@@ -395,8 +443,8 @@ def test_members_allocate_nothing_in_proportion_to_a_constant(d, lo):
     """A descriptor whose constants are huge is answered in memory
     proportional to the range: analyze would build a bitset as long as
     the largest constant (or an lcm of periods)."""
-    # in one walk: no member call
-    with mock.patch.object(D, "member", side_effect=AssertionError):
+    # in one walk: no point test
+    with _no_point_tests():
         tracemalloc.start()
         try:
             got = members(d, lo, lo + 600)
