@@ -6,10 +6,11 @@ The central check is the reduction contract
 
 decided exactly at the descriptor level, plus an independent check that
 the built programs really enumerate the predicted sets: membership on a
-bounded observation window, with settlement certified by a stability
-re-check (no change over extra stages) rather than trusted blindly.
-A case whose programs cannot be certified within the stage budget is
-reported as unknown, never as a disagreement.
+bounded observation window [0, W].  One rule certifies the window: the
+construction's analytic settle bound is the certificate, and a re-check
+W stages past it guards the bound.  A wrong bound therefore shows as a
+window that changed, and the case is reported as unknown, as is one
+whose bound exceeds the stage budget; neither is ever a disagreement.
 """
 
 from __future__ import annotations
@@ -221,30 +222,6 @@ class _Unknown(Exception):
     """A case whose programs cannot be certified within budget."""
 
 
-def _within_budget(stage: int, budget: int) -> int:
-    if stage > budget:
-        raise _Unknown(f"settle stage {stage} exceeds budget {budget}")
-    return stage
-
-
-def _certified_window(ev, built, window: int, budget: int) -> frozenset:
-    """The program's settled content on [0, window].
-
-    Trusts the analytic settle bound only if a stability window of
-    ``window`` extra stages shows no change; otherwise escalates once,
-    then gives up (unknown).
-    """
-    stage = built.settle(window)
-    for _ in range(2):
-        _within_budget(stage, budget)
-        got = ev.upto(built.term, stage, window)
-        later = ev.upto(built.term, stage + window, window)
-        if later == got:
-            return got
-        stage = stage + window
-    raise _Unknown("window content still changing after escalation")
-
-
 # binary digits as compress selectors: b"0" -> 0, b"1" -> 1
 _BIT = bytes.maketrans(b"01", b"\0\1")
 
@@ -259,13 +236,23 @@ def bits_below(bits: int, n: int) -> frozenset:
 def check_built(red: Reduction, payload, pred, rng, window: int,
                 budget: int) -> list:
     """Issues with the built program for one payload ([] when clean);
-    ``pred`` is ``red.predict(payload)``."""
+    ``pred`` is ``red.predict(payload)``.
+
+    The analytic bound ``built.settle(window)`` is the certificate: the
+    window is read at that stage and once more ``window`` stages later.
+    A bound past the stage budget, or a window that changed between the
+    two reads (a wrong bound), raises _Unknown, never a disagreement.
+    """
     built = red.build(payload, rng)
+    stage = built.settle(window)
+    if stage > budget:
+        raise _Unknown(f"settle stage {stage} exceeds budget {budget}")
     ev = Evaluator()
     if red.validator is not None:
-        stage = _within_budget(built.settle(window), budget)
         return list(red.validator(ev, built, payload, window, stage))
-    got = _certified_window(ev, built, window, budget)
+    got = ev.upto(built.term, stage, window)
+    if ev.upto(built.term, stage + window, window) != got:
+        raise _Unknown("window content changed after the settle bound")
     if isinstance(pred, (ClassKey, QCut)):
         mem = predicted_member(pred) or built.member
         want = frozenset(x for x in range(window + 1) if mem(x))

@@ -51,12 +51,13 @@ at, no later stage can give it an element that is new and ``<= bound``
 closed cell at any later stage from what it holds at the stage it
 closed at: it resumes no generator, charges no step and stores nothing
 per later stage, so a query past the point where its demand is met,
-such as the harness's stability re-check, costs the same at stage
-10^10 as at the next stage.  Once the demanded part of a fixpoint is
-complete, evaluation stops.  A generator closes its cell by returning,
-instead of yielding, the elements of its last stage: a ``Script``'s at
-its last entry stage, ``FullColumnOf``'s once its rows reach the bound,
-and a construction's when its step knows no later stage can add one.
+such as the harness's re-check of a window past its settle bound,
+costs the same at stage 10^10 as at the next stage.  Once the demanded
+part of a fixpoint is complete, evaluation stops.  A generator closes
+its cell by returning, instead of yielding, the elements of its last
+stage: a ``Script``'s at its last entry stage, ``FullColumnOf``'s once
+its rows reach the bound, and a construction's when its step knows no
+later stage can add one.
 
 A term whose elements rise with the stage also reports a *floor*: the
 least element a stage after a given one can still add, declared when

@@ -36,10 +36,13 @@ class Built:
     """A constructed program plus what we know about it.
 
     ``settle(M)`` bounds the stage at which the program agrees with its
-    limit on [0, M].  ``member(x)`` is the limit membership, set only
-    for images whose prediction is a class key (a set or a cut states
-    its own membership; a custom validator needs none).  ``parts``
-    carries auxiliary terms for multi-program constructions.
+    limit on [0, M].  It is the certificate of the harness's window: the
+    window is read at this stage and once more ``M`` stages later, so a
+    bound that is too low shows as an unknown case.  ``member(x)`` is
+    the limit membership, set only for images whose prediction is a
+    class key (a set or a cut states its own membership; a custom
+    validator needs none).  ``parts`` carries auxiliary terms for
+    multi-program constructions.
     """
 
     term: object

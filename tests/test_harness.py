@@ -1,15 +1,21 @@
 """Corpus generation and the settlement-aware verifier."""
 
 import json
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 import celab  # noqa: F401
-from celab.harness import (TestCase, VerificationReport, bits_below,
+from celab.descriptors import Finite
+from celab.harness import (DEFAULT_BUDGET, TestCase, VerificationReport,
+                           _Unknown, bits_below, check_built,
                            corpus_from_json, corpus_to_json, exit_code,
                            gen_corpus, verify_reduction)
-from celab.reductions import MUTANTS, REDUCTIONS, mutated
+from celab.programs import Evaluator, script
+from celab.reductions import MUTANTS, REDUCTIONS, Built, Reduction, mutated
+from test_reference_evaluator import ReferenceEvaluator
 
 
 def test_corpora_are_deterministic_and_balanced():
@@ -72,6 +78,46 @@ def test_budget_starvation_reports_unknown_not_disagreement(name):
     assert not rep.disagreements
     assert rep.unknowns == 5
     assert exit_code(rep) == 3
+
+
+def _scripted(settle):
+    """A reduction whose every build is a script that gains 1 at stage
+    0 and 2 at stage 5, under the given settle bound."""
+    built = Built(script([(0, {1}), (5, {2})]), settle)
+    return Reduction("scripted", "eq_ce", "eq_ce", lambda payload, rng: built,
+                     None, None)
+
+
+def test_a_window_that_changes_after_the_settle_bound_is_unknown():
+    with pytest.raises(_Unknown, match="changed after the settle bound"):
+        check_built(_scripted(lambda M: 0), None, Finite(frozenset({1, 2})),
+                    None, 10, DEFAULT_BUDGET)
+
+
+def test_a_window_settled_by_its_bound_is_certified():
+    assert check_built(_scripted(lambda M: 5), None,
+                       Finite(frozenset({1, 2})), None, 10,
+                       DEFAULT_BUDGET) == []
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, r in REDUCTIONS.items() if r.validator is None))
+def test_certified_windows_match_the_reference_past_the_bound(name):
+    """Each window check_built certifies equals the reference
+    evaluator's, whose cells never close, read ``window`` stages past
+    the settle bound."""
+    red = REDUCTIONS[name]
+    window = red.window
+    rng = random.Random(f"{name}/1/build")
+    for case in gen_corpus(red, seed=1, size=50)[:4]:
+        for payload in case.a, case.b:
+            built = red.build(payload, rng)
+            once = replace(red, build=lambda payload, rng: built)
+            assert check_built(once, payload, red.predict(payload), None,
+                               window, DEFAULT_BUDGET) == []
+            stage = built.settle(window)
+            assert Evaluator().upto(built.term, stage, window) == \
+                ReferenceEvaluator().upto(built.term, stage + window, window)
 
 
 def test_mutants_disagree_with_traces():
