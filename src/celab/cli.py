@@ -161,6 +161,10 @@ def cmd_verify(args) -> int:
         # too large for the target's analysis
         raise InputError("bad corpus file: an element too large to"
                          " analyse")
+    except UnsupportedDescriptor as exc:
+        # a payload the source relation decides can still fall outside
+        # what the image's analysis or construction handles
+        raise InputError(f"bad corpus file: {exc}")
     _write(report.to_bytes().decode() + "\n", args.out)
     return exit_code(report)
 

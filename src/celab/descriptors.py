@@ -267,6 +267,9 @@ class EP:
     def cardinality(self):
         return self.head.bit_count() if self.is_finite else math.inf
 
+    def cocardinality(self):
+        return self.complement().cardinality()
+
     def min(self, at_least: int = 0) -> Optional[int]:
         """The least element >= at_least, or None."""
         head = self.head >> at_least
@@ -422,6 +425,14 @@ def block_of(kind: str, x: int) -> Optional[int]:
 
 @dataclass(frozen=True)
 class BlockImage:
+    """The union of the blocks indexed by an EP, kept symbolic.
+
+    It answers the questions of ``EP`` that a block union decides
+    exactly, under EP's names.  Each block is a finite nonempty
+    interval, so the image is finite, cofinite or empty exactly when
+    its index set is.
+    """
+
     kind: str  # 'dyadic' | 'weight'
     index: EP
 
@@ -429,8 +440,61 @@ class BlockImage:
         n = block_of(self.kind, x)
         return n is not None and self.index.member(n)
 
+    @property
+    def is_finite(self) -> bool:
+        return self.index.is_finite
+
+    @property
+    def is_cofinite(self) -> bool:
+        return self.index.is_cofinite
+
+    @property
+    def is_empty(self) -> bool:
+        return self.index.is_empty
+
+    def _extent(self, ns: EP) -> int:
+        """The total length of the blocks indexed by a finite ns."""
+        return sum(hi - lo for lo, hi in
+                   (block_bounds(self.kind, n) for n in ns.elements()))
+
+    def cardinality(self):
+        return self._extent(self.index) if self.is_finite else math.inf
+
+    def cocardinality(self):
+        if not self.is_cofinite:
+            # the image misses infinitely many whole blocks
+            return math.inf
+        # dyadic blocks never cover 0
+        return (self.kind == "dyadic") + self._extent(self.index.complement())
+
+    def min(self, at_least: int = 0) -> Optional[int]:
+        """The least element >= at_least, or None."""
+        n = block_of(self.kind, at_least)
+        if n is not None and self.index.member(n):
+            return at_least
+        m = self.index.min(0 if n is None else n + 1)
+        return None if m is None else block_bounds(self.kind, m)[0]
+
+    def max(self) -> Optional[int]:
+        if not self.is_finite:
+            raise UnsupportedDescriptor("max of infinite set")
+        n = self.index.max()
+        return None if n is None else block_bounds(self.kind, n)[1] - 1
+
 
 Analysis = TUnion[EP, BlockImage]
+"""The analysis of a 1-D descriptor.  Both classes answer ``member``,
+``is_finite``, ``is_cofinite``, ``is_empty``, ``min(at_least)``,
+``max()``, ``cardinality()`` and ``cocardinality()``; the other
+questions (medians, gcd/lcm, ``e0_key``, ``triadic_sum``) are EP's
+alone, asked through ``ep_only``."""
+
+
+def ep_only(ana: Analysis, question: str) -> EP:
+    """ana, for a question only an EP answers; a block image raises."""
+    if not isinstance(ana, EP):
+        raise UnsupportedDescriptor(f"{question} needs an EP analysis")
+    return ana
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from typing import Callable, Optional
 
 from ..descriptors import (
     Descriptor, Finite, Cofinite, Progression, Union, Difference,
-    ColumnsBySet, OverrideColumns, FULL, analyze, compile_descriptor, member,
+    EP, ColumnsBySet, OverrideColumns, FULL, UnsupportedDescriptor, analyze,
+    compile_descriptor, member,
 )
 from ..programs import Combinator
 
@@ -210,8 +211,10 @@ def compile_arg(payload: Descriptor, rng):
     delay = rng.randrange(4) if rng is not None else 0
     try:
         ana = analyze(payload)
-        finite = getattr(ana, "is_finite", False)
-    except Exception:
+        # scripts list their elements: a block image may be finite yet
+        # too large to list
+        finite = isinstance(ana, EP) and ana.is_finite
+    except UnsupportedDescriptor:
         finite = False
     if finite and rng is not None and rng.random() < 0.4:
         built = compile_descriptor(payload, delay=delay, as_script=True,

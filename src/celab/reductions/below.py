@@ -22,7 +22,7 @@ from itertools import count
 
 from ..programs import register_combinator, param
 from ..descriptors import (
-    Descriptor, Finite, Progression, EMPTY, FULL, analyze,
+    Descriptor, Finite, Progression, EMPTY, FULL, analyze, ep_only,
 )
 from ..orders import CodeKey, code_below, rational_parts
 from ..relations import ClassKey, QCut, max_key
@@ -589,7 +589,7 @@ register_mutant("omega_into_rationals", "adds-seven",
 
 
 def _triadic_sum(payload) -> Fraction:
-    return analyze(payload).triadic_sum()
+    return ep_only(analyze(payload), "a triadic sum").triadic_sum()
 
 
 def _triadic_cut_settle(payload, sa, M):

@@ -42,8 +42,8 @@ from ..pairing import column, pair, pairs, row, unpair
 from ..programs import register_combinator, param
 from ..descriptors import (
     ColumnsBySet, Columns, Difference, Finite, EMPTY, FULL,
-    Descriptor, analyze, block_bounds, block_of, column_descriptor, member,
-    DyadicBlocks, WeightBlocks, TailColumns,
+    Descriptor, EP, analyze, block_bounds, block_of, column_descriptor,
+    ep_only, member, DyadicBlocks, WeightBlocks, TailColumns,
 )
 from ..relations import ClassKey, columnwise_key, decide
 from . import (
@@ -459,7 +459,7 @@ def _scaled_member(payload):
 
 
 def _e0_colkey(col):
-    return col.e0_key() if hasattr(col, "e0_key") else col
+    return col.e0_key() if isinstance(col, EP) else col
 
 
 def _scaled_settle(payload, sa, M):
@@ -541,7 +541,8 @@ e0_to_eset = register_reduction(Reduction(
     build=one_arg_build("prefix_family", _prefix_family_settle,
                         member=_prefix_family_member),
     predict=lambda payload: ClassKey(
-        "eset", ("prefix-family", analyze(payload).e0_key())),
+        "eset", ("prefix-family",
+                 ep_only(analyze(payload), "an e0 key").e0_key())),
     gen_case=gen_pair_1d,
     window=128,
     combinator="prefix_family",

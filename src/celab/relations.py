@@ -18,10 +18,9 @@ from typing import Callable, Optional
 
 from .pairing import unpair
 from .descriptors import (
-    EP, BlockImage, Descriptor, Finite, Columns, ColumnsBySet,
-    TailColumns, OverrideColumns, UnsupportedDescriptor, analyze,
-    block_bounds, columns_view, ep_difference, ep_union, kept,
-    region_pairs,
+    EP, BlockImage, Finite, Columns, ColumnsBySet, TailColumns,
+    OverrideColumns, UnsupportedDescriptor, analyze, columns_view,
+    ep_difference, ep_only, ep_union, kept, region_pairs,
 )
 
 # ---------------------------------------------------------------------------
@@ -70,11 +69,7 @@ def _sem(x):
 
 def _size_class(a) -> str:
     """'fin' / 'cofin' / 'sym' (infinite and co-infinite)."""
-    if isinstance(a, EP):
-        return "fin" if a.is_finite else "cofin" if a.is_cofinite else "sym"
-    if a.index.is_finite:
-        return "fin"
-    return "cofin" if a.index.is_cofinite else "sym"
+    return "fin" if a.is_finite else "cofin" if a.is_cofinite else "sym"
 
 
 def ana_eq(a, b) -> bool:
@@ -133,110 +128,55 @@ def ana_almost_eq(a, b) -> bool:
     return False
 
 
-def ana_is_finite(a) -> bool:
-    return a.is_finite if isinstance(a, EP) else a.index.is_finite
-
-
-def ana_is_empty(a) -> bool:
-    return a.is_empty if isinstance(a, EP) else a.index.is_empty
-
-
-def ana_min(a) -> Optional[int]:
-    if isinstance(a, EP):
-        return a.min()
-    n = a.index.min()
-    return None if n is None else block_bounds(a.kind, n)[0]
-
-
-def ana_max(a) -> Optional[int]:
-    if isinstance(a, EP):
-        return a.max()
-    if not a.index.is_finite:
-        raise UnsupportedDescriptor("max of infinite set")
-    n = a.index.max()
-    return None if n is None else block_bounds(a.kind, n)[1] - 1
-
-
-def ana_card(a):
-    if isinstance(a, EP):
-        return a.cardinality()
-    if not a.index.is_finite:
-        return math.inf
-    return sum(
-        hi - lo
-        for n in a.index.elements()
-        for lo, hi in [block_bounds(a.kind, n)]
-    )
-
-
-def ana_cocard(a):
-    if isinstance(a, EP):
-        return a.complement().cardinality()
-    if a.index.is_cofinite:
-        extra = 1 if a.kind == "dyadic" else 0  # dyadic blocks miss 0
-        return extra + sum(
-            hi - lo
-            for n in a.index.complement().elements()
-            for lo, hi in [block_bounds(a.kind, n)]
-        )
-    # otherwise the image misses infinitely many whole blocks
-    return math.inf
-
-
 # ---------------------------------------------------------------------------
-# per-relation keys on 1-D payloads
+# per-relation keys on 1-D payloads: an EP and a BlockImage answer the
+# questions they share under the same names
 
 
 def sup_key(a):
     """Order type of the strict cut below the set, as a count."""
-    if ana_is_empty(a):
+    if a.is_empty:
         return 0
-    if not ana_is_finite(a):
+    if not a.is_finite:
         return math.inf
-    return ana_max(a)
+    return a.max()
 
 
 def hull_key(a):
-    if ana_is_empty(a):
+    if a.is_empty:
         return ("empty",)
-    if ana_is_finite(a):
-        return ("fin", ana_min(a), ana_max(a))
-    return ("inf", ana_min(a))
+    if a.is_finite:
+        return ("fin", a.min(), a.max())
+    return ("inf", a.min())
 
 
 def min_key(a):
-    m = ana_min(a)
+    m = a.min()
     return ("empty",) if m is None else ("min", m)
 
 
 def max_key(a):
-    if ana_is_empty(a):
+    if a.is_empty:
         return ("empty",)
-    if not ana_is_finite(a):
+    if not a.is_finite:
         return ("inf",)
-    return ("max", ana_max(a))
+    return ("max", a.max())
 
 
 def med_key(a):
-    if not isinstance(a, EP):
-        raise UnsupportedDescriptor("median needs an EP analysis")
-    return a.median_key()
+    return ep_only(a, "median").median_key()
 
 
 def gcd_key(a):
-    if not isinstance(a, EP):
-        raise UnsupportedDescriptor("gcd needs an EP analysis")
-    return a.gcd_value()
+    return ep_only(a, "gcd").gcd_value()
 
 
 def lcm_key(a):
-    if not isinstance(a, EP):
-        raise UnsupportedDescriptor("lcm needs an EP analysis")
-    return a.lcm_value()
+    return ep_only(a, "lcm").lcm_value()
 
 
 def one_equivalence_key(a):
-    return (ana_card(a), ana_cocard(a))
+    return (a.cardinality(), a.cocardinality())
 
 
 def many_one_key(a):
@@ -264,53 +204,34 @@ def _columnish(d) -> bool:
                           OverrideColumns))
 
 
-def columns_equal(a, b) -> bool:
-    """Extensional equality of column-structured payloads."""
+def _columns_agree(a, b, on_finite, on_infinite) -> bool:
+    """Whether two column-structured payloads agree region by region.
+
+    The regions are the meets of a region of a's column view with one
+    of b's, each with one column of a and one of b.  The two columns
+    are compared under ``on_finite`` on a region of finitely many
+    columns (None: not compared), under ``on_infinite`` on the
+    others.  Column c of a tail payload is base minus [0, c), so two
+    tail payloads agree under each relation here exactly when their
+    bases do under ``on_finite``; with None (all but finitely many
+    columns equal) the tails agree from some column on exactly when
+    the bases are almost equal.
+    """
     if isinstance(a, TailColumns) and isinstance(b, TailColumns):
-        return ana_eq(analyze(a.base), analyze(b.base))
+        return (on_finite or ana_almost_eq)(analyze(a.base),
+                                            analyze(b.base))
     if isinstance(a, TailColumns) or isinstance(b, TailColumns):
         raise UnsupportedDescriptor("mixed tail/constant column shapes")
     for region, ca, cb in region_pairs(columns_view(a), columns_view(b)):
-        if not ana_eq(analyze(ca), analyze(cb)):
+        test = on_finite if region.is_finite else on_infinite
+        if test is not None and not test(analyze(ca), analyze(cb)):
             return False
     return True
 
 
-def columns_symdiff_finite(a, b) -> bool:
-    """Finite symmetric difference of column-structured payloads.
-
-    Finitely many columns may differ, each by a finite set; on any
-    region with infinitely many columns the columns must agree exactly.
-    """
-    if isinstance(a, TailColumns) and isinstance(b, TailColumns):
-        # the total difference is sum over x in base diff of (x+1)
-        return ana_almost_eq(analyze(a.base), analyze(b.base))
-    if isinstance(a, TailColumns) or isinstance(b, TailColumns):
-        raise UnsupportedDescriptor("mixed tail/constant column shapes")
-    for region, ca, cb in region_pairs(columns_view(a), columns_view(b)):
-        if region.is_finite:
-            if not ana_almost_eq(analyze(ca), analyze(cb)):
-                return False
-        else:
-            if not ana_eq(analyze(ca), analyze(cb)):
-                return False
-    return True
-
-
-def _tailcolumns_pair(a: Descriptor, b: Descriptor):
-    if isinstance(a, TailColumns) and isinstance(b, TailColumns):
-        return analyze(a.base), analyze(b.base)
-    return None
-
-
-def decide_almost_all_columns_equal(a, b) -> bool:
+def _decide_e1(a, b) -> bool:
     """All but finitely many columns extensionally equal."""
-    tails = _tailcolumns_pair(a, b)
-    if tails is not None:
-        # column c is base minus [0, c); tails agree from some column on
-        # exactly when the bases have finite symmetric difference
-        return ana_almost_eq(*tails)
-    if isinstance(a, TailColumns) or isinstance(b, TailColumns):
+    if isinstance(a, TailColumns) != isinstance(b, TailColumns):
         tc, other = (a, b) if isinstance(a, TailColumns) else (b, a)
         base = analyze(tc.base)
         view = columns_view(other)
@@ -321,33 +242,9 @@ def decide_almost_all_columns_equal(a, b) -> bool:
             # match any fixed column family only finitely often
             return False
         # beyond max(base) every tail column is empty
-        for region, col in view.regions:
-            if not region.is_finite and not ana_is_empty(analyze(col)):
-                return False
-        return True
-    va, vb = columns_view(a), columns_view(b)
-    for region, ca, cb in region_pairs(va, vb):
-        if region.is_finite:
-            continue
-        if not ana_eq(analyze(ca), analyze(cb)):
-            return False
-    return True
-
-
-def decide_all_columns_almost_equal(a, b) -> bool:
-    """Every column pair has finite symmetric difference."""
-    tails = _tailcolumns_pair(a, b)
-    if tails is not None:
-        # (A - [0,c)) vs (B - [0,c)) differ finitely for every c exactly
-        # when A and B differ finitely
-        return ana_almost_eq(*tails)
-    if isinstance(a, TailColumns) or isinstance(b, TailColumns):
-        raise UnsupportedDescriptor("mixed tail/constant column shapes")
-    va, vb = columns_view(a), columns_view(b)
-    for region, ca, cb in region_pairs(va, vb):
-        if not ana_almost_eq(analyze(ca), analyze(cb)):
-            return False
-    return True
+        return all(region.is_finite or analyze(col).is_empty
+                   for region, col in view.regions)
+    return _columns_agree(a, b, None, ana_eq)
 
 
 def columnwise_key(d, colkey) -> frozenset:
@@ -475,13 +372,13 @@ def _decide_eq_ce(a, b):
     if isinstance(a, QCut) and isinstance(b, QCut):
         return a.bound == b.bound
     if _columnish(a) or _columnish(b):
-        return columns_equal(a, b)
+        return _columns_agree(a, b, ana_eq, ana_eq)
     return ana_eq(_sem(a), _sem(b))
 
 
 def _decide_e0(a, b):
     if _columnish(a) or _columnish(b):
-        return columns_symdiff_finite(a, b)
+        return _columns_agree(a, b, ana_almost_eq, ana_eq)
     return ana_almost_eq(_sem(a), _sem(b))
 
 
@@ -510,7 +407,7 @@ register_relation(
     level="Sigma-0-3-complete", doc="finite symmetric difference",
 )
 register_relation(
-    "e1", decide_almost_all_columns_equal, level="Pi-0-3",
+    "e1", _decide_e1, level="Pi-0-3",
     doc="all but finitely many columns equal",
 )
 register_relation(
@@ -518,7 +415,8 @@ register_relation(
     doc="symmetric difference of finite harmonic weight",
 )
 register_relation(
-    "e3", decide_all_columns_almost_equal, level="Pi-0-4",
+    "e3", lambda a, b: _columns_agree(a, b, ana_almost_eq, ana_almost_eq),
+    level="Pi-0-4",
     doc="every column pair almost equal",
 )
 register_relation(

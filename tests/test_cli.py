@@ -302,6 +302,29 @@ def test_a_corpus_of_empty_tuples_verifies(capsys, tmp_path):
                "--corpus", str(path))[0] == 0
 
 
+# block unions that the analysis keeps symbolic: two with an infinite,
+# co-infinite index set and one whose block ends past the
+# materialization cap
+BLOCK_PAYLOADS = ["(weight (progression 0 2))", "(dyadic (progression 1 2))",
+                  "(dyadic (finite 16))"]
+
+
+@pytest.mark.parametrize("payload", BLOCK_PAYLOADS)
+@pytest.mark.parametrize("name", sorted(
+    name for name, red in REDUCTIONS.items()
+    if red.payload_kind == "descriptor"))
+def test_a_block_image_payload_ends_in_an_exit_code(capsys, tmp_path, name,
+                                                    payload):
+    red = REDUCTIONS[name]
+    path = tmp_path / "corpus.json"
+    _write_corpus(path, red.source, [{"descA": payload, "descB": payload,
+                                      "expected": True}])
+    code = main(["verify", "--reduction", name, "--corpus", str(path)])
+    assert code in (0, 3, 4)
+    if code == 4:
+        assert capsys.readouterr().err.startswith("error: bad corpus file: ")
+
+
 def _nested(depth):
     term = "(fullcolumn 0)"
     for _ in range(depth):

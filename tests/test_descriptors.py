@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401
-from celab import descriptors as D
+from celab import descriptors as D, relations as R
 from celab.descriptors import (EMPTY, EP, FULL, BlockImage, Cofinite,
                                Columns, ColumnsBySet, Difference,
                                DyadicBlocks, Finite, OverrideColumns,
@@ -27,7 +27,8 @@ from celab.descriptors import (EMPTY, EP, FULL, BlockImage, Cofinite,
 from celab.harness import corpus_from_json, corpus_to_json, gen_corpus
 from celab.pairing import unpair
 from celab.programs import Evaluator
-from celab.reductions import gen_pair_columns, random_ep_descriptor
+from celab.reductions import (compile_arg, gen_pair_columns,
+                              random_ep_descriptor)
 from celab.relations import NceTuple
 from celab.serialization import desc_from_sexpr, desc_to_sexpr
 
@@ -72,6 +73,44 @@ def test_materialized_block_images_match_membership(d):
     assert {x for x in range(WINDOW + 1) if ana.member(x)} == brute(d)
 
 
+def _answers(ana, at_least):
+    """What an analysis says to the questions EP and BlockImage share,
+    and the keys the relations build from them."""
+    def ask(question):
+        try:
+            return question()
+        except UnsupportedDescriptor as exc:
+            return f"unsupported: {exc}"
+    return {
+        "is_finite": ana.is_finite, "is_cofinite": ana.is_cofinite,
+        "is_empty": ana.is_empty, "min": ana.min(),
+        "min_at_least": ana.min(at_least), "max": ask(ana.max),
+        "cardinality": ana.cardinality(),
+        "cocardinality": ana.cocardinality(),
+        **{key.__name__: ask(lambda: key(ana)) for key in (
+            R.min_key, R.max_key, R.sup_key, R.hull_key,
+            R.one_equivalence_key)},
+    }
+
+
+# index sets whose blocks end below MATERIALIZE_CAP for both kinds
+_SMALL_INDEXES = st.one_of(
+    st.builds(Finite, st.frozensets(st.integers(0, 9), max_size=4)),
+    st.builds(Cofinite, st.frozensets(st.integers(0, 9), max_size=4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["dyadic", "weight"]), _SMALL_INDEXES,
+       st.integers(0, 20000))
+def test_a_block_image_answers_like_its_materialized_ep(kind, index,
+                                                       at_least):
+    ep = analyze((DyadicBlocks if kind == "dyadic" else WeightBlocks)(index))
+    assert isinstance(ep, EP)
+    image = BlockImage(kind, analyze(index))
+    assert _answers(image, at_least) == _answers(ep, at_least)
+
+
 @pytest.mark.parametrize("d", descriptors(13))
 def test_min_and_cardinality(d):
     ana = analyze(d)
@@ -95,6 +134,19 @@ def test_compiled_program_enumerates_the_set(d):
     # settled: nothing changes on the window afterwards
     later = {x for x in ev.approx(built.term, s + 64) if x <= WINDOW}
     assert later == got
+
+
+def test_compile_arg_lists_only_finite_eps_in_a_script():
+    # dyadic block 16 is finite, but kept symbolic: too long to list
+    blocks = DyadicBlocks(Finite(frozenset({16})))
+    assert isinstance(analyze(blocks), BlockImage)
+    assert analyze(blocks).is_finite
+    rng = random.Random(3)
+    kinds = {type(compile_arg(d, rng)[0]).__name__
+             for d in (blocks, Finite(frozenset({16}))) for _ in range(20)}
+    assert kinds == {"Combinator", "Script"}
+    assert all(compile_arg(blocks, rng)[0].cid == "from_descriptor"
+               for _ in range(20))
 
 
 def test_weight_blocks_partition_the_naturals():

@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401
 from celab import descriptors as D, relations as R
-from celab.descriptors import (EP, BlockImage, Difference, Finite, Union,
-                               _tile, columns_view, ep_combine, member)
+from celab.descriptors import (EP, BlockImage, Cofinite, ColumnsBySet,
+                               Difference, Finite, OverrideColumns,
+                               Progression, TailColumns, Union, _tile,
+                               columns, columns_view, ep_combine, member)
 from celab.pairing import pair
 from celab.relations import (RELATIONS, NceTuple, ana_almost_eq,
                              column_family_key, decide, digraph_canonical,
@@ -82,6 +84,69 @@ def test_e1_implies_eset_and_e3_on_tail_families():
         if decide("eq_ce", a, b):
             assert decide("e1", a, b) and decide("e3", a, b)
             assert decide("eset", a, b)
+
+
+_SMALL_SETS = st.one_of(
+    st.builds(Finite, st.frozensets(st.integers(0, 9), max_size=3)),
+    st.builds(Cofinite, st.frozensets(st.integers(0, 9), max_size=3)),
+    st.builds(Progression, st.integers(0, 4), st.integers(1, 3)),
+)
+_COLUMN = st.integers(0, 5)
+# each column shape: the strategies of its parts, and its builder
+_COLUMN_SHAPES = {
+    "columns": ((_COLUMN, _SMALL_SETS, _SMALL_SETS),
+                lambda c, col, default: columns({c: col}, default)),
+    "by-set": ((_SMALL_SETS,) * 3, ColumnsBySet),
+    "override": ((_COLUMN, _SMALL_SETS) + (_SMALL_SETS,) * 3,
+                 lambda c, col, *by_set: OverrideColumns(
+                     ((c, col),), ColumnsBySet(*by_set))),
+    "tail": ((_SMALL_SETS,), TailColumns),
+}
+
+
+@st.composite
+def column_payload_pairs(draw):
+    """Two column payloads of one shape that share each part half the
+    time, so that the pair is often related and often almost related;
+    now and then two payloads of independent shapes."""
+    def parts(shape):
+        return [draw(part) for part in _COLUMN_SHAPES[shape][0]]
+
+    def built(shape, parts):
+        return _COLUMN_SHAPES[shape][1](*parts)
+
+    shapes = st.sampled_from(sorted(_COLUMN_SHAPES))
+    shape, other = draw(shapes), draw(shapes)
+    first = parts(shape)
+    if draw(st.integers(0, 4)) == 0:
+        return built(shape, first), built(other, parts(other))
+    second = [p if draw(st.booleans()) else draw(part)
+              for p, part in zip(first, _COLUMN_SHAPES[shape][0])]
+    return built(shape, first), built(shape, second)
+
+
+def _verdict(rid, a, b):
+    try:
+        return decide(rid, a, b)
+    except D.UnsupportedDescriptor as exc:
+        return f"unsupported: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(column_payload_pairs())
+def test_column_relations_are_equivalences_ordered_by_strength(ab):
+    """On column payloads eq_ce, e0, e1 and e3 are reflexive and
+    symmetric, and eq_ce => e0 => (e1 and e3)."""
+    a, b = ab
+    got = {}
+    for rid in ("eq_ce", "e0", "e1", "e3"):
+        assert decide(rid, a, a) and decide(rid, b, b), rid
+        got[rid] = _verdict(rid, a, b)
+        assert _verdict(rid, b, a) == got[rid], rid
+    if got["eq_ce"] is True:
+        assert got["e0"] is True
+    if got["e0"] is True:
+        assert got["e1"] is True and got["e3"] is True
 
 
 def test_repackage_never_changes_the_set():
