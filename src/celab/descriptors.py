@@ -27,7 +27,7 @@ from typing import Optional, Tuple, Union as TUnion
 
 from .pairing import pair, unpair, seq_encode, seq_decode
 from .programs import (
-    Combinator, columns_of, param, register_combinator, script,
+    Built, Combinator, columns_of, param, register_combinator, script,
 )
 
 # Block shapes whose total extent exceeds this are kept symbolic.
@@ -288,9 +288,6 @@ class EP:
             raise UnsupportedDescriptor("max of infinite set")
         return self.head.bit_length() - 1 if self.head else None
 
-    def density(self) -> Fraction:
-        return Fraction(self.residues.bit_count(), self.period)
-
     def gcd_value(self):
         """gcd of all elements; infinity for sets within {0} (or empty)."""
         # each residue class contributes its first member and the period
@@ -427,10 +424,12 @@ def block_of(kind: str, x: int) -> Optional[int]:
 class BlockImage:
     """The union of the blocks indexed by an EP, kept symbolic.
 
-    It answers the questions of ``EP`` that a block union decides
-    exactly, under EP's names.  Each block is a finite nonempty
-    interval, so the image is finite, cofinite or empty exactly when
-    its index set is.
+    ``analyze`` makes one only where ``_block_image`` cannot materialize
+    the union: its index is infinite and co-infinite, or it names or
+    misses a block that ends past MATERIALIZE_CAP.  It answers the
+    questions of ``EP`` that a block union decides exactly, under EP's
+    names.  Each block is a finite nonempty interval, so the image is
+    finite, cofinite or empty exactly when its index set is.
     """
 
     kind: str  # 'dyadic' | 'weight'
@@ -550,16 +549,17 @@ def _block_bits(kind: str, ns) -> int:
     return bits
 
 
-def _materialize_blocks(kind: str, index: EP) -> Optional[EP]:
-    """The block image as an EP, if the index set is finite or cofinite
-    and the blocks it names or misses end by MATERIALIZE_CAP."""
+def _block_image(kind: str, index: EP) -> Analysis:
+    """The union of the blocks indexed by index, in canonical form: an
+    EP when the index set is finite or cofinite and the blocks it names
+    or misses end by MATERIALIZE_CAP, else a symbolic BlockImage."""
     cofinite = index.is_cofinite
     if not (cofinite or index.is_finite):
-        return None
+        return BlockImage(kind, index)
     ns = (index.complement() if cofinite else index).elements()
     hi = max((block_bounds(kind, n)[1] for n in ns), default=1)
     if hi > MATERIALIZE_CAP:
-        return None
+        return BlockImage(kind, index)
     bits = _block_bits(kind, ns)
     if not cofinite:
         return EP.make(hi, 1, bits, 0)
@@ -572,8 +572,7 @@ def _blocks_analysis(kind: str, d: Descriptor) -> Analysis:
     index = analyze(d)
     if not isinstance(index, EP):
         raise UnsupportedDescriptor("block index must be EP-analyzable")
-    mat = _materialize_blocks(kind, index)
-    return mat if mat is not None else BlockImage(kind, index)
+    return _block_image(kind, index)
 
 
 def _analyze(d: Descriptor) -> Analysis:
@@ -605,7 +604,7 @@ def _binary_union(a: Analysis, b: Analysis) -> Analysis:
     if (isinstance(a, BlockImage) and isinstance(b, BlockImage)
             and a.kind == b.kind):
         # blocks are disjoint per index, so the union acts indexwise
-        return BlockImage(a.kind, ep_union(a.index, b.index))
+        return _block_image(a.kind, ep_union(a.index, b.index))
     raise UnsupportedDescriptor("union outside the closed class")
 
 
@@ -614,7 +613,7 @@ def _binary_difference(a: Analysis, b: Analysis) -> Analysis:
         return ep_difference(a, b)
     if (isinstance(a, BlockImage) and isinstance(b, BlockImage)
             and a.kind == b.kind):
-        return BlockImage(a.kind, ep_difference(a.index, b.index))
+        return _block_image(a.kind, ep_difference(a.index, b.index))
     raise UnsupportedDescriptor("difference outside the closed class")
 
 
@@ -1054,18 +1053,6 @@ def decode_descriptor(code: int) -> Descriptor:
 # compilation to programs
 
 
-@dataclass
-class Compiled:
-    """A program realizing a descriptor, with settlement data.
-
-    ``settle(M)`` is a stage past which approx agrees with the
-    descriptor on [0, M].
-    """
-
-    term: object
-    settle: object  # Callable[[int], int]
-
-
 def _finite_top(d: Descriptor) -> Optional[int]:
     """A bound on the elements of d when its structure shows d finite
     (-1 when it shows d empty), else None.
@@ -1127,7 +1114,7 @@ register_combinator("from_descriptor", _stages_from_descriptor, reads=0,
 
 def compile_descriptor(d: Descriptor, delay: int = 0,
                        as_script: bool = False,
-                       rng=None) -> Compiled:
+                       rng=None) -> Built:
     """Compile a descriptor into a program with known settlement.
 
     With ``as_script`` (finite 1-D descriptors only) the result is a
@@ -1143,8 +1130,8 @@ def compile_descriptor(d: Descriptor, delay: int = 0,
             rng.shuffle(elems)
         entries = [(delay + i, {x}) for i, x in enumerate(elems)]
         last = delay + len(elems)
-        return Compiled(script(entries), lambda M: last)
+        return Built(script(entries), lambda M: last)
 
     term = Combinator("from_descriptor",
                       params=(encode_descriptor(d), delay))
-    return Compiled(term, lambda M: M + delay + 1)
+    return Built(term, lambda M: M + delay + 1)

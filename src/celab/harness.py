@@ -202,12 +202,13 @@ def corpus_from_json(data: dict) -> list:
 
 
 def predicted_member(pred) -> Optional[object]:
-    """Limit membership of a predicted payload, when it determines one.
+    """Limit membership of a predicted payload.
 
-    ClassKey predictions name a class, not a set, so they yield None
-    and the check falls back to the construction's own limit."""
+    A descriptor or a cut is its own set.  A ClassKey names a class, so
+    it yields the membership its reduction stated with it: None when
+    the reduction checks its image with a validator instead."""
     if isinstance(pred, ClassKey):
-        return None
+        return pred.member
     if isinstance(pred, QCut):
         if pred.bound == -math.inf:
             return lambda x: False
@@ -254,7 +255,7 @@ def check_built(red: Reduction, payload, pred, rng, window: int,
     if ev.upto(built.term, stage + window, window) != got:
         raise _Unknown("window content changed after the settle bound")
     if isinstance(pred, (ClassKey, QCut)):
-        mem = predicted_member(pred) or built.member
+        mem = predicted_member(pred)
         want = frozenset(x for x in range(window + 1) if mem(x))
     else:
         # a descriptor: its members on the window in one walk

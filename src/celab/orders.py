@@ -1,9 +1,8 @@
-"""Coded linear orders: omega, its reverse, and the rationals.
+"""The rational order on codes.
 
-Each order interprets the naturals as its domain and supplies an exact
-``less`` comparator.  The rational order uses a bijection between the
-naturals and the rationals built on the Calkin-Wilf sequence: code 0 is
-0, code 2k + 1 the k-th positive rational and code 2k + 2 its negative.
+A bijection between the naturals and the rationals, built on the
+Calkin-Wilf sequence, codes the rationals: code 0 is 0, code 2k + 1 the
+k-th positive rational and code 2k + 2 its negative.
 
 One process-wide table holds each code's rational in lowest terms as
 an integer pair ``(numerator, denominator)``, the denominator positive.
@@ -20,7 +19,6 @@ comparison paths.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 # code -> numerator, code -> denominator: a prefix of the codes, the
@@ -96,62 +94,9 @@ def _calkin_wilf_index(q: Fraction) -> int:
 
 
 def rational_to_code(q: Fraction) -> int:
+    """The code of q, from its Calkin-Wilf path rather than the table
+    (the tests' independent check of the table)."""
     if q == 0:
         return 0
     k = _calkin_wilf_index(abs(q))
     return 2 * k + 1 if q > 0 else 2 * k + 2
-
-
-@dataclass(frozen=True)
-class CodedOrder:
-    name: str
-    less: object  # Callable[[int, int], bool], strict order on codes
-
-
-OMEGA = CodedOrder("omega", lambda a, b: a < b)
-OMEGA_STAR = CodedOrder("omega_star", lambda a, b: a > b)
-RATIONALS = CodedOrder(
-    "rationals", lambda a, b: code_below(a, *rational_parts(b)))
-
-ORDERS = {o.name: o for o in (OMEGA, OMEGA_STAR, RATIONALS)}
-
-
-def order_sum(l1: CodedOrder, l2: CodedOrder) -> CodedOrder:
-    """L1 followed by L2, with L1 on the even codes and L2 on the odd
-    codes (code 2a is the L1-element a, code 2b+1 the L2-element b)."""
-
-    def less(x: int, y: int) -> bool:
-        if x % 2 == 0 and y % 2 == 0:
-            return l1.less(x // 2, y // 2)
-        if x % 2 == 1 and y % 2 == 1:
-            return l2.less(x // 2, y // 2)
-        return x % 2 == 0  # every L1 element precedes every L2 element
-
-    return CodedOrder(f"sum({l1.name},{l2.name})", less)
-
-
-def order_reverse(l: CodedOrder) -> CodedOrder:
-    return CodedOrder(f"reverse({l.name})", lambda a, b: l.less(b, a))
-
-
-def order_from_spec(spec: str) -> CodedOrder:
-    """Parse a nested constructor expression like
-    ``sum(omega,reverse(omega))`` into a coded order."""
-    spec = spec.strip()
-    if spec in ORDERS:
-        return ORDERS[spec]
-    if spec.startswith("reverse(") and spec.endswith(")"):
-        return order_reverse(order_from_spec(spec[len("reverse("):-1]))
-    if spec.startswith("sum(") and spec.endswith(")"):
-        body = spec[len("sum("):-1]
-        depth = 0
-        for i, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return order_sum(order_from_spec(body[:i]),
-                                 order_from_spec(body[i + 1:]))
-        raise ValueError(f"missing summand in {spec!r}")
-    raise ValueError(f"not an order spec: {spec!r}")

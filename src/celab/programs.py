@@ -171,6 +171,24 @@ EMPTY = Script(())
 
 
 @dataclass
+class Built:
+    """A program with its settlement bound: a compiled descriptor, or
+    the build of a reduction.
+
+    ``settle(M)`` bounds the stage at which the program agrees with its
+    limit on [0, M].  It is the certificate of the harness's window: the
+    window is read at this stage and once more ``M`` stages later, so a
+    bound that is too low shows as an unknown case.  ``parts`` carries
+    auxiliary terms for multi-program constructions.  What the limit is
+    is stated by the reduction's prediction, never by the build.
+    """
+
+    term: Term
+    settle: Callable[[int], int]
+    parts: tuple = ()
+
+
+@dataclass
 class CombinatorDef:
     """A registered construction.
 

@@ -29,27 +29,7 @@ from ..descriptors import (
     EP, ColumnsBySet, OverrideColumns, FULL, UnsupportedDescriptor, analyze,
     compile_descriptor, member,
 )
-from ..programs import Combinator
-
-
-@dataclass
-class Built:
-    """A constructed program plus what we know about it.
-
-    ``settle(M)`` bounds the stage at which the program agrees with its
-    limit on [0, M].  It is the certificate of the harness's window: the
-    window is read at this stage and once more ``M`` stages later, so a
-    bound that is too low shows as an unknown case.  ``member(x)`` is
-    the limit membership, set only for images whose prediction is a
-    class key (a set or a cut states its own membership; a custom
-    validator needs none).  ``parts`` carries auxiliary terms for
-    multi-program constructions.
-    """
-
-    term: object
-    settle: Callable
-    member: Optional[Callable] = None
-    parts: tuple = ()
+from ..programs import Built, Combinator
 
 
 @dataclass
@@ -65,6 +45,11 @@ class Reduction:
     payload_kind: str = "descriptor"
     combinator: str = ""       # cid applicable to raw argument programs
     doc: str = ""
+
+    def __post_init__(self):
+        # a one_arg_build states its combinator; other builds name one
+        if not self.combinator:
+            self.combinator = getattr(self.build, "cid", "")
 
 
 REDUCTIONS: dict = {}
@@ -83,16 +68,10 @@ def register_mutant(name: str, mutant_name: str, build) -> None:
 
 
 def perturbed(build, perturb):
-    """A mutant build: the production term for a finitely perturbed
-    payload, with the honest payload's predicted membership.  A build
-    whose ``member`` is None leaves it None on every payload, so only a
-    build that carries one builds the honest payload too."""
-    def broken(payload, rng=None):
-        built = build(perturb(payload), rng)
-        if built.member is None:
-            return built
-        return replace(built, member=build(payload).member)
-    return broken
+    """A mutant build: the production build of a finitely perturbed
+    payload.  The harness checks it against the honest payload's
+    prediction, which states the image the build must enumerate."""
+    return lambda payload, rng=None: build(perturb(payload), rng)
 
 
 def adding(x: int):
@@ -201,12 +180,11 @@ def gen_pair_columns(rng, hi: int = 20):
                            random_ep_descriptor(rng, hi))
 
 
-def compile_arg(payload: Descriptor, rng):
+def compile_arg(payload: Descriptor, rng) -> Built:
     """Compile a source payload with a randomized enumeration schedule.
 
-    Returns (term, settle).  Randomizing the delay (and using plain
-    scripts for small finite sets) keeps corpora honest about schedule
-    independence.
+    Randomizing the delay (and using plain scripts for small finite
+    sets) keeps corpora honest about schedule independence.
     """
     delay = rng.randrange(4) if rng is not None else 0
     try:
@@ -217,25 +195,23 @@ def compile_arg(payload: Descriptor, rng):
     except UnsupportedDescriptor:
         finite = False
     if finite and rng is not None and rng.random() < 0.4:
-        built = compile_descriptor(payload, delay=delay, as_script=True,
-                                   rng=rng)
-        return built.term, built.settle
-    built = compile_descriptor(payload, delay=delay)
-    return built.term, built.settle
+        return compile_descriptor(payload, delay=delay, as_script=True,
+                                  rng=rng)
+    return compile_descriptor(payload, delay=delay)
 
 
-def one_arg_build(cid: str, settle, params: tuple = (), member=None):
+def one_arg_build(cid: str, settle, params: tuple = ()):
     """The build of a one-argument construction: combinator ``cid``
     applied to the payload compiled by ``compile_arg``.
 
     ``settle(payload, sa, M)`` bounds the image's settle stage on
-    [0, M], given the argument's settle function ``sa``.
-    ``member(payload)``, for images whose prediction is a class key,
-    gives the limit membership.
+    [0, M], given the argument's settle function ``sa``.  The build
+    carries ``cid``, which a ``Reduction`` on it takes as its
+    ``combinator``.
     """
     def build(payload, rng=None):
-        term, sa = compile_arg(payload, rng)
-        return Built(Combinator(cid, (term,), params),
-                     lambda M: settle(payload, sa, M),
-                     member(payload) if member else None)
+        arg = compile_arg(payload, rng)
+        return Built(Combinator(cid, (arg.term,), params),
+                     lambda M: settle(payload, arg.settle, M))
+    build.cid = cid
     return build

@@ -418,7 +418,6 @@ saturate_up = register_reduction(Reduction(
     predict=_upward_image,
     gen_case=gen_pair_1d,
     window=256,
-    combinator="saturate_up",
     doc="sets with equal minima saturate to the same upward cone",
 ))
 
@@ -440,7 +439,6 @@ saturate_down = register_reduction(Reduction(
     predict=_downward_image,
     gen_case=gen_pair_1d,
     window=256,
-    combinator="saturate_down",
     doc="sets with equal maxima saturate to the same initial segment",
 ))
 
@@ -450,7 +448,6 @@ emax_to_emed = register_reduction(Reduction(
     predict=_downward_image,
     gen_case=gen_pair_1d,
     window=256,
-    combinator="saturate_down",
     doc="the initial segment [0, max] has median max/2, an injective"
         " function of the maximum",
 ))
@@ -478,7 +475,6 @@ cut_omega = register_reduction(Reduction(
     predict=_cut_image,
     gen_case=gen_pair_1d,
     window=256,
-    combinator="saturate_down",
     doc="replace a set by the cut it determines in the order omega",
 ))
 
@@ -488,7 +484,6 @@ elomega_to_homega = register_reduction(Reduction(
     predict=_cut_image,
     gen_case=gen_pair_1d,
     window=256,
-    combinator="saturate_down",
     doc="a cut is its own convex hull, so the cut map also reduces"
         " same-cut to same-hull",
 ))
@@ -516,7 +511,6 @@ hull_omega = register_reduction(Reduction(
     predict=_hull_image,
     gen_case=gen_pair_1d,
     window=256,
-    combinator="interval_hull",
     doc="replace a set by its convex hull in the order omega",
 ))
 register_mutant("hull_omega", "drops-minimum",
@@ -534,7 +528,6 @@ emin_to_homega = register_reduction(Reduction(
     predict=_upper_cone_image,
     gen_case=gen_pair_1d,
     window=256,
-    combinator="saturate_up",
     doc="the strict upper cone is the hull of the reverse-order cut,"
         " an injective function of the minimum",
 ))
@@ -581,7 +574,6 @@ omega_into_rationals = register_reduction(Reduction(
     predict=_qcut_of_max,
     gen_case=_gen_pair_small,
     window=96,
-    combinator="rational_cut",
     doc="embed cuts of the order omega into cuts of the rationals",
 ))
 register_mutant("omega_into_rationals", "adds-seven",
@@ -613,7 +605,6 @@ eqce_to_eQ = register_reduction(Reduction(
     predict=lambda payload: QCut(_triadic_sum(payload)),
     gen_case=gen_pair_1d,
     window=96,
-    combinator="triadic_cut",
     doc="set equality embeds into equality of rational cuts via exact"
         " base-3 sums",
 ))
@@ -649,8 +640,10 @@ def _validate_min_factorials(ev, built, payload, window, stage):
 
 
 def _min_gcd_key(payload) -> ClassKey:
+    # ("fact", n) stands for n!: factorials of distinct n >= 2 differ,
+    # and a key sized by the payload's minimum is never built
     m = _min_of(payload)
-    return ClassKey("e_gcd", math.inf if m is None else _fact(m + 2))
+    return ClassKey("e_gcd", math.inf if m is None else ("fact", m + 2))
 
 
 min_to_gcd = register_reduction(Reduction(
@@ -660,7 +653,6 @@ min_to_gcd = register_reduction(Reduction(
     gen_case=lambda rng: gen_pair_1d(rng, hi=18),
     window=64,
     validator=_validate_min_factorials,
-    combinator="min_factorials",
     doc="emit factorials of running minima; their gcd is the factorial"
         " of the true minimum",
 ))
@@ -703,7 +695,6 @@ gcd_to_min = register_reduction(Reduction(
     gen_case=lambda rng: gen_pair_1d(rng, hi=18),
     window=64,
     validator=_validate_stage_gcds,
-    combinator="stage_gcds",
     doc="emit the running gcds; their minimum is the true gcd",
 ))
 register_mutant("gcd_to_min", "adds-one",
@@ -734,8 +725,10 @@ def _validate_max_factorials(ev, built, payload, window, stage):
 
 def _max_lcm_key(payload) -> ClassKey:
     key = max_key(analyze(payload))
+    # ("fact", n) stands for n!, as in _min_gcd_key
     return ClassKey("e_lcm", 1 if key[0] == "empty"
-                    else _fact(key[1] + 2) if key[0] == "max" else math.inf)
+                    else ("fact", key[1] + 2) if key[0] == "max"
+                    else math.inf)
 
 
 max_to_lcm = register_reduction(Reduction(
@@ -745,7 +738,6 @@ max_to_lcm = register_reduction(Reduction(
     gen_case=lambda rng: gen_pair_1d(rng, hi=18),
     window=64,
     validator=_validate_max_factorials,
-    combinator="max_factorials",
     doc="emit factorials of running maxima; their lcm is the factorial"
         " of the true maximum",
 ))
@@ -788,7 +780,6 @@ lcm_to_max = register_reduction(Reduction(
     gen_case=lambda rng: gen_pair_1d(rng, hi=18),
     window=64,
     validator=_validate_stage_lcms,
-    combinator="stage_lcms",
     doc="emit the running lcms; their maximum is the true lcm",
 ))
 register_mutant("lcm_to_max", "adds-sixty-one",
@@ -882,7 +873,6 @@ emed_to_e0 = register_reduction(Reduction(
     gen_case=gen_pair_1d,
     window=64,
     validator=_validate_median_multiples,
-    combinator="median_multiples",
     doc="emit multiples of the running median step, refilling on every"
         " median change",
 ))

@@ -354,7 +354,8 @@ def _expand_transform(a: Descriptor) -> Descriptor:
 
 
 def _expand_member(payload):
-    # eqm_to_eq1 reuses this build and predicts a class key
+    # the image's membership, stated by eqm_to_eq1's class-key
+    # prediction (this reduction predicts the image descriptor itself)
     image = _expand_transform(payload)
     return lambda x: member(image, x)
 
@@ -365,12 +366,10 @@ def _column_settle(payload, sa, M):
 
 eqce_to_e0 = register_reduction(Reduction(
     name="eqce_to_e0", source="eq_ce", target="e0",
-    build=one_arg_build("expand_columns", _column_settle,
-                        member=_expand_member),
+    build=one_arg_build("expand_columns", _column_settle),
     predict=_expand_transform,
     gen_case=gen_pair_1d,
     window=128,
-    combinator="expand_columns",
     doc="equality drops to finite-difference via full-column images",
 ))
 
@@ -383,7 +382,6 @@ e0_to_e1 = register_reduction(Reduction(
     predict=TailColumns,
     gen_case=gen_pair_1d,
     window=128,
-    combinator="tail_columns",
     doc="finite difference becomes almost-every-column equality",
 ))
 register_mutant("e0_to_e1", "drops-zero",
@@ -407,7 +405,6 @@ e0_to_e2 = register_reduction(Reduction(
     predict=WeightBlocks,
     gen_case=gen_pair_1d,
     window=128,
-    combinator="block_union",
     doc="finite difference becomes finite-weight difference",
 ))
 register_mutant("e0_to_e2", "adds-zero", perturbed(e0_to_e2.build, adding(0)))
@@ -418,7 +415,6 @@ e0_to_z0 = register_reduction(Reduction(
     predict=DyadicBlocks,
     gen_case=gen_pair_1d,
     window=128,
-    combinator="block_union",
     doc="finite difference becomes density-zero difference",
 ))
 register_mutant("e0_to_z0", "adds-one", perturbed(e0_to_z0.build, adding(1)))
@@ -436,7 +432,6 @@ e0_to_e3 = register_reduction(Reduction(
     predict=_replicate_transform,
     gen_case=gen_pair_1d,
     window=96,
-    combinator="replicate_columns",
     doc="finite difference becomes columnwise almost equality",
 ))
 register_mutant("e0_to_e3", "adds-zero", perturbed(e0_to_e3.build, adding(0)))
@@ -469,13 +464,11 @@ def _scaled_settle(payload, sa, M):
 
 e3_to_z0 = register_reduction(Reduction(
     name="e3_to_z0", source="e3", target="z0",
-    build=one_arg_build("scaled_blocks", _scaled_settle,
-                        member=_scaled_member),
+    build=one_arg_build("scaled_blocks", _scaled_settle),
     predict=lambda payload: ClassKey(
-        "z0", columnwise_key(payload, _e0_colkey)),
+        "z0", columnwise_key(payload, _e0_colkey), _scaled_member(payload)),
     gen_case=gen_pair_columns,
     window=128,
-    combinator="scaled_blocks",
     doc="columnwise almost equality becomes density-zero difference",
 ))
 register_mutant("e3_to_z0", "adds-zero", perturbed(e3_to_z0.build, adding(0)))
@@ -506,13 +499,12 @@ def _prefixed_settle(payload, sa, M):
 
 e3_to_eset = register_reduction(Reduction(
     name="e3_to_eset", source="e3", target="eset",
-    build=one_arg_build("prefixed_columns", _prefixed_settle,
-                        member=_prefixed_member),
+    build=one_arg_build("prefixed_columns", _prefixed_settle),
     predict=lambda payload: ClassKey(
-        "eset", ("marked-variants", columnwise_key(payload, _e0_colkey))),
+        "eset", ("marked-variants", columnwise_key(payload, _e0_colkey)),
+        _prefixed_member(payload)),
     gen_case=gen_pair_columns,
     window=96,
-    combinator="prefixed_columns",
     doc="columnwise almost equality becomes column-family equality",
 ))
 register_mutant("e3_to_eset", "adds-zero",
@@ -538,14 +530,13 @@ def _prefix_family_settle(payload, sa, M):
 
 e0_to_eset = register_reduction(Reduction(
     name="e0_to_eset", source="e0", target="eset",
-    build=one_arg_build("prefix_family", _prefix_family_settle,
-                        member=_prefix_family_member),
+    build=one_arg_build("prefix_family", _prefix_family_settle),
     predict=lambda payload: ClassKey(
         "eset", ("prefix-family",
-                 ep_only(analyze(payload), "an e0 key").e0_key())),
+                 ep_only(analyze(payload), "an e0 key").e0_key()),
+        _prefix_family_member(payload)),
     gen_case=gen_pair_1d,
     window=128,
-    combinator="prefix_family",
     doc="finite difference becomes equality of finite-variant families",
 ))
 register_mutant("e0_to_eset", "adds-zero",

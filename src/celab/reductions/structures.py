@@ -12,7 +12,7 @@ import math
 from itertools import count
 
 from ..pairing import pair, unpair, seq_decode, set_decode
-from ..programs import Combinator, register_combinator, columns_of
+from ..programs import Built, Combinator, register_combinator, columns_of
 from ..descriptors import (
     Finite, Cofinite, Union, Difference,
     EMPTY, FULL, analyze, member,
@@ -22,9 +22,9 @@ from ..relations import (
     one_equivalence_key,
 )
 from ..nce import fold_point, nce_stage_value
-from .benchmark import _column_reach, _row_reach, eqce_to_e0
+from .benchmark import _column_reach, _expand_member, _row_reach, eqce_to_e0
 from . import (
-    Built, Reduction, register_reduction, register_mutant,
+    Reduction, register_reduction, register_mutant,
     gen_pair_1d, gen_pair_columns, compile_arg, one_arg_build,
     random_ep_descriptor, repackage, perturbed, adding, without_minimum,
 )
@@ -250,7 +250,8 @@ _EQ1_KEY = {
 
 
 def _eqm_predict(payload):
-    return ClassKey("eq_1", _EQ1_KEY[many_one_key(analyze(payload))])
+    return ClassKey("eq_1", _EQ1_KEY[many_one_key(analyze(payload))],
+                    _expand_member(payload))
 
 
 def _gen_pair_eqm(rng):
@@ -279,7 +280,6 @@ eqm_to_eq1 = register_reduction(Reduction(
     predict=_eqm_predict,
     gen_case=_gen_pair_eqm,
     window=128,
-    combinator="expand_columns",
     doc="many-one classes of decidable sets drop to cardinality classes"
         " via full-column images",
 ))
@@ -300,13 +300,12 @@ def _star_member(payload):
 
 eq1_to_compiso = register_reduction(Reduction(
     name="eq1_to_compiso", source="eq_1", target="compiso_bin",
-    build=one_arg_build("star_edges", lambda p, sa, M: sa(M) + 1,
-                        member=_star_member),
+    build=one_arg_build("star_edges", lambda p, sa, M: sa(M) + 1),
     predict=lambda payload: ClassKey(
-        "compiso_bin", one_equivalence_key(analyze(payload))),
+        "compiso_bin", one_equivalence_key(analyze(payload)),
+        _star_member(payload)),
     gen_case=gen_pair_1d,
     window=128,
-    combinator="star_edges",
     doc="cardinality classes become computable-isomorphism classes of"
         " star graphs",
 ))
@@ -329,13 +328,12 @@ def _tree_settle(payload, sa, M):
 
 eset_to_isobin = register_reduction(Reduction(
     name="eset_to_isobin", source="eset", target="iso_bin",
-    build=one_arg_build("membership_tree", _tree_settle,
-                        member=_tree_member),
+    build=one_arg_build("membership_tree", _tree_settle),
     predict=lambda payload: ClassKey(
-        "iso_bin", ("membership-tree", column_family_key(payload))),
+        "iso_bin", ("membership-tree", column_family_key(payload)),
+        _tree_member(payload)),
     gen_case=lambda rng: gen_pair_columns(rng, hi=6),
     window=24,
-    combinator="membership_tree",
     doc="column families become trees: one branch per (column, copy),"
         " one depth-k chain per column element k",
 ))
@@ -389,14 +387,13 @@ def _gen_pair_digraphs(rng):
 
 compiso_to_eset = register_reduction(Reduction(
     name="compiso_to_eset", source="compiso_bin", target="eset",
-    build=one_arg_build("perm_copies", _copies_settle,
-                        member=_copies_member),
+    build=one_arg_build("perm_copies", _copies_settle),
     predict=lambda payload: ClassKey(
         "eset", ("iso-copies", digraph_canonical(
-            frozenset(unpair(e) for e in _edge_codes(payload))))),
+            frozenset(unpair(e) for e in _edge_codes(payload)))),
+        _copies_member(payload)),
     gen_case=_gen_pair_digraphs,
     window=128,
-    combinator="perm_copies",
     doc="a graph maps to the family of all its finite-support permuted"
         " copies, hidden among the marked finite sets",
 ))
@@ -409,14 +406,9 @@ register_mutant("compiso_to_eset", "adds-loop", perturbed(
 
 
 def _compile_tuple(payload: NceTuple, rng):
-    terms = []
-    settles = []
-    for d in payload.parts:
-        term, settle = compile_arg(d, rng)
-        terms.append(term)
-        settles.append(settle)
-    return tuple(terms), lambda M: max((s(M) for s in settles),
-                                       default=0) + 1
+    args = [compile_arg(d, rng) for d in payload.parts]
+    return (tuple(arg.term for arg in args),
+            lambda M: max((arg.settle(M) for arg in args), default=0) + 1)
 
 
 def gen_pair_nce(rng, hi: int = 25):
@@ -453,12 +445,12 @@ def _validate_nce_embed(ev, built, payload, window, stage):
 
 
 def _build_nce_embed(payload, rng=None):
-    term_f, settle_f = compile_arg(EMPTY, rng)
+    filler = compile_arg(EMPTY, rng)
     terms, settle = _compile_tuple(payload, rng)
-    terms = terms + (term_f,)
+    terms = terms + (filler.term,)
     return Built(terms[0],
-                 lambda M: max(settle(M), settle_f(M)) + 1,
-                 None, parts=terms)
+                 lambda M: max(settle(M), filler.settle(M)) + 1,
+                 parts=terms)
 
 
 nce_embed = register_reduction(Reduction(
@@ -469,7 +461,6 @@ nce_embed = register_reduction(Reduction(
     window=64,
     validator=_validate_nce_embed,
     payload_kind="nce",
-    combinator="",
     doc="a length-n difference/union tuple embeds into length n+1 by an"
         " empty slot",
 ))
@@ -505,8 +496,7 @@ def _validate_level_columns(ev, built, payload, window, stage):
 def _build_level_columns(payload, rng=None):
     terms, settle = _compile_tuple(payload, rng)
     return Built(Combinator("level_columns", terms),
-                 lambda M: settle(M) + M + 1,
-                 None, parts=terms)
+                 lambda M: settle(M) + M + 1, parts=terms)
 
 
 ltomega_to_e3 = register_reduction(Reduction(
@@ -532,7 +522,7 @@ register_mutant("ltomega_to_e3", "adds-zero", perturbed(
 
 
 def _build_singleton(a, rng=None):
-    return Built(*compile_arg(Finite(frozenset({a})), rng))
+    return compile_arg(Finite(frozenset({a})), rng)
 
 
 def _gen_pair_nat(rng):
@@ -549,7 +539,6 @@ eqnat_to_emin = register_reduction(Reduction(
     gen_case=_gen_pair_nat,
     window=64,
     payload_kind="nat",
-    combinator="",
     doc="equality of naturals realized by singleton minima",
 ))
 register_mutant("eqnat_to_emin", "shifted-point",

@@ -11,7 +11,7 @@ deciders are ground truth: they either answer correctly or raise
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Optional
@@ -29,10 +29,18 @@ from .descriptors import (
 
 @dataclass(frozen=True)
 class ClassKey:
-    """A point given directly by its class invariant under a relation."""
+    """A point given directly by its class invariant under a relation.
+
+    ``member(x)``, when set, is the limit membership of the set that a
+    reduction's image enumerates, so the prediction states both the
+    image's class and the set the built program must enumerate.  It
+    takes no part in ``==``, ``hash`` or ``repr``: two keys of one class
+    are equal whatever sets they stand for."""
 
     rid: str
     key: object
+    member: Optional[Callable[[int], bool]] = field(
+        default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -108,10 +108,7 @@ def _image_member(red, payload):
         # column k of the image grows forever exactly when k survives
         # the fold; stagewise the fold is pointwise monotone in slot 1
         return nce_value(payload.parts).member
-    mem = predicted_member(red.predict(payload))
-    if mem is None:
-        mem = red.build(payload, random.Random(0)).member
-    return mem
+    return predicted_member(red.predict(payload))
 
 
 def _grow(rng, red, payload):

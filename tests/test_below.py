@@ -13,8 +13,7 @@ import celab  # noqa: F401
 from celab.descriptors import (EMPTY, Cofinite, Finite, analyze,
                                compile_descriptor)
 from celab.harness import DEFAULT_BUDGET, TestCase, verify_case
-from celab.orders import (OMEGA, CodeKey, code_below, order_from_spec,
-                          order_reverse, order_sum, rational_from_code,
+from celab.orders import (CodeKey, code_below, rational_from_code,
                           rational_parts, rational_to_code)
 from celab.programs import Combinator, Evaluator, script
 from celab.reductions import REDUCTIONS, gen_pair_1d
@@ -190,22 +189,6 @@ def test_cuts_enter_codes_as_the_fraction_reference_does(cid, name):
             if bound is not None:
                 new = [c for c in new if c <= bound]
             assert ev.fresh(term, s, bound) == new, (bound, s)
-
-
-def test_order_constructors_and_parser():
-    s = order_sum(OMEGA, order_reverse(OMEGA))
-    # every omega element precedes every reversed element
-    assert s.less(2 * 5, 2 * 3 + 1)
-    assert not s.less(2 * 3 + 1, 2 * 5)
-    # within the reversed part the order flips
-    assert s.less(2 * 7 + 1, 2 * 3 + 1)
-    parsed = order_from_spec("sum(omega,reverse(omega))")
-    for x in range(12):
-        for y in range(12):
-            assert parsed.less(x, y) == s.less(x, y)
-    assert order_from_spec("rationals").name == "rationals"
-    with pytest.raises(ValueError):
-        order_from_spec("lexicographic(omega)")
 
 
 def test_triadic_cut_separates_subsets_of_seven():

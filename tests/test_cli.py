@@ -325,6 +325,21 @@ def test_a_block_image_payload_ends_in_an_exit_code(capsys, tmp_path, name,
         assert capsys.readouterr().err.startswith("error: bad corpus file: ")
 
 
+@pytest.mark.parametrize("name", ["min_to_gcd", "max_to_lcm"])
+def test_a_factorial_key_is_never_built(capsys, tmp_path, name):
+    """The predicted key of a payload whose minimum or maximum is 2^21 - 1
+    names its factorial instead of computing it, so the run ends on the
+    stage budget at once."""
+    red = REDUCTIONS[name]
+    path = tmp_path / "corpus.json"
+    _write_corpus(path, red.source, [{"descA": "(dyadic (finite 20))",
+                                      "descB": "(dyadic (finite 20))",
+                                      "expected": True}])
+    started = time.monotonic()
+    code = main(["verify", "--reduction", name, "--corpus", str(path)])
+    assert code == 3 and time.monotonic() - started < 2
+
+
 def _nested(depth):
     term = "(fullcolumn 0)"
     for _ in range(depth):

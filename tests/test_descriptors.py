@@ -142,10 +142,10 @@ def test_compile_arg_lists_only_finite_eps_in_a_script():
     assert isinstance(analyze(blocks), BlockImage)
     assert analyze(blocks).is_finite
     rng = random.Random(3)
-    kinds = {type(compile_arg(d, rng)[0]).__name__
+    kinds = {type(compile_arg(d, rng).term).__name__
              for d in (blocks, Finite(frozenset({16}))) for _ in range(20)}
     assert kinds == {"Combinator", "Script"}
-    assert all(compile_arg(blocks, rng)[0].cid == "from_descriptor"
+    assert all(compile_arg(blocks, rng).term.cid == "from_descriptor"
                for _ in range(20))
 
 

@@ -85,9 +85,6 @@ class RefEP:
             raise UnsupportedDescriptor("max of infinite set")
         return max(self.head) if self.head else None
 
-    def density(self) -> Fraction:
-        return Fraction(len(self.residues), self.period)
-
     def gcd_value(self):
         g = 0
         for x in self.head:
@@ -236,8 +233,8 @@ def test_bitset_ep_agrees_with_the_frozenset_reference(raw_a, raw_b):
                           if ref.member(x)), None)
             assert ep.min(at_least=at_least) == brute
         assert ep.min() == ref.min()
-        for query in ("max", "cardinality", "density", "gcd_value",
-                      "lcm_value", "median_key", "triadic_sum", "elements"):
+        for query in ("max", "cardinality", "gcd_value", "lcm_value",
+                      "median_key", "triadic_sum", "elements"):
             assert outcome(getattr(ep, query)) == \
                 outcome(getattr(ref, query)), query
         if ep.gcd_value() is not math.inf:

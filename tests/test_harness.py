@@ -13,8 +13,8 @@ from celab.harness import (DEFAULT_BUDGET, TestCase, VerificationReport,
                            _Unknown, bits_below, check_built,
                            corpus_from_json, corpus_to_json, exit_code,
                            gen_corpus, verify_reduction)
-from celab.programs import Evaluator, script
-from celab.reductions import MUTANTS, REDUCTIONS, Built, Reduction, mutated
+from celab.programs import Built, Evaluator, script
+from celab.reductions import MUTANTS, REDUCTIONS, Reduction, mutated
 from test_reference_evaluator import ReferenceEvaluator
 
 

@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401
 from celab import descriptors as D, relations as R
-from celab.descriptors import (EP, BlockImage, Cofinite, ColumnsBySet,
-                               Difference, Finite, OverrideColumns,
-                               Progression, TailColumns, Union, _tile,
-                               columns, columns_view, ep_combine, member)
+from celab.descriptors import (EMPTY, EP, FULL, BlockImage, Cofinite,
+                               ColumnsBySet, Difference, DyadicBlocks, Finite,
+                               OverrideColumns, Progression, TailColumns,
+                               Union, UnsupportedDescriptor, WeightBlocks,
+                               _tile, analyze, columns, columns_view,
+                               ep_combine, member)
 from celab.pairing import pair
 from celab.relations import (RELATIONS, NceTuple, ana_almost_eq,
                              column_family_key, decide, digraph_canonical,
@@ -232,6 +234,76 @@ def test_almost_equality_matches_a_finite_symmetric_difference(eps, kind):
     with mock.patch.object(D, "ep_combine", side_effect=AssertionError):
         assert ana_almost_eq(a, b) == want
         assert ana_almost_eq(BlockImage(kind, a), BlockImage(kind, b)) == want
+
+
+# ---------------------------------------------------------------------------
+# unions and differences of block images in canonical form
+
+_D = "(dyadic (progression 1 2))"
+
+
+@pytest.mark.parametrize("rid, a, b", [
+    ("eq_m", f"(difference {_D} {_D})", "(finite)"),
+    ("eq_ce", f"(difference {_D} {_D})", "(finite)"),
+    ("eq_m", "(union (weight (progression 0 2)) (weight (progression 1 2)))",
+     "(cofinite)"),
+    ("eset", f"(columnsbyset (cofinite) (difference {_D} {_D})"
+             f" (difference {_D} {_D}))",
+     "(columnsbyset (cofinite) (finite) (finite))"),
+])
+def test_an_empty_or_full_block_combination_is_that_set(rid, a, b):
+    assert decide(rid, desc_from_sexpr(a), desc_from_sexpr(b))
+
+
+def _outcome(rid, a, b):
+    try:
+        return decide(rid, a, b)
+    except UnsupportedDescriptor as exc:
+        return f"unsupported: {exc}"
+
+
+@st.composite
+def block_combinations(draw):
+    """A union or difference of two same-kind block images whose index
+    sets are infinite and co-infinite, so each stays symbolic, and the
+    block image of the combined index, which ``analyze`` materializes
+    whenever that index is finite or cofinite with small blocks."""
+    blocks = draw(st.sampled_from([DyadicBlocks, WeightBlocks]))
+    start, step = draw(st.integers(0, 3)), draw(st.integers(2, 3))
+    small = st.frozensets(st.integers(0, 9), max_size=3)
+
+    def index():
+        if draw(st.booleans()):
+            prog = Progression(start, step)
+        else:
+            prog = Progression(draw(st.integers(0, 3)),
+                               draw(st.integers(2, 3)))
+        return Difference(Union((prog, Finite(draw(small)))),
+                          Finite(draw(small)))
+
+    i, j = index(), index()
+    if draw(st.booleans()):
+        return (Union((blocks(i), blocks(j))),
+                blocks(Union((i, j))))
+    return Difference(blocks(i), blocks(j)), blocks(Difference(i, j))
+
+
+_OTHERS = [EMPTY, FULL, Finite(frozenset({0, 1, 2, 3})),
+           Cofinite(frozenset({0})), DyadicBlocks(Progression(0, 2)),
+           WeightBlocks(Progression(1, 2))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_combinations())
+def test_block_combinations_decide_like_their_materialized_image(pair_):
+    combined, leaf = pair_
+    assert analyze(combined) == analyze(leaf)
+    for rid in ONE_D:
+        for other in _OTHERS + [leaf]:
+            assert _outcome(rid, combined, other) == \
+                _outcome(rid, leaf, other), (rid, other)
+            assert _outcome(rid, other, combined) == \
+                _outcome(rid, other, leaf), (rid, other)
 
 
 def _pairs_reaching_decide(seed):
