@@ -585,12 +585,9 @@ def _analyze(d: Descriptor) -> Analysis:
             raise UnsupportedDescriptor("progression step must be >= 1")
         return EP.from_progression(d.start, d.step)
     if isinstance(d, Union):
-        parts = [analyze(p) for p in d.parts]
-        if not parts:
-            return EP.from_finite(())
-        return reduce(_binary_union, parts)
+        return _combine(d, "union", ep_union, d.parts)
     if isinstance(d, Difference):
-        return _binary_difference(analyze(d.left), analyze(d.right))
+        return _combine(d, "difference", ep_difference, (d.left, d.right))
     if isinstance(d, DyadicBlocks):
         return _blocks_analysis("dyadic", d.index)
     if isinstance(d, WeightBlocks):
@@ -598,23 +595,40 @@ def _analyze(d: Descriptor) -> Analysis:
     raise UnsupportedDescriptor(f"not a 1-D descriptor: {type(d).__name__}")
 
 
-def _binary_union(a: Analysis, b: Analysis) -> Analysis:
-    if isinstance(a, EP) and isinstance(b, EP):
-        return ep_union(a, b)
-    if (isinstance(a, BlockImage) and isinstance(b, BlockImage)
-            and a.kind == b.kind):
-        # blocks are disjoint per index, so the union acts indexwise
-        return _block_image(a.kind, ep_union(a.index, b.index))
-    raise UnsupportedDescriptor("union outside the closed class")
+def _combine(d: Descriptor, name: str, ep_op, parts) -> Analysis:
+    """The analysis of a union or difference d of parts: their EPs
+    combined, or, where a part is a block image, the block image of the
+    combined index, when all of d is blocks of one kind."""
+    anas = [analyze(p) for p in parts]
+    if all(isinstance(a, EP) for a in anas):
+        return reduce(ep_op, anas) if anas else EP.from_finite(())
+    blocks = _block_index(d)
+    if blocks is None:
+        raise UnsupportedDescriptor(f"{name} outside the closed class")
+    return _block_image(*blocks)
 
 
-def _binary_difference(a: Analysis, b: Analysis) -> Analysis:
-    if isinstance(a, EP) and isinstance(b, EP):
-        return ep_difference(a, b)
-    if (isinstance(a, BlockImage) and isinstance(b, BlockImage)
-            and a.kind == b.kind):
-        return _block_image(a.kind, ep_difference(a.index, b.index))
-    raise UnsupportedDescriptor("difference outside the closed class")
+_BLOCK_KIND = {DyadicBlocks: "dyadic", WeightBlocks: "weight"}
+
+
+def _block_index(d: Descriptor):
+    """(kind, index) when the analyzable d is the union of the blocks of
+    one kind that index names: a block descriptor, or unions and
+    differences of such, taken index by index (blocks are nonempty and
+    disjoint).  None for any other descriptor."""
+    kind = _BLOCK_KIND.get(type(d))
+    if kind is not None:
+        return kind, analyze(d.index)
+    if isinstance(d, Union):
+        ep_op, parts = ep_union, d.parts
+    elif isinstance(d, Difference):
+        ep_op, parts = ep_difference, (d.left, d.right)
+    else:
+        return None
+    found = [_block_index(p) for p in parts]
+    if not found or any(b is None or b[0] != found[0][0] for b in found):
+        return None
+    return found[0][0], reduce(ep_op, [index for _, index in found])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ perturbed payload checked against the honest prediction (``perturbed``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..descriptors import (
@@ -43,13 +43,14 @@ class Reduction:
     window: int = 256
     validator: Optional[Callable] = None  # (ev, built, payload, window, stage)
     payload_kind: str = "descriptor"
-    combinator: str = ""       # cid applicable to raw argument programs
     doc: str = ""
+    # the cid the build applies to raw argument programs, as the build
+    # states it ("" for none); read once, so a build wrapped later (by a
+    # tracer, say) keeps it
+    combinator: str = field(init=False, default="")
 
     def __post_init__(self):
-        # a one_arg_build states its combinator; other builds name one
-        if not self.combinator:
-            self.combinator = getattr(self.build, "cid", "")
+        self.combinator = getattr(self.build, "cid", "")
 
 
 REDUCTIONS: dict = {}
@@ -206,7 +207,7 @@ def one_arg_build(cid: str, settle, params: tuple = ()):
 
     ``settle(payload, sa, M)`` bounds the image's settle stage on
     [0, M], given the argument's settle function ``sa``.  The build
-    carries ``cid``, which a ``Reduction`` on it takes as its
+    carries ``cid``, which a ``Reduction`` on it reads as its
     ``combinator``.
     """
     def build(payload, rng=None):

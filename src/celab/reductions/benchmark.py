@@ -353,13 +353,6 @@ def _expand_transform(a: Descriptor) -> Descriptor:
     return ColumnsBySet(a, FULL, EMPTY)
 
 
-def _expand_member(payload):
-    # the image's membership, stated by eqm_to_eq1's class-key
-    # prediction (this reduction predicts the image descriptor itself)
-    image = _expand_transform(payload)
-    return lambda x: member(image, x)
-
-
 def _column_settle(payload, sa, M):
     return sa(M) + M + 1
 

@@ -22,7 +22,7 @@ from ..relations import (
     one_equivalence_key,
 )
 from ..nce import fold_point, nce_stage_value
-from .benchmark import _column_reach, _expand_member, _row_reach, eqce_to_e0
+from .benchmark import _column_reach, _row_reach, eqce_to_e0
 from . import (
     Reduction, register_reduction, register_mutant,
     gen_pair_1d, gen_pair_columns, compile_arg, one_arg_build,
@@ -250,8 +250,10 @@ _EQ1_KEY = {
 
 
 def _eqm_predict(payload):
+    # the build is eqce_to_e0's, so its image is eqce_to_e0's prediction
+    image = eqce_to_e0.predict(payload)
     return ClassKey("eq_1", _EQ1_KEY[many_one_key(analyze(payload))],
-                    _expand_member(payload))
+                    lambda x: member(image, x))
 
 
 def _gen_pair_eqm(rng):
@@ -499,6 +501,8 @@ def _build_level_columns(payload, rng=None):
                  lambda M: settle(M) + M + 1, parts=terms)
 
 
+_build_level_columns.cid = "level_columns"
+
 ltomega_to_e3 = register_reduction(Reduction(
     name="ltomega_to_e3", source="eq_ltomega", target="e3",
     build=_build_level_columns,
@@ -508,7 +512,6 @@ ltomega_to_e3 = register_reduction(Reduction(
     window=24,
     validator=_validate_level_columns,
     payload_kind="nce",
-    combinator="level_columns",
     doc="column k grows forever exactly when k stays in the limit of the"
         " difference/union fold",
 ))

@@ -240,6 +240,8 @@ def test_almost_equality_matches_a_finite_symmetric_difference(eps, kind):
 # unions and differences of block images in canonical form
 
 _D = "(dyadic (progression 1 2))"
+_EVENS, _ODDS, _THREES = ("(progression 0 2)", "(progression 1 2)",
+                          "(progression 0 3)")
 
 
 @pytest.mark.parametrize("rid, a, b", [
@@ -250,8 +252,15 @@ _D = "(dyadic (progression 1 2))"
     ("eset", f"(columnsbyset (cofinite) (difference {_D} {_D})"
              f" (difference {_D} {_D}))",
      "(columnsbyset (cofinite) (finite) (finite))"),
+    # neither the order of a union's parts nor their nesting matters
+    ("eq_ce", f"(union (difference {_D} {_D}) {_D})", _D),
+    ("eq_ce", f"(difference (difference {_D} {_D}) {_D})", "(finite)"),
+    ("eq_ce", f"(union (dyadic {_EVENS}) (dyadic {_ODDS}) (dyadic {_THREES}))",
+     f"(union (dyadic {_THREES}) (dyadic {_EVENS}) (dyadic {_ODDS}))"),
+    ("eq_ce", f"(union (dyadic (finite 1)) (dyadic {_EVENS}))",
+     f"(dyadic (union (finite 1) {_EVENS}))"),
 ])
-def test_an_empty_or_full_block_combination_is_that_set(rid, a, b):
+def test_a_block_combination_decides_as_the_set_it_is(rid, a, b):
     assert decide(rid, desc_from_sexpr(a), desc_from_sexpr(b))
 
 
@@ -264,16 +273,21 @@ def _outcome(rid, a, b):
 
 @st.composite
 def block_combinations(draw):
-    """A union or difference of two same-kind block images whose index
-    sets are infinite and co-infinite, so each stays symbolic, and the
-    block image of the combined index, which ``analyze`` materializes
-    whenever that index is finite or cofinite with small blocks."""
+    """A tree of unions (of one to three operands) and differences of
+    same-kind block images, and the block image of the same tree over
+    their indexes, which ``analyze`` materializes whenever that index
+    is finite or cofinite with small blocks.  Most leaf indexes are
+    infinite and co-infinite, so their images stay symbolic; the others
+    are finite, so theirs materialize on their own."""
     blocks = draw(st.sampled_from([DyadicBlocks, WeightBlocks]))
     start, step = draw(st.integers(0, 3)), draw(st.integers(2, 3))
     small = st.frozensets(st.integers(0, 9), max_size=3)
 
     def index():
-        if draw(st.booleans()):
+        roll = draw(st.integers(0, 4))
+        if roll == 0:
+            return Finite(draw(small))
+        if roll < 3:
             prog = Progression(start, step)
         else:
             prog = Progression(draw(st.integers(0, 3)),
@@ -281,11 +295,23 @@ def block_combinations(draw):
         return Difference(Union((prog, Finite(draw(small)))),
                           Finite(draw(small)))
 
-    i, j = index(), index()
-    if draw(st.booleans()):
-        return (Union((blocks(i), blocks(j))),
-                blocks(Union((i, j))))
-    return Difference(blocks(i), blocks(j)), blocks(Difference(i, j))
+    def node(depth):
+        """(the combination of images, the same combination of indexes)"""
+        if draw(st.booleans()):
+            kids = [tree(depth - 1) for _ in range(draw(st.integers(1, 3)))]
+            return (Union(tuple(image for image, _ in kids)),
+                    Union(tuple(ix for _, ix in kids)))
+        (a, i), (b, j) = tree(depth - 1), tree(depth - 1)
+        return Difference(a, b), Difference(i, j)
+
+    def tree(depth):
+        if depth == 0 or draw(st.booleans()):
+            ix = index()
+            return blocks(ix), ix
+        return node(depth)
+
+    combined, ix = node(2)
+    return combined, blocks(ix)
 
 
 _OTHERS = [EMPTY, FULL, Finite(frozenset({0, 1, 2, 3})),
