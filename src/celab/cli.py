@@ -8,16 +8,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from dataclasses import replace
 
 from .harness import (DEFAULT_BUDGET, DEFAULT_WINDOW, corpus_from_json,
                       corpus_to_json, exit_code, gen_corpus, verify_reduction)
-from .descriptors import EMPTY, UnsupportedDescriptor
+from .descriptors import UnsupportedDescriptor
 from .hierarchy import BY_NUMBER, render, render_all
 from .programs import BudgetExceeded, Evaluator, step_budget
 from .reductions import REDUCTIONS
-from .relations import RELATIONS, NceTuple
+from .relations import RELATIONS
 from .serialization import ParseError, term_from_sexpr, term_to_sexpr
 
 EXIT_OK = 0
@@ -97,9 +98,10 @@ def cmd_reduce(args) -> int:
         term = term_from_sexpr(args.term)
     except ParseError as exc:
         raise InputError(str(exc))
-    # the build's own term on a fixed payload carries the construction's
-    # parameters; only its argument is the user's
-    payload = NceTuple((EMPTY,)) if red.payload_kind == "nce" else EMPTY
+    # the build's own term on any payload carries the construction's
+    # parameters, which do not depend on it; only its argument is the
+    # user's
+    payload = red.gen_case(random.Random(0))[0]
     out = replace(red.build(payload).term, args=(term,))
     try:
         text = term_to_sexpr(out)

@@ -25,7 +25,10 @@ from functools import reduce
 from itertools import count
 from typing import Optional, Tuple, Union as TUnion
 
-from .pairing import pair, unpair, seq_encode, seq_decode
+from .pairing import (
+    pair, positions, seq_decode, seq_encode, set_decode, set_encode,
+    unpair,
+)
 from .programs import (
     Built, Combinator, columns_of, param, register_combinator, script,
 )
@@ -160,16 +163,6 @@ def _tile(pattern: int, period: int, n: int) -> int:
     return pattern & (1 << n) - 1
 
 
-def _mask(xs) -> int:
-    """The bitset of a finite set of naturals."""
-    return reduce(operator.or_, (1 << x for x in xs), 0)
-
-
-def _positions(bits: int) -> list:
-    """The set bits of ``bits``, ascending."""
-    return [i for i, c in enumerate(reversed(bin(bits))) if c == "1"]
-
-
 def _lowest(bits: int) -> int:
     """The least set bit of a nonzero ``bits``."""
     return (bits & -bits).bit_length() - 1
@@ -210,12 +203,12 @@ class EP:
 
     @staticmethod
     def from_finite(elems) -> "EP":
-        bits = _mask(elems)
+        bits = set_encode(elems)
         return EP.make(bits.bit_length(), 1, bits, 0)
 
     @staticmethod
     def from_cofinite(excluded) -> "EP":
-        bits = _mask(excluded)
+        bits = set_encode(excluded)
         t = bits.bit_length()
         return EP.make(t, 1, _low(t) ^ bits, 1)
 
@@ -262,7 +255,7 @@ class EP:
     def elements(self) -> frozenset:
         if not self.is_finite:
             raise UnsupportedDescriptor("infinite set has no element list")
-        return frozenset(_positions(self.head))
+        return set_decode(self.head)
 
     def cardinality(self):
         return self.head.bit_count() if self.is_finite else math.inf
@@ -291,7 +284,7 @@ class EP:
     def gcd_value(self):
         """gcd of all elements; infinity for sets within {0} (or empty)."""
         # each residue class contributes its first member and the period
-        g = math.gcd(*_positions(self._bits(self.threshold + self.period)),
+        g = math.gcd(*positions(self._bits(self.threshold + self.period)),
                      self.period if self.residues else 0)
         return math.inf if g == 0 else g
 
@@ -306,7 +299,7 @@ class EP:
         """lcm of the positive elements; 1 if none; infinity if unbounded."""
         if not self.is_finite:
             return math.inf
-        return math.lcm(*_positions(self.head & ~1))
+        return math.lcm(*positions(self.head & ~1))
 
     def median_key(self):
         """('empty',) | ('inf',) | ('med', Fraction midpoint)."""
@@ -314,7 +307,7 @@ class EP:
             return ("empty",)
         if not self.is_finite:
             return ("inf",)
-        xs = _positions(self.head)
+        xs = positions(self.head)
         n = len(xs)
         mid = Fraction(xs[(n - 1) // 2] + xs[n // 2], 2)
         return ("med", mid)
@@ -331,7 +324,7 @@ class EP:
         # a member x >= t recurs at x + p, x + 2p, ...: a geometric series
         repeat = Fraction(3 ** p, 3 ** p - 1)
         return sum((Fraction(1, 3 ** (x + 1)) * (repeat if x >= t else 1)
-                    for x in _positions(self._bits(t + p))), Fraction(0))
+                    for x in positions(self._bits(t + p))), Fraction(0))
 
 
 def ep_combine(a: EP, b: EP, op) -> EP:
@@ -785,8 +778,8 @@ def _members(d: Descriptor, lo: int, hi: int) -> int:
 def _elem_bits(elems: frozenset, lo: int, hi: int) -> int:
     """The elements of a finite set in [lo, hi), as a bitset from lo."""
     if len(elems) > hi - lo:
-        return _mask(x - lo for x in range(lo, hi) if x in elems)
-    return _mask(x - lo for x in elems if lo <= x < hi)
+        return set_encode(x - lo for x in range(lo, hi) if x in elems)
+    return set_encode(x - lo for x in elems if lo <= x < hi)
 
 
 def _block_members(kind: str, index: Descriptor, lo: int, hi: int) -> int:
@@ -797,7 +790,7 @@ def _block_members(kind: str, index: Descriptor, lo: int, hi: int) -> int:
     if last is None:
         return 0
     bits = 0
-    for i in _positions(_members(index, first, last + 1)):
+    for i in positions(_members(index, first, last + 1)):
         a, b = block_bounds(kind, first + i)
         bits |= _low(min(b, hi) - lo) ^ _low(max(a, lo) - lo)
     return bits
@@ -829,7 +822,7 @@ def _column_spans(lo: int, hi: int) -> list:
 def _scatter(c: int, k0: int, rows: int, lo: int) -> int:
     """The codes <c, k0 + i> for the bits i of rows, as a bitset from
     lo."""
-    return _mask(pair(c, k0 + i) - lo for i in _positions(rows))
+    return set_encode(pair(c, k0 + i) - lo for i in positions(rows))
 
 
 def _column_members(d: Descriptor, lo: int, hi: int) -> int:
@@ -871,28 +864,6 @@ def _column_members(d: Descriptor, lo: int, hi: int) -> int:
                 rows = _members(explicit.get(c, d.default), k0, k1)
             bits |= _scatter(c, k0, rows, lo)
     return bits
-
-
-def column_descriptor(d: Descriptor, c: int) -> Descriptor:
-    """The c-th column of a column-shaped (or finite) descriptor."""
-    if isinstance(d, Columns):
-        for cc, cd in d.cols:
-            if cc == c:
-                return cd
-        return d.default
-    if isinstance(d, ColumnsBySet):
-        return d.incol if member(d.index, c) else d.outcol
-    if isinstance(d, TailColumns):
-        return Difference(d.base, Finite(frozenset(range(c))))
-    if isinstance(d, Finite):
-        return Finite(frozenset(k for x in d.elems
-                                for cc, k in [unpair(x)] if cc == c))
-    if isinstance(d, OverrideColumns):
-        for cc, cd in d.cols:
-            if cc == c:
-                return cd
-        return column_descriptor(d.base, c)
-    raise UnsupportedDescriptor("no column structure")
 
 
 # ---------------------------------------------------------------------------

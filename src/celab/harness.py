@@ -19,15 +19,14 @@ import json
 import math
 import random
 import time
-from itertools import compress
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .descriptors import member as desc_member, members as desc_members
-from .orders import code_below
-from .programs import BudgetExceeded, Evaluator
+from .pairing import set_decode
+from .programs import BudgetExceeded, Evaluator, Unknown
 from .reductions import REDUCTIONS, Reduction
-from .relations import ClassKey, NceTuple, QCut, decide
+from .relations import ClassKey, NceTuple, decide
 from .serialization import desc_from_sexpr, desc_to_sexpr
 
 CORPUS_VERSION = 1
@@ -139,10 +138,13 @@ def gen_corpus(red, seed: int = 1, size: int = 50) -> list:
     return cases
 
 
-def _payload_to_json(kind: str, payload):
-    if kind == "nat":
+def _payload_to_json(payload):
+    """A natural as itself, a difference/union tuple as the list of its
+    parts' s-expressions, a descriptor as its s-expression: the inverse
+    of ``_payload_from_json``."""
+    if type(payload) is int:
         return payload
-    if kind == "nce":
+    if isinstance(payload, NceTuple):
         return [desc_to_sexpr(d) for d in payload.parts]
     return desc_to_sexpr(payload)
 
@@ -162,15 +164,14 @@ def _payload_from_json(raw):
 
 def corpus_to_json(red, seed: int, cases: list) -> dict:
     red = _resolve(red)
-    kind = red.payload_kind
     return {
         "version": CORPUS_VERSION,
         "relation": red.source,
         "seed": seed,
         "cases": [
             {
-                "descA": _payload_to_json(kind, c.a),
-                "descB": _payload_to_json(kind, c.b),
+                "descA": _payload_to_json(c.a),
+                "descB": _payload_to_json(c.b),
                 "expected": c.expected,
             }
             for c in cases
@@ -204,34 +205,13 @@ def corpus_from_json(data: dict) -> list:
 def predicted_member(pred) -> Optional[object]:
     """Limit membership of a predicted payload.
 
-    A descriptor or a cut is its own set.  A ClassKey names a class, so
-    it yields the membership its reduction stated with it: None when
-    the reduction checks its image with a validator instead."""
+    A descriptor is its own set.  A ClassKey names a class, so it yields
+    the membership its reduction stated with it (a rational cut's, the
+    rational codes below its bound): None when the reduction checks its
+    image with a validator instead."""
     if isinstance(pred, ClassKey):
         return pred.member
-    if isinstance(pred, QCut):
-        if pred.bound == -math.inf:
-            return lambda x: False
-        if pred.bound == math.inf:
-            return lambda x: True
-        num, den = pred.bound.numerator, pred.bound.denominator
-        return lambda x: code_below(x, num, den)
     return lambda x: desc_member(pred, x)
-
-
-class _Unknown(Exception):
-    """A case whose programs cannot be certified within budget."""
-
-
-# binary digits as compress selectors: b"0" -> 0, b"1" -> 1
-_BIT = bytes.maketrans(b"01", b"\0\1")
-
-
-def bits_below(bits: int, n: int) -> frozenset:
-    """The positions below n of the set bits of bits (bits >= 0), read
-    in one pass over its binary digits, lowest first."""
-    return frozenset(compress(range(n),
-                              bin(bits)[:1:-1].encode().translate(_BIT)))
 
 
 def check_built(red: Reduction, payload, pred, rng, window: int,
@@ -242,24 +222,25 @@ def check_built(red: Reduction, payload, pred, rng, window: int,
     The analytic bound ``built.settle(window)`` is the certificate: the
     window is read at that stage and once more ``window`` stages later.
     A bound past the stage budget, or a window that changed between the
-    two reads (a wrong bound), raises _Unknown, never a disagreement.
+    two reads (a wrong bound), raises Unknown, never a disagreement; so
+    does a validator that finds its image moving after the bound.
     """
     built = red.build(payload, rng)
     stage = built.settle(window)
     if stage > budget:
-        raise _Unknown(f"settle stage {stage} exceeds budget {budget}")
+        raise Unknown(f"settle stage {stage} exceeds budget {budget}")
     ev = Evaluator()
     if red.validator is not None:
         return list(red.validator(ev, built, payload, window, stage))
     got = ev.upto(built.term, stage, window)
     if ev.upto(built.term, stage + window, window) != got:
-        raise _Unknown("window content changed after the settle bound")
-    if isinstance(pred, (ClassKey, QCut)):
+        raise Unknown("window content changed after the settle bound")
+    if isinstance(pred, ClassKey):
         mem = predicted_member(pred)
         want = frozenset(x for x in range(window + 1) if mem(x))
     else:
         # a descriptor: its members on the window in one walk
-        want = bits_below(desc_members(pred, 0, window + 1), window + 1)
+        want = set_decode(desc_members(pred, 0, window + 1))
     if got != want:
         return [f"window diff: spurious {sorted(got - want)[:6]},"
                 f" missing {sorted(want - got)[:6]}"]
@@ -268,7 +249,7 @@ def check_built(red: Reduction, payload, pred, rng, window: int,
 
 def verify_case(red: Reduction, case: TestCase, rng, window: int,
                 budget: int) -> Optional[dict]:
-    """None on agreement, a trace dict on disagreement; raises _Unknown
+    """None on agreement, a trace dict on disagreement; raises Unknown
     or BudgetExceeded when the case cannot be certified."""
     preds = red.predict(case.a), red.predict(case.b)
     got = decide(red.target, *preds)
@@ -310,7 +291,7 @@ def verify_reduction(red, corpus: Optional[list] = None, seed: int = 1,
     for case in corpus:
         try:
             trace = verify_case(red, case, rng, window, budget)
-        except (_Unknown, BudgetExceeded):
+        except (Unknown, BudgetExceeded):
             report.unknowns += 1
             continue
         if trace is None:

@@ -7,7 +7,7 @@ serialized program index and corpus file depends on it.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, compress, count
 
 
 def pair(c: int, k: int) -> int:
@@ -80,12 +80,15 @@ def set_encode(elems) -> int:
     return code
 
 
+# binary digits as compress selectors: b"0" -> 0, b"1" -> 1
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def positions(code: int) -> list:
+    """The set bits of a bitmask natural, ascending, read in one pass
+    over its binary digits, lowest first."""
+    return list(compress(count(), bin(code)[:1:-1].encode().translate(_BIT)))
+
+
 def set_decode(code: int) -> frozenset[int]:
-    out = []
-    i = 0
-    while code:
-        if code & 1:
-            out.append(i)
-        code >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(positions(code))

@@ -85,6 +85,12 @@ class BudgetExceeded(Exception):
     """Raised when an evaluator call exceeds the configured step ceiling."""
 
 
+class Unknown(Exception):
+    """A built program that cannot be certified: its settle bound lies
+    past the stage budget, or its image still moves after that bound
+    (the bound is wrong).  Never a disagreement."""
+
+
 def _hash_once(term) -> int:
     """A term's hash, computed from its fields once and then kept.
 

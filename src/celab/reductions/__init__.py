@@ -42,7 +42,6 @@ class Reduction:
     gen_case: Callable         # rng -> (payloadA, payloadB)
     window: int = 256
     validator: Optional[Callable] = None  # (ev, built, payload, window, stage)
-    payload_kind: str = "descriptor"
     doc: str = ""
     # the cid the build applies to raw argument programs, as the build
     # states it ("" for none); read once, so a build wrapped later (by a

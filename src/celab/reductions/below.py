@@ -20,12 +20,12 @@ import math
 from fractions import Fraction
 from itertools import count
 
-from ..programs import register_combinator, param
+from ..programs import Unknown, register_combinator, param
 from ..descriptors import (
     Descriptor, Finite, Progression, EMPTY, FULL, analyze, ep_only,
 )
 from ..orders import CodeKey, code_below, rational_parts
-from ..relations import ClassKey, QCut, max_key
+from ..relations import ClassKey, max_key
 from . import (
     Reduction, register_reduction, register_mutant,
     gen_pair_1d, one_arg_build, perturbed, adding, without_minimum,
@@ -541,13 +541,24 @@ register_mutant("saturate_up", "excludes-minimum", emin_to_homega.build)
 # rational cuts
 
 
-def _qcut_of_max(payload) -> QCut:
+def _cut(bound) -> ClassKey:
+    """The cut of the rationals below ``bound`` (a Fraction, -inf or
+    inf): the set of the rational codes q < bound, keyed by the bound."""
+    if bound == -math.inf:
+        return ClassKey("eq_ce", bound, lambda x: False)
+    if bound == math.inf:
+        return ClassKey("eq_ce", bound, lambda x: True)
+    num, den = bound.numerator, bound.denominator
+    return ClassKey("eq_ce", bound, lambda x: code_below(x, num, den))
+
+
+def _cut_of_max(payload) -> ClassKey:
     key = max_key(analyze(payload))
     if key in (("empty",), ("max", 0)):
-        return QCut(-math.inf)
+        return _cut(-math.inf)
     if key[0] == "inf":
-        return QCut(math.inf)
-    return QCut(Fraction(key[1] - 1))
+        return _cut(math.inf)
+    return _cut(Fraction(key[1] - 1))
 
 
 def _rational_cut_settle(payload, sa, M):
@@ -571,7 +582,7 @@ def _gen_pair_small(rng):
 omega_into_rationals = register_reduction(Reduction(
     name="omega_into_rationals", source="el_omega", target="eq_ce",
     build=one_arg_build("rational_cut", _rational_cut_settle),
-    predict=_qcut_of_max,
+    predict=_cut_of_max,
     gen_case=_gen_pair_small,
     window=96,
     doc="embed cuts of the order omega into cuts of the rationals",
@@ -602,7 +613,7 @@ def _triadic_cut_settle(payload, sa, M):
 eqce_to_eQ = register_reduction(Reduction(
     name="eqce_to_eQ", source="eq_ce", target="eq_ce",
     build=one_arg_build("triadic_cut", _triadic_cut_settle),
-    predict=lambda payload: QCut(_triadic_sum(payload)),
+    predict=lambda payload: _cut(_triadic_sum(payload)),
     gen_case=gen_pair_1d,
     window=96,
     doc="set equality embeds into equality of rational cuts via exact"
@@ -855,7 +866,7 @@ def _validate_median_multiples(ev, built, payload, window, stage):
     if mid != _two_middle(xs):
         issues.append("running median differs from the settled median")
     if len(changes) != fills1:
-        issues.append("median changed after the settlement stage")
+        raise Unknown("median changed after the settlement stage")
     # the multiples emitted since the last change up to stage
     mult1 = stage - changes[fills1 - 1] + 1 if fills1 else 0
     d = _med_step(key)

@@ -42,8 +42,8 @@ from ..pairing import column, pair, pairs, row, unpair
 from ..programs import register_combinator, param
 from ..descriptors import (
     ColumnsBySet, Columns, Difference, Finite, EMPTY, FULL,
-    Descriptor, EP, analyze, block_bounds, block_of, column_descriptor,
-    ep_only, member, DyadicBlocks, WeightBlocks, TailColumns,
+    Descriptor, EP, analyze, block_bounds, block_of, ep_only, member,
+    DyadicBlocks, WeightBlocks, TailColumns,
 )
 from ..relations import ClassKey, columnwise_key, decide
 from . import (
@@ -442,7 +442,7 @@ def _scaled_member(payload):
         if r < 1:
             return False
         b = r.bit_length() - 1
-        return member(column_descriptor(payload, c), b)
+        return member(payload, pair(c, b))
     return mem
 
 
@@ -481,7 +481,7 @@ def _prefixed_member(payload):
         i = y - n - 1
         if i < len(word):
             return word[i] == 1
-        return member(column_descriptor(payload, n), i)
+        return member(payload, pair(n, i))
     return mem
 
 

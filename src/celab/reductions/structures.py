@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from itertools import count
 
-from ..pairing import pair, unpair, seq_decode, set_decode
-from ..programs import Built, Combinator, register_combinator, columns_of
+from ..pairing import pair, unpair, seq_decode
+from ..programs import (
+    Built, Combinator, Unknown, columns_of, register_combinator,
+)
 from ..descriptors import (
     Finite, Cofinite, Union, Difference,
     EMPTY, FULL, analyze, member,
@@ -159,7 +161,7 @@ def _copies_point(x: int, edge_has) -> bool:
     c, y = unpair(x)
     if c % 2 == 1:
         t = (c - 1) // 2
-        return y == 0 or (y - 1) in set_decode(t)
+        return y == 0 or t >> (y - 1) & 1 == 1
     p = _perm_of(c // 2)
     if p is None:
         return y == 0
@@ -407,10 +409,14 @@ register_mutant("compiso_to_eset", "adds-loop", perturbed(
 # the iterated difference/union ladder
 
 
-def _compile_tuple(payload: NceTuple, rng):
+def _compile_tuple(payload: NceTuple, rng) -> Built:
+    """The parts of a difference/union tuple, each compiled by
+    ``compile_arg``, as the arguments of the ``level_columns`` term over
+    them; ``settle(M)`` bounds the stage by which every part has
+    settled on [0, M]."""
     args = [compile_arg(d, rng) for d in payload.parts]
-    return (tuple(arg.term for arg in args),
-            lambda M: max((arg.settle(M) for arg in args), default=0) + 1)
+    return Built(Combinator("level_columns", tuple(arg.term for arg in args)),
+                 lambda M: max((arg.settle(M) for arg in args), default=0) + 1)
 
 
 def gen_pair_nce(rng, hi: int = 25):
@@ -432,27 +438,25 @@ def gen_pair_nce(rng, hi: int = 25):
 
 
 def _validate_nce_embed(ev, built, payload, window, stage):
-    issues = []
+    got = nce_stage_value(ev, built.parts, stage, window)
+    if nce_stage_value(ev, built.parts, stage + 20, window) != got:
+        raise Unknown("fold value still moving after the settle bound")
     # the empty last slot of the image never changes the fold's value
     limit = payload.value()
-    got = nce_stage_value(ev, built.parts, stage, window)
     want = {x for x in range(window + 1) if limit.member(x)}
     if got != want:
-        issues.append(f"fold window diff +{sorted(got - want)[:5]}"
-                      f" -{sorted(want - got)[:5]}")
-    later = nce_stage_value(ev, built.parts, stage + 20, window)
-    if later != got:
-        issues.append("fold value still moving after the settle bound")
-    return issues
+        return [f"fold window diff +{sorted(got - want)[:5]}"
+                f" -{sorted(want - got)[:5]}"]
+    return []
 
 
 def _build_nce_embed(payload, rng=None):
     filler = compile_arg(EMPTY, rng)
-    terms, settle = _compile_tuple(payload, rng)
-    terms = terms + (filler.term,)
-    return Built(terms[0],
-                 lambda M: max(settle(M), filler.settle(M)) + 1,
-                 parts=terms)
+    tup = _compile_tuple(payload, rng)
+    parts = tup.term.args + (filler.term,)
+    return Built(parts[0],
+                 lambda M: max(tup.settle(M), filler.settle(M)) + 1,
+                 parts=parts)
 
 
 nce_embed = register_reduction(Reduction(
@@ -462,7 +466,6 @@ nce_embed = register_reduction(Reduction(
     gen_case=gen_pair_nce,
     window=64,
     validator=_validate_nce_embed,
-    payload_kind="nce",
     doc="a length-n difference/union tuple embeds into length n+1 by an"
         " empty slot",
 ))
@@ -496,9 +499,8 @@ def _validate_level_columns(ev, built, payload, window, stage):
 
 
 def _build_level_columns(payload, rng=None):
-    terms, settle = _compile_tuple(payload, rng)
-    return Built(Combinator("level_columns", terms),
-                 lambda M: settle(M) + M + 1, parts=terms)
+    tup = _compile_tuple(payload, rng)
+    return Built(tup.term, lambda M: tup.settle(M) + M + 1)
 
 
 _build_level_columns.cid = "level_columns"
@@ -511,7 +513,6 @@ ltomega_to_e3 = register_reduction(Reduction(
     gen_case=gen_pair_nce,
     window=24,
     validator=_validate_level_columns,
-    payload_kind="nce",
     doc="column k grows forever exactly when k stays in the limit of the"
         " difference/union fold",
 ))
@@ -541,7 +542,6 @@ eqnat_to_emin = register_reduction(Reduction(
     predict=lambda a: Finite(frozenset({a})),
     gen_case=_gen_pair_nat,
     window=64,
-    payload_kind="nat",
     doc="equality of naturals realized by singleton minima",
 ))
 register_mutant("eqnat_to_emin", "shifted-point",

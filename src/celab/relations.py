@@ -3,7 +3,7 @@
 Every relation is registered with a decision procedure on *semantic
 payloads*: usually descriptors (compared through their eventually
 periodic analysis), sometimes richer objects produced by reduction
-transforms (rational cuts, class keys, relation-indexed points).  The
+transforms (class keys, difference/union tuples).  The
 deciders are ground truth: they either answer correctly or raise
 ``UnsupportedDescriptor``; they never guess.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Optional
 
@@ -35,19 +34,14 @@ class ClassKey:
     reduction's image enumerates, so the prediction states both the
     image's class and the set the built program must enumerate.  It
     takes no part in ``==``, ``hash`` or ``repr``: two keys of one class
-    are equal whatever sets they stand for."""
+    are equal whatever sets they stand for.  A rational cut is the
+    ``eq_ce`` key of its bound (an exact Fraction, or -inf or inf),
+    whose member is the set of rational codes below the bound."""
 
     rid: str
     key: object
     member: Optional[Callable[[int], bool]] = field(
         default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class QCut:
-    """The set of rational codes q with q < bound (an exact Fraction)."""
-
-    bound: Fraction
 
 
 @dataclass(frozen=True)
@@ -377,8 +371,6 @@ def _keyed(keyfn):
 
 
 def _decide_eq_ce(a, b):
-    if isinstance(a, QCut) and isinstance(b, QCut):
-        return a.bound == b.bound
     if _columnish(a) or _columnish(b):
         return _columns_agree(a, b, ana_eq, ana_eq)
     return ana_eq(_sem(a), _sem(b))

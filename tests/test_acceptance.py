@@ -206,7 +206,7 @@ def test_criterion_07_rational_cut_injectivity():
     cuts = {}
     for mask in range(128):
         d = Finite(frozenset(i for i in range(7) if mask >> i & 1))
-        bound = red.predict(d).bound
+        bound = red.predict(d).key
         assert isinstance(bound, Fraction)
         assert bound not in cuts, (mask, cuts[bound])
         cuts[bound] = mask

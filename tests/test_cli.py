@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import time
 from pathlib import Path
 from unittest import mock
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from celab.cli import main
-from celab.descriptors import (Cofinite, DyadicBlocks, Finite, Progression,
-                               Union, compile_descriptor, member)
+from celab.descriptors import (Cofinite, Descriptor, DyadicBlocks, Finite,
+                               Progression, Union, compile_descriptor,
+                               member)
 from celab.pairing import pair
 from celab.programs import Evaluator
 from celab.reductions import REDUCTIONS
@@ -54,7 +56,7 @@ def test_reduce_prints_the_build_program(capsys, name):
     parameters, so it enumerates what the build's term enumerates."""
     red = REDUCTIONS[name]
     payload = Finite(frozenset({1, 3, 4}))
-    if red.payload_kind == "nce":
+    if isinstance(red.gen_case(random.Random(0))[0], NceTuple):
         payload = NceTuple((payload,))
     built = red.build(payload)
     (argument,) = built.term.args
@@ -312,7 +314,7 @@ BLOCK_PAYLOADS = ["(weight (progression 0 2))", "(dyadic (progression 1 2))",
 @pytest.mark.parametrize("payload", BLOCK_PAYLOADS)
 @pytest.mark.parametrize("name", sorted(
     name for name, red in REDUCTIONS.items()
-    if red.payload_kind == "descriptor"))
+    if isinstance(red.gen_case(random.Random(0))[0], Descriptor)))
 def test_a_block_image_payload_ends_in_an_exit_code(capsys, tmp_path, name,
                                                     payload):
     red = REDUCTIONS[name]

@@ -5,16 +5,15 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
 
 import celab  # noqa: F401
 from celab.descriptors import Finite
 from celab.harness import (DEFAULT_BUDGET, TestCase, VerificationReport,
-                           _Unknown, bits_below, check_built,
-                           corpus_from_json, corpus_to_json, exit_code,
-                           gen_corpus, verify_reduction)
-from celab.programs import Built, Evaluator, script
+                           check_built, corpus_from_json, corpus_to_json,
+                           exit_code, gen_corpus, verify_reduction)
+from celab.programs import Built, Combinator, Evaluator, Unknown, script
 from celab.reductions import MUTANTS, REDUCTIONS, Reduction, mutated
+from celab.relations import NceTuple
 from test_reference_evaluator import ReferenceEvaluator
 
 
@@ -89,7 +88,7 @@ def _scripted(settle):
 
 
 def test_a_window_that_changes_after_the_settle_bound_is_unknown():
-    with pytest.raises(_Unknown, match="changed after the settle bound"):
+    with pytest.raises(Unknown, match="changed after the settle bound"):
         check_built(_scripted(lambda M: 0), None, Finite(frozenset({1, 2})),
                     None, 10, DEFAULT_BUDGET)
 
@@ -98,6 +97,35 @@ def test_a_window_settled_by_its_bound_is_certified():
     assert check_built(_scripted(lambda M: 5), None,
                        Finite(frozenset({1, 2})), None, 10,
                        DEFAULT_BUDGET) == []
+
+
+def _report_of_one_build(name, payload, built):
+    """The report of a reduction over the one case (payload, payload),
+    every build of it the hand-made ``built``."""
+    red = REDUCTIONS[name]
+    case = TestCase(0, red.source, payload, payload, True)
+    return verify_reduction(replace(red, build=lambda payload, rng: built),
+                            corpus=[case])
+
+
+def test_a_fold_moving_after_the_settle_bound_is_unknown():
+    """nce_embed's validator re-checks the fold past the bound."""
+    # the one part gains 2 at stage 5, past the settle bound 0
+    parts = (script([(0, {1}), (5, {2})]),)
+    built = Built(parts[0], lambda M: 0, parts=parts)
+    rep = _report_of_one_build("nce_embed", NceTuple((Finite({1, 2}),)),
+                               built)
+    assert (rep.unknowns, rep.disagreements) == (1, [])
+
+
+def test_a_median_moving_after_the_settle_bound_is_unknown():
+    """emed_to_e0's validator re-checks the median past the bound."""
+    # the argument's median moves from 1 to 2 at stage 5, past the
+    # settle bound 0
+    built = Built(Combinator("median_multiples",
+                             (script([(0, {1}), (5, {3})]),)), lambda M: 0)
+    rep = _report_of_one_build("emed_to_e0", Finite({1, 3}), built)
+    assert (rep.unknowns, rep.disagreements) == (1, [])
 
 
 @pytest.mark.parametrize(
@@ -128,9 +156,3 @@ def test_mutants_disagree_with_traces():
     trace = rep.disagreements[0]
     assert {"index", "expected", "got", "detail"} <= set(trace)
 
-
-@given(st.integers(min_value=0, max_value=2 ** 300),
-       st.integers(min_value=0, max_value=320))
-def test_bits_below_reads_every_set_bit_below_n(bits, n):
-    assert bits_below(bits, n) == frozenset(
-        x for x in range(n) if bits >> x & 1)

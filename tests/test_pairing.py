@@ -4,9 +4,9 @@ from itertools import repeat
 
 from hypothesis import example, given, strategies as st
 
-from celab.pairing import (column, pair, pairs, row, unpair, triple,
-                           untriple, seq_encode, seq_decode, set_encode,
-                           set_decode)
+from celab.pairing import (column, pair, pairs, positions, row, unpair,
+                           triple, untriple, seq_encode, seq_decode,
+                           set_encode, set_decode)
 
 nats = st.integers(min_value=0, max_value=10 ** 6)
 small = st.integers(min_value=0, max_value=2000)
@@ -53,6 +53,12 @@ def test_set_roundtrip(s):
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_set_decode_total(n):
     assert set_encode(set_decode(n)) == n
+
+
+@given(st.integers(min_value=0, max_value=2 ** 300))
+def test_positions_are_the_set_bits_ascending(code):
+    assert positions(code) == [x for x in range(code.bit_length())
+                               if code >> x & 1]
 
 
 # past 2^64, so that no batch form may lean on a fixed-width shortcut
