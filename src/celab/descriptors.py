@@ -403,6 +403,15 @@ def block_bounds(kind: str, n: int) -> Tuple[int, int]:
     return dyadic_block(n) if kind == "dyadic" else weight_block(n)
 
 
+def block_words(kind: str, n: int) -> int:
+    """The 64-bit words of the n-th block's lower bound, from n alone:
+    1 << n has n + 1 bits, and a tripling adds log2(3), about 1623/1024."""
+    if kind == "dyadic" or n < _GREEDY_CAP:
+        return (n + 1) >> 6
+    base = _greedy_boundary(_GREEDY_CAP) + 1
+    return (base.bit_length() + ((n - _GREEDY_CAP) * 1623 >> 10)) >> 6
+
+
 def block_of(kind: str, x: int) -> Optional[int]:
     """Index n with x in the n-th block, or None (dyadic blocks miss 0)."""
     if kind == "dyadic":
@@ -1071,20 +1080,20 @@ def _stages_from_descriptor(ev, args, params, bound=None):
         if x >= last:
             return ()
         yield ()
-    if bound is not None and bound < 0:
+    if last < 0:
         return ()
-    tick = ev.tick
-    # bit i of bits answers candidate lo + i, for lo <= x < hi
-    lo = bits = hi = 0
-    for x in count():
-        tick()
-        if x >= hi:
-            lo, hi = x, min(x + CHUNK, last + 1)
-            bits = members(d, lo, hi)
-        new = (x,) if bits >> x - lo & 1 else ()
-        if x >= last:
-            return new
-        yield new
+    # one walk of the descriptor answers a chunk of candidates, from lo
+    # up to hi - 1, and gives their stages as one list
+    for lo in count(0, CHUNK):
+        hi = min(lo + CHUNK, last + 1)
+        stages = [()] * (hi - lo)
+        for i in positions(members(d, lo, hi)):
+            stages[i] = (lo + i,)
+        if hi > last:
+            # the chunk ends on the last candidate: its stage closes
+            yield from stages[:-1]
+            return stages[-1]
+        yield from stages
 
 
 def _descriptor_floor(params):

@@ -18,21 +18,22 @@ its step gives at each stage, only elements new to it.  ``fresh(P, s)``
 gives the elements that first appear at stage ``s``; constructions
 react to those instead of rescanning their whole argument at every
 stage (semi-naive evaluation: fire only on new facts).  A budget on
-primitive steps turns runaway simulations into a ``BudgetExceeded``
-error instead of a hang.
+primitive steps (the tick rule of ``CombinatorDef``) turns runaway
+simulations into a ``BudgetExceeded`` error instead of a hang.
 
 The evaluator keeps one cell per (term, bound), the bound None for an
 unbounded one, and an ``(indexed n)`` reads the cell of the term that n
-decodes to.  A cell holds a generator of its term's stages, made when
-the cell is made (a ``Script``'s, a ``FullColumnOf``'s and a
-construction's alike), and advancing a cell a stage resumes it once:
-the generator yields the elements new at each stage and keeps its
-running state in its own local variables.  A combinator's cell is made
-with the cells of the arguments its step reads, each under the bound
-its construction declares, and its generator is handed those cells: it
-reads an argument's new elements with ``ev.read(cell, s)``, which
-advances that cell in place, so no query looks a term up past the cell
-it asks for.  What a generator is handed as ``ev`` is the evaluator's
+decodes to.  A cell holds a generator of its term's stages, made with
+the cell, which yields the elements new at each stage and keeps its
+running state in local variables.  The one stage loop, the budget
+meter's ``read(cell, s)``, resumes it once a stage through s and gives
+the elements new at s.  A ``Script`` yields from a ``map`` over its
+stages, a compiled descriptor (``from_descriptor``) from the list of a
+chunk's stages that one walk of the descriptor gives.  A combinator's
+cell is made with the cells of the arguments its step reads, each under
+the bound its construction declares, and its generator reads them with
+``ev.read(cell, s)``, the same loop, so no query looks a term up past
+the cell it asks for.  What a generator is handed as ``ev`` is that
 budget meter, never the evaluator itself, so no evaluator lies on a
 reference cycle and each is freed as soon as it is dropped.  A caller
 that reads a program only on ``[0, bound]`` asks ``upto(P, s, bound)``,
@@ -73,7 +74,7 @@ import math
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, repeat
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .pairing import pair, unpair
@@ -216,10 +217,13 @@ class CombinatorDef:
     term's further arguments get no cell.  A step reads argument cell
     ``a``'s new elements at stage s with ``ev.read(a, s)``, and may read
     it only at stages <= s.  It keeps what it needs of earlier elements
-    rather than rescan the argument at every stage.  The evaluator
-    charges one step per stage and one per element given; a step charges
-    ``ev.tick()`` for its own further work, once per stage or once per
-    new element it handles, never per element rescanned.
+    rather than rescan the argument at every stage; it may ``yield
+    from`` an iterator of stages.  The tick rule: the stage loop charges
+    one tick per stage of a cell and one per element given, the whole
+    flat charge of a stage; a step charges ``ev.tick(n)`` only for work
+    in proportion to what it handles (new argument elements, factors it
+    multiplies, the machine words of a number, before it builds it),
+    never per element rescanned.
 
     A step may ignore the bound, because the evaluator drops what it
     gives above the bound: under a bound b it must give every element
@@ -275,8 +279,7 @@ def _script_stages(entries: tuple):
     at the last one (at stage 0, with none, for no entries)."""
     at = dict(entries)
     last = entries[-1][0] if entries else 0
-    for s in range(last):
-        yield at.get(s, ())
+    yield from map(at.get, range(last), repeat(()))
     return at.get(last, ())
 
 
@@ -377,9 +380,11 @@ class _Meter:
                 f"exceeded {self.budget} primitive steps"
             )
 
-    def advance(self, cell: _Cell, s: int) -> None:
-        """Step the cell through stage s: one resumption of its
-        generator a stage."""
+    def read(self, cell: _Cell, s: int) -> list:
+        """Step the cell through stage s, one resumption of its
+        generator a stage, and give the elements that entered it at
+        stage s, in entry order, as a new list: the stage loop of every
+        query, and how a step reads an argument cell it was handed."""
         order, ends, stages = cell.order, cell.ends, cell.stages
         bound = cell.bound
         while len(ends) <= s:
@@ -406,15 +411,8 @@ class _Meter:
                     if x <= bound:
                         order.append(x)
             ends.append(len(order))
-
-    def read(self, cell: _Cell, s: int) -> list:
-        """The elements that entered cell at stage s, in entry order, as
-        a new list: how a step reads an argument cell it was handed.
-        It advances the cell through s in place."""
-        self.advance(cell, s)
-        ends = cell.ends
         try:
-            return cell.order[ends[s - 1] if s else 0:ends[s]]
+            return order[ends[s - 1] if s else 0:ends[s]]
         except IndexError:
             return []  # the cell closed before stage s
 
@@ -513,18 +511,18 @@ class Evaluator:
         raise TypeError(f"not a program term: {term!r}")
 
     def _run(self, term: Term, s: int,
-             bound: Optional[int] = None) -> _Cell:
-        """Advance the cell of term under bound through stage s.  The
-        entry point of every public query: a top-level call starts a
-        fresh step count, and one that raises drops every cell."""
+             bound: Optional[int] = None) -> tuple:
+        """Step the cell of term under bound through stage s; give it and
+        its elements new at s.  The entry point of every public query: a
+        top-level call starts a fresh step count, and one that raises
+        drops every cell."""
         top = self._depth == 0
         if top:
             self._meter.steps = 0
         self._depth += 1
         try:
             cell = self._cell(term, bound)
-            self._meter.advance(cell, s)
-            return cell
+            return cell, self._meter.read(cell, s)
         except BaseException:
             if top:
                 self._cells.clear()
@@ -535,7 +533,7 @@ class Evaluator:
     def _window(self, term: Term, s: int, bound: Optional[int]) -> frozenset:
         if s < 0:
             return frozenset()
-        cell = self._run(term, s, bound)
+        cell = self._run(term, s, bound)[0]
         # no copy of the order when the answer is all of it
         order, end = cell.order, cell.end(s)
         return frozenset(order if end == len(order) else order[:end])
@@ -556,7 +554,7 @@ class Evaluator:
         those <= bound when a bound is given."""
         if s < 0:
             return []
-        return self._meter.read(self._run(term, s, bound), s)
+        return self._run(term, s, bound)[1]
 
     def cell_of(self, term: Term,
                 bound: Optional[int] = None) -> Optional[_Cell]:
@@ -568,7 +566,7 @@ class Evaluator:
 
         It finds x's place in the cell's entry order by a scan, so it
         costs O(len(order)); nothing in the library calls it."""
-        cell = self._run(term, s)
+        cell = self._run(term, s)[0]
         try:
             t = bisect_right(cell.ends, cell.order.index(x))
         except ValueError:  # x is not in the cell

@@ -58,7 +58,7 @@ def _stages_saturate_up(ev, args, params, bound=None):
     # lie past the bound, so the argument is read whole
     off = param(params, 0)
     a = args[0]
-    read, tick = ev.read, ev.tick
+    read = ev.read
     least = low = high = None
     for s in count():
         new = read(a, s)
@@ -69,7 +69,6 @@ def _stages_saturate_up(ev, args, params, bound=None):
                 return ()
             yield ()
             continue
-        tick()
         m = least + off
         if low is None:
             low, high = m, m - 1
@@ -94,7 +93,7 @@ def _stages_saturate_down(ev, args, params, bound=None):
     # bound
     a = args[0]
     trim = param(params, 0)
-    read, tick = ev.read, ev.tick
+    read = ev.read
     top, filled = None, -1
     for s in count():
         new = read(a, s)
@@ -103,7 +102,6 @@ def _stages_saturate_down(ev, args, params, bound=None):
         done = a.closed(s)
         out = ()
         if top is not None:
-            tick()
             mx = top - trim
             if bound is not None:
                 mx = min(mx, bound)
@@ -124,14 +122,13 @@ def _stages_interval_hull(ev, args, params, bound=None):
     interval contains the last one and only its new ends are emitted."""
     # the maximum needs all of the argument
     a = args[0]
-    read, tick = ev.read, ev.tick
+    read = ev.read
     bounds = done = None  # done: the interval emitted so far
     for s in count():
         bounds = _widen(bounds, read(a, s))
         closed = a.closed(s)
         out = ()
         if bounds is not None:
-            tick()
             lo, hi = bounds
             # once hi reaches the bound, only a new minimum below lo can
             # add an output <= b
@@ -164,7 +161,6 @@ def _factorial_stages(side: int):
             closed = a.closed(s)
             out = ()
             if bounds is not None:
-                tick()
                 m = bounds[side]
                 if last != m:
                     tick(abs(m - last))
@@ -184,10 +180,9 @@ def _stages_stage_gcds(ev, args, params, bound=None):
     """Emit the gcd of the stage approximation when it changes to a
     finite value: to a proper divisor, so a new value."""
     a = args[0]
-    read, tick = ev.read, ev.tick
+    read = ev.read
     g = 0  # 0 while the gcd is infinite
     for s in count():
-        tick()
         was = g
         for x in read(a, s):
             g = math.gcd(g, x)
@@ -201,10 +196,9 @@ def _stages_stage_lcms(ev, args, params, bound=None):
     """Emit the lcm of the positive stage elements (1 when none) at
     stage 0 and on a change: to a proper multiple, so a new value."""
     a = args[0]
-    read, tick = ev.read, ev.tick
+    read = ev.read
     l = 1
     for s in count():
-        tick()
         was = l
         for x in read(a, s):
             if x > 0:
@@ -239,7 +233,6 @@ def _stages_median_multiples(ev, args, params, bound=None):
             bisect.insort(elems, x)
         out = []
         if elems:
-            tick()
             now = _two_middle(elems)
             if now != mid:
                 mid = now
@@ -289,14 +282,13 @@ def _codes_below(a, s, waiting, cut, bound, unreachable=None):
 def _stages_rational_cut(ev, args, params, bound=None):
     """Enumerate rational codes q with q < (current maximum) - 1."""
     a = args[0]
-    read, tick = ev.read, ev.tick
+    read = ev.read
     bounds, waiting, cut = None, [], None
     for s in count():
         bounds = _widen(bounds, read(a, s))
-        if bounds is not None:
-            tick()
-            if bounds[1] > 0:  # the cut of {0} is empty; until then codes wait
-                cut = bounds[1] - 1, 1
+        if bounds is not None and bounds[1] > 0:
+            # the cut of {0} is empty; until then codes wait
+            cut = bounds[1] - 1, 1
         out, closed = _codes_below(a, s, waiting, cut, bound)
         if closed:
             return out
@@ -317,7 +309,7 @@ def _stages_triadic_cut(ev, args, params, bound=None):
     = 3^-f / 2, so the limit of the sum stays at or below that rational
     and no waiting code can ever enter."""
     a = args[0]
-    read, tick = ev.read, ev.tick
+    read = ev.read
     waiting = []
     num, e, den = 0, 0, 1  # the sum is num / den
 
@@ -325,7 +317,6 @@ def _stages_triadic_cut(ev, args, params, bound=None):
         return _sum_cannot_reach(a, s, num, e, den, least)
 
     for s in count():
-        tick()
         for n in read(a, s):
             if n >= e:
                 scale = 3 ** (n + 1 - e)

@@ -42,7 +42,8 @@ from ..pairing import column, pair, pairs, row, unpair
 from ..programs import register_combinator, param
 from ..descriptors import (
     ColumnsBySet, Columns, Difference, Finite, EMPTY, FULL,
-    Descriptor, EP, analyze, block_bounds, block_of, ep_only, member,
+    Descriptor, EP, analyze, block_bounds, block_of, block_words, ep_only,
+    member,
     DyadicBlocks, WeightBlocks, TailColumns,
 )
 from ..relations import ClassKey, columnwise_key, decide
@@ -183,6 +184,7 @@ def _stages_block_union(ev, args, params, bound=None):
     def starts_of(new):
         starts = []
         for n in new:
+            ev.tick(block_words(kind, n))  # charged before it is built
             lo, hi = block_bounds(kind, n)
             starts.append((lo, hi if bound is None else min(hi, bound + 1),
                            1))
@@ -204,6 +206,7 @@ def _stages_scaled_blocks(ev, args, params, bound=None):
         starts = []
         for z in new:
             c, k = unpair(z)
+            ev.tick((c + k + 2) >> 6)  # the start's words, before it is built
             step = 1 << (c + 1)
             lo = (1 << c) - 1
             hi = lo + (step << (k + 1))

@@ -76,7 +76,6 @@ def _react_by_code(ev, a, point, bound=None):
             have.add(e)
             out.extend(parked.pop(e, ()))
         if bound is None or s <= bound:
-            tick()
             wanted.clear()
             if point(s, has):
                 if not wanted or wanted[0] in have:

@@ -22,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 import celab  # noqa: F401  (registers combinators)
 from celab.descriptors import (Cofinite, ColumnsBySet, Finite, Progression,
-                               block_bounds, compile_descriptor)
+                               block_bounds, block_words,
+                               compile_descriptor)
 from celab.pairing import pair, unpair
 from celab.programs import (COMBINATORS, Combinator, Evaluator,
                             FullColumnOf, param, script)
@@ -86,6 +87,7 @@ def _ref_block_union(ev, args, params, bound=None):
 
     def starts_of(new):
         for n in new:
+            ev.tick(block_words(kind, n))
             lo, hi = block_bounds(kind, n)
             yield lo, hi if bound is None else min(hi, bound + 1), 1
     return _ref_progressions(ev, args[0], starts_of)
@@ -98,6 +100,7 @@ def _ref_scaled_blocks(ev, args, params, bound=None):
             step = 1 << (c + 1)
             lo = (1 << c) - 1
             hi = lo + (step << (k + 1))
+            ev.tick((lo + (step << k)).bit_length() >> 6)
             yield (lo + (step << k),
                    hi if bound is None else min(hi, bound + 1), step)
     return _ref_progressions(ev, args[0], starts_of)
