@@ -148,6 +148,18 @@ def test_enumerate_past_the_step_budget_exits_three(capsys, monkeypatch):
     assert code == 3 and out == ""
 
 
+def test_enumerating_a_huge_block_ends_on_the_step_budget(capsys,
+                                                         monkeypatch):
+    """Weight block 10^6 starts near 3^(10^6): its words are charged
+    before it is built, so the run exits 3 at once."""
+    monkeypatch.setenv("CELAB_STEP_BUDGET", "1000")
+    started = time.monotonic()
+    code, out = run(capsys, "enumerate", "--term",
+                    "(combinator block_union ((script (0 (1000000)))) (1))",
+                    "--stage", "19")
+    assert code == 3 and out == "" and time.monotonic() - started < 0.1
+
+
 @pytest.mark.parametrize("term", [
     "(script)", "(script (3 (4 9)))", "(indexed 0)",
     "(combinator from_descriptor () (5786 0))"])
@@ -361,10 +373,10 @@ def test_too_deep_a_term_exits_four(capsys, argv):
 
 
 def test_too_deep_an_evaluation_exits_four(capsys):
-    # readable, but evaluating it recurses several frames per level;
-    # 328 is the least depth at which `celab enumerate` run from a shell
+    # readable, but evaluating it recurses two frames per level;
+    # 330 is the least depth at which `celab enumerate` run from a shell
     # exits 4
-    assert main(["enumerate", "--term", _nested(328), "--stage", "3"]) == 4
+    assert main(["enumerate", "--term", _nested(330), "--stage", "3"]) == 4
     assert capsys.readouterr().err == \
         "error: term nested too deeply to evaluate\n"
 

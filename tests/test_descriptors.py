@@ -20,7 +20,8 @@ from celab.descriptors import (EMPTY, EP, FULL, BlockImage, Cofinite,
                                DyadicBlocks, Finite, OverrideColumns,
                                Progression, TailColumns, Union,
                                UnsupportedDescriptor, WeightBlocks, analyze,
-                               block_of, columns_view, compile_descriptor,
+                               block_bounds, block_of, block_words,
+                               columns_view, compile_descriptor,
                                decode_descriptor, dyadic_block,
                                ep_intersection, member, members,
                                region_pairs, weight_block)
@@ -179,6 +180,15 @@ def test_block_of_inverts_the_bounds(x):
         else:
             lo, hi = (dyadic_block if kind == "dyadic" else weight_block)(n)
             assert lo <= x < hi
+
+
+@pytest.mark.parametrize("kind", ["dyadic", "weight"])
+def test_block_words_count_the_lower_bound_without_building_it(kind):
+    """Exact for dyadic blocks; for weight blocks, 1623/1024 bits a
+    tripling stays within a word up to n = 3 * 10^5."""
+    for n in [*range(3000), 10 ** 4, 10 ** 5, 3 * 10 ** 5]:
+        words = block_bounds(kind, n)[0].bit_length() >> 6
+        assert 0 <= words - block_words(kind, n) <= (kind == "weight"), n
 
 
 def test_triadic_sums_separate_small_sets():

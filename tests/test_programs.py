@@ -1,6 +1,7 @@
 """Evaluator semantics: stage monotonicity, determinism, budgets."""
 
 import gc
+import time
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -102,6 +103,21 @@ def test_the_budget_bounds_a_factorial(cid):
     term = Combinator(cid, (script([(0, {10 ** 5})]),))
     with pytest.raises(BudgetExceeded):
         Evaluator(budget=1000).approx(term, 0)
+
+
+@pytest.mark.parametrize("cid, element, params", [
+    ("block_union", 10 ** 6, (1,)),
+    ("block_union", 10 ** 7, (0,)),
+    ("scaled_blocks", 10 ** 12, ()),
+], ids=["weight", "dyadic", "scaled"])
+def test_the_budget_bounds_a_block_bound(cid, element, params):
+    """A block step charges a tick per 64-bit word of a block bound
+    before it builds it: 3^(10^6 - 10) does not fit a budget of 1000."""
+    term = Combinator(cid, (script([(0, {element})]),), params)
+    started = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        Evaluator(budget=1000).approx(term, 19)
+    assert time.monotonic() - started < 0.1
 
 
 def test_the_budget_stops_a_median_fill_before_it_is_built():
@@ -331,6 +347,39 @@ def test_a_retry_after_the_budget_runs_out_gives_the_true_set(cid, name):
             pass
         ev.budget = 10 ** 8
         assert ev.approx(term, 120) == want, f"budget {budget}"
+
+
+def test_a_retry_in_the_middle_of_a_descriptor_chunk_gives_the_true_set():
+    """The budget runs out while the leaf yields from the list of its
+    second chunk's stages (candidates 256 to 511): the retry, on the
+    same evaluator, still gives what a fresh one gives."""
+    term = Combinator("saturate_down", (CLOSING_ARGUMENTS["cofinite"],))
+    low, high = _ticks(term, 280), _ticks(term, 300)
+    want = Evaluator().approx(term, 300)
+    ev = Evaluator(budget=(low + high) // 2)
+    with pytest.raises(BudgetExceeded):
+        ev.approx(term, 300)
+    ev.budget = 10 ** 6
+    assert ev.approx(term, 300) == want
+
+
+# to stage 20, the progression 3 + 4k (delay 0) gives 21 stages and 5
+# elements, and saturate_down 21 stages and [0, 19]: 21 + 5 + 21 + 20.
+# The script closes at stage 11 with 12 stages and 6 elements, and
+# saturate_down one stage later, with 13 stages and [0, 30]:
+# 12 + 6 + 13 + 31.
+@pytest.mark.parametrize("name, ticks", [("progression", 67),
+                                         ("script", 62)])
+def test_a_query_pays_a_tick_a_stage_and_one_an_element(name, ticks):
+    """The tick rule: over a leaf that charges nothing of its own,
+    ``saturate_down`` ticks the stages its cell and its argument's cell
+    advance, plus the elements entered into them."""
+    term = Combinator("saturate_down", (CLOSING_ARGUMENTS[name],))
+    ev = Evaluator()
+    ev.approx(term, 20)
+    cells = [ev.cell_of(term), ev.cell_of(CLOSING_ARGUMENTS[name])]
+    assert ev._steps == ticks == sum(len(c.ends) + len(c.order)
+                                     for c in cells)
 
 
 @pytest.mark.parametrize("cid", sorted(COMBINATORS))
